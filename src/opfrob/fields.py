@@ -24,6 +24,27 @@ def _as_expression(x) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression entry")
 
 
+def _batch_jets(exprs, shape, points):
+    """Vectorized jets of the expressions (laid out row-major in ``shape``)
+    over a (B, n) batch of points: values (B, *shape) and partials
+    (B, *shape, n), in one pass over each expression's tree."""
+    points = np.asarray(points, dtype=float)
+    B, n = points.shape
+    eye = np.eye(n)
+    coords = [Jet(points[:, i], np.broadcast_to(eye[i], (B, n)).copy())
+              for i in range(n)]
+    vals = np.empty((B, len(exprs)))
+    ders = np.zeros((B, len(exprs), n))
+    for k, e in enumerate(exprs):
+        out = eval_expr(e, coords)
+        if isinstance(out, Jet):
+            vals[:, k] = out.value
+            ders[:, k, :] = out.partials
+        else:
+            vals[:, k] = out
+    return vals.reshape((B,) + shape), ders.reshape((B,) + shape + (n,))
+
+
 def expression_matmul(A, B):
     """Product of two square grids of expressions (builds new trees)."""
     n = len(A)
@@ -104,20 +125,8 @@ class OperatorField:
         if self._constant_value is not None:
             vals = np.broadcast_to(self._constant_value, (B, n, n)).copy()
             return vals, np.zeros((B, n, n, n))
-        eye = np.eye(n)
-        coords = [Jet(points[:, i], np.broadcast_to(eye[i], (B, n)).copy())
-                  for i in range(n)]
-        vals = np.empty((B, n, n))
-        ders = np.zeros((B, n, n, n))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out = eval_expr(e, coords)
-                if isinstance(out, Jet):
-                    vals[:, i, j] = out.value
-                    ders[:, i, j, :] = out.partials
-                else:
-                    vals[:, i, j] = out
-        return vals, ders
+        return _batch_jets([e for row in self.entries for e in row], (n, n),
+                           points)
 
     def jet_arrays(self, u):
         """Values (n,n) and partials (n,n,n) with der[i,j,s] = d(entry ij)/du^s.
@@ -207,21 +216,7 @@ class OneFormField:
     def batch_jet_arrays(self, points):
         """Vectorized jets over a (B, n) batch: values (B, n), partials
         (B, n, n)."""
-        points = np.asarray(points, dtype=float)
-        B, n = points.shape
-        eye = np.eye(n)
-        coords = [Jet(points[:, i], np.broadcast_to(eye[i], (B, n)).copy())
-                  for i in range(n)]
-        vals = np.empty((B, n))
-        ders = np.zeros((B, n, n))
-        for i, c in enumerate(self.components):
-            out = eval_expr(c, coords)
-            if isinstance(out, Jet):
-                vals[:, i] = out.value
-                ders[:, i, :] = out.partials
-            else:
-                vals[:, i] = out
-        return vals, ders
+        return _batch_jets(self.components, (self.dimension,), points)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"

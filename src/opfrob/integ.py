@@ -28,29 +28,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GenericityError, OpfrobError, SingularMatrixError
+from .errors import OpfrobError, SingularMatrixError
 from .exprs import Const, Expression, Var, eval_expr, parse_expr
 from .fields import OneFormField
 from .frobalg import (
     OperatorBasis,
     find_generic_covector,
     find_generic_vector,
-    find_well_conditioned_vector,
-    frobenius_form,
+    frobenius_dual,
     point_data,
     structure_constants_at,
-    _value_matrix,
+    well_conditioned_xi,
 )
 from .numkit import (
-    Jet,
     jet_point,
+    mat_inv,
     mat_rank,
-    mat_solve,
     max_abs,
     split_jet_matrix,
     sqrt_near_identity,
 )
-from .opfields import bracket_from_jets, conservation_law_check
+from .opfields import FamilyFieldView, bracket_from_jets, conservation_law_check
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -256,21 +254,14 @@ class IntegrableSystem:
 
     # -- pointwise data ------------------------------------------------------
 
-    def _xi_at(self, values):
-        rng = np.random.default_rng(self.seed)
-        xi = find_well_conditioned_vector(values, 32, rng, self.tol)
-        if xi is None:
-            raise GenericityError("no generic vector at the evaluation point")
-        return xi
-
     def structure_at(self, u) -> np.ndarray:
         key = tuple(float(x) for x in u)
         hit = self._structure_cache.get(key)
         if hit is not None:
             return hit
         values = self.basis.eval(u)
-        a, _ = structure_constants_at(values, self._xi_at(values))
-        a = np.asarray(a, dtype=float)
+        a, _ = structure_constants_at(
+            values, well_conditioned_xi(values, self.seed, self.tol))
         if len(self._structure_cache) > 1024:
             self._structure_cache.clear()
         self._structure_cache[key] = a
@@ -284,23 +275,10 @@ class IntegrableSystem:
         hit = self._jets_cache.get(key)
         if hit is not None:
             return hit
-        values = self.basis.eval(u)
-        xi = self._xi_at(values)
         jets = self.basis.eval_jet(u)
-        a_obj, _ = structure_constants_at(jets, xi)
-        n = self.dimension
-        a_val = np.empty((n, n, n))
-        a_du = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for s in range(n):
-                    x = a_obj[i, j, s]
-                    if isinstance(x, Jet):
-                        a_val[i, j, s] = x.value
-                        a_du[i, j, s] = x.partials
-                    else:
-                        a_val[i, j, s] = float(x)
-                        a_du[i, j, s] = 0.0
+        a_obj, _ = structure_constants_at(
+            jets, well_conditioned_xi(jets, self.seed, self.tol))
+        a_val, a_du = split_jet_matrix(a_obj, self.dimension)
         J = self.chart_rows(u)
         Jinv = np.linalg.inv(J)
         a_chart = np.einsum("ijsm,mk->ijsk", a_du, Jinv)
@@ -428,13 +406,11 @@ def generate_system(
 
     worst = 0.0
     worst_pt = None
+    chart_form = OneFormField(chart)   # reuse component-wise jet evaluation
     for u in points:
         aval = alpha.eval(u)
         rows = np.vstack([aval @ M for M in basis.eval(u)])
-        jets = [eval_expr(c, jet_point(u)) for c in chart]
-        grads = np.vstack([
-            j.partials if isinstance(j, Jet) else np.zeros(n) for j in jets
-        ])
+        _, grads = chart_form.jet_arrays(u)
         scale = 1.0 + max_abs(rows)
         r = max_abs(grads - rows) / scale
         if r > worst:
@@ -449,7 +425,8 @@ def generate_system(
     worst = 0.0
     for u in points:
         values = basis.eval(u)
-        _, closure = structure_constants_at(values, system._xi_at(values))
+        _, closure = structure_constants_at(
+            values, well_conditioned_xi(values, seed, tol))
         worst = max(worst, closure)
     report.add(CheckResult(
         name="span_closure", passed=worst <= tol, residual=worst,
@@ -542,44 +519,20 @@ class ReconstructedFamily:
         self.seed = seed
 
     def _killing(self, grids):
-        n = self.dimension
-        h1 = grids[0]
-        eye = np.eye(n)
-        if np.asarray(h1).dtype == object:
-            eye = np.asarray(eye, dtype=object)
-        h1_inv = mat_solve(h1, eye)
+        h1_inv = mat_inv(grids[0])
         return [np.asarray(g) @ h1_inv for g in grids]
 
     def _mbar(self, Ks):
-        values = [_value_matrix(K) for K in Ks]
-        rng = np.random.default_rng(self.seed)
-        xi = find_well_conditioned_vector(values, 32, rng, self.tol)
-        if xi is None:
-            raise GenericityError("Killing span has no generic vector here")
+        xi = well_conditioned_xi(Ks, self.seed, self.tol)
         a, _ = structure_constants_at(Ks, xi)
         # bbar_{ij} = a_{ij}^s a_s with the covector in the K-basis
-        b = frobenius_form(a, self.covector)
-        n = self.dimension
-        eye = np.eye(n)
-        if np.asarray(b).dtype == object:
-            eye = np.asarray(eye, dtype=object)
-        binv = mat_solve(b, eye)
-        out = []
-        for i in range(n):
-            M = binv[i, 0] * np.asarray(Ks[0])
-            for s in range(1, n):
-                M = M + binv[i, s] * np.asarray(Ks[s])
-            out.append(M)
-        return out
+        return frobenius_dual(a, self.covector, Ks)[2]
 
     def killing_values(self, u):
-        return [_value_matrix(K)
-                for K in self._killing([H.coeff(u) for H in self.hams])]
+        return self._killing([H.coeff(u) for H in self.hams])
 
     def eval(self, u):
-        return [_value_matrix(M)
-                for M in self._mbar(self._killing([H.coeff(u)
-                                                   for H in self.hams]))]
+        return self._mbar(self.killing_values(u))
 
     def jet_data(self, u):
         grids = [H.coeff_generic(jet_point(u)) for H in self.hams]
@@ -587,24 +540,11 @@ class ReconstructedFamily:
         return [split_jet_matrix(M, self.dimension) for M in duals]
 
     def field(self, i):
-        return _ReconstructedFieldView(self, i)
+        return FamilyFieldView(self, i)
 
     @property
     def fields(self):
         return [self.field(i) for i in range(self.dimension)]
-
-
-class _ReconstructedFieldView:
-    def __init__(self, family, index):
-        self.family = family
-        self.index = index
-        self.dimension = family.dimension
-
-    def eval(self, u):
-        return self.family.eval(u)[self.index]
-
-    def jet_arrays(self, u):
-        return self.family.jet_data(u)[self.index]
 
 
 def inverse_verify(
@@ -641,7 +581,7 @@ def inverse_verify(
     try:
         for u in points:
             grids = [H.coeff(u) for H in hams]
-            Ks = [_value_matrix(K) for K in family._killing(grids)]
+            Ks = family._killing(grids)
             scale = 1.0 + max(max_abs(K) for K in Ks) ** 2
             for i in range(n):
                 for j in range(i + 1, n):

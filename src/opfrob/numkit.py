@@ -16,8 +16,7 @@ from .errors import SingularMatrixError, SqrtConvergenceError
 __all__ = [
     "Jet",
     "jet_point",
-    "jet_value",
-    "jet_gradient",
+    "value_array",
     "split_jet_matrix",
     "split_jet_vector",
     "magnitude",
@@ -141,12 +140,8 @@ def jet_point(u) -> list:
     return [Jet(float(u[i]), eye[i]) for i in range(n)]
 
 
-def jet_value(x):
-    return x.value if isinstance(x, Jet) else float(x)
-
-
-def scalar_value(x):
-    """Value part of any supported scalar: jets expose .value, truncated
+def _value(x):
+    """Value part of one supported scalar: jets expose .value, truncated
     series their constant term, numbers pass through."""
     if isinstance(x, Jet):
         return x.value
@@ -156,43 +151,41 @@ def scalar_value(x):
     return float(x)
 
 
-def jet_gradient(x, n: int) -> np.ndarray:
-    return x.partials if isinstance(x, Jet) else np.zeros(n)
+def value_array(A) -> np.ndarray:
+    """Float value parts of an array of any shape over any supported
+    scalar."""
+    A = np.asarray(A)
+    if A.dtype != object:
+        return np.asarray(A, dtype=float)
+    out = np.empty(A.shape)
+    for idx, x in np.ndenumerate(A):
+        out[idx] = _value(x)
+    return out
 
 
-def split_jet_matrix(mat, n: int):
-    """Object matrix of jets/numbers -> (values (r,c), partials (r,c,n))."""
-    mat = np.asarray(mat, dtype=object)
-    r, c = mat.shape
-    val = np.empty((r, c))
-    der = np.zeros((r, c, n))
-    for i in range(r):
-        for j in range(c):
-            val[i, j] = jet_value(mat[i, j])
-            der[i, j] = jet_gradient(mat[i, j], n)
+def split_jet_matrix(arr, n: int):
+    """Array (any shape) of jets/numbers -> (values, partials) with the
+    partials carrying one extra trailing axis of length n."""
+    arr = np.asarray(arr, dtype=object)
+    val = np.empty(arr.shape)
+    der = np.zeros(arr.shape + (n,))
+    for idx, x in np.ndenumerate(arr):
+        if isinstance(x, Jet):
+            val[idx] = x.value
+            der[idx] = x.partials
+        else:
+            val[idx] = float(x)
     return val, der
 
 
-def split_jet_vector(vec, n: int):
-    vec = list(vec)
-    m = len(vec)
-    val = np.empty(m)
-    der = np.zeros((m, n))
-    for i in range(m):
-        val[i] = jet_value(vec[i])
-        der[i] = jet_gradient(vec[i], n)
-    return val, der
+# the vector form is the same split; the name stays for its callers
+split_jet_vector = split_jet_matrix
 
 
 def magnitude(x) -> float:
-    """Pivot size of a generic scalar: |value| for jets, |constant term| for
-    series, |x| otherwise."""
-    if isinstance(x, Jet):
-        return abs(float(x.value))
-    ct = getattr(x, "constant_term", None)
-    if ct is not None:
-        return abs(float(ct()))
-    return abs(float(x))
+    """Pivot size of a generic scalar: the absolute value of its value
+    part."""
+    return abs(float(_value(x)))
 
 
 def max_abs(A) -> float:

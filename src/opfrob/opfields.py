@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    GenericityError,
     NonCommutingError,
     OneFormNotClosedError,
     OpfrobError,
@@ -38,12 +37,11 @@ from .frobalg import (
     OperatorBasis,
     find_generic_covector,
     find_well_conditioned_vector,
-    frobenius_form,
+    frobenius_dual,
     structure_constants_at,
-    structure_values,
-    _value_matrix,
+    well_conditioned_xi,
 )
-from .numkit import mat_solve, max_abs, split_jet_matrix
+from .numkit import max_abs, split_jet_matrix
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -66,55 +64,22 @@ def _field_scale(val, der) -> float:
 
 
 def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
-    """Coordinate components T^i_jk of <L, M> from values and partials.
+    """Coordinate components T^i_jk of <L, M> from values and partials, at
+    one point or over a leading batch axis.
 
     When both arguments are literally the same arrays (the torsion case)
     the result is assembled in explicitly antisymmetrized form, so
     T^i_jk = -T^i_kj holds exactly, not just to rounding.
     """
     if Lval is Mval and Lder is Mder:
-        t1 = np.einsum("sj,iks->ijk", Mval, Mder)
-        t3 = np.einsum("ir,rkj->ijk", Mval, Mder)
-        return (t1 - t1.transpose(0, 2, 1)) - (t3 - t3.transpose(0, 2, 1))
-    t1 = np.einsum("sj,iks->ijk", Lval, Mder)
-    t2 = np.einsum("sk,ijs->ijk", Mval, Lder)
-    t3 = np.einsum("ir,rkj->ijk", Lval, Mder)
-    t4 = np.einsum("is,sjk->ijk", Mval, Lder)
+        t1 = np.einsum("...sj,...iks->...ijk", Mval, Mder)
+        t3 = np.einsum("...ir,...rkj->...ijk", Mval, Mder)
+        return (t1 - t1.swapaxes(-1, -2)) - (t3 - t3.swapaxes(-1, -2))
+    t1 = np.einsum("...sj,...iks->...ijk", Lval, Mder)
+    t2 = np.einsum("...sk,...ijs->...ijk", Mval, Lder)
+    t3 = np.einsum("...ir,...rkj->...ijk", Lval, Mder)
+    t4 = np.einsum("...is,...sjk->...ijk", Mval, Lder)
     return t1 - t2 - t3 + t4
-
-
-def _commutation_check(Lval, Mval, tol):
-    scale = 1.0 + max_abs(Lval) * max_abs(Mval)
-    resid = max_abs(Lval @ Mval - Mval @ Lval) / scale
-    if resid > tol:
-        raise NonCommutingError(
-            f"operators do not commute at the point (residual {resid:.3e})"
-        )
-
-
-def bracket(L, M, point, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate <L, M> at a point; raises NonCommutingError when the values
-    fail to commute (the bracket is only a tensor for commuting pairs)."""
-    Lval, Lder = L.jet_arrays(point)
-    if L is M:
-        return bracket_from_jets(Lval, Lder, Lval, Lder)
-    Mval, Mder = M.jet_arrays(point)
-    _commutation_check(Lval, Mval, tol)
-    return bracket_from_jets(Lval, Lder, Mval, Mder)
-
-
-def _pair_residual(L, M, point, tol, symmetric_part_only):
-    Lval, Lder = L.jet_arrays(point)
-    if L is M:
-        Mval, Mder = Lval, Lder
-    else:
-        Mval, Mder = M.jet_arrays(point)
-        _commutation_check(Lval, Mval, tol)
-    T = bracket_from_jets(Lval, Lder, Mval, Mder)
-    if symmetric_part_only:
-        T = T + T.transpose(0, 2, 1)
-    scale = 1.0 + _field_scale(Lval, Lder) * _field_scale(Mval, Mder)
-    return float(np.max(np.abs(T))) / scale
 
 
 def _batch_maxabs(X):
@@ -122,53 +87,47 @@ def _batch_maxabs(X):
     return np.max(np.abs(X.reshape(B, -1)), axis=1)
 
 
-def _pair_residuals_batch(L, M, points, tol, symmetric_part_only):
-    """Per-point residuals for expression-backed fields, computed with one
-    vectorized pass over the whole sample."""
-    P = np.asarray(points, dtype=float)
+def _pair_jets(L, M, P, tol):
+    """Batched values and partials of L and M at the (B, n) points P;
+    raises NonCommutingError when the values fail to commute (the bracket
+    is only a tensor for commuting pairs)."""
     Lval, Lder = L.batch_jet_arrays(P)
-    torsion = L is M
-    if torsion:
-        Mval, Mder = Lval, Lder
-    else:
-        Mval, Mder = M.batch_jet_arrays(P)
-        comm = np.einsum("bij,bjk->bik", Lval, Mval) \
-            - np.einsum("bij,bjk->bik", Mval, Lval)
-        comm_scale = 1.0 + _batch_maxabs(Lval) * _batch_maxabs(Mval)
-        comm_res = _batch_maxabs(comm) / comm_scale
-        b = int(np.argmax(comm_res))
-        if comm_res[b] > tol:
-            raise NonCommutingError(
-                f"operators do not commute at {P[b].tolist()} "
-                f"(residual {comm_res[b]:.3e})"
-            )
-    if torsion:
-        t1 = np.einsum("bsj,biks->bijk", Mval, Mder)
-        t3 = np.einsum("bir,brkj->bijk", Mval, Mder)
-        T = (t1 - t1.transpose(0, 1, 3, 2)) - (t3 - t3.transpose(0, 1, 3, 2))
-    else:
-        T = (np.einsum("bsj,biks->bijk", Lval, Mder)
-             - np.einsum("bsk,bijs->bijk", Mval, Lder)
-             - np.einsum("bir,brkj->bijk", Lval, Mder)
-             + np.einsum("bis,bsjk->bijk", Mval, Lder))
-    if symmetric_part_only:
-        T = T + T.transpose(0, 1, 3, 2)
-    scale_L = _batch_maxabs(Lval) + _batch_maxabs(Lder)
-    scale_M = scale_L if torsion else _batch_maxabs(Mval) + _batch_maxabs(Mder)
-    return _batch_maxabs(T) / (1.0 + scale_L * scale_M)
+    if L is M:
+        return Lval, Lder, Lval, Lder
+    Mval, Mder = M.batch_jet_arrays(P)
+    comm = np.einsum("bij,bjk->bik", Lval, Mval) \
+        - np.einsum("bij,bjk->bik", Mval, Lval)
+    comm_scale = 1.0 + _batch_maxabs(Lval) * _batch_maxabs(Mval)
+    comm_res = _batch_maxabs(comm) / comm_scale
+    b = int(np.argmax(comm_res))
+    if comm_res[b] > tol:
+        raise NonCommutingError(
+            f"operators do not commute at {P[b].tolist()} "
+            f"(residual {comm_res[b]:.3e})"
+        )
+    return Lval, Lder, Mval, Mder
+
+
+def bracket(L, M, point, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Evaluate <L, M> at a point; raises NonCommutingError when the values
+    fail to commute."""
+    P = np.asarray([point], dtype=float)
+    return bracket_from_jets(*_pair_jets(L, M, P, tol))[0]
 
 
 def _worst_pair_residual(L, M, points, tol, symmetric_part_only):
-    if hasattr(L, "batch_jet_arrays") and hasattr(M, "batch_jet_arrays"):
-        res = _pair_residuals_batch(L, M, points, tol, symmetric_part_only)
-        b = int(np.argmax(res))
-        return float(res[b]), list(np.asarray(points[b], dtype=float))
-    worst, worst_pt = 0.0, None
-    for u in points:
-        r = _pair_residual(L, M, u, tol, symmetric_part_only)
-        if r > worst:
-            worst, worst_pt = r, list(np.asarray(u, dtype=float))
-    return worst, worst_pt
+    """Worst scale-normalized bracket residual over the points, computed
+    with one vectorized pass; a NaN residual is the worst."""
+    P = np.asarray(points, dtype=float)
+    Lval, Lder, Mval, Mder = _pair_jets(L, M, P, tol)
+    T = bracket_from_jets(Lval, Lder, Mval, Mder)
+    if symmetric_part_only:
+        T = T + T.swapaxes(-1, -2)
+    scale_L = _batch_maxabs(Lval) + _batch_maxabs(Lder)
+    scale_M = scale_L if L is M else _batch_maxabs(Mval) + _batch_maxabs(Mder)
+    res = _batch_maxabs(T) / (1.0 + scale_L * scale_M)
+    b = int(np.argmax(res))
+    return float(res[b]), list(P[b])
 
 
 def is_symmetry(L, M, points, tol: float = DEFAULT_TOL,
@@ -237,26 +196,9 @@ def conservation_law_check(M, alpha: OneFormField, points,
 # ---------------------------------------------------------------------------
 
 
-def _dual_matrices(mats, covector, xi):
-    """Lean generic pipeline: structure constants -> form -> dual basis."""
-    n = len(mats)
-    a, _ = structure_constants_at(mats, xi)
-    b = frobenius_form(a, covector)
-    eye = np.eye(n)
-    if np.asarray(b).dtype == object:
-        eye = np.asarray(eye, dtype=object)
-    binv = mat_solve(b, eye)
-    out = []
-    for j in range(n):
-        M = binv[j, 0] * np.asarray(mats[0])
-        for i in range(1, n):
-            M = M + binv[j, i] * np.asarray(mats[i])
-        out.append(M)
-    return out
-
-
-class _DualFieldView:
-    """One dual field M^i as a pointwise-evaluable operator field."""
+class FamilyFieldView:
+    """Member ``index`` of a pointwise family (anything with ``dimension``,
+    ``eval`` and ``jet_data``) as an operator field."""
 
     def __init__(self, family, index):
         self.family = family
@@ -268,6 +210,11 @@ class _DualFieldView:
 
     def jet_arrays(self, u):
         return self.family.jet_data(u)[self.index]
+
+    def batch_jet_arrays(self, points):
+        """The family's per-point jets stacked over the batch."""
+        jets = [self.jet_arrays(u) for u in points]
+        return np.stack([v for v, _ in jets]), np.stack([d for _, d in jets])
 
     def eval_generic(self, point):
         return self.family.eval_generic(point)[self.index]
@@ -289,19 +236,16 @@ class DualFamily:
         self._constant_cache = None
         self._jet_cache = {}
 
-    def _xi_for(self, values):
-        rng = np.random.default_rng(self.seed)
-        xi = find_well_conditioned_vector(values, self.generic_samples, rng,
-                                          self.tol)
-        if xi is None:
-            raise GenericityError("no generic vector at the evaluation point")
-        return xi
+    def _duals(self, mats):
+        xi = well_conditioned_xi(mats, self.seed, self.tol,
+                                 self.generic_samples)
+        a, _ = structure_constants_at(mats, xi)
+        return frobenius_dual(a, self.covector, mats)[2]
 
     def eval(self, u):
         if self.basis.is_constant and self._constant_cache is not None:
             return [M.copy() for M in self._constant_cache]
-        values = self.basis.eval(u)
-        duals = _dual_matrices(values, self.covector, self._xi_for(values))
+        duals = self._duals(self.basis.eval(u))
         if self.basis.is_constant:
             self._constant_cache = [M.copy() for M in duals]
         return duals
@@ -317,25 +261,18 @@ class DualFamily:
         if self.basis.is_constant:
             out = [(M, np.zeros((n, n, n))) for M in self.eval(u)]
         else:
-            values = self.basis.eval(u)
-            xi = self._xi_for(values)
-            jets = self.basis.eval_jet(u)
-            duals = _dual_matrices(jets, self.covector, xi)
-            out = [split_jet_matrix(M, n) for M in duals]
+            out = [split_jet_matrix(M, n)
+                   for M in self._duals(self.basis.eval_jet(u))]
         if len(self._jet_cache) > 1024:
             self._jet_cache.clear()
         self._jet_cache[key] = out
         return out
 
     def eval_generic(self, point):
-        mats = self.basis.eval_generic(point)
-        # genericity is decided on the value parts of the generic scalars
-        values = [_value_matrix(M) for M in mats]
-        xi = self._xi_for(values)
-        return _dual_matrices(mats, self.covector, xi)
+        return self._duals(self.basis.eval_generic(point))
 
-    def field(self, i: int) -> _DualFieldView:
-        return _DualFieldView(self, i)
+    def field(self, i: int) -> FamilyFieldView:
+        return FamilyFieldView(self, i)
 
     @property
     def fields(self):
@@ -425,13 +362,12 @@ def symmetry_coefficient_check(
     worst, worst_pt = 0.0, None
     for u in points:
         data = basis.point_data(u, tol=tol, seed=seed)
-        a_val = structure_values(data.structure)
         _, dh = hform.jet_arrays(u)          # dh[j, m] = d h^j / du^m
         Kvals = basis.eval(u)
         scale = 1.0 + max(max_abs(K) for K in Kvals) * (1.0 + max_abs(dh))
         for i in range(n):
             lhs = dh @ Kvals[i]              # row j: (K_i^* dh^j)_m
-            rhs = np.einsum("sj,sm->jm", a_val[i], dh)
+            rhs = np.einsum("sj,sm->jm", data.structure[i], dh)
             r = float(np.max(np.abs(lhs - rhs))) / scale
             if r > worst:
                 worst, worst_pt = r, list(np.asarray(u, dtype=float))

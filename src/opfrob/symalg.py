@@ -164,9 +164,7 @@ def sym_membership(
 
     worst_dec, worst_pt = 0.0, None
     P = np.asarray(points, dtype=float)
-    cand_vals = (candidate.batch_jet_arrays(P)[0]
-                 if hasattr(candidate, "batch_jet_arrays")
-                 else np.stack([candidate.eval(u) for u in P]))
+    cand_vals = candidate.batch_jet_arrays(P)[0]
     for b, u in enumerate(P):
         values = basis.eval(u)
         cand = cand_vals[b]

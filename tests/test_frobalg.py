@@ -223,3 +223,18 @@ class TestAlgebraReport:
         by_name = {c.name: c for c in rep.checks}
         assert not by_name["span_closure"].passed
         assert not by_name["pairwise_commutativity"].passed
+
+    def test_checks_that_evaluated_no_point_fail(self):
+        # u1^100000 underflows to 0 in the box, so K_2 = 0 and no point is
+        # generic: every residual check is skipped at every point
+        big = OperatorField.parse([["u1^100000", "0"], ["0", "u1^100000"]], 2)
+        basis = OperatorBasis([OperatorField.identity(2), big])
+        points = sample_points(2, SampleConfig(seed=1, count=10, box=0.9))
+        rep = algebra_report(basis, points, covector=[1.0, 0.0])
+        by_name = {c.name: c for c in rep.checks}
+        assert not by_name["genericity_A1_A2"].passed
+        for name in ("span_closure", "structure_symmetry", "associativity",
+                     "form_nondegenerate", "duality_pairing",
+                     "identity_in_span"):
+            assert not by_name[name].passed, name
+            assert by_name[name].samples == 0, name

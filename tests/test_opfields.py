@@ -16,6 +16,7 @@ from opfrob.opfields import (
     bracket,
     conservation_law_check,
     dualize_family,
+    is_strong_symmetry,
     is_symmetry,
     nijenhuis_torsion_report,
     symmetry_coefficient_check,
@@ -212,6 +213,28 @@ class TestDualizeFamily:
         family, report = dualize_family(basis, [1.0], sample_points(1, CFG10))
         assert report.passed
         assert np.allclose(family.eval([0.3])[0], np.eye(1))
+
+    def test_nan_partials_in_a_dual_field_fail(self):
+        basis = OperatorBasis([OperatorField.identity(2),
+                               diag_field("u1", "u2")])
+        pts = sample_points(2, guarded_config(2, seed=6, count=5))
+        family = DualFamily(basis, [1.0, 0.0])
+        clean = family.jet_data
+
+        def poisoned(u):
+            jets = list(clean(u))
+            if np.array_equal(u, pts[2]):
+                val, der = jets[0]
+                der = der.copy()
+                der[0, 0, 0] = np.nan
+                jets[0] = (val, der)
+            return jets
+
+        family.jet_data = poisoned
+        for check in (is_symmetry, is_strong_symmetry):
+            c = check(family.field(0), family.field(1), pts)
+            assert not c.passed
+            assert np.isnan(c.residual)
 
     def test_theorem_conclusion_on_demo4(self):
         basis = demo4_constant_basis()
