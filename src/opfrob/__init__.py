@@ -58,7 +58,7 @@ from .opfields import (
     nijenhuis_torsion_report,
     symmetry_coefficient_check,
 )
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, reduce_check
 from .sampling import SampleConfig, sample_phase_points, sample_points
 from .symalg import (
     FlatBasis,

@@ -25,7 +25,7 @@ from .integ import (
     verify_commuting_family,
 )
 from .opfields import dualize_family
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, reduce_check
 from .sampling import (
     DEFAULT_GUARD,
     DEFAULT_SAMPLES,
@@ -126,8 +126,7 @@ class SystemFile:
     def sample_config(self, args) -> SampleConfig:
         s = self.doc.get("sampling", {})
         seed = args.seed if args.seed is not None else s.get("seed", DEFAULT_SEED)
-        count = (args.samples if args.samples is not None
-                 else s.get("samples", DEFAULT_SAMPLES))
+        count = _sample_count(args, s.get("samples", DEFAULT_SAMPLES))
         box = s.get("box", 1.0)
         guard_floor = args.guard if args.guard is not None else DEFAULT_GUARD
         guards = []
@@ -137,8 +136,21 @@ class SystemFile:
                                float(g.get("min", guard_floor))))
         except (OpfrobError, KeyError, TypeError) as exc:
             raise InputError(f"{self.path}: sampling guards: {exc}")
-        return SampleConfig(seed=int(seed), count=int(count), box=float(box),
+        return SampleConfig(seed=int(seed), count=count, box=float(box),
                             guards=tuple(guards))
+
+
+def _sample_count(args, default) -> int:
+    """The number of sample points: ``--samples`` if given, else
+    ``default``; a count below 1 is an input error."""
+    count = args.samples if args.samples is not None else default
+    try:
+        count = int(count)
+    except (TypeError, ValueError):
+        raise InputError(f"sample count must be an integer, got {count!r}")
+    if count < 1:
+        raise InputError(f"sample count must be at least 1, got {count}")
+    return count
 
 
 def load_system_file(path: str) -> SystemFile:
@@ -287,6 +299,9 @@ def cmd_hj(args) -> VerificationReport:
         raise InputError(f"invalid --c value {args.c!r}")
     if len(c) != sf.dimension:
         raise InputError(f"--c needs {sf.dimension} components")
+    if args.hj_points < 1:
+        raise InputError(
+            f"--hj-points must be at least 1, got {args.hj_points}")
     cfg = sf.sample_config(args)
     points = sample_points(sf.dimension, cfg)
     system, gen_report = generate_system(
@@ -294,20 +309,17 @@ def cmd_hj(args) -> VerificationReport:
         seed=cfg.seed)
     report = VerificationReport(title="hj", seed=cfg.seed)
     report.extend(gen_report)
-    worst, worst_pt = 0.0, None
-    npts = min(len(points), args.hj_points)
-    for u in points[:npts]:
+    hj_points = points[:args.hj_points]
+    residuals = []
+    for u in hj_points:
         dW = system.hj_differential(u, c)
         grids = system.coefficient_grids(u)
-        for s in range(sf.dimension):
-            r = abs(float(dW @ grids[s] @ dW) - c[s]) / (1.0 + abs(c[s]))
-            if r > worst:
-                worst, worst_pt = r, [float(x) for x in u]
-    report.add(CheckResult(
-        name="hamilton_jacobi_consistency", passed=worst <= 1e-8,
-        residual=worst, tolerance=1e-8, worst_point=worst_pt, samples=npts,
-        detail=f"F_s(u, dW(u,c)) = c_s for c={c}",
-    ))
+        residuals.append(np.max([
+            abs(float(dW @ grids[s] @ dW) - c[s]) / (1.0 + abs(c[s]))
+            for s in range(sf.dimension)]))
+    report.add(reduce_check("hamilton_jacobi_consistency", residuals,
+                            hj_points, 1e-8,
+                            detail=f"F_s(u, dW(u,c)) = c_s for c={c}"))
     return report
 
 
@@ -345,7 +357,7 @@ def cmd_flow(args) -> VerificationReport:
 def cmd_builtin(args) -> VerificationReport:
     cfg = SampleConfig(
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        count=args.samples if args.samples is not None else DEFAULT_SAMPLES,
+        count=_sample_count(args, DEFAULT_SAMPLES),
     )
     if args.emit:
         try:
@@ -445,7 +457,7 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     wall = (time.perf_counter() - t0) * 1000.0
     if args.as_json:
-        doc = report.to_dict(timings=args.timings)
+        doc = report.to_dict()
         if args.timings:
             doc["wall_ms"] = wall
         print(json.dumps(doc, indent=2, sort_keys=True))

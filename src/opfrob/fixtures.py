@@ -20,8 +20,8 @@ from .integ import (
     poisson_bracket,
     verify_commuting_family,
 )
-from .opfields import is_strong_symmetry, nijenhuis_torsion_report
-from .report import CheckResult, VerificationReport
+from .opfields import bracket_residuals, nijenhuis_torsion_report
+from .report import VerificationReport, reduce_check
 from .sampling import SampleConfig, sample_points
 from .symalg import FlatBasis, analytic_symmetry
 
@@ -236,7 +236,7 @@ def _match_family(generated, target, tol=1e-12):
     """Greedy exact matching of two coefficient-grid families; returns the
     max residual over matched pairs (inf when unmatched)."""
     remaining = list(range(len(target)))
-    worst = 0.0
+    matched = []
     for G in generated:
         best_r, best_t = np.inf, None
         for t in remaining:
@@ -246,8 +246,8 @@ def _match_family(generated, target, tol=1e-12):
         if best_t is None or best_r > tol:
             return float("inf")
         remaining.remove(best_t)
-        worst = max(worst, best_r)
-    return worst
+        matched.append(best_r)
+    return float(np.max(matched, initial=0.0))
 
 
 def run_demo4_constant(config: SampleConfig) -> VerificationReport:
@@ -262,31 +262,26 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
 
     # reproduction of the reference family after pushing the chart momenta
     # back to the original ones (p = J^T ptilde)
-    J = system.chart_rows(np.zeros(4))
-    Jinv = np.linalg.inv(J)
-    generated = [Jinv @ H.coeff(np.zeros(4)) @ Jinv.T
+    origin = [np.zeros(4)]
+    Jinv = np.linalg.inv(system.chart_rows(origin[0]))
+    generated = [Jinv @ H.coeff(origin[0]) @ Jinv.T
                  for H in system.hamiltonians]
-    resid = _match_family(generated, demo4_target_family())
-    report.add(CheckResult(
-        name="family_reproduction", passed=resid <= 1e-12, residual=resid,
-        tolerance=1e-12, samples=1,
-        detail="up to permutation and chart momentum relabeling",
-    ))
+    report.add(reduce_check(
+        "family_reproduction",
+        [_match_family(generated, demo4_target_family())], origin, 1e-12,
+        detail="up to permutation and chart momentum relabeling"))
 
     # the six pairwise brackets at seeded phase points
     rng = np.random.default_rng(config.seed + 1)
     p_draws = rng.uniform(-1.0, 1.0, (len(points), 4))
+    phase_points = np.hstack([points, p_draws])
     hams = system.hamiltonians
     for i in range(4):
         for j in range(i + 1, 4):
-            worst = 0.0
-            for u, p in zip(points, p_draws):
-                worst = max(worst, abs(poisson_bracket(hams[i], hams[j], u, p)))
-            report.add(CheckResult(
-                name=f"poisson_bracket_F{i + 1}_F{j + 1}",
-                passed=worst <= 1e-12, residual=worst, tolerance=1e-12,
-                samples=len(points),
-            ))
+            report.add(reduce_check(
+                f"poisson_bracket_F{i + 1}_F{j + 1}",
+                [abs(poisson_bracket(hams[i], hams[j], u, p))
+                 for u, p in zip(points, p_draws)], phase_points, 1e-12))
 
     # Killing tensors and duality identities on the canonical-order system
     sys_basis = demo4_system_basis()
@@ -294,21 +289,16 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
                                  seed=config.seed)
     _, kill_report = killing_tensors(system2, points, tol=1e-10)
     report.extend(kill_report)
-    K4 = system2.killing_at(np.zeros(4))[3]
-    resid = float(np.max(np.abs(K4 - demo4_matrices()[3])))
-    report.add(CheckResult(
-        name="killing_K4_equals_M4", passed=resid == 0.0, residual=resid,
-        tolerance=0.0, samples=1,
-    ))
+    K4 = system2.killing_at(origin[0])[3]
+    report.add(reduce_check("killing_K4_equals_M4",
+                            [np.max(np.abs(K4 - demo4_matrices()[3]))],
+                            origin, 0.0))
     rng = np.random.default_rng(config.seed + 2)
-    worst = 0.0
-    for u in points:
-        p = rng.uniform(-1.0, 1.0, 4)
-        worst = max(worst, system2.n15_residual(u, p))
-    report.add(CheckResult(
-        name="square_identity_n15", passed=worst <= 1e-10, residual=worst,
-        tolerance=1e-10, samples=len(points),
-    ))
+    p_draws = [rng.uniform(-1.0, 1.0, 4) for _ in points]
+    report.add(reduce_check(
+        "square_identity_n15",
+        [system2.n15_residual(u, p) for u, p in zip(points, p_draws)],
+        np.hstack([points, p_draws]), 1e-10))
     return report
 
 
@@ -329,16 +319,10 @@ def run_demo4_analytic(config: SampleConfig) -> VerificationReport:
     for i, f in enumerate(basis.fields):
         report.add(nijenhuis_torsion_report(
             f, points, tol=1e-9, name=f"torsion_field_{i + 1}"))
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            c = is_strong_symmetry(basis.fields[i], basis.fields[j], points,
-                                   tol=1e-9)
-            worst = max(worst, c.residual)
-    report.add(CheckResult(
-        name="pairwise_strong_symmetries", passed=worst <= 1e-9,
-        residual=worst, tolerance=1e-9, samples=len(points),
-    ))
+    K = basis.fields
+    report.add(reduce_check("pairwise_strong_symmetries", [
+        bracket_residuals(K[i], K[j], points, 1e-9, symmetric_part_only=False)
+        for i in range(4) for j in range(i + 1, 4)], points, 1e-9))
 
     inv_report, _ = inverse_verify(hams, [1.0, 0.0, 0.0, 0.0], points,
                                    tol=1e-8, seed=cfg.seed)
@@ -351,17 +335,13 @@ def run_example32(config: SampleConfig) -> VerificationReport:
     basis = demo4_constant_basis()
     points = sample_points(4, config)
     report.extend(basis.validate(points))
-    data = basis.point_data(np.zeros(4), covector=[0.0, 0.0, 0.0, 1.0],
+    origin = [np.zeros(4)]
+    data = basis.point_data(origin[0], covector=[0.0, 0.0, 0.0, 1.0],
                             seed=config.seed)
-    report.add(CheckResult(
-        name="span_closure", passed=data.closure_residual <= 1e-9,
-        residual=data.closure_residual, tolerance=1e-9, samples=1))
-    report.add(CheckResult(
-        name="associativity", passed=data.associativity_residual <= 1e-9,
-        residual=data.associativity_residual, tolerance=1e-9, samples=1))
-    report.add(CheckResult(
-        name="duality_pairing", passed=data.duality_residual <= 1e-9,
-        residual=data.duality_residual, tolerance=1e-9, samples=1))
+    for name, r in (("span_closure", data.closure_residual),
+                    ("associativity", data.associativity_residual),
+                    ("duality_pairing", data.duality_residual)):
+        report.add(reduce_check(name, [r], origin, 1e-9))
     return report
 
 
@@ -377,13 +357,11 @@ def _run_centraliser(kind: str, config: SampleConfig) -> VerificationReport:
     basis = OperatorBasis.from_matrices(mats, name=f"centraliser-{kind}")
     points = sample_points(n, config)
     report.extend(basis.validate(points))
-    data = basis.point_data(np.zeros(n), covector=covector, seed=config.seed)
-    report.add(CheckResult(
-        name="span_closure", passed=data.closure_residual <= 1e-9,
-        residual=data.closure_residual, tolerance=1e-9, samples=1))
-    report.add(CheckResult(
-        name="duality_pairing", passed=data.duality_residual <= 1e-9,
-        residual=data.duality_residual, tolerance=1e-9, samples=1))
+    origin = [np.zeros(n)]
+    data = basis.point_data(origin[0], covector=covector, seed=config.seed)
+    for name, r in (("span_closure", data.closure_residual),
+                    ("duality_pairing", data.duality_residual)):
+        report.add(reduce_check(name, [r], origin, 1e-9))
     return report
 
 

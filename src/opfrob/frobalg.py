@@ -29,7 +29,7 @@ import numpy as np
 from .errors import GenericityError, OpfrobError, SingularMatrixError
 from .fields import OperatorField
 from .numkit import mat_inv, mat_rank, mat_solve, max_abs, value_array
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
     "OperatorBasis",
@@ -127,15 +127,11 @@ def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
 
 
 def commutativity_residual(mats) -> float:
-    values = [value_array(M) for M in mats]
-    n = len(values)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = 1.0 + max_abs(values[i]) * max_abs(values[j])
-            worst = max(worst, max_abs(values[i] @ values[j]
-                                       - values[j] @ values[i]) / scale)
-    return worst
+    V = [value_array(M) for M in mats]
+    return float(np.max([
+        max_abs(V[i] @ V[j] - V[j] @ V[i])
+        / (1.0 + max_abs(V[i]) * max_abs(V[j]))
+        for i in range(len(V)) for j in range(i + 1, len(V))], initial=0.0))
 
 
 def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
@@ -152,7 +148,7 @@ def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
     cols = _columns(mats, xi)
     scale = 1.0 + max(max_abs(M) for M in mats)
     a = np.empty((n, n, n), dtype=object if generic else float)
-    worst = 0.0
+    resid = []
     for i in range(n):
         for j in range(n):
             prod = mats[i] @ mats[j]
@@ -161,9 +157,8 @@ def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
             recon = prod.copy()
             for s in range(n):
                 recon = recon - coeffs[s] * mats[s]
-            resid = max_abs(recon)
-            worst = max(worst, resid)
-    return a, worst / scale
+            resid.append(max_abs(recon))
+    return a, float(np.max(resid) / scale)
 
 
 def symmetry_residual_of_structure(a_val: np.ndarray) -> float:
@@ -271,15 +266,11 @@ def point_data(
     b, binv, dual = frobenius_dual(a, covector, mats)
 
     # duality certificate <a ; M^i K_j> = delta^i_j via decomposition in K
-    duality = 0.0
     values = [value_array(M) for M in mats]
     cols_val = np.column_stack([V @ data.xi for V in values])
-    for i in range(n):
-        Mi = value_array(dual[i])
-        for j in range(n):
-            coeffs = np.linalg.solve(cols_val, Mi @ values[j] @ data.xi)
-            pairing = float(coeffs @ covector)
-            duality = max(duality, abs(pairing - (1.0 if i == j else 0.0)))
+    pairing = [[float(np.linalg.solve(cols_val, Mi @ V @ data.xi) @ covector)
+                for V in values] for Mi in map(value_array, dual)]
+    duality = float(np.max(np.abs(np.array(pairing) - np.eye(n))))
 
     beta = np.linalg.solve(cols_val, data.xi)
     recon = sum(beta[s] * values[s] for s in range(n))
@@ -345,23 +336,14 @@ class OperatorBasis:
         """Pairwise algebraic commutativity and linear independence at the
         sampled points."""
         report = VerificationReport(title=f"basis validation {self.name}".strip())
-        worst_comm, worst_pt = 0.0, None
+        comm = []
         min_rank = self.dimension
         for u in points:
             values = self.eval(u)
-            r = commutativity_residual(values)
-            if r > worst_comm:
-                worst_comm, worst_pt = r, list(u)
+            comm.append(commutativity_residual(values))
             stack = np.stack([V.ravel() for V in values])
             min_rank = min(min_rank, mat_rank(stack, tol=tol))
-        report.add(CheckResult(
-            name="pairwise_commutativity",
-            passed=worst_comm <= tol,
-            residual=worst_comm,
-            tolerance=tol,
-            worst_point=worst_pt,
-            samples=len(points),
-        ))
+        report.add(reduce_check("pairwise_commutativity", comm, points, tol))
         report.add(CheckResult(
             name="linear_independence",
             passed=min_rank == self.dimension,
@@ -476,12 +458,10 @@ def algebra_report(
 
     generic_ok = True
     generic_detail = ""
-    worst = {"closure": 0.0, "symmetry": 0.0, "associativity": 0.0,
-             "duality": 0.0, "identity": 0.0}
-    worst_pts = dict.fromkeys(worst, None)
     form_ok = True
     form_detail = ""
-    evaluated = 0
+    evaluated = []   # the points that reached point_data
+    residuals = []   # per evaluated point, in the order of the checks below
     for u in points:
         values = basis.eval(u)
         rng = np.random.default_rng(seed)
@@ -493,7 +473,7 @@ def algebra_report(
             generic_detail = (f"no generic {missing} at "
                               f"{[float(x) for x in u]}")
             continue
-        evaluated += 1
+        evaluated.append(u)
         # the residual computations pick their own well-conditioned xi
         rng = np.random.default_rng(seed)
         try:
@@ -503,42 +483,31 @@ def algebra_report(
             form_detail = str(exc)
             data = point_data(values, covector=None,
                               rng=np.random.default_rng(seed), tol=tol)
-        for key, value in (
-            ("closure", data.closure_residual),
-            ("symmetry", data.symmetry_residual),
-            ("associativity", data.associativity_residual),
-            ("duality", data.duality_residual),
-            ("identity", data.identity_residual),
-        ):
-            if value is not None and value > worst[key]:
-                worst[key] = value
-                worst_pts[key] = [float(x) for x in u]
+        residuals.append((data.closure_residual, data.symmetry_residual,
+                          data.associativity_residual, data.duality_residual,
+                          data.identity_residual))
     report.add(CheckResult(
         name="genericity_A1_A2", passed=generic_ok,
         residual=0.0 if generic_ok else float("inf"), tolerance=0.0,
         samples=len(points), seed=seed, detail=generic_detail,
     ))
-    # the checks below count only the points that reached point_data, and
-    # one that reached none certifies nothing
-    none_detail = "" if evaluated else "no point evaluated"
-
-    def residual_check(name, key):
-        return CheckResult(
-            name=name, passed=evaluated > 0 and worst[key] <= tol,
-            residual=worst[key], tolerance=tol, worst_point=worst_pts[key],
-            samples=evaluated, detail=none_detail,
-        )
-
-    report.add(residual_check("span_closure", "closure"))
-    report.add(residual_check("structure_symmetry", "symmetry"))
-    report.add(residual_check("associativity", "associativity"))
+    # the checks below count only the points that reached point_data; the
+    # duality residuals are None without a covector or a nondegenerate form
+    closure, symmetry, assoc, duality, identity = np.array(
+        residuals, dtype=float).reshape(len(evaluated), 5).T
+    for name, res in (("span_closure", closure),
+                      ("structure_symmetry", symmetry),
+                      ("associativity", assoc)):
+        report.add(reduce_check(name, res, evaluated, tol))
     if covector is not None:
         report.add(CheckResult(
-            name="form_nondegenerate", passed=form_ok and evaluated > 0,
+            name="form_nondegenerate", passed=form_ok and bool(evaluated),
             residual=0.0 if form_ok else float("inf"), tolerance=0.0,
-            samples=evaluated, detail=form_detail or none_detail,
+            samples=len(evaluated),
+            detail=form_detail or ("" if evaluated else "no point evaluated"),
         ))
         if form_ok:
-            report.add(residual_check("duality_pairing", "duality"))
-            report.add(residual_check("identity_in_span", "identity"))
+            report.add(reduce_check("duality_pairing", duality, evaluated, tol))
+            report.add(reduce_check("identity_in_span", identity, evaluated,
+                                    tol))
     return report

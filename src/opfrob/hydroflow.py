@@ -301,13 +301,10 @@ def flow_compatibility_residual(sol: JetSolution, i: int, j: int) -> float:
     rhs_i = _rhs_series(sol, i)
     rhs_j = _rhs_series(sol, j)
     limit = sol.order - 2
-    worst = 0.0
+    diffs = []
     for comp in range(sol.dimension):
         a = rhs_j[comp].diff(1 + i)   # d/dt_i of flow-j evolution
         b = rhs_i[comp].diff(1 + j)   # d/dt_j of flow-i evolution
-        keys = set(a.coeffs) | set(b.coeffs)
-        for k in keys:
-            if sum(k) > limit:
-                continue
-            worst = max(worst, abs(a.coefficient(k) - b.coefficient(k)))
-    return worst
+        diffs.extend(abs(a.coefficient(k) - b.coefficient(k))
+                     for k in set(a.coeffs) | set(b.coeffs) if sum(k) <= limit)
+    return float(np.max(diffs, initial=0.0))

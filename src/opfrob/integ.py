@@ -48,8 +48,12 @@ from .numkit import (
     split_jet_matrix,
     sqrt_near_identity,
 )
-from .opfields import FamilyFieldView, bracket_from_jets, conservation_law_check
-from .report import CheckResult, VerificationReport
+from .opfields import (
+    FamilyFieldView,
+    bracket_from_jets,
+    conservation_law_residuals,
+)
+from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -156,27 +160,19 @@ def verify_commuting_family(
     is divided by 1 + |F_i||F_j| so rational Hamiltonians near their
     singular loci stay comparable."""
     m = len(hams)
-    worst, worst_pt = 0.0, None
+    residuals, phase_points = [], []
     for u, p in zip(u_points, p_points):
-        jets = [H.coeff_jets(u) for H in hams]
         pv = np.asarray(p, dtype=float)
-        vals = [float(pv @ A @ pv) for A, _ in jets]
-        for i in range(m):
-            AF, dAF = jets[i]
-            Fp = 2.0 * AF @ pv
-            Fu = np.einsum("i,ijk,j->k", pv, dAF, pv)
-            for j in range(i + 1, m):
-                AG, dAG = jets[j]
-                Gp = 2.0 * AG @ pv
-                Gu = np.einsum("i,ijk,j->k", pv, dAG, pv)
-                br = float(Fp @ Gu - Fu @ Gp)
-                r = abs(br) / (1.0 + abs(vals[i]) * abs(vals[j]))
-                if r > worst:
-                    worst = r
-                    worst_pt = list(map(float, u)) + list(map(float, p))
-    return CheckResult(name=name, passed=worst <= tol, residual=worst,
-                       tolerance=tol, worst_point=worst_pt,
-                       samples=len(u_points))
+        vals, grads = [], []   # F and (dF/dp, dF/du) of each Hamiltonian
+        for A, dA in (H.coeff_jets(u) for H in hams):
+            vals.append(float(pv @ A @ pv))
+            grads.append((2.0 * A @ pv, np.einsum("i,ijk,j->k", pv, dA, pv)))
+        residuals.append(np.max([
+            abs(float(grads[i][0] @ grads[j][1] - grads[i][1] @ grads[j][0]))
+            / (1.0 + abs(vals[i]) * abs(vals[j]))
+            for i in range(m) for j in range(i + 1, m)], initial=0.0))
+        phase_points.append(list(map(float, u)) + list(map(float, p)))
+    return reduce_check(name, residuals, phase_points, tol)
 
 
 def _momentum_nondegeneracy(coeff_grids_at, points, n, seed, draws=50,
@@ -356,17 +352,10 @@ def generate_system(
     report = VerificationReport(title="generate_system", seed=seed)
     bracket_tol = tol if bracket_tol is None else bracket_tol
 
-    worst = 0.0
-    worst_pt = None
-    for i, f in enumerate(basis.fields):
-        c = conservation_law_check(f, alpha, points, tol=tol)
-        if c.residual > worst:
-            worst, worst_pt = c.residual, c.worst_point
-    report.add(CheckResult(
-        name="alpha_common_conservation_law", passed=worst <= tol,
-        residual=worst, tolerance=tol, worst_point=worst_pt,
-        samples=len(points),
-    ))
+    report.add(reduce_check(
+        "alpha_common_conservation_law",
+        [conservation_law_residuals(f, alpha, points, tol)
+         for f in basis.fields], points, tol))
 
     min_rank = n
     for u in points:
@@ -404,34 +393,23 @@ def generate_system(
         chart = [c if isinstance(c, Expression) else parse_expr(c, n)
                  for c in chart]
 
-    worst = 0.0
-    worst_pt = None
     chart_form = OneFormField(chart)   # reuse component-wise jet evaluation
+    residuals = []
     for u in points:
         aval = alpha.eval(u)
         rows = np.vstack([aval @ M for M in basis.eval(u)])
         _, grads = chart_form.jet_arrays(u)
-        scale = 1.0 + max_abs(rows)
-        r = max_abs(grads - rows) / scale
-        if r > worst:
-            worst, worst_pt = r, list(map(float, u))
-    report.add(CheckResult(
-        name="chart_validation", passed=worst <= tol, residual=worst,
-        tolerance=tol, worst_point=worst_pt, samples=len(points),
-    ))
+        residuals.append(max_abs(grads - rows) / (1.0 + max_abs(rows)))
+    report.add(reduce_check("chart_validation", residuals, points, tol))
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
-    worst = 0.0
+    residuals = []
     for u in points:
         values = basis.eval(u)
-        _, closure = structure_constants_at(
-            values, well_conditioned_xi(values, seed, tol))
-        worst = max(worst, closure)
-    report.add(CheckResult(
-        name="span_closure", passed=worst <= tol, residual=worst,
-        tolerance=tol, samples=len(points),
-    ))
+        residuals.append(structure_constants_at(
+            values, well_conditioned_xi(values, seed, tol))[1])
+    report.add(reduce_check("span_closure", residuals, points, tol))
 
     forms = system.forms()
     rng = np.random.default_rng(seed + 1)
@@ -443,6 +421,19 @@ def generate_system(
     return system, report
 
 
+def _commutation_residual(Ks) -> float:
+    """Worst commutator of the Killing tensors at one point, relative to
+    1 + the largest squared entry."""
+    scale = 1.0 + max(max_abs(K) for K in Ks) ** 2
+    return float(np.max([max_abs(Ks[i] @ Ks[j] - Ks[j] @ Ks[i])
+                         for i in range(len(Ks))
+                         for j in range(i + 1, len(Ks))], initial=0.0) / scale)
+
+
+def _asymmetry(P) -> float:
+    return max_abs(P - P.T) / (1.0 + max_abs(P))
+
+
 def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
     """Killing tensors K_s = h_s h_1^{-1} of a generated system together
     with the algebraic certificates: pairwise commutation, self-adjointness
@@ -451,7 +442,7 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
     report = VerificationReport(title="killing_tensors")
     n = system.dimension
     per_point = []
-    worst_comm = worst_adj = worst_dual = 0.0
+    comm, adj, dual = [], [], []
     for u in points:
         grids = system.coefficient_grids(u)
         try:
@@ -466,28 +457,14 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
         per_point.append(Ks)
         mats = system.chart_frame_basis(u)
         a = system.structure_at(u)
-        scale = 1.0 + max(max_abs(K) for K in Ks) ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                worst_comm = max(worst_comm,
-                                 max_abs(Ks[i] @ Ks[j] - Ks[j] @ Ks[i]) / scale)
-        for i in range(n):
-            for s in range(n):
-                P = mats[i] @ grids[s]
-                worst_adj = max(worst_adj,
-                                max_abs(P - P.T) / (1.0 + max_abs(P)))
-            recon = sum(a[i, s, 0] * Ks[s] for s in range(n))
-            worst_dual = max(worst_dual,
-                             max_abs(mats[i] - recon) / (1.0 + max_abs(mats[i])))
-    report.add(CheckResult(
-        name="killing_pairwise_commutation", passed=worst_comm <= tol,
-        residual=worst_comm, tolerance=tol, samples=len(points)))
-    report.add(CheckResult(
-        name="basis_self_adjointness", passed=worst_adj <= tol,
-        residual=worst_adj, tolerance=tol, samples=len(points)))
-    report.add(CheckResult(
-        name="killing_duality", passed=worst_dual <= tol,
-        residual=worst_dual, tolerance=tol, samples=len(points)))
+        comm.append(_commutation_residual(Ks))
+        adj.append(np.max([_asymmetry(M @ g) for M in mats for g in grids]))
+        dual.append(np.max([
+            max_abs(mats[i] - sum(a[i, s, 0] * Ks[s] for s in range(n)))
+            / (1.0 + max_abs(mats[i])) for i in range(n)]))
+    report.add(reduce_check("killing_pairwise_commutation", comm, points, tol))
+    report.add(reduce_check("basis_self_adjointness", adj, points, tol))
+    report.add(reduce_check("killing_duality", dual, points, tol))
     return per_point, report
 
 
@@ -574,25 +551,17 @@ def inverse_verify(
         lambda u: [H.coeff(u) for H in hams], points, n, seed=seed + 2))
 
     family = ReconstructedFamily(hams, covector, tol=DEFAULT_TOL, seed=seed)
-    worst_comm = worst_adj = worst_closure = worst_assoc = 0.0
-    worst_form = 0.0
+    # each list holds the residuals of the points reached before a failure
+    comm, adj, closure, assoc, form = [], [], [], [], []
     a1_ok = covector_ok = True
     fail_detail = ""
     try:
         for u in points:
             grids = [H.coeff(u) for H in hams]
             Ks = family._killing(grids)
-            scale = 1.0 + max(max_abs(K) for K in Ks) ** 2
-            for i in range(n):
-                for j in range(i + 1, n):
-                    worst_comm = max(
-                        worst_comm,
-                        max_abs(Ks[i] @ Ks[j] - Ks[j] @ Ks[i]) / scale)
+            comm.append(_commutation_residual(Ks))
             ginv = np.linalg.inv(grids[0])
-            for K in Ks:
-                P = ginv @ K
-                worst_adj = max(worst_adj,
-                                max_abs(P - P.T) / (1.0 + max_abs(P)))
+            adj.append(np.max([_asymmetry(ginv @ K) for K in Ks]))
             rng_pt = np.random.default_rng(seed)
             xi = find_generic_vector(Ks, 32, rng_pt, DEFAULT_TOL)
             a_cov = find_generic_covector(Ks, 32, rng_pt, DEFAULT_TOL)
@@ -604,56 +573,43 @@ def inverse_verify(
                 covector_ok = False
             data = point_data(Ks, covector=np.asarray(covector, dtype=float),
                               xi=xi)
-            worst_closure = max(worst_closure, data.closure_residual)
-            worst_assoc = max(worst_assoc, data.associativity_residual)
-            worst_form = max(worst_form, data.duality_residual)
+            closure.append(data.closure_residual)
+            assoc.append(data.associativity_residual)
+            form.append(data.duality_residual)
     except (SingularMatrixError, np.linalg.LinAlgError, OpfrobError) as exc:
         fail_detail = str(exc)
         a1_ok = False
 
-    report.add(CheckResult(
-        name="killing_pairwise_commutation", passed=worst_comm <= tol,
-        residual=worst_comm, tolerance=tol, samples=len(points)))
-    report.add(CheckResult(
-        name="killing_self_adjointness", passed=worst_adj <= tol,
-        residual=worst_adj, tolerance=tol, samples=len(points)))
-    report.add(CheckResult(
-        name="frobenius_span", passed=a1_ok and covector_ok
-        and worst_closure <= tol and worst_assoc <= tol,
-        residual=max(worst_closure, worst_assoc), tolerance=tol,
-        samples=len(points), detail=fail_detail or
-        "A1/A2 searches, closure and associativity of the Killing span",
-    ))
-    report.add(CheckResult(
-        name="form_duality", passed=a1_ok and worst_form <= tol,
-        residual=worst_form, tolerance=tol, samples=len(points),
-        detail="<a ; Mbar^i K_j> = delta",
-    ))
+    report.add(reduce_check("killing_pairwise_commutation", comm,
+                            points[:len(comm)], tol))
+    report.add(reduce_check("killing_self_adjointness", adj,
+                            points[:len(adj)], tol))
+    span = report.add(reduce_check(
+        "frobenius_span", [closure, assoc], points[:len(closure)], tol,
+        detail=fail_detail
+        or "A1/A2 searches, closure and associativity of the Killing span"))
+    span.passed = span.passed and a1_ok and covector_ok
+    duality = report.add(reduce_check(
+        "form_duality", form, points[:len(form)], tol,
+        detail="<a ; Mbar^i K_j> = delta"))
+    duality.passed = duality.passed and a1_ok
 
     if not report.passed:
         return report, None
 
-    worst_tor = worst_sym = 0.0
-    worst_pt = None
+    torsion, strong = [], []
     for u in points:
         jets = family.jet_data(u)
         scales = [1.0 + (max_abs(v) + max_abs(d)) for v, d in jets]
-        for i in range(n):
-            vi, di = jets[i]
-            Ti = bracket_from_jets(vi, di, vi, di)
-            r = float(np.max(np.abs(Ti))) / (scales[i] ** 2)
-            if r > worst_tor:
-                worst_tor, worst_pt = r, list(map(float, u))
-            for j in range(i + 1, n):
-                vj, dj = jets[j]
-                T = bracket_from_jets(vi, di, vj, dj)
-                r = float(np.max(np.abs(T))) / (scales[i] * scales[j])
-                worst_sym = max(worst_sym, r)
-    report.add(CheckResult(
-        name="reconstructed_nijenhuis_torsion", passed=worst_tor <= tol,
-        residual=worst_tor, tolerance=tol, worst_point=worst_pt,
-        samples=len(points)))
-    report.add(CheckResult(
-        name="reconstructed_strong_symmetries", passed=worst_sym <= tol,
-        residual=worst_sym, tolerance=tol, samples=len(points)))
+        torsion.append(np.max([
+            max_abs(bracket_from_jets(v, d, v, d)) / s ** 2
+            for (v, d), s in zip(jets, scales)]))
+        strong.append(np.max([
+            max_abs(bracket_from_jets(*jets[i], *jets[j]))
+            / (scales[i] * scales[j])
+            for i in range(n) for j in range(i + 1, n)], initial=0.0))
+    report.add(reduce_check("reconstructed_nijenhuis_torsion", torsion,
+                            points, tol))
+    report.add(reduce_check("reconstructed_strong_symmetries", strong,
+                            points, tol))
     return report, family

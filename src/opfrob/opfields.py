@@ -42,7 +42,7 @@ from .frobalg import (
     well_conditioned_xi,
 )
 from .numkit import max_abs, split_jet_matrix
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
     "bracket",
@@ -51,6 +51,8 @@ __all__ = [
     "is_strong_symmetry",
     "nijenhuis_torsion_report",
     "conservation_law_check",
+    "conservation_law_residuals",
+    "bracket_residuals",
     "DualFamily",
     "dualize_family",
     "symmetry_coefficient_check",
@@ -115,9 +117,9 @@ def bracket(L, M, point, tol: float = DEFAULT_TOL) -> np.ndarray:
     return bracket_from_jets(*_pair_jets(L, M, P, tol))[0]
 
 
-def _worst_pair_residual(L, M, points, tol, symmetric_part_only):
-    """Worst scale-normalized bracket residual over the points, computed
-    with one vectorized pass; a NaN residual is the worst."""
+def bracket_residuals(L, M, points, tol, symmetric_part_only):
+    """Scale-normalized residual of <L, M> (or of its part symmetric in the
+    lower indices) at each of the points, from one vectorized pass."""
     P = np.asarray(points, dtype=float)
     Lval, Lder, Mval, Mder = _pair_jets(L, M, P, tol)
     T = bracket_from_jets(Lval, Lder, Mval, Mder)
@@ -125,28 +127,22 @@ def _worst_pair_residual(L, M, points, tol, symmetric_part_only):
         T = T + T.swapaxes(-1, -2)
     scale_L = _batch_maxabs(Lval) + _batch_maxabs(Lder)
     scale_M = scale_L if L is M else _batch_maxabs(Mval) + _batch_maxabs(Mder)
-    res = _batch_maxabs(T) / (1.0 + scale_L * scale_M)
-    b = int(np.argmax(res))
-    return float(res[b]), list(P[b])
+    return _batch_maxabs(T) / (1.0 + scale_L * scale_M)
 
 
 def is_symmetry(L, M, points, tol: float = DEFAULT_TOL,
                 name: str = "symmetry") -> CheckResult:
     """Pass when the symmetric part of <L, M> vanishes at every point
     (residual scale-normalized by the field magnitudes)."""
-    worst, worst_pt = _worst_pair_residual(L, M, points, tol,
-                                           symmetric_part_only=True)
-    return CheckResult(name=name, passed=worst <= tol, residual=worst,
-                       tolerance=tol, worst_point=worst_pt, samples=len(points))
+    res = bracket_residuals(L, M, points, tol, symmetric_part_only=True)
+    return reduce_check(name, res, points, tol)
 
 
 def is_strong_symmetry(L, M, points, tol: float = DEFAULT_TOL,
                        name: str = "strong_symmetry") -> CheckResult:
     """Pass when the entire bracket tensor vanishes at every point."""
-    worst, worst_pt = _worst_pair_residual(L, M, points, tol,
-                                           symmetric_part_only=False)
-    return CheckResult(name=name, passed=worst <= tol, residual=worst,
-                       tolerance=tol, worst_point=worst_pt, samples=len(points))
+    res = bracket_residuals(L, M, points, tol, symmetric_part_only=False)
+    return reduce_check(name, res, points, tol)
 
 
 def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
@@ -155,22 +151,16 @@ def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
     return is_strong_symmetry(M, M, points, tol=tol, name=name)
 
 
-def _one_form_jets(alpha: OneFormField, u):
-    aval, ader = alpha.jet_arrays(u)
-    return aval, ader  # ader[i, j] = d alpha_i / du^j
-
-
-def conservation_law_check(M, alpha: OneFormField, points,
-                           tol: float = DEFAULT_TOL,
-                           name: str = "conservation_law") -> CheckResult:
-    """Pass when M^* alpha is closed at every point.
+def conservation_law_residuals(M, alpha: OneFormField, points,
+                               tol: float = DEFAULT_TOL) -> list:
+    """Scale-normalized curl of M^* alpha at each of the points.
 
     Raises OneFormNotClosedError when alpha itself fails to be closed: that
     is an input defect, distinct from a failed check.
     """
-    worst, worst_pt = 0.0, None
+    out = []
     for u in points:
-        aval, ader = _one_form_jets(alpha, u)
+        aval, ader = alpha.jet_arrays(u)   # ader[i, j] = d alpha_i / du^j
         curl_alpha = float(np.max(np.abs(ader - ader.T)))
         if curl_alpha > tol * (1.0 + float(np.max(np.abs(ader)))):
             raise OneFormNotClosedError(
@@ -182,13 +172,18 @@ def conservation_law_check(M, alpha: OneFormField, points,
         bder = np.einsum("ik,ij->jk", ader, Mval) + np.einsum(
             "i,ijk->jk", aval, Mder
         )
-        curl = np.abs(bder - bder.T)
         scale = 1.0 + (max_abs(aval) + max_abs(ader)) * _field_scale(Mval, Mder)
-        r = float(np.max(curl)) / scale
-        if r > worst:
-            worst, worst_pt = r, list(np.asarray(u, dtype=float))
-    return CheckResult(name=name, passed=worst <= tol, residual=worst,
-                       tolerance=tol, worst_point=worst_pt, samples=len(points))
+        out.append(max_abs(bder - bder.T) / scale)
+    return out
+
+
+def conservation_law_check(M, alpha: OneFormField, points,
+                           tol: float = DEFAULT_TOL,
+                           name: str = "conservation_law") -> CheckResult:
+    """Pass when M^* alpha is closed at every point; raises
+    OneFormNotClosedError when alpha is not closed."""
+    return reduce_check(name, conservation_law_residuals(M, alpha, points, tol),
+                        points, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +291,14 @@ def dualize_family(
     """
     report = VerificationReport(title="dualize_family", seed=seed)
     n = basis.dimension
+
+    def mutual_symmetries(name, F):
+        return reduce_check(name, [
+            bracket_residuals(F[i], F[j], points, tol, symmetric_part_only=True)
+            for i in range(n) for j in range(i + 1, n)], points, tol)
+
     if check_inputs:
-        worst, worst_pt = 0.0, None
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = is_symmetry(basis.fields[i], basis.fields[j], points, tol=tol)
-                if c.residual > worst:
-                    worst, worst_pt = c.residual, c.worst_point
-        report.add(CheckResult(
-            name="input_mutual_symmetries", passed=worst <= tol,
-            residual=worst, tolerance=tol, worst_point=worst_pt,
-            samples=len(points),
-        ))
+        report.add(mutual_symmetries("input_mutual_symmetries", basis.fields))
         generic_ok, generic_detail = True, ""
         for u in points:
             values = basis.eval(u)
@@ -324,17 +315,7 @@ def dualize_family(
         ))
     family = DualFamily(basis, covector, tol=tol, seed=seed)
     try:
-        worst, worst_pt = 0.0, None
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = is_symmetry(family.field(i), family.field(j), points, tol=tol)
-                if c.residual > worst:
-                    worst, worst_pt = c.residual, c.worst_point
-        report.add(CheckResult(
-            name="dual_mutual_symmetries", passed=worst <= tol,
-            residual=worst, tolerance=tol, worst_point=worst_pt,
-            samples=len(points),
-        ))
+        report.add(mutual_symmetries("dual_mutual_symmetries", family.fields))
     except OpfrobError as exc:
         report.add(CheckResult(
             name="dual_mutual_symmetries", passed=False, residual=float("inf"),
@@ -359,19 +340,14 @@ def symmetry_coefficient_check(
     if len(h) != n:
         raise ValueError(f"need {n} coefficient functions, got {len(h)}")
     hform = OneFormField(h)  # reuse component-wise jet evaluation
-    worst, worst_pt = 0.0, None
+    residuals = []
     for u in points:
         data = basis.point_data(u, tol=tol, seed=seed)
         _, dh = hform.jet_arrays(u)          # dh[j, m] = d h^j / du^m
         Kvals = basis.eval(u)
         scale = 1.0 + max(max_abs(K) for K in Kvals) * (1.0 + max_abs(dh))
-        for i in range(n):
-            lhs = dh @ Kvals[i]              # row j: (K_i^* dh^j)_m
-            rhs = np.einsum("sj,sm->jm", data.structure[i], dh)
-            r = float(np.max(np.abs(lhs - rhs))) / scale
-            if r > worst:
-                worst, worst_pt = r, list(np.asarray(u, dtype=float))
-    return CheckResult(
-        name="symmetry_coefficients", passed=worst <= tol, residual=worst,
-        tolerance=tol, worst_point=worst_pt, samples=len(points),
-    )
+        # row j of dh @ K_i is (K_i^* dh^j)_m
+        diffs = [dh @ Kvals[i] - np.einsum("sj,sm->jm", data.structure[i], dh)
+                 for i in range(n)]
+        residuals.append(max_abs(np.stack(diffs)) / scale)
+    return reduce_check("symmetry_coefficients", residuals, points, tol)

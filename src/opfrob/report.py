@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 CERTIFICATE_NOTE = (
     "all passes are numerical certificates at the sampled points, "
     "not symbolic proofs"
@@ -24,9 +26,8 @@ class CheckResult:
     samples: int = 0
     seed: int | None = None
     detail: str = ""
-    wall_ms: float | None = None
 
-    def to_dict(self, timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "name": self.name,
             "passed": self.passed,
@@ -40,8 +41,6 @@ class CheckResult:
             d["seed"] = self.seed
         if self.detail:
             d["detail"] = self.detail
-        if timings and self.wall_ms is not None:
-            d["wall_ms"] = self.wall_ms
         return d
 
     def render(self) -> str:
@@ -56,6 +55,38 @@ class CheckResult:
         if self.detail:
             line += f"  [{self.detail}]"
         return line
+
+
+def reduce_check(name: str, residuals, points, tol: float,
+                 **report_fields) -> CheckResult:
+    """The check ``name`` over ``points``, from the residuals at them.
+
+    ``residuals[..., b]`` belongs to ``points[b]``; leading axes (pairs,
+    fields, components) are folded in C order.  The reported residual is
+    NaN if any residual is NaN and the maximum otherwise; ``worst_point``
+    is the point of the first entry, in C order, that attains it, and is
+    left out when that residual is exactly 0.  ``samples`` is the number of
+    points.  The check passes only when some point was evaluated and the
+    worst residual is within ``tol``, so a NaN fails, and a check over no
+    point fails with detail "no point evaluated".  ``report_fields`` (seed,
+    detail) go to the CheckResult.
+    """
+    samples = len(points)
+    if samples == 0:
+        detail = "; ".join(filter(None, ("no point evaluated",
+                                         report_fields.pop("detail", ""))))
+        return CheckResult(name=name, passed=False, residual=0.0,
+                           tolerance=tol, samples=0, detail=detail,
+                           **report_fields)
+    # the reshape rejects residuals that do not split over the points
+    r = np.asarray(residuals, dtype=float).reshape(-1, samples).ravel()
+    k = int(np.argmax(r)) if r.size else 0   # argmax stops at a NaN
+    worst = float(r[k]) if r.size else 0.0
+    worst_point = None if worst == 0.0 else \
+        [float(x) for x in points[k % samples]]
+    return CheckResult(name=name, passed=worst <= tol, residual=worst,
+                       tolerance=tol, worst_point=worst_point,
+                       samples=samples, **report_fields)
 
 
 @dataclass
@@ -79,13 +110,13 @@ class VerificationReport:
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)
 
-    def to_dict(self, timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "title": self.title,
             "passed": self.passed,
             "seed": self.seed,
             "note": CERTIFICATE_NOTE,
-            "checks": [c.to_dict(timings) for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
     def render(self) -> str:

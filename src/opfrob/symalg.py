@@ -26,8 +26,8 @@ from .frobalg import (
     structure_constants_at,
 )
 from .numkit import max_abs
-from .opfields import is_strong_symmetry
-from .report import CheckResult, VerificationReport
+from .opfields import bracket_residuals
+from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
     "FlatBasis",
@@ -162,44 +162,32 @@ def sym_membership(
     report = VerificationReport(title="sym_membership", seed=seed)
     n = basis.dimension
 
-    worst_dec, worst_pt = 0.0, None
     P = np.asarray(points, dtype=float)
     cand_vals = candidate.batch_jet_arrays(P)[0]
-    for b, u in enumerate(P):
+    residuals = []   # up to the first point with a singular column matrix
+    for u, cand in zip(P, cand_vals):
         values = basis.eval(u)
-        cand = cand_vals[b]
         data = basis.point_data(u, tol=tol, seed=seed)
         cols = np.column_stack([V @ data.xi for V in values])
-        scale = 1.0 + max_abs(cand)
         try:
             g = np.linalg.solve(cols, cand @ data.xi)
         except np.linalg.LinAlgError:
-            worst_dec, worst_pt = float("inf"), list(map(float, u))
+            residuals.append(float("inf"))
             break
         recon = sum(g[i] * values[i] for i in range(n))
-        r = max_abs(cand - recon) / scale
-        if r > worst_dec:
-            worst_dec, worst_pt = r, list(np.asarray(u, dtype=float))
-    report.add(CheckResult(
-        name="decomposition_in_span", passed=worst_dec <= tol,
-        residual=worst_dec, tolerance=tol, worst_point=worst_pt,
-        samples=len(points),
-    ))
+        residuals.append(max_abs(cand - recon) / (1.0 + max_abs(cand)))
+    report.add(reduce_check("decomposition_in_span", residuals,
+                            P[:len(residuals)], tol))
 
     if report.passed:
-        worst, worst_pt, fail_detail = 0.0, None, ""
-        for i in range(n):
-            try:
-                c = is_strong_symmetry(candidate, basis.fields[i], points,
-                                       tol=tol)
-            except OpfrobError as exc:
-                worst, fail_detail = float("inf"), str(exc)
-                break
-            if c.residual > worst:
-                worst, worst_pt = c.residual, c.worst_point
-        report.add(CheckResult(
-            name="strong_symmetry_vs_basis", passed=worst <= tol,
-            residual=worst, tolerance=tol, worst_point=worst_pt,
-            samples=len(points), detail=fail_detail,
-        ))
+        name = "strong_symmetry_vs_basis"
+        try:
+            report.add(reduce_check(name, [
+                bracket_residuals(candidate, K, P, tol,
+                                  symmetric_part_only=False)
+                for K in basis.fields], P, tol))
+        except OpfrobError as exc:
+            report.add(CheckResult(
+                name=name, passed=False, residual=float("inf"), tolerance=tol,
+                samples=len(P), detail=str(exc)))
     return report

@@ -53,6 +53,32 @@ class TestExitCodes:
         code, _, _ = run_cli(["verify-algebra", str(f)], capsys)
         assert code == 2
 
+    def test_zero_samples_is_input_error(self, capsys):
+        code, out, err = run_cli(["builtin", "example32", "--samples", "0"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: sample count must be at least 1, got 0\n"
+
+    def test_negative_samples_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "e52.json"
+        run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+        code, out, err = run_cli(["verify-algebra", str(path), "--samples",
+                                  "-3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: sample count must be at least 1, got -3\n"
+
+    @pytest.mark.parametrize("hj_points", ["0", "-2"])
+    def test_hj_points_below_one_is_input_error(self, hj_points, tmp_path,
+                                                capsys):
+        path = tmp_path / "e52.json"
+        run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+        code, out, err = run_cli(["hj", str(path), "--c", "1,0.1,0.1,0.1",
+                                  "--samples", "10", "--hj-points",
+                                  hj_points], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"input error: --hj-points must be at least 1, "
+                       f"got {hj_points}\n")
+
 
 class TestEmittedFixtures:
     @pytest.mark.parametrize("name", builtin_names())

@@ -236,6 +236,48 @@ class TestDualizeFamily:
             assert not c.passed
             assert np.isnan(c.residual)
 
+    @staticmethod
+    def _poison_dual_partials(monkeypatch, bad_point):
+        """Every DualFamily returns a NaN partial of its first field at
+        ``bad_point``."""
+        clean = DualFamily.jet_data
+
+        def poisoned(self, u):
+            jets = list(clean(self, u))
+            if np.array_equal(u, bad_point):
+                val, der = jets[0]
+                der = der.copy()
+                der[0, 0, 0] = np.nan
+                jets[0] = (val, der)
+            return jets
+
+        monkeypatch.setattr(DualFamily, "jet_data", poisoned)
+
+    def test_nan_partials_fail_the_dual_mutual_symmetries(self, monkeypatch):
+        basis = OperatorBasis([OperatorField.identity(2),
+                               diag_field("u1", "u2")])
+        pts = sample_points(2, guarded_config(2, seed=6, count=5))
+        self._poison_dual_partials(monkeypatch, pts[2])
+        _, report = dualize_family(basis, [1.0, 0.0], pts,
+                                   check_inputs=False)
+        (c,) = report.checks
+        assert c.name == "dual_mutual_symmetries"
+        assert not c.passed
+        assert np.isnan(c.residual)
+        assert c.worst_point == list(pts[2])
+
+    def test_nan_partials_fail_the_conservation_law(self, monkeypatch):
+        basis = OperatorBasis([OperatorField.identity(2),
+                               diag_field("u1", "u2")])
+        pts = sample_points(2, guarded_config(2, seed=6, count=5))
+        self._poison_dual_partials(monkeypatch, pts[2])
+        family = DualFamily(basis, [1.0, 0.0])
+        c = conservation_law_check(family.field(0),
+                                   OneFormField.parse(["1", "0"], 2), pts)
+        assert not c.passed
+        assert np.isnan(c.residual)
+        assert c.samples == 5
+
     def test_theorem_conclusion_on_demo4(self):
         basis = demo4_constant_basis()
         pts = sample_points(4, CFG10)
