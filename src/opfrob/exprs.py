@@ -35,6 +35,7 @@ __all__ = [
     "BinOp",
     "Pow",
     "parse_expr",
+    "parse_grid",
     "eval_expr",
     "const",
     "var",
@@ -100,12 +101,15 @@ class Expression:
 
     # --- queries -----------------------------------------------------------
 
-    def max_variable(self) -> int:
-        """Largest coordinate index appearing in the tree (0 if constant)."""
-        return _max_var(self)
+    def max_variable(self, memo=None) -> int:
+        """Largest coordinate index appearing in the tree (0 if constant).
+
+        ``memo`` (a dict) may be shared by the expressions of one grid, so
+        that each distinct node is visited once over all of them."""
+        return _max_var(self, {} if memo is None else memo)
 
     def is_constant(self) -> bool:
-        return _max_var(self) == 0
+        return self.max_variable() == 0
 
     def evaluate(self, point):
         return eval_expr(self, point)
@@ -218,9 +222,27 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str, dimension: int):
+    def __init__(self, text: str, dimension: int, table: dict):
         self.toks = _Tokenizer(text)
         self.dimension = dimension
+        self.table = table
+
+    def _node(self, cls, *fields) -> Expression:
+        """The node ``cls(*fields)``, built once per intern table.
+
+        Children are interned already, so they are keyed by identity.  A
+        literal is keyed by its type and bits: Const(1) == Const(1.0), but
+        the int computes exactly and prints differently."""
+        if cls is Const:
+            v = fields[0]
+            key = (Const, type(v), v.hex() if type(v) is float else v)
+        else:
+            key = (cls, *[id(f) if isinstance(f, Expression) else f
+                          for f in fields])
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(*fields)
+        return node
 
     def parse(self) -> Expression:
         e = self._expr()
@@ -233,20 +255,20 @@ class _Parser:
         e = self._term()
         while self.toks.peek()[0] in ("+", "-"):
             op, _, _ = self.toks.next()
-            e = BinOp(op, e, self._term())
+            e = self._node(BinOp, op, e, self._term())
         return e
 
     def _term(self) -> Expression:
         e = self._factor()
         while self.toks.peek()[0] in ("*", "/"):
             op, _, _ = self.toks.next()
-            e = BinOp(op, e, self._factor())
+            e = self._node(BinOp, op, e, self._factor())
         return e
 
     def _factor(self) -> Expression:
         if self.toks.peek()[0] == "-":
             self.toks.next()
-            return Neg(self._factor())
+            return self._node(Neg, self._factor())
         e = self._atom()
         if self.toks.peek()[0] == "^":
             self.toks.next()
@@ -259,14 +281,15 @@ class _Parser:
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
             k = sign * value
             if k < 0:
-                return BinOp("/", Const(1), Pow(e, -k))
-            return Pow(e, k)
+                return self._node(BinOp, "/", self._node(Const, 1),
+                                  self._node(Pow, e, -k))
+            return self._node(Pow, e, k)
         return e
 
     def _atom(self) -> Expression:
         kind, value, pos = self.toks.next()
         if kind == "num":
-            return Const(value)
+            return self._node(Const, value)
         if kind == "var":
             if value < 1 or value > self.dimension:
                 raise ExprSyntaxError(
@@ -274,7 +297,7 @@ class _Parser:
                     f"{self.dimension}",
                     pos,
                 )
-            return Var(value)
+            return self._node(Var, value)
         if kind == "(":
             e = self._expr()
             kind2, _, pos2 = self.toks.next()
@@ -284,15 +307,29 @@ class _Parser:
         raise ExprSyntaxError(f"expected number, variable or '('", pos)
 
 
-def parse_expr(text: str, dimension: int) -> Expression:
+def parse_expr(text: str, dimension: int, table=None) -> Expression:
     """Parse ``text`` into an Expression over coordinates u1..u<dimension>.
+
+    Every node is interned in ``table`` (a dict, fresh when None), so
+    structurally identical subexpressions -- within the text and across
+    the texts parsed with the same table -- are one node object.  Interning
+    neither folds constants nor reassociates: the tree is the one the text
+    spells, and it prints back the same.
 
     Raises ExprSyntaxError with a byte offset on malformed input, variable
     indices outside [1, dimension], or non-positive dimension.
     """
     if dimension < 1:
         raise ExprSyntaxError("dimension must be a positive integer", 0)
-    return _Parser(text, dimension).parse()
+    return _Parser(text, dimension, {} if table is None else table).parse()
+
+
+def parse_grid(rows, dimension: int) -> list:
+    """Parse rows of entry texts into rows of expressions that share one
+    intern table, so that a subexpression common to several entries of the
+    grid is one node, evaluated once by a grid evaluation's shared memo."""
+    table = {}
+    return [[parse_expr(s, dimension, table) for s in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +349,18 @@ def _divisor_is_zero(x) -> bool:
     return v == 0
 
 
-def eval_expr(e: Expression, point):
+def eval_expr(e: Expression, point, memo=None):
     """Evaluate ``e`` at ``point`` (a sequence of scalars of uniform type).
 
     Over jets the result carries exact first partials with respect to all
     coordinates.  Raises ExprEvalError on division by zero at the point.
-    Shared subtrees (expression DAGs built by matrix algebra) are evaluated
-    once per call.
+    Shared subtrees (expression DAGs built by matrix algebra, interned
+    grids) are evaluated once per ``memo``: a dict keyed by node identity,
+    fresh when None, which the evaluation of one grid at one point shares
+    across its entries.  Results held in the memo are never mutated.
     """
     n = len(point)
-    return _eval(e, point, n, {})
+    return _eval(e, point, n, {} if memo is None else memo)
 
 
 def _eval(e, point, n, memo):
@@ -367,18 +406,25 @@ def _eval(e, point, n, memo):
     return out
 
 
-def _max_var(e) -> int:
+def _max_var(e, memo) -> int:
+    key = id(e)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     if isinstance(e, Const):
-        return 0
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Neg):
-        return _max_var(e.arg)
-    if isinstance(e, BinOp):
-        return max(_max_var(e.lhs), _max_var(e.rhs))
-    if isinstance(e, Pow):
-        return _max_var(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+        out = 0
+    elif isinstance(e, Var):
+        out = e.index
+    elif isinstance(e, Neg):
+        out = _max_var(e.arg, memo)
+    elif isinstance(e, BinOp):
+        out = max(_max_var(e.lhs, memo), _max_var(e.rhs, memo))
+    elif isinstance(e, Pow):
+        out = _max_var(e.base, memo)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

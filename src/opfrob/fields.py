@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprs import Const, Expression, eval_expr, parse_expr
+from .exprs import Const, Expression, eval_expr, parse_grid
 from .numkit import Jet, jet_point, split_jet_matrix, split_jet_vector
 
 __all__ = ["OperatorField", "OneFormField", "expression_matmul"]
@@ -24,10 +24,46 @@ def _as_expression(x) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression entry")
 
 
+def checked_grid(exprs, dimension: int, entry: str, owner: str) -> bool:
+    """Raise ValueError at the first expression that refers to a coordinate
+    beyond ``dimension``; return whether all of them are constant.  One
+    walk with one memo visits each distinct node of the grid once."""
+    memo = {}
+    constant = True
+    for e in exprs:
+        m = e.max_variable(memo)
+        if m > dimension:
+            raise ValueError(f"{entry} {e} refers to u{m} but the {owner} "
+                             f"dimension is {dimension}")
+        constant = constant and m == 0
+    return constant
+
+
+def eval_grid(rows, u) -> np.ndarray:
+    """Float values of a square grid of expressions at ``u``.  Like every
+    grid evaluator here, it gives the entries one memo, so that a node
+    common to several of them is evaluated once."""
+    point = [float(x) for x in u]
+    memo = {}
+    return np.array([[float(eval_expr(e, point, memo)) for e in row]
+                     for row in rows])
+
+
+def eval_grid_generic(rows, point) -> np.ndarray:
+    """Object array of a square grid of expressions evaluated over the
+    scalars of ``point`` (jets, series)."""
+    memo = {}
+    out = np.empty((len(rows), len(rows)), dtype=object)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[i, j] = eval_expr(e, point, memo)
+    return out
+
+
 def _batch_jets(exprs, shape, points):
     """Vectorized jets of the expressions (laid out row-major in ``shape``)
     over a (B, n) batch of points: values (B, *shape) and partials
-    (B, *shape, n), in one pass over each expression's tree."""
+    (B, *shape, n), in one pass over the grid's distinct nodes."""
     points = np.asarray(points, dtype=float)
     B, n = points.shape
     eye = np.eye(n)
@@ -35,8 +71,9 @@ def _batch_jets(exprs, shape, points):
               for i in range(n)]
     vals = np.empty((B, len(exprs)))
     ders = np.zeros((B, len(exprs), n))
+    memo = {}
     for k, e in enumerate(exprs):
-        out = eval_expr(e, coords)
+        out = eval_expr(e, coords, memo)
         if isinstance(out, Jet):
             vals[:, k] = out.value
             ders[:, k, :] = out.partials
@@ -69,25 +106,17 @@ class OperatorField:
             raise ValueError("operator field grid must be square")
         self.entries = tuple(tuple(_as_expression(e) for e in row) for row in entries)
         self.dimension = n
-        for row in self.entries:
-            for e in row:
-                if e.max_variable() > n:
-                    raise ValueError(
-                        f"entry {e} refers to u{e.max_variable()} but the "
-                        f"field dimension is {n}"
-                    )
         self._constant_value = None
-        if all(e.is_constant() for row in self.entries for e in row):
-            self._constant_value = np.array(
-                [[float(eval_expr(e, [])) for e in row] for row in self.entries]
-            )
+        if checked_grid((e for row in self.entries for e in row), n,
+                        "entry", "field"):
+            self._constant_value = eval_grid(self.entries, [])
         self._jet_cache = {}
 
     @classmethod
     def parse(cls, grid, dimension: int) -> "OperatorField":
         if len(grid) != dimension or any(len(r) != dimension for r in grid):
             raise ValueError(f"expected a {dimension}x{dimension} grid")
-        return cls([[parse_expr(s, dimension) for s in row] for row in grid])
+        return cls(parse_grid(grid, dimension))
 
     @classmethod
     def constant(cls, matrix) -> "OperatorField":
@@ -102,17 +131,10 @@ class OperatorField:
     def eval(self, u) -> np.ndarray:
         if self._constant_value is not None:
             return self._constant_value.copy()
-        point = [float(x) for x in u]
-        return np.array(
-            [[float(eval_expr(e, point)) for e in row] for row in self.entries]
-        )
+        return eval_grid(self.entries, u)
 
     def eval_generic(self, point) -> np.ndarray:
-        out = np.empty((self.dimension, self.dimension), dtype=object)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = eval_expr(e, point)
-        return out
+        return eval_grid_generic(self.entries, point)
 
     def eval_jet(self, u) -> np.ndarray:
         return self.eval_generic(jet_point(u))
@@ -183,19 +205,14 @@ class OneFormField:
     def __init__(self, components):
         self.components = tuple(_as_expression(c) for c in components)
         self.dimension = len(self.components)
-        for c in self.components:
-            if c.max_variable() > self.dimension:
-                raise ValueError(
-                    f"component {c} refers to u{c.max_variable()} but the "
-                    f"form dimension is {self.dimension}"
-                )
-        self.is_constant = all(c.is_constant() for c in self.components)
+        self.is_constant = checked_grid(self.components, self.dimension,
+                                        "component", "form")
 
     @classmethod
     def parse(cls, components, dimension: int) -> "OneFormField":
         if len(components) != dimension:
             raise ValueError(f"expected {dimension} components")
-        return cls([parse_expr(s, dimension) for s in components])
+        return cls(parse_grid([components], dimension)[0])
 
     @classmethod
     def constant(cls, values) -> "OneFormField":
@@ -203,10 +220,11 @@ class OneFormField:
 
     def eval(self, u) -> np.ndarray:
         point = [float(x) for x in u]
-        return np.array([float(eval_expr(c, point)) for c in self.components])
+        return np.array([float(v) for v in self.eval_generic(point)])
 
     def eval_generic(self, point):
-        return [eval_expr(c, point) for c in self.components]
+        memo = {}
+        return [eval_expr(c, point, memo) for c in self.components]
 
     def jet_arrays(self, u):
         """Values (n,) and partials (n,n) with der[i,j] = d(alpha_i)/du^j."""

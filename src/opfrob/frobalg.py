@@ -346,11 +346,12 @@ class OperatorBasis:
         report.add(reduce_check("pairwise_commutativity", comm, points, tol))
         report.add(CheckResult(
             name="linear_independence",
-            passed=min_rank == self.dimension,
+            passed=len(points) > 0 and min_rank == self.dimension,
             residual=float(self.dimension - min_rank),
             tolerance=0.0,
             samples=len(points),
-            detail=f"min rank {min_rank} of {self.dimension}",
+            detail=f"min rank {min_rank} of {self.dimension}" if len(points)
+            else "no point evaluated",
         ))
         return report
 

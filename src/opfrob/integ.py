@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OpfrobError, SingularMatrixError
-from .exprs import Const, Expression, Var, eval_expr, parse_expr
-from .fields import OneFormField
+from .exprs import Const, Expression, Var, parse_expr, parse_grid
+from .fields import OneFormField, checked_grid, eval_grid, eval_grid_generic
 from .frobalg import (
     OperatorBasis,
     find_generic_covector,
@@ -81,16 +81,12 @@ class QuadraticHamiltonian:
         self.grid = [[e if isinstance(e, Expression) else Const(e)
                       for e in row] for row in grid]
         self.dimension = n
-        for row in self.grid:
-            for e in row:
-                if e.max_variable() > n:
-                    raise ValueError(
-                        f"entry {e} refers to u{e.max_variable()} but the "
-                        f"form dimension is {n}"
-                    )
+        checked_grid((e for row in self.grid for e in row), n, "entry", "form")
         for i in range(n):
             for j in range(i + 1, n):
-                if str(self.grid[i][j]) != str(self.grid[j][i]):
+                # equal parsed texts are one node (exprs.parse_grid)
+                a, b = self.grid[i][j], self.grid[j][i]
+                if a is not b and str(a) != str(b):
                     raise ValueError(
                         f"grid is not structurally symmetric at ({i+1},{j+1}): "
                         f"{self.grid[i][j]} vs {self.grid[j][i]}"
@@ -100,7 +96,7 @@ class QuadraticHamiltonian:
     def parse(cls, grid, dimension: int) -> "QuadraticHamiltonian":
         if len(grid) != dimension or any(len(r) != dimension for r in grid):
             raise ValueError(f"expected a {dimension}x{dimension} grid")
-        return cls([[parse_expr(s, dimension) for s in row] for row in grid])
+        return cls(parse_grid(grid, dimension))
 
     @classmethod
     def constant(cls, matrix) -> "QuadraticHamiltonian":
@@ -111,16 +107,10 @@ class QuadraticHamiltonian:
                     for row in matrix.tolist()])
 
     def coeff(self, u) -> np.ndarray:
-        point = [float(x) for x in u]
-        return np.array([[float(eval_expr(e, point)) for e in row]
-                         for row in self.grid])
+        return eval_grid(self.grid, u)
 
     def coeff_generic(self, point) -> np.ndarray:
-        out = np.empty((self.dimension, self.dimension), dtype=object)
-        for i, row in enumerate(self.grid):
-            for j, e in enumerate(row):
-                out[i, j] = eval_expr(e, point)
-        return out
+        return eval_grid_generic(self.grid, point)
 
     def coeff_jets(self, u):
         """(A, dA) with dA[i,j,s] = d h^{ij} / du^s."""
@@ -196,11 +186,12 @@ def _momentum_nondegeneracy(coeff_grids_at, points, n, seed, draws=50,
             best = max(best, abs(float(np.linalg.det(D))) / bound)
         if best < worst:
             worst, worst_pt = best, list(map(float, u))
-    passed = worst > threshold
     return CheckResult(
-        name=name, passed=passed, residual=float(worst), tolerance=threshold,
-        worst_point=worst_pt, samples=len(points), seed=seed,
-        detail="pass requires residual above tolerance",
+        name=name, passed=len(points) > 0 and worst > threshold,
+        residual=float(worst), tolerance=threshold, worst_point=worst_pt,
+        samples=len(points), seed=seed,
+        detail="pass requires residual above tolerance" if len(points)
+        else "no point evaluated",
     )
 
 
@@ -363,9 +354,11 @@ def generate_system(
         rows = np.vstack([aval @ M for M in basis.eval(u)])
         min_rank = min(min_rank, mat_rank(rows, tol=tol))
     report.add(CheckResult(
-        name="pullback_independence", passed=min_rank == n,
+        name="pullback_independence",
+        passed=len(points) > 0 and min_rank == n,
         residual=float(n - min_rank), tolerance=0.0, samples=len(points),
-        detail=f"min rank {min_rank} of {n}",
+        detail=f"min rank {min_rank} of {n}" if len(points)
+        else "no point evaluated",
     ))
 
     if chart is None:
@@ -441,7 +434,7 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
     """
     report = VerificationReport(title="killing_tensors")
     n = system.dimension
-    per_point = []
+    per_point = []   # Killing tensors at the points before a singular h_1
     comm, adj, dual = [], [], []
     for u in points:
         grids = system.coefficient_grids(u)
@@ -451,9 +444,9 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
             report.add(CheckResult(
                 name="h1_invertible", passed=False, residual=float("inf"),
                 tolerance=tol, worst_point=list(map(float, u)),
-                samples=len(points), detail="h_1 degenerate",
+                samples=len(per_point) + 1, detail="h_1 degenerate",
             ))
-            return per_point, report
+            break
         per_point.append(Ks)
         mats = system.chart_frame_basis(u)
         a = system.structure_at(u)
@@ -462,9 +455,10 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
         dual.append(np.max([
             max_abs(mats[i] - sum(a[i, s, 0] * Ks[s] for s in range(n)))
             / (1.0 + max_abs(mats[i])) for i in range(n)]))
-    report.add(reduce_check("killing_pairwise_commutation", comm, points, tol))
-    report.add(reduce_check("basis_self_adjointness", adj, points, tol))
-    report.add(reduce_check("killing_duality", dual, points, tol))
+    reached = points[:len(per_point)]
+    report.add(reduce_check("killing_pairwise_commutation", comm, reached, tol))
+    report.add(reduce_check("basis_self_adjointness", adj, reached, tol))
+    report.add(reduce_check("killing_duality", dual, reached, tol))
     return per_point, report
 
 

@@ -120,6 +120,8 @@ def bracket(L, M, point, tol: float = DEFAULT_TOL) -> np.ndarray:
 def bracket_residuals(L, M, points, tol, symmetric_part_only):
     """Scale-normalized residual of <L, M> (or of its part symmetric in the
     lower indices) at each of the points, from one vectorized pass."""
+    if len(points) == 0:
+        return np.zeros(0)
     P = np.asarray(points, dtype=float)
     Lval, Lder, Mval, Mder = _pair_jets(L, M, P, tol)
     T = bracket_from_jets(Lval, Lder, Mval, Mder)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opfrob.errors import ExprEvalError, ExprSyntaxError
-from opfrob.exprs import Const, Var, eval_expr, parse_expr
-from opfrob.numkit import jet_point
+from opfrob.exprs import (BinOp, Const, Expression, Neg, Pow, Var, eval_expr,
+                          parse_expr, parse_grid)
+from opfrob.fields import OperatorField
+from opfrob.fixtures import emit_builtin
+from opfrob.hydroflow import MultiSeries
+from opfrob.numkit import Jet, jet_point, split_jet_matrix
 
 from oracles import central_gradient
 
@@ -172,3 +177,185 @@ class TestPrinterRoundTrip:
                 agreements += 1
             if agreements >= 50:
                 trees += 1
+
+
+# ---------------------------------------------------------------------------
+# interned grids and the shared evaluation memo
+# ---------------------------------------------------------------------------
+
+
+def distinct_nodes(roots) -> int:
+    seen, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen[id(e)] = e
+        stack.extend(v for v in vars(e).values() if isinstance(v, Expression))
+    return len(seen)
+
+
+def unshared(e):
+    """A fresh tree equal to ``e`` in which no node is shared."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.index)
+    if isinstance(e, Neg):
+        return Neg(unshared(e.arg))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, unshared(e.lhs), unshared(e.rhs))
+    return Pow(unshared(e.base), e.exponent)
+
+
+class TestInternedGrids:
+    def test_int_and_float_literals_stay_distinct(self):
+        (a, b), = parse_grid([["u1*1", "u1*1.0"]], 1)
+        assert a is not b
+        assert a.lhs is b.lhs                       # the shared u1
+        assert isinstance(a.rhs.value, int)
+        assert isinstance(b.rhs.value, float)
+        assert (str(a), str(b)) == ("u1*1", "u1*1.0")
+        assert eval_expr(parse_grid([["10^400"]], 1)[0][0], [0.0]) == 10 ** 400
+
+    def test_equal_entry_texts_are_one_node(self):
+        grid = parse_grid([["u1 + u2/(1 + u1)", "u1+u2/(1+u1)"],
+                           ["(1 + u1)", "u2"]], 2)
+        assert grid[0][0] is grid[0][1]
+        assert grid[0][0].rhs.rhs is grid[1][0]
+        assert str(grid[0][1]) == "u1 + u2/(1 + u1)"
+
+    def test_separate_grids_do_not_share(self):
+        a = parse_grid([["u1 + 1"]], 1)[0][0]
+        b = parse_grid([["u1 + 1"]], 1)[0][0]
+        assert a is not b and str(a) == str(b)
+
+    def test_emitted_analytic_m4_is_small(self):
+        grid = emit_builtin("example52", "analytic")["fields"]["M4"]
+        field = OperatorField.parse(grid, 4)
+        assert distinct_nodes(e for row in field.entries for e in row) <= 227
+        assert [[str(e) for e in row] for row in field.entries] == grid
+
+    def test_zero_divisor_message_is_unchanged(self):
+        texts = [["u1 + 1/(u1 - u2)", "1"], ["2", "u2*(u1 - u2)^-2"]]
+        field = OperatorField.parse(texts, 2)
+        with pytest.raises(ExprEvalError) as err:
+            field.eval([0.5, 0.5])
+        assert str(err.value) == "division by zero evaluating u1 - u2"
+        with pytest.raises(ExprEvalError) as ref:
+            eval_expr(unshared(field.entries[0][0]), [0.5, 0.5])
+        assert str(ref.value) == str(err.value)
+
+
+_ATOMS = [("u1", Var(1)), ("u2", Var(2)), ("u3", Var(3)), ("1", Const(1)),
+          ("2", Const(2)), ("3", Const(3)), ("1.0", Const(1.0)),
+          ("0.5", Const(0.5)), ("2.5", Const(2.5))]
+
+# entry text and the tree it spells, built without the parser
+_FORMS = [
+    ("({a} + {b})", lambda a, b: BinOp("+", a, b)),
+    ("({a} - {b})", lambda a, b: BinOp("-", a, b)),
+    ("({a})*({b})", lambda a, b: BinOp("*", a, b)),
+    ("({a})/({b})", lambda a, b: BinOp("/", a, b)),
+    ("-({a})", lambda a, b: Neg(a)),
+    ("({a})^2", lambda a, b: Pow(a, 2)),
+    ("({a})^-1", lambda a, b: BinOp("/", Const(1), Pow(a, 1))),
+    ("({a})^0", lambda a, b: Pow(a, 0)),
+]
+
+
+@st.composite
+def grid_entries(draw, n=3):
+    """An n x n grid of (text, unshared tree) entries built from a small
+    pool of subexpressions, so that entries repeat parts of each other."""
+    pool = draw(st.lists(st.sampled_from(_ATOMS), min_size=2, max_size=4))
+    for _ in range(draw(st.integers(2, 6))):
+        (ta, ea), (tb, eb) = draw(st.sampled_from(pool)), \
+            draw(st.sampled_from(pool))
+        text, build = draw(st.sampled_from(_FORMS))
+        pool.append((text.format(a=ta, b=tb), build(ea, eb)))
+    return [[draw(st.sampled_from(pool)) for _ in range(n)]
+            for _ in range(n)]
+
+
+def _bits(x):
+    """Exact identity of an evaluation result: float bits, jet value and
+    partial bits, series coefficient bits."""
+    if isinstance(x, MultiSeries):
+        return sorted((k, float(v).hex()) for k, v in x.coeffs.items())
+    if isinstance(x, Jet):
+        return (np.asarray(x.value, dtype=float).tobytes(),
+                x.partials.tobytes())
+    return type(x).__name__, np.asarray(x, dtype=float).tobytes()
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ExprEvalError as exc:
+        return f"ExprEvalError: {exc}"
+
+
+def _same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    else:
+        assert [_bits(x) for x in np.ravel(got)] == \
+            [_bits(x) for x in np.ravel(want)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(entries=grid_entries(), seed=st.integers(0, 2 ** 16))
+def test_grid_evaluation_is_bit_equal_to_per_entry_trees(entries, seed):
+    """A grid parsed with one intern table and evaluated with one memo per
+    point gives exactly the per-entry results on unshared trees, over
+    floats, jets, batched jets and truncated series."""
+    n = 3
+    field = OperatorField.parse([[t for t, _ in row] for row in entries], n)
+    trees = [[unshared(e) for _, e in row] for row in entries]
+    assert [[str(e) for e in row] for row in field.entries] == \
+        [[str(e) for e in row] for row in trees]
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-1.5, 1.5, (4, n))
+    u = list(map(float, P[0]))
+
+    def per_entry(point):
+        out = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = eval_expr(trees[i][j], point)
+        return out
+
+    _same(_outcome(lambda: field.eval(u)),
+          _outcome(lambda: per_entry(u).astype(float)))
+    _same(_outcome(lambda: field.eval_jet(u)),
+          _outcome(lambda: per_entry(jet_point(u))))
+    if not field.is_constant:
+        _same(_outcome(lambda: split_jet_matrix(field.eval_jet(u), n)),
+              _outcome(lambda: split_jet_matrix(per_entry(jet_point(u)), n)))
+
+    def batch_reference():
+        coords = [Jet(P[:, i], np.broadcast_to(np.eye(n)[i], P.shape).copy())
+                  for i in range(n)]
+        cells = per_entry(coords).ravel()
+        vals = np.empty((len(P), n * n))
+        ders = np.zeros((len(P), n * n, n))
+        for k, out in enumerate(cells):
+            if isinstance(out, Jet):
+                vals[:, k], ders[:, k, :] = out.value, out.partials
+            else:
+                vals[:, k] = out
+        return vals.reshape(-1, n, n), ders.reshape(-1, n, n, n)
+
+    if not field.is_constant:
+        _same(_outcome(lambda: field.batch_jet_arrays(P)),
+              _outcome(batch_reference))
+
+    series = [MultiSeries.constant(x, 2, 3) + MultiSeries.variable(i % 2, 2, 3)
+              for i, x in enumerate(u)]
+    _same(_outcome(lambda: field.eval_generic(series)),
+          _outcome(lambda: per_entry(series)))

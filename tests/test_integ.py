@@ -211,6 +211,39 @@ class TestKillingTensors:
         for got, want in zip(Ks, [np.eye(4), M2, M3, M4]):
             assert np.allclose(got, want, atol=1e-12)
 
+    def test_singular_h1_counts_the_points_reached(self):
+        # h_1 of the constant example52 system is singular, so the first
+        # point stops the loop; the other checks cover the points before it
+        pts = sample_points(4, CFG)
+        system, _ = generate_system(demo4_constant_basis(), demo4_one_form(),
+                                    pts)
+        per_point, report = killing_tensors(system, pts)
+        assert per_point == []
+        by_name = {c.name: c for c in report.checks}
+        assert list(by_name) == ["h1_invertible",
+                                 "killing_pairwise_commutation",
+                                 "basis_self_adjointness", "killing_duality"]
+        assert by_name["h1_invertible"].samples == 1
+        assert by_name["h1_invertible"].worst_point == list(pts[0])
+        for name in list(by_name)[1:]:
+            c = by_name[name]
+            assert not c.passed and c.samples == 0
+            assert c.detail == "no point evaluated"
+
+    def test_checks_over_no_point_fail(self):
+        none = np.empty((0, 4))
+        _, report = generate_system(demo4_constant_basis(), demo4_one_form(),
+                                    none)
+        checks = report.checks + \
+            demo4_constant_basis().validate(none).checks
+        by_name = {c.name: c for c in checks}
+        for name in ("pullback_independence", "momentum_nondegeneracy",
+                     "linear_independence"):
+            c = by_name[name]
+            assert not c.passed and c.samples == 0, name
+            assert c.detail == "no point evaluated", name
+        assert not any(c.passed for c in checks)
+
 
 class TestHamiltonJacobi:
     def _system(self):

@@ -147,6 +147,13 @@ class TestSymmetryChecks:
         assert nijenhuis_torsion_report(diag_field("u1", "u2"),
                                         sample_points(2, CFG10)).passed
 
+    def test_no_point_fails_instead_of_raising(self):
+        K1, K2 = nonsymmetric_pair_fields()
+        for c in (is_symmetry(K1, K2, []), is_strong_symmetry(K1, K2, []),
+                  nijenhuis_torsion_report(K2, [])):
+            assert not c.passed and c.samples == 0
+            assert c.detail == "no point evaluated"
+
 
 class TestConservationLaws:
     def test_identity_pullback(self):
