@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -77,12 +78,19 @@ class SystemFile:
             raise InputError(f"{path}: field {name!r}: {exc}")
 
         self.basis_names = doc.get("basis")
+        if self.basis_names is not None and not (
+                isinstance(self.basis_names, list)
+                and all(isinstance(b, str) for b in self.basis_names)):
+            raise InputError(f"{path}: basis must be a list of field names")
         self.covector = self._vector(doc, "covector")
         self.xi = self._vector(doc, "xi")
         self.candidate_name = doc.get("candidate")
         self.chart = doc.get("chart")
         self.initial_curve = doc.get("initial_curve")
         self.flow_order = doc.get("flow_order", 4)
+        if type(self.flow_order) is not int or self.flow_order < 1:
+            raise InputError(f"{path}: flow_order must be an integer of at "
+                             f"least 1, got {self.flow_order!r}")
         self.polynomials = doc.get("polynomials")
 
         try:
@@ -110,16 +118,22 @@ class SystemFile:
         if len(out) != self.dimension:
             raise InputError(
                 f"{self.path}: {key} needs {self.dimension} components")
+        if not all(map(math.isfinite, out)):
+            raise InputError(f"{self.path}: {key} components must be finite")
         return out
 
-    def basis(self) -> OperatorBasis:
+    def basis_fields(self) -> list:
         if not self.basis_names:
             raise InputError(f"{self.path}: no basis listed")
         missing = [b for b in self.basis_names if b not in self.fields]
         if missing:
             raise InputError(f"{self.path}: basis names not defined: {missing}")
+        return [self.fields[b] for b in self.basis_names]
+
+    def basis(self) -> OperatorBasis:
+        fields = self.basis_fields()
         try:
-            return OperatorBasis([self.fields[b] for b in self.basis_names])
+            return OperatorBasis(fields)
         except (OpfrobError, ValueError) as exc:
             raise InputError(f"{self.path}: {exc}")
 
@@ -328,11 +342,9 @@ def cmd_flow(args) -> VerificationReport:
     if sf.initial_curve is None:
         raise InputError(f"{sf.path}: flow needs an initial_curve")
     cfg = sf.sample_config(args)
-    if not sf.basis_names:
-        raise InputError(f"{sf.path}: flow needs a basis")
-    fields = [sf.fields[b] for b in sf.basis_names]
+    fields = sf.basis_fields()
     try:
-        sol = taylor_flow(fields, sf.initial_curve, int(sf.flow_order))
+        sol = taylor_flow(fields, sf.initial_curve, sf.flow_order)
     except OpfrobError as exc:
         raise InputError(f"{sf.path}: {exc}")
     report = VerificationReport(title="flow", seed=cfg.seed)

@@ -109,7 +109,13 @@ class OperatorField:
         self._constant_value = None
         if checked_grid((e for row in self.entries for e in row), n,
                         "entry", "field"):
-            self._constant_value = eval_grid(self.entries, [])
+            value = eval_grid(self.entries, [])
+            bad = np.flatnonzero(~np.isfinite(value))
+            if len(bad):
+                i, j = divmod(int(bad[0]), n)
+                raise ValueError(f"entry {self.entries[i][j]} is "
+                                 f"{value[i, j]}, not a finite number")
+            self._constant_value = value
         self._jet_cache = {}
 
     @classmethod

@@ -99,19 +99,23 @@ def find_well_conditioned_vector(mats, samples: int, rng,
     """Among the seeded draws, the generic vector whose column matrix
     [K_1 xi | .. | K_n xi] has the smallest condition number; the internal
     pipelines prefer this over the first hit because the accuracy of every
-    downstream solve tracks that conditioning."""
-    values = [value_array(M) for M in mats]
-    n = values[0].shape[0]
-    best, best_cond = None, np.inf
-    for _ in range(samples):
-        xi = rng.uniform(-1.0, 1.0, n)
-        cols = np.column_stack([V @ xi for V in values])
-        if mat_rank(cols, tol=tol) < n:
-            continue
-        c = np.linalg.cond(cols)
-        if c < best_cond:
-            best, best_cond = xi, c
-    return best
+    downstream solve tracks that conditioning.
+
+    All ``samples`` draws are taken and judged at once: one (samples, n)
+    draw, one stacked rank and one stacked condition number over the
+    full-rank draws with finite columns; ties go to the earliest draw."""
+    V = np.stack([value_array(M) for M in mats])
+    n = V.shape[-1]
+    xis = rng.uniform(-1.0, 1.0, (samples, n))
+    # cols[k] = [V_1 xi_k | .. | V_n xi_k], each product rounded as V_j @ xi_k
+    cols = np.matmul(V[None], xis[:, None, :, None])[..., 0].swapaxes(1, 2)
+    ok = np.flatnonzero((mat_rank(cols, tol=tol) == n)
+                        & np.isfinite(cols).all(axis=(1, 2)))
+    if not len(ok):
+        return None
+    conds = np.linalg.cond(cols[ok])
+    best = int(np.argmin(conds))
+    return xis[ok[best]] if conds[best] < np.inf else None
 
 
 def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
@@ -140,24 +144,23 @@ def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
     Solved through the generic vector xi and validated against the full
     matrix identity; returns (a, scaled closure residual).  The residual is
     scaled by 1 + max entry magnitude so the default tolerance is usable on
-    fields of any size.
+    fields of any size.  One elimination serves all n^2 products: column
+    i*n + j of the right-hand side is K_i K_j xi.
     """
     n = len(mats)
     mats = [np.asarray(M) for M in mats]
-    generic = any(M.dtype == object for M in mats)
     cols = _columns(mats, xi)
     scale = 1.0 + max(max_abs(M) for M in mats)
-    a = np.empty((n, n, n), dtype=object if generic else float)
+    prods = [mats[i] @ mats[j] for i in range(n) for j in range(n)]
+    coeffs = mat_solve(cols, np.stack([prod @ np.asarray(xi)
+                                       for prod in prods], axis=-1))
+    a = coeffs.T.reshape(n, n, n).copy()
     resid = []
-    for i in range(n):
-        for j in range(n):
-            prod = mats[i] @ mats[j]
-            coeffs = mat_solve(cols, prod @ np.asarray(xi))
-            a[i, j, :] = coeffs
-            recon = prod.copy()
-            for s in range(n):
-                recon = recon - coeffs[s] * mats[s]
-            resid.append(max_abs(recon))
+    for k, prod in enumerate(prods):
+        recon = prod.copy()
+        for s in range(n):
+            recon = recon - coeffs[s, k] * mats[s]
+        resid.append(max_abs(recon))
     return a, float(np.max(resid) / scale)
 
 
@@ -336,21 +339,22 @@ class OperatorBasis:
         """Pairwise algebraic commutativity and linear independence at the
         sampled points."""
         report = VerificationReport(title=f"basis validation {self.name}".strip())
+        n = self.dimension
         comm = []
-        min_rank = self.dimension
-        for u in points:
+        stacks = np.empty((len(points), n, n * n))
+        for k, u in enumerate(points):
             values = self.eval(u)
             comm.append(commutativity_residual(values))
-            stack = np.stack([V.ravel() for V in values])
-            min_rank = min(min_rank, mat_rank(stack, tol=tol))
+            stacks[k] = [V.ravel() for V in values]
+        min_rank = int(np.min(mat_rank(stacks, tol=tol), initial=n))
         report.add(reduce_check("pairwise_commutativity", comm, points, tol))
         report.add(CheckResult(
             name="linear_independence",
-            passed=len(points) > 0 and min_rank == self.dimension,
-            residual=float(self.dimension - min_rank),
+            passed=len(points) > 0 and min_rank == n,
+            residual=float(n - min_rank),
             tolerance=0.0,
             samples=len(points),
-            detail=f"min rank {min_rank} of {self.dimension}" if len(points)
+            detail=f"min rank {min_rank} of {n}" if len(points)
             else "no point evaluated",
         ))
         return report

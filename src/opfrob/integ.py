@@ -175,15 +175,17 @@ def _momentum_nondegeneracy(coeff_grids_at, points, n, seed, draws=50,
     worst_pt = None
     rng = np.random.default_rng(seed)
     for u in points:
-        grids = coeff_grids_at(u)
-        best = 0.0
-        for _ in range(draws):
-            p = rng.uniform(-1.0, 1.0, n)
-            D = np.stack([2.0 * A @ p for A in grids])
-            bound = float(np.prod(np.linalg.norm(D, axis=1)))
-            if bound == 0.0:
-                continue
-            best = max(best, abs(float(np.linalg.det(D))) / bound)
+        G = np.stack([2.0 * A for A in coeff_grids_at(u)])
+        P = rng.uniform(-1.0, 1.0, (draws, n))
+        # D[d] stacks the rows 2 A_s p_d, each rounded as (2 A_s) @ p_d
+        D = np.matmul(G[None], P[:, None, :, None])[..., 0]
+        bound = np.prod(np.linalg.norm(D, axis=2), axis=1)
+        det = np.linalg.det(D)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(det) / bound
+        # draws with a zero bound are skipped and NaN ratios ignored
+        ratio = ratio[(bound != 0.0) & ~np.isnan(ratio)]
+        best = float(np.max(ratio, initial=0.0))
         if best < worst:
             worst, worst_pt = best, list(map(float, u))
     return CheckResult(
@@ -348,11 +350,11 @@ def generate_system(
         [conservation_law_residuals(f, alpha, points, tol)
          for f in basis.fields], points, tol))
 
-    min_rank = n
-    for u in points:
+    pullbacks = np.empty((len(points), n, n))
+    for k, u in enumerate(points):
         aval = alpha.eval(u)
-        rows = np.vstack([aval @ M for M in basis.eval(u)])
-        min_rank = min(min_rank, mat_rank(rows, tol=tol))
+        pullbacks[k] = [aval @ M for M in basis.eval(u)]
+    min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
         passed=len(points) > 0 and min_rank == n,

@@ -4,10 +4,15 @@ Matrices are small (n <= ~16) numpy arrays, either float64 or object dtype
 whose entries are any scalar supporting the arithmetic dunders (first-order
 jets, truncated power series).  Elimination is hand-rolled with partial
 pivoting so that one code path serves every scalar type; numpy's own
-factorizations only ever see plain floats.
+factorizations only ever see plain floats.  ``mat_solve`` eliminates once
+for all the right-hand columns it is given, and ``mat_rank`` also takes a
+float stack (..., r, c), reducing every matrix in it at once with the
+arithmetic of a lone call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -266,28 +271,45 @@ def mat_inv(A, tol: float = 1e-12):
     return mat_solve(A, eye, tol=tol)
 
 
-def mat_rank(A, tol: float = 1e-9) -> int:
+def mat_rank(A, tol: float = 1e-9):
     """Numerical rank by row reduction with pivot threshold relative to the
-    largest entry magnitude."""
-    A = np.asarray(A, dtype=float).copy()
-    r, c = A.shape
-    scale = max_abs(A)
-    if scale == 0.0:
-        return 0
+    largest entry magnitude.
+
+    ``A`` is one (r, c) matrix, giving an int, or a stack (..., r, c),
+    giving an int array of shape (...).  Every matrix of a stack runs the
+    elimination of a lone call: the first largest remaining entry of the
+    column is the pivot (a NaN counts as largest), a pivot at or below the
+    threshold skips the column, and only the rows below the pivot row are
+    updated, so each rank equals that of a 2-D call bit for bit.
+    """
+    A = np.array(A, dtype=float)
+    batch, (r, c) = A.shape[:-2], A.shape[-2:]
+    A = A.reshape((math.prod(batch), r, c))
+    rank = np.zeros(len(A), dtype=int)     # also each matrix's pivot row
+    scale = np.max(np.abs(A), axis=(1, 2), initial=0.0)
     threshold = tol * scale
-    rank = 0
-    row = 0
-    for col in range(c):
-        if row >= r:
-            break
-        piv = row + int(np.argmax(np.abs(A[row:, col])))
-        if abs(A[piv, col]) <= threshold:
-            continue
-        A[[row, piv]] = A[[piv, row]]
-        A[row + 1 :] -= np.outer(A[row + 1 :, col] / A[row, col], A[row])
-        rank += 1
-        row += 1
-    return rank
+    live = scale != 0.0
+    lanes, rows = np.arange(len(A)), np.arange(r)
+    # rows above the pivot and skipping lanes are computed and discarded,
+    # so their overflow or 0/0 must not warn
+    with np.errstate(all="ignore"):
+        for col in range(c):
+            live &= rank < r
+            if not live.any():
+                break
+            row = np.minimum(rank, r - 1)
+            mag = np.where(rows >= row[:, None], np.abs(A[:, :, col]), -1.0)
+            piv = np.argmax(mag, axis=1)
+            step = live & ~(mag[lanes, piv] <= threshold)
+            piv = np.where(step, piv, row)   # a skipping lane swaps nothing
+            top, low = A[lanes, piv], A[lanes, row]
+            A[lanes, piv], A[lanes, row] = low, top
+            below = step[:, None] & (rows > row[:, None])
+            f = A[:, :, col] / np.where(step, top[:, col], 1.0)[:, None]
+            A = np.where(below[:, :, None],
+                         A - f[:, :, None] * top[:, None, :], A)
+            rank += step
+    return int(rank[0]) if not batch else rank.reshape(batch)
 
 
 def sqrt_near_identity(S, tol: float = 1e-10, max_steps: int = 60) -> np.ndarray:

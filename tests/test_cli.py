@@ -80,6 +80,75 @@ class TestExitCodes:
                        f"got {hj_points}\n")
 
 
+def _run_doc(doc, command, tmp_path, capsys):
+    """(exit code, stdout, stderr) of ``command`` on a system document."""
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(doc))
+    return run_cli([command, str(f)], capsys)
+
+
+DIAG2 = {"schema": 1, "dimension": 2,
+         "fields": {"I": [["1", "0"], ["0", "1"]],
+                    "D": [["u1", "0"], ["0", "u2"]]},
+         "basis": ["I", "D"]}
+
+
+class TestInputChecks:
+    """Malformed system files exit 2 with one line on stderr."""
+
+    @staticmethod
+    def assert_input_error(result, message):
+        code, out, err = result
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_non_finite_constant_entry(self, tmp_path, capsys):
+        doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]],
+                                  "K": [["1e400*0", "0"], ["0", "2"]]},
+                   basis=["I", "K"])
+        self.assert_input_error(
+            _run_doc(doc, "verify-algebra", tmp_path, capsys),
+            "field 'K': entry inf*0 is nan, not a finite number")
+
+    @pytest.mark.parametrize("key,value", [("covector", [float("nan"), 1.0]),
+                                           ("xi", [1.0, float("inf")])])
+    def test_non_finite_vector(self, key, value, tmp_path, capsys):
+        self.assert_input_error(
+            _run_doc(dict(DIAG2, **{key: value}), "verify-algebra",
+                       tmp_path, capsys),
+            f"{key} components must be finite")
+
+    @pytest.mark.parametrize("basis", ["I", [1, 2], {"I": 1}])
+    def test_basis_not_a_list_of_names(self, basis, tmp_path, capsys):
+        self.assert_input_error(
+            _run_doc(dict(DIAG2, basis=basis), "verify-algebra", tmp_path,
+                       capsys),
+            "basis must be a list of field names")
+
+    @pytest.mark.parametrize("order", ["x", 0, 2.5, True])
+    def test_flow_order_not_a_positive_integer(self, order, tmp_path, capsys):
+        doc = dict(DIAG2, initial_curve=[[0.5, 1.0], [0.7, 0.3]],
+                   flow_order=order)
+        self.assert_input_error(_run_doc(doc, "flow", tmp_path, capsys),
+                                "flow_order must be an integer of at least 1")
+
+    def test_flow_basis_names_are_checked(self, tmp_path, capsys):
+        doc = dict(DIAG2, basis=["I", "M9"],
+                   initial_curve=[[0.5, 1.0], [0.7, 0.3]])
+        self.assert_input_error(_run_doc(doc, "flow", tmp_path, capsys),
+                                "basis names not defined: ['M9']")
+
+    def test_nan_at_a_sampled_point_is_no_traceback(self, tmp_path, capsys):
+        # finite constants, NaN values: the xi search rejects every draw
+        doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]],
+                                  "D": [["u1*1e400*0", "0"], ["0", "u2"]]})
+        code, out, err = _run_doc(doc, "verify-algebra", tmp_path, capsys)
+        assert (code, out) == (1, "")
+        assert err == "verification error: no generic vector found in " \
+                      "32 draws\n"
+
+
 class TestEmittedFixtures:
     @pytest.mark.parametrize("name", builtin_names())
     def test_emit_and_reload(self, name, tmp_path, capsys):

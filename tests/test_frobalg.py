@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opfrob.errors import SingularMatrixError
+from opfrob.errors import GenericityError, SingularMatrixError
 from opfrob.fields import OperatorField
 from opfrob.fixtures import (
     centraliser_jordan_matrices,
@@ -16,16 +16,23 @@ from opfrob.frobalg import (
     check_generic_covector,
     check_generic_vector,
     dual_basis,
+    find_well_conditioned_vector,
     is_generic_covector,
     is_generic_vector,
     point_data,
     structure_constants,
     structure_constants_at,
+    well_conditioned_xi,
 )
+from opfrob.numkit import mat_solve, split_jet_matrix
 from opfrob.sampling import SampleConfig, sample_points
 
 from helpers import admissible_covector, guarded_config, random_power_basis
-from oracles import lstsq_structure_constants
+from oracles import (
+    loop_well_conditioned_vector,
+    lstsq_structure_constants,
+    pairwise_structure_constants,
+)
 
 ORIGIN4 = np.zeros(4)
 
@@ -238,3 +245,79 @@ class TestAlgebraReport:
                      "identity_in_span"):
             assert not by_name[name].passed, name
             assert by_name[name].samples == 0, name
+
+
+class TestBatchedSearchAndSolve:
+    """The stacked ξ search and the one-elimination structure constants
+    reproduce the one-draw and one-product loops bit for bit."""
+
+    @staticmethod
+    def _families(seed):
+        rng = np.random.default_rng(seed)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        for k in range(80):
+            n = int(rng.integers(1, 6))
+            mats = list(rng.standard_normal((n, n, n)))
+            if k % 4 == 1 and n > 1:
+                mats[1] = 2.0 * mats[0]          # no draw has full rank
+            elif k % 4 == 2:
+                mats = list(np.round(mats))
+            elif k % 4 == 3:
+                # a I + b J acts as a complex number, so every draw has the
+                # same condition number up to rounding: the choice among
+                # the draws rests on the last bits of the columns
+                a, b, c, d = rng.uniform(-1.0, 1.0, 4)
+                mats = [a * np.eye(2) + b * J, c * np.eye(2) + d * J]
+            yield mats, int(rng.integers(0, 2 ** 16))
+
+    @pytest.mark.parametrize("samples", [0, 1, 32])
+    def test_xi_search_matches_the_draw_loop(self, samples):
+        for mats, seed in self._families(samples):
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = find_well_conditioned_vector(mats, samples, got_rng)
+            want = loop_well_conditioned_vector(mats, samples, want_rng)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got_rng.random() == want_rng.random()
+
+    def test_xi_search_takes_the_first_of_tied_draws(self):
+        # in dimension 1 every draw has condition number exactly 1
+        rng = np.random.default_rng(3)
+        first = np.random.default_rng(3).uniform(-1.0, 1.0, 1)
+        assert find_well_conditioned_vector([np.array([[2.0]])], 32,
+                                            rng).tolist() == first.tolist()
+        assert find_well_conditioned_vector([np.zeros((1, 1))], 32,
+                                            rng) is None
+
+    def test_nan_values_give_genericity_error(self):
+        mats = [np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])]
+        with pytest.raises(GenericityError):
+            well_conditioned_xi(mats, seed=0)
+
+    def test_structure_constants_match_per_pair_solves_over_floats(self):
+        for mats, seed in self._families(11):
+            xi = np.random.default_rng(seed).uniform(-1.0, 1.0, len(mats))
+            try:
+                want = pairwise_structure_constants(mats, xi, mat_solve)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    structure_constants_at(mats, xi)
+                continue
+            got, _ = structure_constants_at(mats, xi)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,n,seed", [("diag", 3, 0), ("jordan", 3, 1),
+                                             ("jordan", 4, 2)])
+    def test_structure_constants_match_per_pair_solves_over_jets(self, kind,
+                                                                 n, seed):
+        basis, rng = random_power_basis(kind, n, seed)
+        jets = basis.eval_jet(rng.uniform(0.3, 1.0, n))
+        xi = well_conditioned_xi(jets, seed)
+        got, _ = structure_constants_at(jets, xi)
+        want = pairwise_structure_constants(jets, xi, mat_solve)
+        for g, w in zip(split_jet_matrix(got, n), split_jet_matrix(want, n)):
+            assert g.tobytes() == w.tobytes()

@@ -17,6 +17,7 @@ from opfrob.fixtures import (
 from opfrob.frobalg import OperatorBasis
 from opfrob.integ import (
     QuadraticHamiltonian,
+    _momentum_nondegeneracy,
     generate_system,
     hj_differential,
     inverse_verify,
@@ -26,7 +27,7 @@ from opfrob.integ import (
 )
 from opfrob.sampling import SampleConfig, sample_points
 
-from oracles import fd_poisson_bracket
+from oracles import fd_poisson_bracket, loop_momentum_nondegeneracy
 
 CFG = SampleConfig(seed=6, count=10)
 GUARDED = SampleConfig(seed=6, count=10, guards=demo4_rational_guards())
@@ -243,6 +244,33 @@ class TestKillingTensors:
             assert not c.passed and c.samples == 0, name
             assert c.detail == "no point evaluated", name
         assert not any(c.passed for c in checks)
+
+
+class TestMomentumNondegeneracy:
+    """One stacked draw per point reproduces the one-momentum loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_the_draw_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        points = [tuple(rng.uniform(-1.0, 1.0, n)) for _ in range(4)]
+        grids = {}
+        for k, u in enumerate(points):
+            g = rng.standard_normal((n, n, n))
+            g = g + g.transpose(0, 2, 1)
+            if seed % 3 == 1:
+                g[0] = 0.0            # every bound is 0: the draws are skipped
+            elif seed % 3 == 2 and k == 1:
+                g[1] = np.nan         # NaN ratios are ignored
+            grids[u] = list(g)
+        got = _momentum_nondegeneracy(grids.get, points, n, seed)
+        worst, worst_pt = loop_momentum_nondegeneracy(grids.get, points, n,
+                                                      seed)
+        assert np.float64(got.residual).tobytes() == np.float64(
+            worst).tobytes()
+        assert got.worst_point == worst_pt
+        assert got.passed == (worst > 1e-9)
 
 
 class TestHamiltonJacobi:

@@ -14,7 +14,7 @@ from opfrob.numkit import (
     sqrt_near_identity,
 )
 
-from oracles import fd_matrix_derivatives
+from oracles import fd_matrix_derivatives, loop_mat_rank
 
 
 class TestSolve:
@@ -83,6 +83,54 @@ class TestRank:
         A = np.diag([1.0, 1e-12])
         assert mat_rank(A, tol=1e-9) == 1
         assert mat_rank(A, tol=1e-14) == 2
+
+
+def _rank_stacks(seed):
+    """Random (B, r, c) stacks: generic, rank-deficient, containing zero
+    matrices, NaN or inf entries, tied magnitudes, wide and tall."""
+    rng = np.random.default_rng(seed)
+    for k in range(240):
+        r, c = (int(x) for x in rng.integers(1, 7, 2))
+        B = int(rng.integers(1, 6))
+        A = rng.standard_normal((B, r, c))
+        kind = k % 6
+        if kind == 1:
+            m = int(rng.integers(0, min(r, c) + 1))
+            A = rng.standard_normal((B, r, m)) @ rng.standard_normal((B, m, c))
+        elif kind == 2:
+            A[rng.integers(0, B)] = 0.0
+        elif kind == 3:
+            A.flat[rng.integers(0, A.size, 2)] = np.nan
+        elif kind == 4:
+            A.flat[rng.integers(0, A.size, 2)] = rng.choice([np.inf, -np.inf])
+        elif kind == 5:
+            A = np.round(A)
+        yield A, (1e-9, 1e-14, 0.3)[k % 3]
+
+
+class TestStackedRank:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_equals_one_matrix_at_a_time(self, seed):
+        for A, tol in _rank_stacks(seed):
+            want = [loop_mat_rank(M, tol=tol) for M in A]
+            assert mat_rank(A, tol=tol).tolist() == want
+            assert [mat_rank(M, tol=tol) for M in A] == want
+
+    def test_pivot_at_the_threshold_skips_its_column(self):
+        A = np.array([[[1.0, 0.0], [0.0, 0.25]], [[1.0, 0.0], [0.0, 0.5]]])
+        assert mat_rank(A, tol=0.25).tolist() == [1, 2]
+
+    def test_nan_entry_never_skips_a_column(self):
+        # the threshold is NaN, and no pivot compares below a NaN
+        A = np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]])
+        assert mat_rank(A) == loop_mat_rank(A) == 2
+        assert mat_rank(np.stack([A, np.zeros((3, 2))])).tolist() == [2, 0]
+
+    def test_shapes(self):
+        assert type(mat_rank(np.eye(3))) is int
+        assert mat_rank(np.ones((2, 3, 4, 5))).tolist() == [[1] * 3] * 2
+        assert mat_rank(np.zeros((0, 3, 3))).shape == (0,)
+        assert mat_rank(np.zeros((0, 3))) == 0
 
 
 class TestSqrt:
