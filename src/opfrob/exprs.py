@@ -17,6 +17,8 @@ Grammar (``^`` binds tightest; a single integer exponent per atom)::
 
 Negative exponents are sugar for division: ``u1^-2`` parses to ``1/u1^2``.
 Integer literals are kept exact; decimal literals become binary64 floats.
+Parentheses nest, and parsed trees reach, at most MAX_DEPTH levels, so the
+recursive parser, evaluator and printer stay within the recursion limit.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ def var(index: int) -> Var:
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+MAX_DEPTH = 100
 
 
 class _Tokenizer:
@@ -226,13 +229,15 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.dimension = dimension
         self.table = table
+        self.nesting = 0
 
     def _node(self, cls, *fields) -> Expression:
         """The node ``cls(*fields)``, built once per intern table.
 
         Children are interned already, so they are keyed by identity.  A
         literal is keyed by its type and bits: Const(1) == Const(1.0), but
-        the int computes exactly and prints differently."""
+        the int computes exactly and prints differently.  The table also
+        holds each node's tree depth, keyed by the node's id."""
         if cls is Const:
             v = fields[0]
             key = (Const, type(v), v.hex() if type(v) is float else v)
@@ -241,7 +246,17 @@ class _Parser:
                           for f in fields])
         node = self.table.get(key)
         if node is None:
+            if cls is BinOp:
+                depth = 1 + max(self.table[id(fields[1])],
+                                self.table[id(fields[2])])
+            else:
+                depth = 1 + (self.table[id(fields[0])]
+                             if cls is Neg or cls is Pow else 0)
+            if depth > MAX_DEPTH:
+                raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} "
+                                      "levels", self.toks.peek()[2])
             node = self.table[key] = cls(*fields)
+            self.table[id(node)] = depth
         return node
 
     def parse(self) -> Expression:
@@ -266,9 +281,10 @@ class _Parser:
         return e
 
     def _factor(self) -> Expression:
-        if self.toks.peek()[0] == "-":
+        signs = 0   # leading minus signs are counted, not recursed into
+        while self.toks.peek()[0] == "-":
             self.toks.next()
-            return self._node(Neg, self._factor())
+            signs += 1
         e = self._atom()
         if self.toks.peek()[0] == "^":
             self.toks.next()
@@ -280,10 +296,12 @@ class _Parser:
             if kind != "num" or not isinstance(value, int):
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
             k = sign * value
-            if k < 0:
-                return self._node(BinOp, "/", self._node(Const, 1),
-                                  self._node(Pow, e, -k))
-            return self._node(Pow, e, k)
+            e = self._node(BinOp, "/", self._node(Const, 1),
+                           self._node(Pow, e, -k)) if k < 0 \
+                else self._node(Pow, e, k)
+        while signs:
+            e = self._node(Neg, e)
+            signs -= 1
         return e
 
     def _atom(self) -> Expression:
@@ -299,7 +317,12 @@ class _Parser:
                 )
             return self._node(Var, value)
         if kind == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise ExprSyntaxError(f"more than {MAX_DEPTH} nested "
+                                      "parentheses", pos)
             e = self._expr()
+            self.nesting -= 1
             kind2, _, pos2 = self.toks.next()
             if kind2 != ")":
                 raise ExprSyntaxError("expected ')'", pos2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exprs import Const, Expression, eval_expr, parse_grid
-from .numkit import Jet, jet_point, split_jet_matrix, split_jet_vector
+from .numkit import Jet, jet_point
 
 __all__ = ["OperatorField", "OneFormField", "expression_matmul"]
 
@@ -116,7 +116,6 @@ class OperatorField:
                 raise ValueError(f"entry {self.entries[i][j]} is "
                                  f"{value[i, j]}, not a finite number")
             self._constant_value = value
-        self._jet_cache = {}
 
     @classmethod
     def parse(cls, grid, dimension: int) -> "OperatorField":
@@ -157,23 +156,10 @@ class OperatorField:
                            points)
 
     def jet_arrays(self, u):
-        """Values (n,n) and partials (n,n,n) with der[i,j,s] = d(entry ij)/du^s.
-
-        Cached per point; callers treat the returned arrays as read-only.
-        """
-        key = tuple(float(x) for x in u)
-        hit = self._jet_cache.get(key)
-        if hit is not None:
-            return hit
-        if self._constant_value is not None:
-            n = self.dimension
-            out = (self._constant_value, np.zeros((n, n, n)))
-        else:
-            out = split_jet_matrix(self.eval_jet(u), self.dimension)
-        if len(self._jet_cache) > 1024:
-            self._jet_cache.clear()
-        self._jet_cache[key] = out
-        return out
+        """Values (n,n) and partials (n,n,n) with der[i,j,s] = d(entry ij)/du^s
+        at one point."""
+        (val,), (der,) = self.batch_jet_arrays([u])
+        return val, der
 
     # --- expression-level algebra (used to assemble symmetry candidates) ----
 
@@ -234,8 +220,8 @@ class OneFormField:
 
     def jet_arrays(self, u):
         """Values (n,) and partials (n,n) with der[i,j] = d(alpha_i)/du^j."""
-        jets = self.eval_generic(jet_point(u))
-        return split_jet_vector(jets, self.dimension)
+        (val,), (der,) = self.batch_jet_arrays([u])
+        return val, der
 
     def batch_jet_arrays(self, points):
         """Vectorized jets over a (B, n) batch: values (B, n), partials

@@ -14,8 +14,14 @@ bilinear form b_{ij} = a_{ij}^k a_k; when b is invertible the dual basis is
 M^j = b^{ji} K_i and the coordinates of Id in the basis are the identity
 coordinates.
 
-Every routine is generic over the scalar type, so running it on jet-valued
-matrices yields the dual basis together with its exact first derivatives.
+The pointwise routines are generic over the scalar type (floats, truncated
+series).  Exact first derivatives come from the tangent pipeline instead:
+``tangent_structure_constants`` and ``tangent_dual`` carry every quantity as
+a pair (value[B, ...], tangent[B, ..., n]) over a whole (B, n) sample
+batch, with batched LAPACK solves and the forward-mode matrix rules
+d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R
+(Giles, "An extended collection of matrix derivative results for forward
+and reverse mode AD", 2008).
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ __all__ = [
     "well_conditioned_xi",
     "frobenius_dual",
     "point_data",
+    "checked_inv",
+    "batch_well_conditioned_xi",
+    "tangent_structure_constants",
+    "tangent_dual",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -75,23 +85,60 @@ def is_generic_covector(mats, a, tol: float = DEFAULT_TOL) -> bool:
     return mat_rank(rows, tol=tol) == len(mats)
 
 
+def _first_hit(mats, samples, rng, tol, products):
+    """The first of ``samples`` draws v whose ``products(V, draws)`` (K_j v
+    or v K_j, stacked by j) have full rank, or None.  The first draw, which
+    nearly always hits, is judged alone, the rest by one stacked rank; the
+    generator ends where a one-draw-at-a-time loop would leave it."""
+    V = np.stack([value_array(M) for M in mats])
+    n = V.shape[-1]
+    for size in (min(samples, 1), max(samples - 1, 0)):
+        state = rng.bit_generator.state
+        draws = rng.uniform(-1.0, 1.0, (size, n))
+        hits = np.flatnonzero(mat_rank(products(V, draws), tol=tol)
+                              == len(mats))
+        if len(hits):
+            if hits[0] + 1 < size:
+                rng.bit_generator.state = state
+                rng.uniform(-1.0, 1.0, (hits[0] + 1, n))
+            return draws[hits[0]]
+    return None
+
+
+def _draw_columns(V, xis):
+    """cols[..., k, :, j] = V_j @ xi_k for bases V (..., n, n, n), draws
+    xis (S, n)."""
+    return np.matmul(V[..., None, :, :, :],
+                     xis[:, None, :, None])[..., 0].swapaxes(-1, -2)
+
+
+def _draw_rows(V, covs):
+    """rows[k, j, :] = a_k @ V_j for draws covs (S, n)."""
+    return np.matmul(covs[:, None, None, :], V[None])[..., 0, :]
+
+
 def find_generic_vector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
     """Rejection-sample xi in [-1,1]^n; None after exhausting the draws."""
-    n = value_array(mats[0]).shape[0]
-    for _ in range(samples):
-        xi = rng.uniform(-1.0, 1.0, n)
-        if is_generic_vector(mats, xi, tol):
-            return xi
-    return None
+    return _first_hit(mats, samples, rng, tol, _draw_columns)
 
 
 def find_generic_covector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
-    n = value_array(mats[0]).shape[0]
-    for _ in range(samples):
-        a = rng.uniform(-1.0, 1.0, n)
-        if is_generic_covector(mats, a, tol):
-            return a
-    return None
+    return _first_hit(mats, samples, rng, tol, _draw_rows)
+
+
+def _best_draw(V, xis, tol):
+    """Per basis of V (..., n, n, n), the index of the full-rank, finite and
+    best-conditioned draw in xis (the earliest on ties), or -1."""
+    if not len(xis):
+        return np.full(V.shape[:-3], -1)
+    cols = _draw_columns(V, xis)
+    ok = (mat_rank(cols, tol=tol) == V.shape[-1]) \
+        & np.isfinite(cols).all(axis=(-2, -1))
+    conds = np.full(ok.shape, np.inf)
+    conds[ok] = np.linalg.cond(cols[ok])
+    best = np.argmin(conds, axis=-1)
+    found = np.take_along_axis(conds, best[..., None], -1)[..., 0] < np.inf
+    return np.where(found, best, -1)
 
 
 def find_well_conditioned_vector(mats, samples: int, rng,
@@ -105,17 +152,9 @@ def find_well_conditioned_vector(mats, samples: int, rng,
     draw, one stacked rank and one stacked condition number over the
     full-rank draws with finite columns; ties go to the earliest draw."""
     V = np.stack([value_array(M) for M in mats])
-    n = V.shape[-1]
-    xis = rng.uniform(-1.0, 1.0, (samples, n))
-    # cols[k] = [V_1 xi_k | .. | V_n xi_k], each product rounded as V_j @ xi_k
-    cols = np.matmul(V[None], xis[:, None, :, None])[..., 0].swapaxes(1, 2)
-    ok = np.flatnonzero((mat_rank(cols, tol=tol) == n)
-                        & np.isfinite(cols).all(axis=(1, 2)))
-    if not len(ok):
-        return None
-    conds = np.linalg.cond(cols[ok])
-    best = int(np.argmin(conds))
-    return xis[ok[best]] if conds[best] < np.inf else None
+    xis = rng.uniform(-1.0, 1.0, (samples, V.shape[-1]))
+    k = int(_best_draw(V, xis, tol))
+    return xis[k] if k >= 0 else None
 
 
 def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
@@ -290,6 +329,91 @@ def point_data(
 
 
 # ---------------------------------------------------------------------------
+# tangent pipeline: (value[B, ...], tangent[B, ..., n]) over a sample batch
+# ---------------------------------------------------------------------------
+
+
+def checked_inv(A, points, what: str, tol: float = 1e-12) -> np.ndarray:
+    """Inverses of the (B, m, m) stack A, A[b] taken at points[b].  Raises
+    SingularMatrixError at the first point whose matrix is not finite or has
+    its smallest singular value at or below ``tol`` times its largest entry
+    magnitude (``mat_solve``'s relative pivot threshold)."""
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    smin = np.linalg.svd(np.where(finite[:, None, None], A, 0.0),
+                         compute_uv=False)[:, -1]
+    limit = tol * np.maximum(np.max(np.abs(A), axis=(-2, -1), initial=0.0),
+                             1e-300)
+    bad = np.flatnonzero(~(finite & (smin > limit)))
+    if len(bad):
+        b = bad[0]
+        raise SingularMatrixError(
+            f"{what} at {[float(x) for x in points[b]]}: " + (
+                f"smallest singular value {smin[b]:.3e} not above "
+                f"{limit[b]:.3e}" if finite[b] else "entries not finite"))
+    return np.linalg.inv(A)
+
+
+def batch_well_conditioned_xi(V, points, seed: int = 0,
+                              tol: float = DEFAULT_TOL,
+                              samples: int = DEFAULT_GENERIC_SAMPLES):
+    """``well_conditioned_xi(V[b], seed)`` for each basis of the (B, n, n, n)
+    stack, bit for bit: every point re-seeds, so all judge one draw, and
+    equal bases are judged once.  Raises GenericityError at the first point
+    without a generic draw."""
+    xis = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                              (samples, V.shape[-1]))
+    distinct, which = np.unique(V.reshape(-1, np.prod(V.shape[1:])),
+                                axis=0, return_inverse=True)
+    k = _best_draw(distinct.reshape((-1,) + V.shape[1:]), xis, tol)[which]
+    bad = np.flatnonzero(k < 0)
+    if len(bad):
+        raise GenericityError(
+            f"no generic vector found in {samples} draws at "
+            f"{[float(x) for x in points[bad[0]]]}")
+    return xis[k]
+
+
+def tangent_structure_constants(V, dV, points, seed: int = 0,
+                                tol: float = DEFAULT_TOL):
+    """Structure constants a[b,i,j,s] (K_i K_j = a_{ij}^s K_s) at points[b]
+    and their tangents da[b,i,j,s,m] = d a_{ij}^s / du^m, from the basis
+    values V[b, i] = K_i and partials dV[b, i, :, :, m].  With the seeded xi
+    of each point, C = [K_1 xi | .. | K_n xi] X = R = [K_i K_j xi] and
+    dX = C^{-1}(dR - dC X); xi is contracted first, dR = dK_i (K_j xi) +
+    K_i (dK_j xi), so no (B, n, n, n, n, n) product tangent is built."""
+    B, n = V.shape[:2]
+    xi = batch_well_conditioned_xi(V, points, seed, tol)
+    C = np.einsum("birc,bc->bri", V, xi)               # C[b, r, i] = (K_i xi)_r
+    dC = np.einsum("bircm,bc->brim", dV, xi)
+    R = np.einsum("birc,bcj->brij", V, C)
+    dR = np.einsum("bircm,bcj->brijm", dV, C) \
+        + np.einsum("birc,bcjm->brijm", V, dC)
+    Cinv = checked_inv(C, points, "the column matrix [K_1 xi | .. | K_n xi] "
+                       "is singular")
+    X = Cinv @ R.reshape(B, n, n * n)                  # X[b, s, i*n + j]
+    dX = Cinv @ (dR.reshape(B, n, n * n, n)
+                 - np.einsum("brsm,bsk->brkm", dC, X)).reshape(B, n, n ** 3)
+    return (X.reshape(B, n, n, n).transpose(0, 2, 3, 1),
+            dX.reshape(B, n, n, n, n).transpose(0, 2, 3, 1, 4))
+
+
+def tangent_dual(V, dV, covector, points, seed: int = 0,
+                 tol: float = DEFAULT_TOL):
+    """Dual basis M^j = b^{ji} K_i of b_{ij} = a_{ij}^s a_s and its tangent,
+    (M[b, j], dM[b, j, :, :, m]), by d(b^{-1}) = -b^{-1} db b^{-1}; raises
+    SingularMatrixError at the first point where the form is degenerate."""
+    a, da = tangent_structure_constants(V, dV, points, seed, tol)
+    covector = np.asarray(covector, dtype=float)
+    binv = checked_inv(a @ covector, points, f"Frobenius form is degenerate "
+                       f"for covector {covector.tolist()}")
+    dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,
+                       np.einsum("bijsm,s->bijm", da, covector), binv)
+    return (np.einsum("bji,birc->bjrc", binv, V),
+            np.einsum("bjim,birc->bjrcm", dbinv, V)
+            + np.einsum("bji,bircm->bjrcm", binv, dV))
+
+
+# ---------------------------------------------------------------------------
 # operator-basis level API
 # ---------------------------------------------------------------------------
 
@@ -334,6 +458,13 @@ class OperatorBasis:
 
     def eval_generic(self, point):
         return [f.eval_generic(point) for f in self.fields]
+
+    def batch_jet_arrays(self, points):
+        """Values (B, n, n, n) and partials (B, n, n, n, n) of the fields
+        over a (B, n) batch; [b, i] is field i at points[b]."""
+        jets = [f.batch_jet_arrays(points) for f in self.fields]
+        return (np.stack([v for v, _ in jets], axis=1),
+                np.stack([d for _, d in jets], axis=1))
 
     def validate(self, points, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Pairwise algebraic commutativity and linear independence at the

@@ -30,26 +30,20 @@ import numpy as np
 
 from .errors import OpfrobError, SingularMatrixError
 from .exprs import Const, Expression, Var, parse_expr, parse_grid
-from .fields import OneFormField, checked_grid, eval_grid, eval_grid_generic
+from .fields import OneFormField, _batch_jets, checked_grid, eval_grid
 from .frobalg import (
     OperatorBasis,
+    checked_inv,
     find_generic_covector,
     find_generic_vector,
-    frobenius_dual,
     point_data,
     structure_constants_at,
+    tangent_structure_constants,
     well_conditioned_xi,
 )
-from .numkit import (
-    jet_point,
-    mat_inv,
-    mat_rank,
-    max_abs,
-    split_jet_matrix,
-    sqrt_near_identity,
-)
+from .numkit import batch_max_abs, mat_inv, mat_rank, max_abs, sqrt_near_identity
 from .opfields import (
-    FamilyFieldView,
+    DualFamilyBase,
     bracket_from_jets,
     conservation_law_residuals,
 )
@@ -109,34 +103,42 @@ class QuadraticHamiltonian:
     def coeff(self, u) -> np.ndarray:
         return eval_grid(self.grid, u)
 
-    def coeff_generic(self, point) -> np.ndarray:
-        return eval_grid_generic(self.grid, point)
-
-    def coeff_jets(self, u):
-        """(A, dA) with dA[i,j,s] = d h^{ij} / du^s."""
-        return split_jet_matrix(self.coeff_generic(jet_point(u)),
-                                self.dimension)
+    def coeff_jets(self, points):
+        """(A, dA) over a (B, n) batch of points, with A[b] = h at points[b]
+        and dA[b, i, j, s] = d h^{ij} / du^s there."""
+        n = self.dimension
+        return _batch_jets([e for row in self.grid for e in row], (n, n),
+                           np.asarray(points, dtype=float).reshape(-1, n))
 
     def value(self, u, p) -> float:
         p = np.asarray(p, dtype=float)
         return float(p @ self.coeff(u) @ p)
 
 
-def poisson_bracket(F, G, u, p) -> float:
-    """Canonical bracket {F, G} = dF/dp_i dG/du^i - dF/du^i dG/dp_i for two
-    quadratic forms sharing one canonical chart.
+def _phase_jets(H, P, p):
+    """F, dF/dp and dF/du of the quadratic form H at the phase points
+    (P[b], p[b]) of two (B, n) batches; momentum derivatives are exact
+    (2 h^{ik} p_k), position derivatives come from the coefficient jets."""
+    A, dA = H.coeff_jets(P)
+    return (np.einsum("bi,bij,bj->b", p, A, p),
+            2.0 * np.einsum("bij,bj->bi", A, p),
+            np.einsum("bi,bijk,bj->bk", p, dA, p))
 
-    Momentum derivatives are exact (2 h^{ik} p_k); position derivatives come
-    from jet evaluation of the coefficient grids.
-    """
-    p = np.asarray(p, dtype=float)
-    AF, dAF = F.coeff_jets(u)
-    AG, dAG = G.coeff_jets(u)
-    Fp = 2.0 * AF @ p
-    Gp = 2.0 * AG @ p
-    Fu = np.einsum("i,ijk,j->k", p, dAF, p)
-    Gu = np.einsum("i,ijk,j->k", p, dAG, p)
-    return float(Fp @ Gu - Fu @ Gp)
+
+def _bracket_of(f, g):
+    """{F, G} = dF/dp_i dG/du^i - dF/du^i dG/dp_i from two _phase_jets."""
+    return np.einsum("bk,bk->b", f[1], g[2]) - np.einsum("bk,bk->b", f[2],
+                                                         g[1])
+
+
+def poisson_bracket(F, G, u, p):
+    """Canonical bracket {F, G} of two quadratic forms sharing one
+    canonical chart, at the phase point (u, p) as a float, or at every row
+    of two (B, n) batches u and p as a (B,) array."""
+    P, pv = (np.asarray(x, dtype=float).reshape(-1, F.dimension)
+             for x in (u, p))
+    out = _bracket_of(_phase_jets(F, P, pv), _phase_jets(G, P, pv))
+    return float(out[0]) if np.ndim(u) == 1 else out
 
 
 def verify_commuting_family(
@@ -149,20 +151,22 @@ def verify_commuting_family(
     """Max scale-normalized |{F_i, F_j}| over the phase sample; the residual
     is divided by 1 + |F_i||F_j| so rational Hamiltonians near their
     singular loci stay comparable."""
-    m = len(hams)
-    residuals, phase_points = [], []
-    for u, p in zip(u_points, p_points):
-        pv = np.asarray(p, dtype=float)
-        vals, grads = [], []   # F and (dF/dp, dF/du) of each Hamiltonian
-        for A, dA in (H.coeff_jets(u) for H in hams):
-            vals.append(float(pv @ A @ pv))
-            grads.append((2.0 * A @ pv, np.einsum("i,ijk,j->k", pv, dA, pv)))
-        residuals.append(np.max([
-            abs(float(grads[i][0] @ grads[j][1] - grads[i][1] @ grads[j][0]))
-            / (1.0 + abs(vals[i]) * abs(vals[j]))
-            for i in range(m) for j in range(i + 1, m)], initial=0.0))
-        phase_points.append(list(map(float, u)) + list(map(float, p)))
-    return reduce_check(name, residuals, phase_points, tol)
+    m, n = len(hams), hams[0].dimension
+    P = np.asarray(u_points, dtype=float).reshape(-1, n)
+    p = np.asarray(p_points, dtype=float).reshape(-1, n)
+    jets = [_phase_jets(H, P, p) for H in hams]
+    residuals = [np.abs(_bracket_of(jets[i], jets[j]))
+                 / (1.0 + np.abs(jets[i][0]) * np.abs(jets[j][0]))
+                 for i in range(m) for j in range(i + 1, m)]
+    return reduce_check(name, _worst_per_point(residuals, len(P)),
+                        np.hstack([P, p]), tol)
+
+
+def _worst_per_point(residuals, samples) -> np.ndarray:
+    """Per point, the largest of a list of (samples,) residual arrays, 0
+    for an empty list; a NaN wins."""
+    return np.max(np.reshape(residuals, (len(residuals), samples)), axis=0,
+                  initial=0.0)
 
 
 def _momentum_nondegeneracy(coeff_grids_at, points, n, seed, draws=50,
@@ -206,9 +210,9 @@ class _SystemForm:
         self.s = s
         self.dimension = system.dimension
 
-    def coeff_jets(self, u):
-        a_val, a_der = self.system.structure_jets_at(u)
-        return a_val[:, :, self.s], a_der[:, :, self.s, :]
+    def coeff_jets(self, points):
+        a_val, a_der = self.system.structure_jets_at(points)
+        return a_val[..., self.s], a_der[..., self.s, :]
 
     def coeff(self, u):
         return self.system.structure_at(u)[:, :, self.s]
@@ -232,7 +236,7 @@ class IntegrableSystem:
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
         self._structure_cache = {}
-        self._jets_cache = {}
+        self._batch = (None, None)   # (points' bytes, structure jets there)
         self.hamiltonians = None
         if self.is_constant:
             a = self.structure_at(np.zeros(self.dimension))
@@ -256,25 +260,19 @@ class IntegrableSystem:
         self._structure_cache[key] = a
         return a
 
-    def structure_jets_at(self, u):
-        """Structure constants and their chart-frame derivatives:
-        (a_val[i,j,s], a_chart[i,j,s,k]) with d/d(chart^k); cached per
-        point, read-only."""
-        key = tuple(float(x) for x in u)
-        hit = self._jets_cache.get(key)
-        if hit is not None:
-            return hit
-        jets = self.basis.eval_jet(u)
-        a_obj, _ = structure_constants_at(
-            jets, well_conditioned_xi(jets, self.seed, self.tol))
-        a_val, a_du = split_jet_matrix(a_obj, self.dimension)
-        J = self.chart_rows(u)
-        Jinv = np.linalg.inv(J)
-        a_chart = np.einsum("ijsm,mk->ijsk", a_du, Jinv)
-        if len(self._jets_cache) > 1024:
-            self._jets_cache.clear()
-        self._jets_cache[key] = (a_val, a_chart)
-        return a_val, a_chart
+    def structure_jets_at(self, points):
+        """Structure constants and their chart-frame derivatives over a
+        (B, n) batch: (a_val[b,i,j,s], a_chart[b,i,j,s,k]) with
+        d/d(chart^k); the last batch is kept, and is read-only."""
+        P = np.asarray(points, dtype=float)
+        if self._batch[0] != P.tobytes():
+            V, dV = self.basis.batch_jet_arrays(P)
+            a, da = tangent_structure_constants(V, dV, P, self.seed, self.tol)
+            # chart Jacobian J[b, i, m] = (M^{i*} alpha)_m at points[b]
+            J = np.einsum("br,birm->bim", self.alpha.batch_jet_arrays(P)[0], V)
+            self._batch = (P.tobytes(), (a, np.einsum("bijsm,bmk->bijsk", da,
+                                                      np.linalg.inv(J))))
+        return self._batch[1]
 
     def chart_rows(self, u) -> np.ndarray:
         """Chart Jacobian J[i, m] = (M^{i*} alpha)_m(u)."""
@@ -388,14 +386,11 @@ def generate_system(
         chart = [c if isinstance(c, Expression) else parse_expr(c, n)
                  for c in chart]
 
-    chart_form = OneFormField(chart)   # reuse component-wise jet evaluation
-    residuals = []
-    for u in points:
-        aval = alpha.eval(u)
-        rows = np.vstack([aval @ M for M in basis.eval(u)])
-        _, grads = chart_form.jet_arrays(u)
-        residuals.append(max_abs(grads - rows) / (1.0 + max_abs(rows)))
-    report.add(reduce_check("chart_validation", residuals, points, tol))
+    # the chart gradients must be the pullback rows
+    _, grads = OneFormField(chart).batch_jet_arrays(
+        np.asarray(points, dtype=float).reshape(-1, n))
+    report.add(reduce_check("chart_validation", batch_max_abs(
+        grads - pullbacks) / (1.0 + batch_max_abs(pullbacks)), points, tol))
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
@@ -478,11 +473,18 @@ def hj_differential(mats, alpha_value, c) -> np.ndarray:
     return R.T @ np.asarray(alpha_value, dtype=float)
 
 
-class ReconstructedFamily:
+def _killing_of(grids):
+    """K_s = h_s h_1^{-1} at one point, from the grids h_s there."""
+    h1_inv = mat_inv(grids[0])
+    return [np.asarray(g) @ h1_inv for g in grids]
+
+
+class ReconstructedFamily(DualFamilyBase):
     """Operators Mbar^i = bbar^{is} K_s rebuilt pointwise from quadratic
-    Hamiltonians and a covector; jet evaluation threads the entire pipeline
-    through jet arithmetic (h grids -> Killing tensors -> structure
-    constants -> form inverse) for exact first derivatives."""
+    Hamiltonians and a covector (bbar_{ij} = a_{ij}^s a_s in the K-basis).
+    ``jet_data`` carries values and exact first derivatives over a whole
+    batch through the tangent pipeline: h grids -> Killing tensors ->
+    structure constants -> form inverse."""
 
     def __init__(self, hams, covector, tol: float = DEFAULT_TOL, seed: int = 0):
         self.hams = list(hams)
@@ -490,34 +492,24 @@ class ReconstructedFamily:
         self.dimension = self.hams[0].dimension
         self.tol = tol
         self.seed = seed
+        self._batch = (None, None)   # (points' bytes, jet_data of them)
 
-    def _killing(self, grids):
-        h1_inv = mat_inv(grids[0])
-        return [np.asarray(g) @ h1_inv for g in grids]
-
-    def _mbar(self, Ks):
-        xi = well_conditioned_xi(Ks, self.seed, self.tol)
-        a, _ = structure_constants_at(Ks, xi)
-        # bbar_{ij} = a_{ij}^s a_s with the covector in the K-basis
-        return frobenius_dual(a, self.covector, Ks)[2]
+    def _killing(self, points):
+        """Killing tensors K[b, s] = h_s h_1^{-1} over a (B, n) batch and
+        their tangents dK_s = dh_s h_1^{-1} - K_s dh_1 h_1^{-1}."""
+        jets = [H.coeff_jets(points) for H in self.hams]
+        H = np.stack([v for v, _ in jets], axis=1)
+        dH = np.stack([d for _, d in jets], axis=1)
+        h1_inv = checked_inv(H[:, 0], points, "h_1 is singular")
+        K = H @ h1_inv[:, None]
+        return K, np.einsum("bsijm,bjk->bsikm", dH, h1_inv) - np.einsum(
+            "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv)
 
     def killing_values(self, u):
-        return self._killing([H.coeff(u) for H in self.hams])
+        return _killing_of([H.coeff(u) for H in self.hams])
 
-    def eval(self, u):
-        return self._mbar(self.killing_values(u))
-
-    def jet_data(self, u):
-        grids = [H.coeff_generic(jet_point(u)) for H in self.hams]
-        duals = self._mbar(self._killing(grids))
-        return [split_jet_matrix(M, self.dimension) for M in duals]
-
-    def field(self, i):
-        return FamilyFieldView(self, i)
-
-    @property
-    def fields(self):
-        return [self.field(i) for i in range(self.dimension)]
+    def jet_data(self, points):
+        return self._dual_jets(points, self._killing)
 
 
 def inverse_verify(
@@ -554,7 +546,7 @@ def inverse_verify(
     try:
         for u in points:
             grids = [H.coeff(u) for H in hams]
-            Ks = family._killing(grids)
+            Ks = _killing_of(grids)
             comm.append(_commutation_residual(Ks))
             ginv = np.linalg.inv(grids[0])
             adj.append(np.max([_asymmetry(ginv @ K) for K in Ks]))
@@ -593,17 +585,15 @@ def inverse_verify(
     if not report.passed:
         return report, None
 
-    torsion, strong = [], []
-    for u in points:
-        jets = family.jet_data(u)
-        scales = [1.0 + (max_abs(v) + max_abs(d)) for v, d in jets]
-        torsion.append(np.max([
-            max_abs(bracket_from_jets(v, d, v, d)) / s ** 2
-            for (v, d), s in zip(jets, scales)]))
-        strong.append(np.max([
-            max_abs(bracket_from_jets(*jets[i], *jets[j]))
-            / (scales[i] * scales[j])
-            for i in range(n) for j in range(i + 1, n)], initial=0.0))
+    jets = family.jet_data(points)
+    scales = [1.0 + (batch_max_abs(v) + batch_max_abs(d)) for v, d in jets]
+    torsion = np.max([
+        batch_max_abs(bracket_from_jets(v, d, v, d)) / s ** 2
+        for (v, d), s in zip(jets, scales)], axis=0)
+    strong = _worst_per_point([
+        batch_max_abs(bracket_from_jets(*jets[i], *jets[j]))
+        / (scales[i] * scales[j])
+        for i in range(n) for j in range(i + 1, n)], len(points))
     report.add(reduce_check("reconstructed_nijenhuis_torsion", torsion,
                             points, tol))
     report.add(reduce_check("reconstructed_strong_symmetries", strong,

@@ -1,13 +1,15 @@
-"""Generic-scalar dense linear algebra at desk scale.
+"""Dense linear algebra at desk scale, and first-order jets.
 
 Matrices are small (n <= ~16) numpy arrays, either float64 or object dtype
-whose entries are any scalar supporting the arithmetic dunders (first-order
-jets, truncated power series).  Elimination is hand-rolled with partial
-pivoting so that one code path serves every scalar type; numpy's own
-factorizations only ever see plain floats.  ``mat_solve`` eliminates once
-for all the right-hand columns it is given, and ``mat_rank`` also takes a
-float stack (..., r, c), reducing every matrix in it at once with the
-arithmetic of a lone call.
+whose entries are any scalar supporting the arithmetic dunders (truncated
+power series, jets).  ``mat_solve`` eliminates by hand with partial pivoting,
+once for all the right-hand columns it is given, so that the pointwise
+pipeline runs over floats and over such scalars alike; exact derivatives
+over a batch of points take the tangent pipeline of ``frobalg`` instead,
+on batched LAPACK.  ``mat_rank`` also takes a float stack (..., r, c),
+reducing every matrix in it at once with the arithmetic of a lone call.
+``Jet`` carries a value and its partials; with array values it evaluates
+expressions over a whole batch of points.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "mat_rank",
     "sqrt_near_identity",
     "max_abs",
+    "batch_max_abs",
 ]
 
 
@@ -200,6 +203,11 @@ def max_abs(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.max(np.abs(A)))
+
+
+def batch_max_abs(X) -> np.ndarray:
+    """max |X[b]| for every index b of the leading axis."""
+    return np.max(np.abs(X), axis=tuple(range(1, X.ndim)), initial=0.0)
 
 
 def _is_generic(*arrays) -> bool:

@@ -39,9 +39,10 @@ from .frobalg import (
     find_well_conditioned_vector,
     frobenius_dual,
     structure_constants_at,
+    tangent_dual,
     well_conditioned_xi,
 )
-from .numkit import max_abs, split_jet_matrix
+from .numkit import batch_max_abs, max_abs
 from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
@@ -59,10 +60,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-def _field_scale(val, der) -> float:
-    return max_abs(val) + max_abs(der)
 
 
 def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
@@ -84,11 +81,6 @@ def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
     return t1 - t2 - t3 + t4
 
 
-def _batch_maxabs(X):
-    B = X.shape[0]
-    return np.max(np.abs(X.reshape(B, -1)), axis=1)
-
-
 def _pair_jets(L, M, P, tol):
     """Batched values and partials of L and M at the (B, n) points P;
     raises NonCommutingError when the values fail to commute (the bracket
@@ -99,8 +91,8 @@ def _pair_jets(L, M, P, tol):
     Mval, Mder = M.batch_jet_arrays(P)
     comm = np.einsum("bij,bjk->bik", Lval, Mval) \
         - np.einsum("bij,bjk->bik", Mval, Lval)
-    comm_scale = 1.0 + _batch_maxabs(Lval) * _batch_maxabs(Mval)
-    comm_res = _batch_maxabs(comm) / comm_scale
+    comm_scale = 1.0 + batch_max_abs(Lval) * batch_max_abs(Mval)
+    comm_res = batch_max_abs(comm) / comm_scale
     b = int(np.argmax(comm_res))
     if comm_res[b] > tol:
         raise NonCommutingError(
@@ -127,9 +119,9 @@ def bracket_residuals(L, M, points, tol, symmetric_part_only):
     T = bracket_from_jets(Lval, Lder, Mval, Mder)
     if symmetric_part_only:
         T = T + T.swapaxes(-1, -2)
-    scale_L = _batch_maxabs(Lval) + _batch_maxabs(Lder)
-    scale_M = scale_L if L is M else _batch_maxabs(Mval) + _batch_maxabs(Mder)
-    return _batch_maxabs(T) / (1.0 + scale_L * scale_M)
+    scale_L = batch_max_abs(Lval) + batch_max_abs(Lder)
+    scale_M = scale_L if L is M else batch_max_abs(Mval) + batch_max_abs(Mder)
+    return batch_max_abs(T) / (1.0 + scale_L * scale_M)
 
 
 def is_symmetry(L, M, points, tol: float = DEFAULT_TOL,
@@ -154,29 +146,28 @@ def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
 
 
 def conservation_law_residuals(M, alpha: OneFormField, points,
-                               tol: float = DEFAULT_TOL) -> list:
-    """Scale-normalized curl of M^* alpha at each of the points.
+                               tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Scale-normalized curl of M^* alpha at each of the points, from one
+    vectorized pass.
 
     Raises OneFormNotClosedError when alpha itself fails to be closed: that
     is an input defect, distinct from a failed check.
     """
-    out = []
-    for u in points:
-        aval, ader = alpha.jet_arrays(u)   # ader[i, j] = d alpha_i / du^j
-        curl_alpha = float(np.max(np.abs(ader - ader.T)))
-        if curl_alpha > tol * (1.0 + float(np.max(np.abs(ader)))):
-            raise OneFormNotClosedError(
-                f"alpha is not closed at {list(map(float, u))} "
-                f"(curl residual {curl_alpha:.3e})"
-            )
-        Mval, Mder = M.jet_arrays(u)
-        # beta_j = alpha_i M^i_j ; d_k beta_j from the product rule
-        bder = np.einsum("ik,ij->jk", ader, Mval) + np.einsum(
-            "i,ijk->jk", aval, Mder
-        )
-        scale = 1.0 + (max_abs(aval) + max_abs(ader)) * _field_scale(Mval, Mder)
-        out.append(max_abs(bder - bder.T) / scale)
-    return out
+    P = np.asarray(points, dtype=float).reshape(-1, alpha.dimension)
+    aval, ader = alpha.batch_jet_arrays(P)   # ader[b, i, j] = d alpha_i/du^j
+    curl = batch_max_abs(ader - ader.swapaxes(1, 2))
+    bad = np.flatnonzero(curl > tol * (1.0 + batch_max_abs(ader)))
+    if len(bad):
+        raise OneFormNotClosedError(
+            f"alpha is not closed at {P[bad[0]].tolist()} "
+            f"(curl residual {curl[bad[0]]:.3e})")
+    Mval, Mder = M.batch_jet_arrays(P)
+    # beta_j = alpha_i M^i_j ; d_k beta_j from the product rule
+    bder = np.einsum("bik,bij->bjk", ader, Mval) \
+        + np.einsum("bi,bijk->bjk", aval, Mder)
+    scale = 1.0 + (batch_max_abs(aval) + batch_max_abs(ader)) \
+        * (batch_max_abs(Mval) + batch_max_abs(Mder))
+    return batch_max_abs(bder - bder.swapaxes(1, 2)) / scale
 
 
 def conservation_law_check(M, alpha: OneFormField, points,
@@ -195,7 +186,7 @@ def conservation_law_check(M, alpha: OneFormField, points,
 
 class FamilyFieldView:
     """Member ``index`` of a pointwise family (anything with ``dimension``,
-    ``eval`` and ``jet_data``) as an operator field."""
+    ``eval`` and a batched ``jet_data``) as an operator field."""
 
     def __init__(self, family, index):
         self.family = family
@@ -205,68 +196,32 @@ class FamilyFieldView:
     def eval(self, u):
         return self.family.eval(u)[self.index]
 
-    def jet_arrays(self, u):
-        return self.family.jet_data(u)[self.index]
-
     def batch_jet_arrays(self, points):
-        """The family's per-point jets stacked over the batch."""
-        jets = [self.jet_arrays(u) for u in points]
-        return np.stack([v for v, _ in jets]), np.stack([d for _, d in jets])
+        return self.family.jet_data(points)[self.index]
 
     def eval_generic(self, point):
         return self.family.eval_generic(point)[self.index]
 
 
-class DualFamily:
-    """Pointwise dual family M^1..M^n of an operator basis w.r.t. a fixed
-    covector.  Jet evaluation routes the whole pipeline through jet
-    arithmetic, so the dual fields come with exact first derivatives."""
+class DualFamilyBase:
+    """A family M^j = b^{ji} K_i dual to n operators K_i w.r.t. the fixed
+    ``covector``.  A subclass's ``jet_data`` hands the jets of its K_i over
+    a batch to ``_dual_jets``, which runs the tangent pipeline
+    (frobalg.tangent_dual) on them; values come from the same pipeline."""
 
-    def __init__(self, basis: OperatorBasis, covector, tol: float = DEFAULT_TOL,
-                 seed: int = 0, generic_samples: int = 32):
-        self.basis = basis
-        self.covector = np.asarray(covector, dtype=float)
-        self.dimension = basis.dimension
-        self.tol = tol
-        self.seed = seed
-        self.generic_samples = generic_samples
-        self._constant_cache = None
-        self._jet_cache = {}
-
-    def _duals(self, mats):
-        xi = well_conditioned_xi(mats, self.seed, self.tol,
-                                 self.generic_samples)
-        a, _ = structure_constants_at(mats, xi)
-        return frobenius_dual(a, self.covector, mats)[2]
+    def _dual_jets(self, points, basis_jets):
+        """List of (values (B, n, n), partials (B, n, n, n)) per dual field
+        over a (B, n) batch; the last batch is kept, and is read-only."""
+        P = np.asarray(points, dtype=float)
+        if self._batch[0] != P.tobytes():
+            M, dM = tangent_dual(*basis_jets(P), self.covector, P, self.seed,
+                                 self.tol)
+            self._batch = (P.tobytes(), [(M[:, j], dM[:, j])
+                                         for j in range(self.dimension)])
+        return self._batch[1]
 
     def eval(self, u):
-        if self.basis.is_constant and self._constant_cache is not None:
-            return [M.copy() for M in self._constant_cache]
-        duals = self._duals(self.basis.eval(u))
-        if self.basis.is_constant:
-            self._constant_cache = [M.copy() for M in duals]
-        return duals
-
-    def jet_data(self, u):
-        """List of (values, partials) per dual field; cached per point and
-        returned read-only."""
-        key = tuple(float(x) for x in u)
-        hit = self._jet_cache.get(key)
-        if hit is not None:
-            return hit
-        n = self.dimension
-        if self.basis.is_constant:
-            out = [(M, np.zeros((n, n, n))) for M in self.eval(u)]
-        else:
-            out = [split_jet_matrix(M, n)
-                   for M in self._duals(self.basis.eval_jet(u))]
-        if len(self._jet_cache) > 1024:
-            self._jet_cache.clear()
-        self._jet_cache[key] = out
-        return out
-
-    def eval_generic(self, point):
-        return self._duals(self.basis.eval_generic(point))
+        return [M[0].copy() for M, _ in self.jet_data([u])]
 
     def field(self, i: int) -> FamilyFieldView:
         return FamilyFieldView(self, i)
@@ -274,6 +229,29 @@ class DualFamily:
     @property
     def fields(self):
         return [self.field(i) for i in range(self.dimension)]
+
+
+class DualFamily(DualFamilyBase):
+    """Pointwise dual family M^1..M^n of an operator basis; ``eval_generic``
+    runs the pointwise pipeline over other scalars (truncated series)."""
+
+    def __init__(self, basis: OperatorBasis, covector, tol: float = DEFAULT_TOL,
+                 seed: int = 0):
+        self.basis = basis
+        self.covector = np.asarray(covector, dtype=float)
+        self.dimension = basis.dimension
+        self.tol = tol
+        self.seed = seed
+        self._batch = (None, None)   # (points' bytes, jet_data of them)
+
+    def jet_data(self, points):
+        return self._dual_jets(points, self.basis.batch_jet_arrays)
+
+    def eval_generic(self, point):
+        mats = self.basis.eval_generic(point)
+        xi = well_conditioned_xi(mats, self.seed, self.tol)
+        return frobenius_dual(structure_constants_at(mats, xi)[0],
+                              self.covector, mats)[2]
 
 
 def dualize_family(

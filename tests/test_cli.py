@@ -139,6 +139,17 @@ class TestInputChecks:
         self.assert_input_error(_run_doc(doc, "flow", tmp_path, capsys),
                                 "basis names not defined: ['M9']")
 
+    @pytest.mark.parametrize("entry,message", [
+        ("(" * 3000 + "u1" + ")" * 3000, "nested parentheses"),
+        ("-" * 3000 + "u1", "expression deeper than"),
+        ("+".join(["u1"] * 3000), "expression deeper than"),
+    ])
+    def test_deeply_nested_entry(self, entry, message, tmp_path, capsys):
+        doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]],
+                                  "D": [[entry, "0"], ["0", "u2"]]})
+        self.assert_input_error(
+            _run_doc(doc, "verify-algebra", tmp_path, capsys), message)
+
     def test_nan_at_a_sampled_point_is_no_traceback(self, tmp_path, capsys):
         # finite constants, NaN values: the xi search rejects every draw
         doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]],
@@ -242,6 +253,12 @@ class TestDeterminism:
 
 
 class TestConsoleScript:
+    def test_package_invocation(self):
+        proc = subprocess.run([sys.executable, "-m", "opfrob", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "verify-algebra" in proc.stdout
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opfrob.cli", "builtin", "example32"],

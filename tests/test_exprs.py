@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opfrob.errors import ExprEvalError, ExprSyntaxError
-from opfrob.exprs import (BinOp, Const, Expression, Neg, Pow, Var, eval_expr,
-                          parse_expr, parse_grid)
+from opfrob.exprs import (MAX_DEPTH, BinOp, Const, Expression, Neg, Pow, Var,
+                          eval_expr, parse_expr, parse_grid)
 from opfrob.fields import OperatorField
 from opfrob.fixtures import emit_builtin
 from opfrob.hydroflow import MultiSeries
@@ -75,6 +75,25 @@ class TestParsing:
     def test_unknown_character(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("u1 $ u2", 2)
+
+    @pytest.mark.parametrize("text,value", [
+        ("(" * MAX_DEPTH + "u1" + ")" * MAX_DEPTH, 3.0),
+        ("-" * (MAX_DEPTH - 1) + "u1", -3.0),
+        ("+".join(["u1"] * MAX_DEPTH), 3.0 * MAX_DEPTH),
+    ])
+    def test_depth_at_the_limit_parses(self, text, value):
+        e = parse_expr(text, 1)
+        assert eval_expr(e, [3.0]) == value
+        assert eval_expr(parse_expr(str(e), 1), [3.0]) == value
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_DEPTH + 1) + "u1" + ")" * (MAX_DEPTH + 1),
+        "-" * MAX_DEPTH + "u1",
+        "+".join(["u1"] * (MAX_DEPTH + 1)),
+    ])
+    def test_depth_past_the_limit_is_a_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError, match=str(MAX_DEPTH)):
+            parse_expr(text, 1)
 
 
 class TestEvaluation:

@@ -16,6 +16,8 @@ from opfrob.frobalg import (
     check_generic_covector,
     check_generic_vector,
     dual_basis,
+    find_generic_covector,
+    find_generic_vector,
     find_well_conditioned_vector,
     is_generic_covector,
     is_generic_vector,
@@ -29,6 +31,7 @@ from opfrob.sampling import SampleConfig, sample_points
 
 from helpers import admissible_covector, guarded_config, random_power_basis
 from oracles import (
+    loop_mat_rank,
     loop_well_conditioned_vector,
     lstsq_structure_constants,
     pairwise_structure_constants,
@@ -282,6 +285,46 @@ class TestBatchedSearchAndSolve:
                 assert got.tobytes() == want.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             assert got_rng.random() == want_rng.random()
+
+    @staticmethod
+    def loop_first_hit(mats, samples, rng, covector, tol):
+        """One draw at a time: (the first draw whose vectors K_j v, or rows
+        v K_j, have full rank, its index), or (None, None)."""
+        values = [np.asarray(M, dtype=float) for M in mats]
+        n = values[0].shape[0]
+        for k in range(samples):
+            v = rng.uniform(-1.0, 1.0, n)
+            prods = np.vstack([v @ V for V in values]) if covector \
+                else np.column_stack([V @ v for V in values])
+            if loop_mat_rank(prods, tol=tol) == len(values):
+                return v, k
+        return None, None
+
+    @pytest.mark.parametrize("covector", [False, True])
+    @pytest.mark.parametrize("samples", [0, 1, 32])
+    def test_first_hit_search_matches_the_draw_loop(self, covector, samples):
+        # with [Id, N] the draws whose first (vector) or second (covector)
+        # component is small against the other fail the rank test at a
+        # coarse tolerance; [Id, 2 Id] fails every draw
+        N = np.array([[0.0, 0.0], [1.0, 0.0]])
+        find = find_generic_covector if covector else find_generic_vector
+        seen = set()
+        for mats, tol in (([np.eye(2), N], 1e-9), ([np.eye(2), N], 0.9),
+                          ([np.eye(2), 2.0 * np.eye(2)], 1e-9)):
+            for seed in range(40):
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got = find(mats, samples, got_rng, tol)
+                want, k = self.loop_first_hit(mats, samples, want_rng,
+                                              covector, tol)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.tobytes() == want.tobytes()
+                assert got_rng.random() == want_rng.random()
+                seen.add("miss" if k is None else "first" if k == 0
+                         else "later")
+        assert seen == ({"first", "later", "miss"} if samples > 1
+                        else {"first", "miss"} if samples else {"miss"})
 
     def test_xi_search_takes_the_first_of_tied_draws(self):
         # in dimension 1 every draw has condition number exactly 1

@@ -52,7 +52,7 @@ class TestQuadraticHamiltonian:
 
     def test_coeff_jets(self):
         H = U1P2SQ
-        A, dA = H.coeff_jets([0.7, 0.1])
+        (A,), (dA,) = H.coeff_jets([[0.7, 0.1]])
         assert np.isclose(A[1, 1], 0.7)
         assert np.isclose(dA[1, 1, 0], 1.0)
 

@@ -228,14 +228,8 @@ class TestDualizeFamily:
         family = DualFamily(basis, [1.0, 0.0])
         clean = family.jet_data
 
-        def poisoned(u):
-            jets = list(clean(u))
-            if np.array_equal(u, pts[2]):
-                val, der = jets[0]
-                der = der.copy()
-                der[0, 0, 0] = np.nan
-                jets[0] = (val, der)
-            return jets
+        def poisoned(points):
+            return self._poisoned(clean(points), points, pts[2])
 
         family.jet_data = poisoned
         for check in (is_symmetry, is_strong_symmetry):
@@ -244,19 +238,25 @@ class TestDualizeFamily:
             assert np.isnan(c.residual)
 
     @staticmethod
-    def _poison_dual_partials(monkeypatch, bad_point):
+    def _poisoned(jets, points, bad_point):
+        """The batched jets with a NaN partial of the first field at every
+        row of ``points`` equal to ``bad_point``."""
+        jets = list(jets)
+        bad = np.all(np.asarray(points) == bad_point, axis=1)
+        val, der = jets[0]
+        der = der.copy()
+        der[bad, 0, 0, 0] = np.nan
+        jets[0] = (val, der)
+        return jets
+
+    @classmethod
+    def _poison_dual_partials(cls, monkeypatch, bad_point):
         """Every DualFamily returns a NaN partial of its first field at
         ``bad_point``."""
         clean = DualFamily.jet_data
 
-        def poisoned(self, u):
-            jets = list(clean(self, u))
-            if np.array_equal(u, bad_point):
-                val, der = jets[0]
-                der = der.copy()
-                der[0, 0, 0] = np.nan
-                jets[0] = (val, der)
-            return jets
+        def poisoned(self, points):
+            return cls._poisoned(clean(self, points), points, bad_point)
 
         monkeypatch.setattr(DualFamily, "jet_data", poisoned)
 
