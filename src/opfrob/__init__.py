@@ -18,10 +18,7 @@ from .frobalg import (
     FrobeniusPointData,
     OperatorBasis,
     algebra_report,
-    check_generic_covector,
-    check_generic_vector,
-    dual_basis,
-    structure_constants,
+    point_data,
 )
 from .hydroflow import (
     JetSolution,

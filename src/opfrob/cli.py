@@ -265,7 +265,7 @@ def cmd_generate(args) -> VerificationReport:
                 for j in range(i, sf.dimension):
                     c = A[i, j] * (1.0 if i == j else 2.0)
                     if abs(c) > chop:
-                        c_str = "" if c == 1.0 else f"{c:g}*"
+                        c_str = "" if f"{c:g}" == "1" else f"{c:g}*"
                         terms.append(f"{c_str}p{i + 1}*p{j + 1}")
             lines.append(f"F{s + 1} = " + (" + ".join(terms) or "0"))
         report.add(CheckResult(
@@ -323,14 +323,11 @@ def cmd_hj(args) -> VerificationReport:
         seed=cfg.seed)
     report = VerificationReport(title="hj", seed=cfg.seed)
     report.extend(gen_report)
-    hj_points = points[:args.hj_points]
-    residuals = []
-    for u in hj_points:
-        dW = system.hj_differential(u, c)
-        grids = system.coefficient_grids(u)
-        residuals.append(np.max([
-            abs(float(dW @ grids[s] @ dW) - c[s]) / (1.0 + abs(c[s]))
-            for s in range(sf.dimension)]))
+    hj_points = np.asarray(points[:args.hj_points], dtype=float)
+    dW = system.hj_differential(hj_points, c)
+    levels = np.einsum("bi,bsij,bj->bs", dW,
+                       system.coefficient_grids(hj_points), dW)
+    residuals = np.max(np.abs(levels - c) / (1.0 + np.abs(c)), axis=1)
     report.add(reduce_check("hamilton_jacobi_consistency", residuals,
                             hj_points, 1e-8,
                             detail=f"F_s(u, dW(u,c)) = c_s for c={c}"))

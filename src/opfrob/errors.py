@@ -2,7 +2,13 @@
 
 
 class OpfrobError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  An error raised over a sample
+    batch carries ``index``, the position in the batch of the first point
+    that failed; it is None otherwise."""
+
+    def __init__(self, *args, index=None):
+        super().__init__(*args)
+        self.index = index
 
 
 class ExprSyntaxError(OpfrobError):
@@ -18,7 +24,9 @@ class ExprEvalError(OpfrobError):
 
 
 class SingularMatrixError(OpfrobError):
-    """Raised when elimination meets a pivot below the singularity threshold."""
+    """Raised when a matrix is singular relative to its largest entry: an
+    elimination pivot, or over a batch the smallest singular value, below
+    the threshold."""
 
 
 class SqrtConvergenceError(OpfrobError):

@@ -263,7 +263,7 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
     # reproduction of the reference family after pushing the chart momenta
     # back to the original ones (p = J^T ptilde)
     origin = [np.zeros(4)]
-    Jinv = np.linalg.inv(system.chart_rows(origin[0]))
+    Jinv = np.linalg.inv(system.chart_rows(origin)[0])
     generated = [Jinv @ H.coeff(origin[0]) @ Jinv.T
                  for H in system.hamiltonians]
     report.add(reduce_check(
@@ -289,7 +289,7 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
                                  seed=config.seed)
     _, kill_report = killing_tensors(system2, points, tol=1e-10)
     report.extend(kill_report)
-    K4 = system2.killing_at(origin[0])[3]
+    K4 = system2.killing_at(origin)[0, 3]
     report.add(reduce_check("killing_K4_equals_M4",
                             [np.max(np.abs(K4 - demo4_matrices()[3]))],
                             origin, 0.0))
@@ -297,7 +297,7 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
     p_draws = [rng.uniform(-1.0, 1.0, 4) for _ in points]
     report.add(reduce_check(
         "square_identity_n15",
-        [system2.n15_residual(u, p) for u, p in zip(points, p_draws)],
+        system2.n15_residual(points, p_draws),
         np.hstack([points, p_draws]), 1e-10))
     return report
 
@@ -336,12 +336,12 @@ def run_example32(config: SampleConfig) -> VerificationReport:
     points = sample_points(4, config)
     report.extend(basis.validate(points))
     origin = [np.zeros(4)]
-    data = basis.point_data(origin[0], covector=[0.0, 0.0, 0.0, 1.0],
+    data = basis.point_data(origin, covector=[0.0, 0.0, 0.0, 1.0],
                             seed=config.seed)
     for name, r in (("span_closure", data.closure_residual),
                     ("associativity", data.associativity_residual),
                     ("duality_pairing", data.duality_residual)):
-        report.add(reduce_check(name, [r], origin, 1e-9))
+        report.add(reduce_check(name, r, origin, 1e-9))
     return report
 
 
@@ -358,10 +358,10 @@ def _run_centraliser(kind: str, config: SampleConfig) -> VerificationReport:
     points = sample_points(n, config)
     report.extend(basis.validate(points))
     origin = [np.zeros(n)]
-    data = basis.point_data(origin[0], covector=covector, seed=config.seed)
+    data = basis.point_data(origin, covector=covector, seed=config.seed)
     for name, r in (("span_closure", data.closure_residual),
                     ("duality_pairing", data.duality_residual)):
-        report.add(reduce_check(name, [r], origin, 1e-9))
+        report.add(reduce_check(name, r, origin, 1e-9))
     return report
 
 

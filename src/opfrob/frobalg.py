@@ -14,36 +14,46 @@ bilinear form b_{ij} = a_{ij}^k a_k; when b is invertible the dual basis is
 M^j = b^{ji} K_i and the coordinates of Id in the basis are the identity
 coordinates.
 
-The pointwise routines are generic over the scalar type (floats, truncated
-series).  Exact first derivatives come from the tangent pipeline instead:
-``tangent_structure_constants`` and ``tangent_dual`` carry every quantity as
-a pair (value[B, ...], tangent[B, ..., n]) over a whole (B, n) sample
-batch, with batched LAPACK solves and the forward-mode matrix rules
+The float checks run one pipeline over a whole (B, n) sample batch:
+``point_data`` takes the basis values as a (B, n, n, n) stack and returns
+every quantity as a (B, ...) array, with one seeded xi search per distinct
+basis and one elimination (``numkit.batch_solve``) per system over the
+batch.  ``tangent_structure_constants`` and ``tangent_dual`` reuse its
+solve and add exact first derivatives, carrying each quantity as a pair
+(value[B, ...], tangent[B, ..., n]) by the forward-mode matrix rules
 d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R
 (Giles, "An extended collection of matrix derivative results for forward
-and reverse mode AD", 2008).
+and reverse mode AD", 2008).  The lone-point routines
+(``structure_constants_at``, ``frobenius_dual``, ``well_conditioned_xi``)
+are generic over the scalar type and serve truncated series and the flat
+basis.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import GenericityError, OpfrobError, SingularMatrixError
+from .errors import GenericityError, SingularMatrixError
 from .fields import OperatorField
-from .numkit import mat_inv, mat_rank, mat_solve, max_abs, value_array
+from .numkit import (
+    batch_max_abs,
+    batch_solve,
+    mat_inv,
+    mat_rank,
+    mat_solve,
+    max_abs,
+    value_array,
+)
 from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
     "OperatorBasis",
     "FrobeniusPointData",
-    "check_generic_vector",
-    "check_generic_covector",
-    "structure_constants",
-    "dual_basis",
     "algebra_report",
     "is_generic_vector",
     "is_generic_covector",
@@ -53,8 +63,12 @@ __all__ = [
     "well_conditioned_xi",
     "frobenius_dual",
     "point_data",
+    "checked_solve",
     "checked_inv",
     "batch_well_conditioned_xi",
+    "batch_generic_search",
+    "genericity_residuals",
+    "commutator_norms",
     "tangent_structure_constants",
     "tangent_dual",
 ]
@@ -86,22 +100,13 @@ def is_generic_covector(mats, a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _first_hit(mats, samples, rng, tol, products):
-    """The first of ``samples`` draws v whose ``products(V, draws)`` (K_j v
-    or v K_j, stacked by j) have full rank, or None.  The first draw, which
-    nearly always hits, is judged alone, the rest by one stacked rank; the
-    generator ends where a one-draw-at-a-time loop would leave it."""
+    """The first of ``samples`` draws v, taken one at a time, whose
+    ``products`` (K_j v or v K_j, stacked by j) have full rank, or None."""
     V = np.stack([value_array(M) for M in mats])
-    n = V.shape[-1]
-    for size in (min(samples, 1), max(samples - 1, 0)):
-        state = rng.bit_generator.state
-        draws = rng.uniform(-1.0, 1.0, (size, n))
-        hits = np.flatnonzero(mat_rank(products(V, draws), tol=tol)
-                              == len(mats))
-        if len(hits):
-            if hits[0] + 1 < size:
-                rng.bit_generator.state = state
-                rng.uniform(-1.0, 1.0, (hits[0] + 1, n))
-            return draws[hits[0]]
+    for _ in range(samples):
+        v = rng.uniform(-1.0, 1.0, V.shape[-1])
+        if mat_rank(products(V, v[None])[0], tol=tol) == len(mats):
+            return v
     return None
 
 
@@ -113,12 +118,15 @@ def _draw_columns(V, xis):
 
 
 def _draw_rows(V, covs):
-    """rows[k, j, :] = a_k @ V_j for draws covs (S, n)."""
-    return np.matmul(covs[:, None, None, :], V[None])[..., 0, :]
+    """rows[..., k, j, :] = a_k @ V_j for bases V (..., n, n, n), draws covs
+    (S, n)."""
+    return np.matmul(covs[:, None, None, :],
+                     V[..., None, :, :, :])[..., 0, :]
 
 
 def find_generic_vector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
-    """Rejection-sample xi in [-1,1]^n; None after exhausting the draws."""
+    """Rejection-sample xi in [-1,1]^n; None after exhausting the draws.
+    The lone-point reference of ``batch_generic_search``."""
     return _first_hit(mats, samples, rng, tol, _draw_columns)
 
 
@@ -169,14 +177,6 @@ def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
     return xi
 
 
-def commutativity_residual(mats) -> float:
-    V = [value_array(M) for M in mats]
-    return float(np.max([
-        max_abs(V[i] @ V[j] - V[j] @ V[i])
-        / (1.0 + max_abs(V[i]) * max_abs(V[j]))
-        for i in range(len(V)) for j in range(i + 1, len(V))], initial=0.0))
-
-
 def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
     """Structure constants a[i,j,s] with K_i K_j = a[i,j,s] K_s.
 
@@ -201,17 +201,6 @@ def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
             recon = recon - coeffs[s, k] * mats[s]
         resid.append(max_abs(recon))
     return a, float(np.max(resid) / scale)
-
-
-def symmetry_residual_of_structure(a_val: np.ndarray) -> float:
-    return float(np.max(np.abs(a_val - a_val.transpose(1, 0, 2))))
-
-
-def associativity_residual(a_val: np.ndarray) -> float:
-    """Residual of a_{ij}^m a_{mk}^l - a_{jk}^m a_{im}^l."""
-    lhs = np.einsum("ijm,mkl->ijkl", a_val, a_val)
-    rhs = np.einsum("jkm,iml->ijkl", a_val, a_val)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def frobenius_form(a, covector):
@@ -251,93 +240,22 @@ def frobenius_dual(a, covector, mats):
     return b, binv, dual
 
 
-@dataclass
-class FrobeniusPointData:
-    """Structure constants, Frobenius form, dual basis and identity
-    coordinates of a commuting family at one point."""
-
-    dimension: int
-    xi: np.ndarray
-    structure: np.ndarray                  # (n,n,n) a_{ij}^k
-    closure_residual: float                # scaled; see structure_constants_at
-    associativity_residual: float
-    symmetry_residual: float               # |a_{ij}^k - a_{ji}^k|
-    covector: np.ndarray | None = None
-    form: np.ndarray | None = None         # b_{ij}
-    form_inv: np.ndarray | None = None     # b^{ij}
-    dual: list | None = None               # matrices M^j = b^{ji} K_i
-    identity_coords: np.ndarray | None = None
-    duality_residual: float | None = None  # <a ; M^i K_j> - delta^i_j
-    identity_residual: float | None = None  # |sum a^j K_j - Id|
-
-
-def point_data(
-    mats,
-    covector=None,
-    xi=None,
-    tol: float = DEFAULT_TOL,
-    rng=None,
-    generic_samples: int = DEFAULT_GENERIC_SAMPLES,
-) -> FrobeniusPointData:
-    """Full pointwise pipeline on a list of matrix values.
-
-    ``mats`` may hold floats or jets; with jets everything downstream (form,
-    dual basis, identity coordinates) carries exact first derivatives.
-    """
-    n = len(mats)
-    if xi is None:
-        xi = well_conditioned_xi(mats, 0 if rng is None else rng, tol,
-                                 generic_samples)
-    a, closure = structure_constants_at(mats, xi, tol)
-    a_val = value_array(a)
-    assoc = associativity_residual(a_val)
-    sym = symmetry_residual_of_structure(a_val)
-
-    data = FrobeniusPointData(
-        dimension=n,
-        xi=np.asarray(xi, dtype=float),
-        structure=a,
-        closure_residual=closure,
-        associativity_residual=assoc,
-        symmetry_residual=sym,
-    )
-    if covector is None:
-        return data
-
-    covector = np.asarray(covector, dtype=float)
-    b, binv, dual = frobenius_dual(a, covector, mats)
-
-    # duality certificate <a ; M^i K_j> = delta^i_j via decomposition in K
-    values = [value_array(M) for M in mats]
-    cols_val = np.column_stack([V @ data.xi for V in values])
-    pairing = [[float(np.linalg.solve(cols_val, Mi @ V @ data.xi) @ covector)
-                for V in values] for Mi in map(value_array, dual)]
-    duality = float(np.max(np.abs(np.array(pairing) - np.eye(n))))
-
-    beta = np.linalg.solve(cols_val, data.xi)
-    recon = sum(beta[s] * values[s] for s in range(n))
-    identity_residual = max_abs(recon - np.eye(n))
-
-    data.covector = covector
-    data.form = b
-    data.form_inv = binv
-    data.dual = dual
-    data.identity_coords = beta
-    data.duality_residual = duality
-    data.identity_residual = identity_residual
-    return data
-
-
 # ---------------------------------------------------------------------------
-# tangent pipeline: (value[B, ...], tangent[B, ..., n]) over a sample batch
+# the float pipeline over a sample batch; index b of every array belongs to
+# points[b], and errors name the first failing point
 # ---------------------------------------------------------------------------
 
 
-def checked_inv(A, points, what: str, tol: float = 1e-12) -> np.ndarray:
-    """Inverses of the (B, m, m) stack A, A[b] taken at points[b].  Raises
-    SingularMatrixError at the first point whose matrix is not finite or has
-    its smallest singular value at or below ``tol`` times its largest entry
-    magnitude (``mat_solve``'s relative pivot threshold)."""
+def _at(point) -> str:
+    return str([float(x) for x in point])
+
+
+def checked_solve(A, R, points, what: str, tol: float = 1e-12) -> np.ndarray:
+    """X with A[b] X[b] = R[b] for the (B, m, m) stack A taken at points[b],
+    by ``batch_solve``.  Raises SingularMatrixError at the first point whose
+    matrix is not finite or has its smallest singular value at or below
+    ``tol`` times its largest entry magnitude (``mat_solve``'s relative
+    pivot threshold)."""
     finite = np.isfinite(A).all(axis=(-2, -1))
     smin = np.linalg.svd(np.where(finite[:, None, None], A, 0.0),
                          compute_uv=False)[:, -1]
@@ -347,10 +265,26 @@ def checked_inv(A, points, what: str, tol: float = 1e-12) -> np.ndarray:
     if len(bad):
         b = bad[0]
         raise SingularMatrixError(
-            f"{what} at {[float(x) for x in points[b]]}: " + (
+            f"{what} at {_at(points[b])}: " + (
                 f"smallest singular value {smin[b]:.3e} not above "
-                f"{limit[b]:.3e}" if finite[b] else "entries not finite"))
-    return np.linalg.inv(A)
+                f"{limit[b]:.3e}" if finite[b] else "entries not finite"),
+            index=int(b))
+    return batch_solve(A, R)
+
+
+def checked_inv(A, points, what: str, tol: float = 1e-12) -> np.ndarray:
+    """Inverses of the (B, m, m) stack A, as ``checked_solve`` with the
+    identity (each equal to a lone ``mat_inv`` bit for bit)."""
+    return checked_solve(A, np.broadcast_to(np.eye(A.shape[-1]), A.shape),
+                         points, what, tol)
+
+
+def _distinct(V):
+    """The distinct bases of the (B, ...) stack V and, per b, the index of
+    V[b] among them."""
+    distinct, which = np.unique(V.reshape(-1, math.prod(V.shape[1:])),
+                                axis=0, return_inverse=True)
+    return distinct.reshape((-1,) + V.shape[1:]), which.reshape(-1)
 
 
 def batch_well_conditioned_xi(V, points, seed: int = 0,
@@ -362,37 +296,185 @@ def batch_well_conditioned_xi(V, points, seed: int = 0,
     without a generic draw."""
     xis = np.random.default_rng(seed).uniform(-1.0, 1.0,
                                               (samples, V.shape[-1]))
-    distinct, which = np.unique(V.reshape(-1, np.prod(V.shape[1:])),
-                                axis=0, return_inverse=True)
-    k = _best_draw(distinct.reshape((-1,) + V.shape[1:]), xis, tol)[which]
+    distinct, which = _distinct(V)
+    k = _best_draw(distinct, xis, tol)[which]
     bad = np.flatnonzero(k < 0)
     if len(bad):
-        raise GenericityError(
-            f"no generic vector found in {samples} draws at "
-            f"{[float(x) for x in points[bad[0]]]}")
+        raise GenericityError(f"no generic vector found in {samples} draws "
+                              f"at {_at(points[bad[0]])}", index=int(bad[0]))
     return xis[k]
+
+
+def _full_rank(bases, vectors, covectors, tol):
+    """Per basis of the (D, n, n, n) stack: whether each vector draw v gives
+    independent K_j v, (D, len(vectors)), and each covector draw
+    independent v K_j, (D, len(covectors)), by one stacked rank."""
+    D, n = len(bases), bases.shape[-1]
+    full = mat_rank(np.concatenate([
+        _draw_columns(bases, vectors).reshape(-1, n, n),
+        _draw_rows(bases, covectors).reshape(-1, n, n)]), tol=tol) == n
+    return (full[:D * len(vectors)].reshape(D, len(vectors)),
+            full[D * len(vectors):].reshape(D, len(covectors)))
+
+
+def batch_generic_search(V, seed: int = 0, tol: float = DEFAULT_TOL,
+                         samples: int = DEFAULT_GENERIC_SAMPLES):
+    """For each basis of the (B, n, n, n) stack, the answers of
+    ``find_generic_vector`` and then ``find_generic_covector`` on one
+    ``default_rng(seed)``: (xi, a), each (B, n), with a row of NaN where a
+    search found nothing.  All bases see the same 2 * samples draws; the
+    covector draws start just after the vector hit, or after all the
+    vector draws without one.  Equal bases are judged once, all by one
+    stacked rank of the first vector and covector draws, which nearly
+    always hit; the bases where either misses, by one more over all
+    draws."""
+    draws = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (2 * samples, V.shape[-1]))
+    distinct, which = _distinct(V)
+    kv = np.zeros(len(distinct), dtype=int)
+    kc = np.ones(len(distinct), dtype=int)
+    found = np.ones((2, len(distinct)), dtype=bool)
+    vec, cov = _full_rank(distinct, draws[:1], draws[1:2], tol)
+    rest = np.flatnonzero(~(vec[:, 0] & cov[:, 0]))
+    if len(rest):
+        vec, cov = _full_rank(distinct[rest], draws[:samples], draws, tol)
+        found[0, rest] = vec.any(axis=1)
+        kv[rest] = np.where(found[0, rest], np.argmax(vec, axis=1),
+                            samples - 1)
+        k = np.arange(2 * samples)
+        cov &= (k > kv[rest, None]) & (k <= kv[rest, None] + samples)
+        found[1, rest] = cov.any(axis=1)
+        kc[rest] = np.argmax(cov, axis=1)
+    return tuple(np.where(f[:, None], draws[k], np.nan)[which]
+                 for f, k in zip(found, (kv, kc)))
+
+
+def genericity_residuals(V, points, seed: int = 0, tol: float = DEFAULT_TOL):
+    """The (A1)/(A2) certificate over a sample batch: per point 0 where
+    ``batch_generic_search`` finds a generic vector and a generic
+    covector, inf where it does not; and a detail naming the first failing
+    point."""
+    xi, a = batch_generic_search(V, seed, tol)
+    has_xi = ~np.isnan(xi[:, 0])
+    residuals = np.where(has_xi & ~np.isnan(a[:, 0]), 0.0, np.inf)
+    bad = np.flatnonzero(residuals)
+    if not len(bad):
+        return residuals, ""
+    missing = "covector" if has_xi[bad[0]] else "vector"
+    return residuals, f"no generic {missing} at {_at(points[bad[0]])}"
+
+
+def commutator_norms(V) -> np.ndarray:
+    """max |V_i V_j - V_j V_i| for each pair i < j of the (B, m, n, n)
+    stack, shape (B, m(m-1)/2)."""
+    i, j = np.triu_indices(V.shape[1], 1)
+    return np.max(np.abs(V[:, i] @ V[:, j] - V[:, j] @ V[:, i]),
+                  axis=(-2, -1), initial=0.0)
+
+
+@dataclass
+class FrobeniusPointData:
+    """Structure constants, Frobenius form, dual basis and identity
+    coordinates of a commuting family over a sample batch of B points."""
+
+    xi: np.ndarray                  # (B, n) seeded well-conditioned xi
+    columns_inv: np.ndarray         # (B, n, n) [K_1 xi | .. | K_n xi]^{-1}
+    structure: np.ndarray           # (B, n, n, n) a_{ij}^s
+    closure_residual: np.ndarray    # (B,) scaled; see point_data
+    associativity_residual: np.ndarray
+    symmetry_residual: np.ndarray   # |a_{ij}^s - a_{ji}^s|
+    covector: np.ndarray | None = None
+    form: np.ndarray | None = None          # (B, n, n) b_{ij}
+    form_inv: np.ndarray | None = None      # b^{ij}
+    dual: np.ndarray | None = None          # (B, n, n, n) M^j = b^{ji} K_i
+    identity_coords: np.ndarray | None = None   # (B, n)
+    duality_residual: np.ndarray | None = None  # <a ; M^i K_j> - delta^i_j
+    identity_residual: np.ndarray | None = None  # |beta^s K_s - Id|
+
+
+def _solve_structure(V, points, seed, tol):
+    """The seeded xi, C = [K_1 xi | .. | K_n xi], the products K_i K_j, and
+    from one elimination X[b, s, i*n + j] = a_{ij}^s solving
+    C X = [K_i K_j xi] and C^{-1}; X rounds as in the lone-point
+    ``structure_constants_at``."""
+    B, n = V.shape[:2]
+    xi = batch_well_conditioned_xi(V, points, seed, tol)
+    C = (V @ xi[:, None, :, None])[..., 0].swapaxes(1, 2)
+    prods = V[:, :, None] @ V[:, None]
+    R = (prods @ xi[:, None, None, :, None]).reshape(B, n * n, n)
+    XC = checked_solve(C, np.concatenate([R.swapaxes(1, 2), np.broadcast_to(
+        np.eye(n), C.shape)], axis=2), points,
+        "the column matrix [K_1 xi | .. | K_n xi] is singular")
+    return xi, C, prods, XC[:, :, :n * n], XC[:, :, n * n:]
+
+
+def _form(a, covector, points):
+    """b_{ij} = a_{ij}^s a_s and its inverse; SingularMatrixError at the
+    first point where b is degenerate."""
+    b = a @ covector
+    return b, checked_inv(b, points, f"Frobenius form is degenerate for "
+                          f"covector {covector.tolist()}")
+
+
+def point_data(V, points, covector=None, seed: int = 0,
+               tol: float = DEFAULT_TOL) -> FrobeniusPointData:
+    """The Frobenius data of the basis values V[b, i] = K_i at points[b]
+    (a (B, n, n, n) stack) over the whole batch.
+
+    With the seeded xi of each point the structure constants solve
+    C a_{ij} = K_i K_j xi; the closure residual max |K_i K_j - a_{ij}^s K_s|
+    is scaled by 1 + max |K|, so the default tolerance suits fields of any
+    size.  With a covector come the form, its inverse, the dual basis, the
+    pairing <a ; M^i K_j> - delta^i_j and the coordinates beta of Id, both
+    through the decomposition in K.  Raises GenericityError or
+    SingularMatrixError at the first failing point.
+    """
+    B, n = V.shape[:2]
+    xi, C, recon, X, Cinv = _solve_structure(V, points, seed, tol)
+    a = X.reshape(B, n, n, n).transpose(0, 2, 3, 1)
+    for s in range(n):     # K_i K_j - a_{ij}^s K_s, in place
+        recon -= X[:, s].reshape(B, n, n, 1, 1) * V[:, None, None, s]
+    closure = batch_max_abs(recon) / (1.0 + batch_max_abs(V))
+    assoc = np.einsum("bijm,bmkl->bijkl", a, a, out=recon)
+    assoc -= np.einsum("bjkm,biml->bijkl", a, a)
+    data = FrobeniusPointData(
+        xi=xi, columns_inv=Cinv, structure=a, closure_residual=closure,
+        associativity_residual=batch_max_abs(assoc),
+        symmetry_residual=batch_max_abs(a - a.swapaxes(1, 2)))
+    if covector is None:
+        return data
+    cov = np.asarray(covector, dtype=float)
+    b, binv = _form(a, cov, points)
+    M = np.einsum("bji,birc->bjrc", binv, V)
+    MC = (M @ C[:, None]).transpose(0, 2, 1, 3).reshape(B, n, n * n)
+    Y = Cinv @ np.concatenate([MC, xi[:, :, None]], axis=2)
+    beta = Y[:, :, -1]
+    data.covector, data.form, data.form_inv = cov, b, binv
+    data.dual, data.identity_coords = M, beta
+    data.duality_residual = batch_max_abs(
+        np.einsum("bsk,s->bk", Y[:, :, :-1], cov).reshape(B, n, n)
+        - np.eye(n))
+    data.identity_residual = batch_max_abs(
+        np.einsum("bs,bsrc->brc", beta, V) - np.eye(n))
+    return data
 
 
 def tangent_structure_constants(V, dV, points, seed: int = 0,
                                 tol: float = DEFAULT_TOL):
     """Structure constants a[b,i,j,s] (K_i K_j = a_{ij}^s K_s) at points[b]
     and their tangents da[b,i,j,s,m] = d a_{ij}^s / du^m, from the basis
-    values V[b, i] = K_i and partials dV[b, i, :, :, m].  With the seeded xi
-    of each point, C = [K_1 xi | .. | K_n xi] X = R = [K_i K_j xi] and
-    dX = C^{-1}(dR - dC X); xi is contracted first, dR = dK_i (K_j xi) +
+    values V[b, i] = K_i and partials dV[b, i, :, :, m].  The values are
+    ``point_data``'s solve C X = R; the tangents are
+    dX = C^{-1}(dR - dC X), with xi contracted first, dR = dK_i (K_j xi) +
     K_i (dK_j xi), so no (B, n, n, n, n, n) product tangent is built."""
     B, n = V.shape[:2]
-    xi = batch_well_conditioned_xi(V, points, seed, tol)
-    C = np.einsum("birc,bc->bri", V, xi)               # C[b, r, i] = (K_i xi)_r
+    xi, C, _, X, Cinv = _solve_structure(V, points, seed, tol)
     dC = np.einsum("bircm,bc->brim", dV, xi)
-    R = np.einsum("birc,bcj->brij", V, C)
-    dR = np.einsum("bircm,bcj->brijm", dV, C) \
-        + np.einsum("birc,bcjm->brijm", V, dC)
-    Cinv = checked_inv(C, points, "the column matrix [K_1 xi | .. | K_n xi] "
-                       "is singular")
-    X = Cinv @ R.reshape(B, n, n * n)                  # X[b, s, i*n + j]
-    dX = Cinv @ (dR.reshape(B, n, n * n, n)
-                 - np.einsum("brsm,bsk->brkm", dC, X)).reshape(B, n, n ** 3)
+    dR = np.einsum("bircm,bcj->brijm", dV, C)
+    dR += np.einsum("birc,bcjm->brijm", V, dC)
+    dR = dR.reshape(B, n, n * n, n)
+    dR -= np.einsum("brsm,bsk->brkm", dC, X)
+    dX = Cinv @ dR.reshape(B, n, n ** 3)
     return (X.reshape(B, n, n, n).transpose(0, 2, 3, 1),
             dX.reshape(B, n, n, n, n).transpose(0, 2, 3, 1, 4))
 
@@ -404,8 +486,7 @@ def tangent_dual(V, dV, covector, points, seed: int = 0,
     SingularMatrixError at the first point where the form is degenerate."""
     a, da = tangent_structure_constants(V, dV, points, seed, tol)
     covector = np.asarray(covector, dtype=float)
-    binv = checked_inv(a @ covector, points, f"Frobenius form is degenerate "
-                       f"for covector {covector.tolist()}")
+    _, binv = _form(a, covector, points)
     dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,
                        np.einsum("bijsm,s->bijm", da, covector), binv)
     return (np.einsum("bji,birc->bjrc", binv, V),
@@ -419,11 +500,8 @@ def tangent_dual(V, dV, covector, points, seed: int = 0,
 
 
 class OperatorBasis:
-    """n commuting operator fields K_1..K_n treated as a pointwise algebra.
-
-    Constant bases cache their structure constants; point-dependent bases
-    recompute them at every sample (the constants are functions of u).
-    """
+    """n commuting operator fields K_1..K_n treated as a pointwise algebra;
+    its checks evaluate the fields once over a whole sample batch."""
 
     def __init__(self, fields, name: str = ""):
         fields = list(fields)
@@ -440,7 +518,6 @@ class OperatorBasis:
         self.fields = fields
         self.dimension = n
         self.name = name
-        self._cache = {}
 
     @classmethod
     def from_matrices(cls, matrices, name: str = "") -> "OperatorBasis":
@@ -466,116 +543,43 @@ class OperatorBasis:
         return (np.stack([v for v, _ in jets], axis=1),
                 np.stack([d for _, d in jets], axis=1))
 
+    def values(self, points):
+        """The (B, n) batch ``points`` as a float array and the field
+        values (B, n, n, n) there."""
+        P = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        return P, self.batch_jet_arrays(P)[0]
+
     def validate(self, points, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Pairwise algebraic commutativity and linear independence at the
         sampled points."""
-        report = VerificationReport(title=f"basis validation {self.name}".strip())
-        n = self.dimension
-        comm = []
-        stacks = np.empty((len(points), n, n * n))
-        for k, u in enumerate(points):
-            values = self.eval(u)
-            comm.append(commutativity_residual(values))
-            stacks[k] = [V.ravel() for V in values]
-        min_rank = int(np.min(mat_rank(stacks, tol=tol), initial=n))
-        report.add(reduce_check("pairwise_commutativity", comm, points, tol))
-        report.add(CheckResult(
-            name="linear_independence",
-            passed=len(points) > 0 and min_rank == n,
-            residual=float(n - min_rank),
-            tolerance=0.0,
-            samples=len(points),
-            detail=f"min rank {min_rank} of {n}" if len(points)
-            else "no point evaluated",
-        ))
+        report = VerificationReport(
+            title=f"basis validation {self.name}".strip())
+        report.checks = _validation_checks(*self.values(points), tol)
         return report
 
-    def point_data(
-        self,
-        point,
-        covector=None,
-        xi=None,
-        tol: float = DEFAULT_TOL,
-        seed: int = 0,
-        generic_samples: int = DEFAULT_GENERIC_SAMPLES,
-    ) -> FrobeniusPointData:
-        key = None
-        if self.is_constant and xi is None:
-            key = (None if covector is None else tuple(np.asarray(covector)),
-                   tol, seed)
-            if key in self._cache:
-                return self._cache[key]
-        data = point_data(
-            self.eval(point),
-            covector=covector,
-            xi=xi,
-            tol=tol,
-            rng=np.random.default_rng(seed),
-            generic_samples=generic_samples,
-        )
-        if key is not None:
-            self._cache[key] = data
-        return data
+    def point_data(self, points, covector=None, tol: float = DEFAULT_TOL,
+                   seed: int = 0) -> FrobeniusPointData:
+        P, V = self.values(points)
+        return point_data(V, P, covector, seed, tol)
 
 
-def check_generic_vector(
-    basis: OperatorBasis,
-    point,
-    samples: int = DEFAULT_GENERIC_SAMPLES,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-):
-    """Seeded search for a vector xi with rank [K_1 xi|..|K_n xi] = n at the
-    point; returns the first hit or None after exhausting the draws."""
-    rng = np.random.default_rng(seed)
-    return find_generic_vector(basis.eval(point), samples, rng, tol)
-
-
-def check_generic_covector(
-    basis: OperatorBasis,
-    point,
-    samples: int = DEFAULT_GENERIC_SAMPLES,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-):
-    rng = np.random.default_rng(seed)
-    return find_generic_covector(basis.eval(point), samples, rng, tol)
-
-
-def structure_constants(
-    basis: OperatorBasis,
-    point,
-    xi=None,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> FrobeniusPointData:
-    """Structure constants of the basis at one point (no form data).
-
-    Raises OpfrobError when the validated matrix identity K_i K_j =
-    a_{ij}^s K_s leaves a residual above tolerance, i.e. the span is not
-    multiplicatively closed at the point.
-    """
-    data = basis.point_data(point, covector=None, xi=xi, tol=tol, seed=seed)
-    if data.closure_residual > tol:
-        raise OpfrobError(
-            f"span is not closed under multiplication at "
-            f"{[float(x) for x in point]} (scaled residual "
-            f"{data.closure_residual:.3e})"
-        )
-    return data
-
-
-def dual_basis(
-    basis: OperatorBasis,
-    covector,
-    point,
-    xi=None,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> FrobeniusPointData:
-    """Form, inverse form, dual basis M^j = b^{ji} K_i and identity
-    coordinates at one point."""
-    return basis.point_data(point, covector=covector, xi=xi, tol=tol, seed=seed)
+def _validation_checks(P, V, tol):
+    """Pairwise commutativity (each commutator scaled by 1 + the product of
+    the two fields' largest entries) and linear independence."""
+    B, n = V.shape[:2]
+    norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
+    i, j = np.triu_indices(n, 1)
+    comm = np.max(commutator_norms(V) / (1.0 + norms[:, i] * norms[:, j]),
+                  axis=1, initial=0.0)
+    min_rank = int(np.min(mat_rank(V.reshape(B, n, n * n), tol=tol),
+                          initial=n))
+    return [reduce_check("pairwise_commutativity", comm, P, tol),
+            CheckResult(name="linear_independence",
+                        passed=B > 0 and min_rank == n,
+                        residual=float(n - min_rank), tolerance=0.0,
+                        samples=B,
+                        detail=f"min rank {min_rank} of {n}" if B
+                        else "no point evaluated")]
 
 
 def algebra_report(
@@ -590,60 +594,33 @@ def algebra_report(
     and associativity, and (when a covector is given) form nondegeneracy
     with the duality pairing."""
     report = VerificationReport(title="verify-algebra", seed=seed)
-    report.extend(basis.validate(points, tol=tol))
-
-    generic_ok = True
-    generic_detail = ""
-    form_ok = True
+    P, V = basis.values(points)
+    report.checks = _validation_checks(P, V, tol)
+    generic, detail = genericity_residuals(V, P, seed, tol)
+    report.add(reduce_check("genericity_A1_A2", generic, P, 0.0, seed=seed,
+                            detail=detail))
+    # the checks below count only the points where (A1) and (A2) hold
+    P, V = P[generic == 0], V[generic == 0]
     form_detail = ""
-    evaluated = []   # the points that reached point_data
-    residuals = []   # per evaluated point, in the order of the checks below
-    for u in points:
-        values = basis.eval(u)
-        rng = np.random.default_rng(seed)
-        xi = find_generic_vector(values, DEFAULT_GENERIC_SAMPLES, rng, tol)
-        a_cov = find_generic_covector(values, DEFAULT_GENERIC_SAMPLES, rng, tol)
-        if xi is None or a_cov is None:
-            generic_ok = False
-            missing = "vector" if xi is None else "covector"
-            generic_detail = (f"no generic {missing} at "
-                              f"{[float(x) for x in u]}")
-            continue
-        evaluated.append(u)
-        # the residual computations pick their own well-conditioned xi
-        rng = np.random.default_rng(seed)
-        try:
-            data = point_data(values, covector=covector, rng=rng, tol=tol)
-        except SingularMatrixError as exc:
-            form_ok = False
-            form_detail = str(exc)
-            data = point_data(values, covector=None,
-                              rng=np.random.default_rng(seed), tol=tol)
-        residuals.append((data.closure_residual, data.symmetry_residual,
-                          data.associativity_residual, data.duality_residual,
-                          data.identity_residual))
-    report.add(CheckResult(
-        name="genericity_A1_A2", passed=generic_ok,
-        residual=0.0 if generic_ok else float("inf"), tolerance=0.0,
-        samples=len(points), seed=seed, detail=generic_detail,
-    ))
-    # the checks below count only the points that reached point_data; the
-    # duality residuals are None without a covector or a nondegenerate form
-    closure, symmetry, assoc, duality, identity = np.array(
-        residuals, dtype=float).reshape(len(evaluated), 5).T
-    for name, res in (("span_closure", closure),
-                      ("structure_symmetry", symmetry),
-                      ("associativity", assoc)):
-        report.add(reduce_check(name, res, evaluated, tol))
+    try:
+        data = point_data(V, P, covector, seed, tol)
+    except SingularMatrixError as exc:
+        form_detail = str(exc)
+        data = point_data(V, P, None, seed, tol)
+    for name, res in (("span_closure", data.closure_residual),
+                      ("structure_symmetry", data.symmetry_residual),
+                      ("associativity", data.associativity_residual)):
+        report.add(reduce_check(name, res, P, tol))
     if covector is not None:
         report.add(CheckResult(
-            name="form_nondegenerate", passed=form_ok and bool(evaluated),
-            residual=0.0 if form_ok else float("inf"), tolerance=0.0,
-            samples=len(evaluated),
-            detail=form_detail or ("" if evaluated else "no point evaluated"),
+            name="form_nondegenerate", passed=not form_detail and len(P) > 0,
+            residual=float("inf") if form_detail else 0.0, tolerance=0.0,
+            samples=len(P),
+            detail=form_detail or ("" if len(P) else "no point evaluated"),
         ))
-        if form_ok:
-            report.add(reduce_check("duality_pairing", duality, evaluated, tol))
-            report.add(reduce_check("identity_in_span", identity, evaluated,
-                                    tol))
+        if not form_detail:
+            report.add(reduce_check("duality_pairing", data.duality_residual,
+                                    P, tol))
+            report.add(reduce_check("identity_in_span",
+                                    data.identity_residual, P, tol))
     return report

@@ -28,20 +28,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OpfrobError, SingularMatrixError
+from .errors import GenericityError, OpfrobError, SingularMatrixError
 from .exprs import Const, Expression, Var, parse_expr, parse_grid
 from .fields import OneFormField, _batch_jets, checked_grid, eval_grid
 from .frobalg import (
     OperatorBasis,
+    batch_generic_search,
     checked_inv,
-    find_generic_covector,
-    find_generic_vector,
+    commutator_norms,
     point_data,
-    structure_constants_at,
     tangent_structure_constants,
-    well_conditioned_xi,
 )
-from .numkit import batch_max_abs, mat_inv, mat_rank, max_abs, sqrt_near_identity
+from .numkit import batch_max_abs, mat_rank, max_abs, sqrt_near_identity
 from .opfields import (
     DualFamilyBase,
     bracket_from_jets,
@@ -169,41 +167,40 @@ def _worst_per_point(residuals, samples) -> np.ndarray:
                   initial=0.0)
 
 
-def _momentum_nondegeneracy(coeff_grids_at, points, n, seed, draws=50,
-                            threshold=1e-9,
+def _momentum_nondegeneracy(G, points, seed, draws=50, threshold=1e-9,
                             name="momentum_nondegeneracy") -> CheckResult:
     """det(dF/dp) != 0 at generic p: at every base point some seeded draw
     must give a relative determinant above the threshold (relative to the
-    Hadamard bound of the matrix 2 a^{ij}_s p_i)."""
-    worst = np.inf
-    worst_pt = None
-    rng = np.random.default_rng(seed)
-    for u in points:
-        G = np.stack([2.0 * A for A in coeff_grids_at(u)])
-        P = rng.uniform(-1.0, 1.0, (draws, n))
-        # D[d] stacks the rows 2 A_s p_d, each rounded as (2 A_s) @ p_d
-        D = np.matmul(G[None], P[:, None, :, None])[..., 0]
+    Hadamard bound of the matrix 2 a^{ij}_s p_i).  G[b, s] is the grid of
+    F_s at points[b]; the draws for points[b] are rows b*draws.. of one
+    (B*draws, n) draw."""
+    B, n = len(points), G.shape[-1]
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, (B, draws, n))
+    G2 = np.ascontiguousarray(2.0 * G)
+    best = np.zeros(B)
+    for d in range(draws):
+        # D[b] stacks the rows 2 A_s p_d, each rounded as (2 A_s) @ p_d
+        D = (G2 @ p[:, None, d, :, None])[..., 0]
         bound = np.prod(np.linalg.norm(D, axis=2), axis=1)
-        det = np.linalg.det(D)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(det) / bound
+            ratio = np.abs(np.linalg.det(D)) / bound
         # draws with a zero bound are skipped and NaN ratios ignored
-        ratio = ratio[(bound != 0.0) & ~np.isnan(ratio)]
-        best = float(np.max(ratio, initial=0.0))
-        if best < worst:
-            worst, worst_pt = best, list(map(float, u))
+        best = np.maximum(best, np.where(
+            (bound != 0.0) & ~np.isnan(ratio), ratio, 0.0))
+    k = int(np.argmin(best)) if B else None
     return CheckResult(
-        name=name, passed=len(points) > 0 and worst > threshold,
-        residual=float(worst), tolerance=threshold, worst_point=worst_pt,
-        samples=len(points), seed=seed,
-        detail="pass requires residual above tolerance" if len(points)
+        name=name, passed=bool(B > 0 and best[k] > threshold),
+        residual=float(best[k]) if B else float("inf"), tolerance=threshold,
+        worst_point=None if k is None else list(map(float, points[k])),
+        samples=B, seed=seed,
+        detail="pass requires residual above tolerance" if B
         else "no point evaluated",
     )
 
 
 class _SystemForm:
     """Quadratic form F_s of a generated system, with coefficients and
-    chart-frame derivatives evaluated pointwise at original coordinates."""
+    chart-frame derivatives evaluated at original coordinates."""
 
     def __init__(self, system, s):
         self.system = system
@@ -214,17 +211,21 @@ class _SystemForm:
         a_val, a_der = self.system.structure_jets_at(points)
         return a_val[..., self.s], a_der[..., self.s, :]
 
-    def coeff(self, u):
-        return self.system.structure_at(u)[:, :, self.s]
 
-    def value(self, u, p) -> float:
-        p = np.asarray(p, dtype=float)
-        return float(p @ self.coeff(u) @ p)
+def _batch(points, n) -> np.ndarray:
+    return np.asarray(points, dtype=float).reshape(-1, n)
+
+
+def _pullback_rows(aval, V) -> np.ndarray:
+    """J[b, i] = M^{i*} alpha at points[b], from alpha (B, n) and the basis
+    values V (B, n, n, n) there; each row rounds as ``alpha @ M^i``."""
+    return (aval[:, None, None, :] @ V)[..., 0, :]
 
 
 class IntegrableSystem:
     """A generated commuting family: basis, conservation law, chart, and the
-    quadratic forms F_s in the chart's canonical coordinates."""
+    quadratic forms F_s in the chart's canonical coordinates.  Every
+    pointwise quantity is evaluated over a (B, n) batch of points."""
 
     def __init__(self, basis: OperatorBasis, alpha: OneFormField, chart,
                  tol: float = DEFAULT_TOL, seed: int = 0):
@@ -235,30 +236,22 @@ class IntegrableSystem:
         self.tol = tol
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
-        self._structure_cache = {}
         self._batch = (None, None)   # (points' bytes, structure jets there)
         self.hamiltonians = None
         if self.is_constant:
-            a = self.structure_at(np.zeros(self.dimension))
-            self.hamiltonians = [
-                QuadraticHamiltonian.constant(a[:, :, s])
-                for s in range(self.dimension)
-            ]
+            # the grids are symmetric only up to rounding in a general frame
+            grids = self.coefficient_grids(np.zeros((1, self.dimension)))[0]
+            self.hamiltonians = [QuadraticHamiltonian.constant((A + A.T) / 2)
+                                 for A in grids]
 
     # -- pointwise data ------------------------------------------------------
 
-    def structure_at(self, u) -> np.ndarray:
-        key = tuple(float(x) for x in u)
-        hit = self._structure_cache.get(key)
-        if hit is not None:
-            return hit
-        values = self.basis.eval(u)
-        a, _ = structure_constants_at(
-            values, well_conditioned_xi(values, self.seed, self.tol))
-        if len(self._structure_cache) > 1024:
-            self._structure_cache.clear()
-        self._structure_cache[key] = a
-        return a
+    def coefficient_grids(self, points) -> np.ndarray:
+        """G[b, s, i, j] = a^{ij}_s, the coefficient grid of F_s, at
+        points[b]."""
+        P, V = self.basis.values(points)
+        return point_data(V, P, seed=self.seed,
+                          tol=self.tol).structure.transpose(0, 3, 1, 2)
 
     def structure_jets_at(self, points):
         """Structure constants and their chart-frame derivatives over a
@@ -268,26 +261,31 @@ class IntegrableSystem:
         if self._batch[0] != P.tobytes():
             V, dV = self.basis.batch_jet_arrays(P)
             a, da = tangent_structure_constants(V, dV, P, self.seed, self.tol)
-            # chart Jacobian J[b, i, m] = (M^{i*} alpha)_m at points[b]
-            J = np.einsum("br,birm->bim", self.alpha.batch_jet_arrays(P)[0], V)
-            self._batch = (P.tobytes(), (a, np.einsum("bijsm,bmk->bijsk", da,
-                                                      np.linalg.inv(J))))
+            Jinv = self._chart_inverse(
+                _pullback_rows(self.alpha.batch_jet_arrays(P)[0], V), P)
+            self._batch = (P.tobytes(),
+                           (a, np.einsum("bijsm,bmk->bijsk", da, Jinv)))
         return self._batch[1]
 
-    def chart_rows(self, u) -> np.ndarray:
-        """Chart Jacobian J[i, m] = (M^{i*} alpha)_m(u)."""
-        aval = self.alpha.eval(u)
-        return np.vstack([aval @ M for M in self.basis.eval(u)])
+    @staticmethod
+    def _chart_inverse(J, P):
+        return checked_inv(J, P, "the pullback rows M^{i*} alpha are "
+                           "dependent")
 
-    def chart_frame_basis(self, u):
-        """Basis values pushed to the chart frame: J M J^{-1}."""
-        J = self.chart_rows(u)
-        Jinv = np.linalg.inv(J)
-        return [J @ M @ Jinv for M in self.basis.eval(u)]
+    def chart_rows(self, points) -> np.ndarray:
+        """Chart Jacobians J[b, i, m] = (M^{i*} alpha)_m at points[b]."""
+        P, V = self.basis.values(points)
+        return _pullback_rows(self.alpha.batch_jet_arrays(P)[0], V)
 
-    def coefficient_grids(self, u):
-        a = self.structure_at(u)
-        return [a[:, :, s] for s in range(self.dimension)]
+    def chart_frame_basis(self, points):
+        """Basis values J M^i J^{-1} (B, n, n, n) and alpha J^{-1} (B, n)
+        pushed to the chart frame at points[b]."""
+        P, V = self.basis.values(points)
+        aval = self.alpha.batch_jet_arrays(P)[0]
+        J = _pullback_rows(aval, V)
+        Jinv = self._chart_inverse(J, P)
+        return J[:, None] @ V @ Jinv[:, None], \
+            (aval[:, None, :] @ Jinv)[:, 0]
 
     def forms(self):
         if self.hamiltonians is not None:
@@ -296,31 +294,29 @@ class IntegrableSystem:
 
     # -- derived objects -----------------------------------------------------
 
-    def killing_at(self, u):
-        """K_s = h_s h_1^{-1} at the point (chart frame)."""
-        grids = self.coefficient_grids(u)
-        h1_inv = np.linalg.inv(grids[0])
-        return [A @ h1_inv for A in grids]
+    def killing_at(self, points) -> np.ndarray:
+        """K[b, s] = h_s h_1^{-1} at points[b] (chart frame)."""
+        P = _batch(points, self.dimension)
+        return _killing_values(self.coefficient_grids(P), P)[0]
 
-    def hj_differential(self, u, c) -> np.ndarray:
-        """dW(u, c) in chart components; substituting p = dW solves
-        F_s(u, p) = c_s."""
-        mats = self.chart_frame_basis(u)
-        J = self.chart_rows(u)
-        alpha_chart = np.linalg.solve(J.T, self.alpha.eval(u))
-        return hj_differential(mats, alpha_chart, c)
+    def hj_differential(self, points, c) -> np.ndarray:
+        """dW(u, c) in chart components at each of the points, (B, n);
+        substituting p = dW solves F_s(u, p) = c_s."""
+        mats, alpha_chart = self.chart_frame_basis(points)
+        return np.array([hj_differential(M, a, c) for M, a in
+                         zip(mats, alpha_chart)]).reshape(-1, self.dimension)
 
-    def n15_residual(self, u, p) -> float:
+    def n15_residual(self, points, p) -> np.ndarray:
         """Residual of the matrix identity (p_i M^i)^2 = F_s M^s in the
-        chart frame."""
-        mats = self.chart_frame_basis(u)
-        p = np.asarray(p, dtype=float)
-        grids = self.coefficient_grids(u)
-        lhs = sum(p[i] * mats[i] for i in range(self.dimension))
+        chart frame at each phase point (points[b], p[b])."""
+        P = _batch(points, self.dimension)
+        p = _batch(p, self.dimension)
+        mats, _ = self.chart_frame_basis(P)
+        lhs = np.einsum("bi,birc->brc", p, mats)
         lhs = lhs @ lhs
-        rhs = sum(float(p @ grids[s] @ p) * mats[s]
-                  for s in range(self.dimension))
-        return max_abs(lhs - rhs) / (1.0 + max_abs(lhs))
+        F = np.einsum("bi,bsij,bj->bs", p, self.coefficient_grids(P), p)
+        rhs = np.einsum("bs,bsrc->brc", F, mats)
+        return batch_max_abs(lhs - rhs) / (1.0 + batch_max_abs(lhs))
 
 
 def generate_system(
@@ -342,22 +338,20 @@ def generate_system(
     n = basis.dimension
     report = VerificationReport(title="generate_system", seed=seed)
     bracket_tol = tol if bracket_tol is None else bracket_tol
+    P, V = basis.values(points)
 
     report.add(reduce_check(
         "alpha_common_conservation_law",
-        [conservation_law_residuals(f, alpha, points, tol)
-         for f in basis.fields], points, tol))
+        [conservation_law_residuals(f, alpha, P, tol)
+         for f in basis.fields], P, tol))
 
-    pullbacks = np.empty((len(points), n, n))
-    for k, u in enumerate(points):
-        aval = alpha.eval(u)
-        pullbacks[k] = [aval @ M for M in basis.eval(u)]
+    pullbacks = _pullback_rows(alpha.batch_jet_arrays(P)[0], V)
     min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
-        passed=len(points) > 0 and min_rank == n,
-        residual=float(n - min_rank), tolerance=0.0, samples=len(points),
-        detail=f"min rank {min_rank} of {n}" if len(points)
+        passed=len(P) > 0 and min_rank == n,
+        residual=float(n - min_rank), tolerance=0.0, samples=len(P),
+        detail=f"min rank {min_rank} of {n}" if len(P)
         else "no point evaluated",
     ))
 
@@ -368,8 +362,9 @@ def generate_system(
                 "a constant basis with constant alpha admits the automatic "
                 "linear chart"
             )
-        aval = alpha.eval(np.zeros(n))
-        C = np.vstack([aval @ M for M in basis.eval(np.zeros(n))])
+        origin = np.zeros((1, n))
+        C = _pullback_rows(alpha.batch_jet_arrays(origin)[0],
+                           basis.values(origin)[1])[0]
         chart = []
         for i in range(n):
             e: Expression = Const(0)
@@ -387,76 +382,84 @@ def generate_system(
                  for c in chart]
 
     # the chart gradients must be the pullback rows
-    _, grads = OneFormField(chart).batch_jet_arrays(
-        np.asarray(points, dtype=float).reshape(-1, n))
+    _, grads = OneFormField(chart).batch_jet_arrays(P)
     report.add(reduce_check("chart_validation", batch_max_abs(
-        grads - pullbacks) / (1.0 + batch_max_abs(pullbacks)), points, tol))
+        grads - pullbacks) / (1.0 + batch_max_abs(pullbacks)), P, tol))
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
-    residuals = []
-    for u in points:
-        values = basis.eval(u)
-        residuals.append(structure_constants_at(
-            values, well_conditioned_xi(values, seed, tol))[1])
-    report.add(reduce_check("span_closure", residuals, points, tol))
+    data = point_data(V, P, seed=seed, tol=tol)
+    report.add(reduce_check("span_closure", data.closure_residual, P, tol))
 
-    forms = system.forms()
     rng = np.random.default_rng(seed + 1)
-    p_draws = rng.uniform(-1.0, 1.0, (len(points), n))
-    report.add(verify_commuting_family(forms, points, p_draws,
-                                       tol=bracket_tol))
-    report.add(_momentum_nondegeneracy(system.coefficient_grids, points, n,
-                                       seed=seed + 2))
+    p_draws = rng.uniform(-1.0, 1.0, (len(P), n))
+    try:
+        report.add(verify_commuting_family(system.forms(), P, p_draws,
+                                           tol=bracket_tol))
+    except SingularMatrixError as exc:
+        report.add(CheckResult(
+            name="pairwise_poisson_brackets", passed=False,
+            residual=float("inf"), tolerance=bracket_tol, samples=len(P),
+            detail=str(exc)))
+    report.add(_momentum_nondegeneracy(
+        data.structure.transpose(0, 3, 1, 2), P, seed=seed + 2))
     return system, report
 
 
-def _commutation_residual(Ks) -> float:
-    """Worst commutator of the Killing tensors at one point, relative to
-    1 + the largest squared entry."""
-    scale = 1.0 + max(max_abs(K) for K in Ks) ** 2
-    return float(np.max([max_abs(Ks[i] @ Ks[j] - Ks[j] @ Ks[i])
-                         for i in range(len(Ks))
-                         for j in range(i + 1, len(Ks))], initial=0.0) / scale)
+def _commutation_residuals(K) -> np.ndarray:
+    """Worst commutator of the Killing tensors K (B, m, n, n) at each point,
+    relative to 1 + the largest squared entry."""
+    return np.max(commutator_norms(K), axis=1, initial=0.0) \
+        / (1.0 + batch_max_abs(K) ** 2)
 
 
-def _asymmetry(P) -> float:
-    return max_abs(P - P.T) / (1.0 + max_abs(P))
+def _asymmetry(A) -> np.ndarray:
+    """|A - A^T| / (1 + |A|) for each matrix of the stack A (..., n, n)."""
+    norm = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
+    return np.max(np.abs(A - A.swapaxes(-1, -2)), axis=(-2, -1),
+                  initial=0.0) / (1.0 + norm)
+
+
+def _killing_values(G, points):
+    """Killing tensors K[b, s] = h_s h_1^{-1} from the grids G[b, s] = h_s
+    at points[b], and h_1^{-1}; SingularMatrixError at the first point
+    where h_1 is singular."""
+    h1_inv = checked_inv(G[:, 0], points, "h_1 is singular")
+    return G @ h1_inv[:, None], h1_inv
 
 
 def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
     """Killing tensors K_s = h_s h_1^{-1} of a generated system together
     with the algebraic certificates: pairwise commutation, self-adjointness
     of the basis w.r.t. every form h_s, and the duality M^i = a^{is}_1 K_s.
+    The checks cover the points before the first one where h_1 is
+    singular; returns (K (B', n, n, n) at those points, report).
     """
     report = VerificationReport(title="killing_tensors")
-    n = system.dimension
-    per_point = []   # Killing tensors at the points before a singular h_1
-    comm, adj, dual = [], [], []
-    for u in points:
-        grids = system.coefficient_grids(u)
-        try:
-            Ks = system.killing_at(u)
-        except np.linalg.LinAlgError:
-            report.add(CheckResult(
-                name="h1_invertible", passed=False, residual=float("inf"),
-                tolerance=tol, worst_point=list(map(float, u)),
-                samples=len(per_point) + 1, detail="h_1 degenerate",
-            ))
-            break
-        per_point.append(Ks)
-        mats = system.chart_frame_basis(u)
-        a = system.structure_at(u)
-        comm.append(_commutation_residual(Ks))
-        adj.append(np.max([_asymmetry(M @ g) for M in mats for g in grids]))
-        dual.append(np.max([
-            max_abs(mats[i] - sum(a[i, s, 0] * Ks[s] for s in range(n)))
-            / (1.0 + max_abs(mats[i])) for i in range(n)]))
-    reached = points[:len(per_point)]
-    report.add(reduce_check("killing_pairwise_commutation", comm, reached, tol))
-    report.add(reduce_check("basis_self_adjointness", adj, reached, tol))
-    report.add(reduce_check("killing_duality", dual, reached, tol))
-    return per_point, report
+    P = _batch(points, system.dimension)
+    G = system.coefficient_grids(P)
+    try:
+        K, _ = _killing_values(G, P)
+    except SingularMatrixError as exc:
+        report.add(CheckResult(
+            name="h1_invertible", passed=False, residual=float("inf"),
+            tolerance=tol, worst_point=list(map(float, P[exc.index])),
+            samples=exc.index + 1, detail="h_1 degenerate",
+        ))
+        P, G = P[:exc.index], G[:exc.index]
+        K, _ = _killing_values(G, P)
+    mats, _ = system.chart_frame_basis(P)
+    adj = np.max(_asymmetry(mats[:, :, None] @ G[:, None]), axis=(1, 2),
+                 initial=0.0)
+    recon = np.einsum("bis,bsrc->birc", G[:, 0], K)
+    dual = np.max(np.max(np.abs(mats - recon), axis=(-2, -1), initial=0.0)
+                  / (1.0 + np.max(np.abs(mats), axis=(-2, -1), initial=0.0)),
+                  axis=1, initial=0.0)
+    report.add(reduce_check("killing_pairwise_commutation",
+                            _commutation_residuals(K), P, tol))
+    report.add(reduce_check("basis_self_adjointness", adj, P, tol))
+    report.add(reduce_check("killing_duality", dual, P, tol))
+    return K, report
 
 
 def hj_differential(mats, alpha_value, c) -> np.ndarray:
@@ -471,12 +474,6 @@ def hj_differential(mats, alpha_value, c) -> np.ndarray:
     S = sum(c[i] * np.asarray(mats[i], dtype=float) for i in range(len(mats)))
     R = sqrt_near_identity(S)
     return R.T @ np.asarray(alpha_value, dtype=float)
-
-
-def _killing_of(grids):
-    """K_s = h_s h_1^{-1} at one point, from the grids h_s there."""
-    h1_inv = mat_inv(grids[0])
-    return [np.asarray(g) @ h1_inv for g in grids]
 
 
 class ReconstructedFamily(DualFamilyBase):
@@ -500,16 +497,61 @@ class ReconstructedFamily(DualFamilyBase):
         jets = [H.coeff_jets(points) for H in self.hams]
         H = np.stack([v for v, _ in jets], axis=1)
         dH = np.stack([d for _, d in jets], axis=1)
-        h1_inv = checked_inv(H[:, 0], points, "h_1 is singular")
-        K = H @ h1_inv[:, None]
+        K, h1_inv = _killing_values(H, points)
         return K, np.einsum("bsijm,bjk->bsikm", dH, h1_inv) - np.einsum(
             "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv)
 
-    def killing_values(self, u):
-        return _killing_of([H.coeff(u) for H in self.hams])
+    def killing_values(self, points):
+        return self._killing(_batch(points, self.dimension))[0]
 
     def jet_data(self, points):
         return self._dual_jets(points, self._killing)
+
+
+def _killing_span_checks(G, P, covector, seed, tol):
+    """The hypotheses on the Killing tensors K_s = h_s h_1^{-1} of the grids
+    G[b, s] at P[b]: pairwise commutation, self-adjointness w.r.t.
+    h_1^{-1}, and the Frobenius certificates of their span.  The Frobenius
+    checks stop at the first point where h_1 is singular, no generic vector
+    is found or the point data fail; the Killing checks also cover that
+    point when its Killing tensors exist."""
+    fail_detail = ""
+    try:
+        K, h1_inv = _killing_values(G, P)
+        killed = stop = len(P)
+    except SingularMatrixError as exc:
+        killed = stop = exc.index
+        fail_detail = str(exc)
+        K, h1_inv = _killing_values(G[:stop], P[:stop])
+    xi, a_cov = batch_generic_search(K, seed, DEFAULT_TOL)
+    missed = np.flatnonzero(np.isnan(xi[:, 0]))
+    if len(missed):
+        stop = missed[0]
+        fail_detail = f"no generic vector at {list(map(float, P[stop]))}"
+    covector_ok = not np.isnan(a_cov[:stop, 0]).any()
+    while True:
+        try:
+            data = point_data(K[:stop], P[:stop], covector, seed=seed)
+            break
+        except (GenericityError, SingularMatrixError) as exc:
+            stop, fail_detail = exc.index, str(exc)
+    reached = min(stop + 1, killed)
+
+    comm = reduce_check("killing_pairwise_commutation",
+                        _commutation_residuals(K[:reached]), P[:reached], tol)
+    adj = reduce_check("killing_self_adjointness", np.max(
+        _asymmetry(h1_inv[:reached, None] @ K[:reached]), axis=1,
+        initial=0.0), P[:reached], tol)
+    span = reduce_check(
+        "frobenius_span", [data.closure_residual,
+                           data.associativity_residual], P[:stop], tol,
+        detail=fail_detail
+        or "A1/A2 searches, closure and associativity of the Killing span")
+    span.passed = span.passed and not fail_detail and covector_ok
+    duality = reduce_check("form_duality", data.duality_residual, P[:stop],
+                           tol, detail="<a ; Mbar^i K_j> = delta")
+    duality.passed = duality.passed and not fail_detail
+    return [comm, adj, span, duality]
 
 
 def inverse_verify(
@@ -531,61 +573,19 @@ def inverse_verify(
     Returns (VerificationReport, ReconstructedFamily | None).
     """
     n = hams[0].dimension
+    P = _batch(points, n)
     report = VerificationReport(title="inverse_verify", seed=seed)
     rng = np.random.default_rng(seed + 1)
-    p_draws = rng.uniform(-1.0, 1.0, (len(points), n))
-    report.add(verify_commuting_family(hams, points, p_draws, tol=tol))
-    report.add(_momentum_nondegeneracy(
-        lambda u: [H.coeff(u) for H in hams], points, n, seed=seed + 2))
-
-    family = ReconstructedFamily(hams, covector, tol=DEFAULT_TOL, seed=seed)
-    # each list holds the residuals of the points reached before a failure
-    comm, adj, closure, assoc, form = [], [], [], [], []
-    a1_ok = covector_ok = True
-    fail_detail = ""
-    try:
-        for u in points:
-            grids = [H.coeff(u) for H in hams]
-            Ks = _killing_of(grids)
-            comm.append(_commutation_residual(Ks))
-            ginv = np.linalg.inv(grids[0])
-            adj.append(np.max([_asymmetry(ginv @ K) for K in Ks]))
-            rng_pt = np.random.default_rng(seed)
-            xi = find_generic_vector(Ks, 32, rng_pt, DEFAULT_TOL)
-            a_cov = find_generic_covector(Ks, 32, rng_pt, DEFAULT_TOL)
-            if xi is None:
-                a1_ok = False
-                fail_detail = f"no generic vector at {list(map(float, u))}"
-                break
-            if a_cov is None:
-                covector_ok = False
-            data = point_data(Ks, covector=np.asarray(covector, dtype=float),
-                              xi=xi)
-            closure.append(data.closure_residual)
-            assoc.append(data.associativity_residual)
-            form.append(data.duality_residual)
-    except (SingularMatrixError, np.linalg.LinAlgError, OpfrobError) as exc:
-        fail_detail = str(exc)
-        a1_ok = False
-
-    report.add(reduce_check("killing_pairwise_commutation", comm,
-                            points[:len(comm)], tol))
-    report.add(reduce_check("killing_self_adjointness", adj,
-                            points[:len(adj)], tol))
-    span = report.add(reduce_check(
-        "frobenius_span", [closure, assoc], points[:len(closure)], tol,
-        detail=fail_detail
-        or "A1/A2 searches, closure and associativity of the Killing span"))
-    span.passed = span.passed and a1_ok and covector_ok
-    duality = report.add(reduce_check(
-        "form_duality", form, points[:len(form)], tol,
-        detail="<a ; Mbar^i K_j> = delta"))
-    duality.passed = duality.passed and a1_ok
-
+    p_draws = rng.uniform(-1.0, 1.0, (len(P), n))
+    report.add(verify_commuting_family(hams, P, p_draws, tol=tol))
+    G = np.stack([H.coeff_jets(P)[0] for H in hams], axis=1)
+    report.add(_momentum_nondegeneracy(G, P, seed=seed + 2))
+    report.checks.extend(_killing_span_checks(G, P, covector, seed, tol))
     if not report.passed:
         return report, None
 
-    jets = family.jet_data(points)
+    family = ReconstructedFamily(hams, covector, tol=DEFAULT_TOL, seed=seed)
+    jets = family.jet_data(P)
     scales = [1.0 + (batch_max_abs(v) + batch_max_abs(d)) for v, d in jets]
     torsion = np.max([
         batch_max_abs(bracket_from_jets(v, d, v, d)) / s ** 2
@@ -593,9 +593,9 @@ def inverse_verify(
     strong = _worst_per_point([
         batch_max_abs(bracket_from_jets(*jets[i], *jets[j]))
         / (scales[i] * scales[j])
-        for i in range(n) for j in range(i + 1, n)], len(points))
+        for i in range(n) for j in range(i + 1, n)], len(P))
     report.add(reduce_check("reconstructed_nijenhuis_torsion", torsion,
-                            points, tol))
+                            P, tol))
     report.add(reduce_check("reconstructed_strong_symmetries", strong,
-                            points, tol))
+                            P, tol))
     return report, family

@@ -1,13 +1,12 @@
 """Dense linear algebra at desk scale, and first-order jets.
 
-Matrices are small (n <= ~16) numpy arrays, either float64 or object dtype
-whose entries are any scalar supporting the arithmetic dunders (truncated
-power series, jets).  ``mat_solve`` eliminates by hand with partial pivoting,
-once for all the right-hand columns it is given, so that the pointwise
-pipeline runs over floats and over such scalars alike; exact derivatives
-over a batch of points take the tangent pipeline of ``frobalg`` instead,
-on batched LAPACK.  ``mat_rank`` also takes a float stack (..., r, c),
-reducing every matrix in it at once with the arithmetic of a lone call.
+Matrices are small (n <= ~16).  The float checks work on stacks (K, r, c)
+over a whole sample batch: ``batch_solve`` runs one elimination with
+partial pivoting on every system of a stack at once, and ``mat_rank`` one
+row reduction, each with the arithmetic of a lone call.  ``mat_solve`` and
+``mat_inv`` eliminate one matrix by hand, also over object arrays whose
+entries are any scalar supporting the arithmetic dunders (truncated power
+series, jets); they serve the lone-point pipeline over such scalars.
 ``Jet`` carries a value and its partials; with array values it evaluates
 expressions over a whole batch of points.
 """
@@ -29,6 +28,7 @@ __all__ = [
     "magnitude",
     "mat_solve",
     "mat_inv",
+    "batch_solve",
     "mat_rank",
     "sqrt_near_identity",
     "max_abs",
@@ -277,6 +277,32 @@ def mat_inv(A, tol: float = 1e-12):
     n = A.shape[0]
     eye = np.eye(n) if A.dtype != object else np.asarray(np.eye(n), dtype=object)
     return mat_solve(A, eye, tol=tol)
+
+
+def batch_solve(A, B) -> np.ndarray:
+    """X[k] with A[k] X[k] = B[k] for a float stack A (K, n, n) and B
+    (K, n, m), by the elimination of ``mat_solve`` run on every matrix at
+    once: each X[k] equals a lone ``mat_solve(A[k], B[k])`` bit for bit.
+    There is no pivot threshold; callers check regularity first
+    (``frobalg.checked_solve``)."""
+    A = np.array(A, dtype=float)
+    X = np.array(B, dtype=float)
+    lanes, n = np.arange(len(A)), A.shape[-1]
+    with np.errstate(all="ignore"):
+        for col in range(n):
+            piv = col + np.argmax(np.abs(A[:, col:, col]), axis=1)
+            for M in (A, X):
+                M[lanes, col], M[lanes, piv] = M[lanes, piv], M[lanes, col]
+            f = A[:, col + 1:, col, None] / A[:, col, None, col, None]
+            A[:, col + 1:, col + 1:] = A[:, col + 1:, col + 1:] \
+                - f * A[:, col, None, col + 1:]
+            X[:, col + 1:] = X[:, col + 1:] - f * X[:, col, None]
+        for r in range(n - 1, -1, -1):
+            s = X[:, r]
+            for k in range(r + 1, n):
+                s = s - A[:, r, k, None] * X[:, k]
+            X[:, r] = s / A[:, r, r, None]
+    return X
 
 
 def mat_rank(A, tol: float = 1e-9):

@@ -35,14 +35,14 @@ from .errors import (
 from .fields import OneFormField
 from .frobalg import (
     OperatorBasis,
-    find_generic_covector,
-    find_well_conditioned_vector,
     frobenius_dual,
+    genericity_residuals,
+    point_data,
     structure_constants_at,
     tangent_dual,
     well_conditioned_xi,
 )
-from .numkit import batch_max_abs, max_abs
+from .numkit import batch_max_abs
 from .report import CheckResult, VerificationReport, reduce_check
 
 __all__ = [
@@ -279,20 +279,13 @@ def dualize_family(
 
     if check_inputs:
         report.add(mutual_symmetries("input_mutual_symmetries", basis.fields))
-        generic_ok, generic_detail = True, ""
-        for u in points:
-            values = basis.eval(u)
-            rng = np.random.default_rng(seed)
-            if find_well_conditioned_vector(values, 32, rng, tol) is None \
-                    or find_generic_covector(values, 32, rng, tol) is None:
-                generic_ok = False
-                generic_detail = f"at {[float(x) for x in u]}"
-                break
-        report.add(CheckResult(
-            name="genericity_A1_A2", passed=generic_ok,
-            residual=0.0 if generic_ok else float("inf"), tolerance=0.0,
-            samples=len(points), detail=generic_detail,
-        ))
+        # stops at the first point without a generic vector and covector
+        P, V = basis.values(points)
+        generic, detail = genericity_residuals(V, P, seed, tol)
+        bad = np.flatnonzero(generic)
+        reached = bad[0] + 1 if len(bad) else len(P)
+        report.add(reduce_check("genericity_A1_A2", generic[:reached],
+                                P[:reached], 0.0, detail=detail))
     family = DualFamily(basis, covector, tol=tol, seed=seed)
     try:
         report.add(mutual_symmetries("dual_mutual_symmetries", family.fields))
@@ -320,14 +313,11 @@ def symmetry_coefficient_check(
     if len(h) != n:
         raise ValueError(f"need {n} coefficient functions, got {len(h)}")
     hform = OneFormField(h)  # reuse component-wise jet evaluation
-    residuals = []
-    for u in points:
-        data = basis.point_data(u, tol=tol, seed=seed)
-        _, dh = hform.jet_arrays(u)          # dh[j, m] = d h^j / du^m
-        Kvals = basis.eval(u)
-        scale = 1.0 + max(max_abs(K) for K in Kvals) * (1.0 + max_abs(dh))
-        # row j of dh @ K_i is (K_i^* dh^j)_m
-        diffs = [dh @ Kvals[i] - np.einsum("sj,sm->jm", data.structure[i], dh)
-                 for i in range(n)]
-        residuals.append(max_abs(np.stack(diffs)) / scale)
-    return reduce_check("symmetry_coefficients", residuals, points, tol)
+    P, V = basis.values(points)
+    a = point_data(V, P, seed=seed, tol=tol).structure
+    dh = hform.batch_jet_arrays(P)[1]     # dh[b, j, m] = d h^j / du^m
+    # row j of dh @ K_i is (K_i^* dh^j)_m
+    diffs = dh[:, None] @ V - np.einsum("bisj,bsm->bijm", a, dh)
+    scale = 1.0 + batch_max_abs(V) * (1.0 + batch_max_abs(dh))
+    return reduce_check("symmetry_coefficients", batch_max_abs(diffs) / scale,
+                        P, tol)

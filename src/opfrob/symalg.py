@@ -23,9 +23,10 @@ from .fields import OperatorField
 from .frobalg import (
     OperatorBasis,
     find_generic_covector,
+    point_data,
     structure_constants_at,
 )
-from .numkit import max_abs
+from .numkit import batch_max_abs, max_abs
 from .opfields import bracket_residuals
 from .report import CheckResult, VerificationReport, reduce_check
 
@@ -160,24 +161,13 @@ def sym_membership(
     generic vector, then validated as a full matrix identity), followed by
     strong-symmetry checks against every basis field."""
     report = VerificationReport(title="sym_membership", seed=seed)
-    n = basis.dimension
-
-    P = np.asarray(points, dtype=float)
-    cand_vals = candidate.batch_jet_arrays(P)[0]
-    residuals = []   # up to the first point with a singular column matrix
-    for u, cand in zip(P, cand_vals):
-        values = basis.eval(u)
-        data = basis.point_data(u, tol=tol, seed=seed)
-        cols = np.column_stack([V @ data.xi for V in values])
-        try:
-            g = np.linalg.solve(cols, cand @ data.xi)
-        except np.linalg.LinAlgError:
-            residuals.append(float("inf"))
-            break
-        recon = sum(g[i] * values[i] for i in range(n))
-        residuals.append(max_abs(cand - recon) / (1.0 + max_abs(cand)))
-    report.add(reduce_check("decomposition_in_span", residuals,
-                            P[:len(residuals)], tol))
+    P, V = basis.values(points)
+    cand = candidate.batch_jet_arrays(P)[0]
+    data = point_data(V, P, seed=seed, tol=tol)
+    g = (data.columns_inv @ (cand @ data.xi[:, :, None]))[..., 0]
+    recon = np.einsum("bi,birc->brc", g, V)
+    report.add(reduce_check("decomposition_in_span", batch_max_abs(
+        cand - recon) / (1.0 + batch_max_abs(cand)), P, tol))
 
     if report.passed:
         name = "strong_symmetry_vs_basis"

@@ -49,8 +49,7 @@ def admissible_covector(basis, points, rng, tries=20):
     draws, the one minimizing the worst condition number of b over the
     probe points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    structures = [np.asarray(basis.point_data(u).structure, dtype=float)
-                  for u in points]
+    structures = basis.point_data(points).structure
     best, best_cond = None, np.inf
     for _ in range(tries):
         a = rng.uniform(-1.0, 1.0, basis.dimension)

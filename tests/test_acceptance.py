@@ -61,7 +61,7 @@ def test_criterion_1_constant_family_generation():
     system, report = generate_system(basis, alpha, points, seed=SEED)
     assert report.passed
 
-    J = system.chart_rows(np.zeros(4))
+    J = system.chart_rows([np.zeros(4)])[0]
     Jinv = np.linalg.inv(J)
     generated = [Jinv @ H.coeff(np.zeros(4)) @ Jinv.T
                  for H in system.hamiltonians]
@@ -140,13 +140,11 @@ def test_criterion_4_duality_involution():
         a = admissible_covector(basis, points, rng)
         for u in points:
             values = basis.eval(u)
-            data = point_data(values, covector=a,
-                              rng=np.random.default_rng(0))
-            duals = [np.asarray(D, float) for D in data.dual]
-            back = point_data(duals, covector=data.identity_coords,
-                              rng=np.random.default_rng(0))
+            data = basis.point_data([u], covector=a)
+            back = point_data(data.dual, [u],
+                              covector=data.identity_coords[0])
             scale = 1.0 + max(np.max(np.abs(V)) for V in values)
-            for got, want in zip(back.dual, values):
+            for got, want in zip(back.dual[0], values):
                 assert np.max(np.abs(np.asarray(got, float) - want)) \
                     <= 1e-9 * scale
         _, rep = dualize_family(basis, a, points, tol=1e-8)
@@ -184,7 +182,7 @@ def test_criterion_6_killing_and_duality_identities():
     points = sample_points(4, SampleConfig(seed=SEED, count=50))
     system, _ = generate_system(basis, demo4_one_form(), points[:10],
                                 seed=SEED)
-    K4 = system.killing_at(np.zeros(4))[3]
+    K4 = system.killing_at([np.zeros(4)])[0, 3]
     assert np.array_equal(K4, demo4_matrices()[3])
 
     _, kill_report = killing_tensors(system, points, tol=1e-10)
@@ -192,7 +190,7 @@ def test_criterion_6_killing_and_duality_identities():
     rng = np.random.default_rng(SEED + 2)
     for u in points:
         p = rng.uniform(-1.0, 1.0, 4)
-        assert system.n15_residual(u, p) <= 1e-10
+        assert system.n15_residual([u], [p])[0] <= 1e-10
 
     guarded = sample_points(4, SampleConfig(seed=SEED, count=50,
                                             guards=demo4_rational_guards()))
@@ -215,8 +213,8 @@ def test_criterion_7_hamilton_jacobi_consistency():
         c = rng.uniform(-0.4, 0.4, 4)
         c[3] = rng.uniform(0.6, 1.4)
         for u in points[:3]:
-            dW = system.hj_differential(u, c)
-            grids = system.coefficient_grids(u)
+            dW = system.hj_differential([u], c)[0]
+            grids = system.coefficient_grids([u])[0]
             vals = np.array([float(dW @ A @ dW) for A in grids])
             assert np.max(np.abs(vals - c)) <= 1e-8
         u0 = points[0]
@@ -227,7 +225,7 @@ def test_criterion_7_hamilton_jacobi_consistency():
         for s in range(n):
             for sign in (+1, -1):
                 up = u0.copy(); up[s] += sign * h
-                dWs[(s, sign)] = system.hj_differential(up, c)
+                dWs[(s, sign)] = system.hj_differential([up], c)[0]
         for j in range(n):
             for k in range(n):
                 d_j_Wk = (dWs[(j, 1)][k] - dWs[(j, -1)][k]) / (2 * h)

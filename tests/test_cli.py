@@ -6,6 +6,12 @@ import pytest
 
 from opfrob.cli import main
 from opfrob.fixtures import builtin_names
+from opfrob.sampling import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    SampleConfig,
+    sample_points,
+)
 
 
 def run_cli(args, capsys):
@@ -156,8 +162,10 @@ class TestInputChecks:
                                   "D": [["u1*1e400*0", "0"], ["0", "u2"]]})
         code, out, err = _run_doc(doc, "verify-algebra", tmp_path, capsys)
         assert (code, out) == (1, "")
+        first = sample_points(2, SampleConfig(seed=DEFAULT_SEED,
+                                              count=DEFAULT_SAMPLES))[0]
         assert err == "verification error: no generic vector found in " \
-                      "32 draws\n"
+                      f"32 draws at {[float(x) for x in first]}\n"
 
 
 class TestEmittedFixtures:
@@ -226,6 +234,54 @@ class TestEmittedFixtures:
     def test_nonsymmetric_builtin_fails(self, capsys):
         code, out, _ = run_cli(["builtin", "nonsymmetric-pair"], capsys)
         assert code == 1
+
+
+class TestDependentPullbacks:
+    """Analytic example52 with alpha = 0: the pullback rows M^{i*} alpha
+    are dependent at every point, so the chart frame does not exist."""
+
+    @staticmethod
+    def run(command, tmp_path, *extra):
+        path = tmp_path / "e52a.json"
+        main(["builtin", "example52", "--variant", "analytic",
+              "--emit", str(path)])
+        doc = json.loads(path.read_text())
+        doc["one_form"] = doc["chart"] = ["0"] * 4
+        path.write_text(json.dumps(doc))
+        return subprocess.run(
+            [sys.executable, "-m", "opfrob", command, str(path),
+             "--samples", "5", *extra], capture_output=True, text=True)
+
+    def test_generate_reports_the_singular_chart(self, tmp_path):
+        proc = self.run("generate", tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.startswith("[FAIL] pullback_independence:")
+                   for line in lines)
+        (bracket,) = [line for line in lines
+                      if "pairwise_poisson_brackets" in line]
+        assert bracket.startswith("[FAIL]")
+        assert "the pullback rows M^{i*} alpha are dependent at [" in bracket
+
+    def test_hj_exits_with_one_line(self, tmp_path):
+        proc = self.run("hj", tmp_path, "--c", "1,0.1,0.1,0.1")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("verification error: the pullback rows")
+
+    def test_constant_case_still_prints_its_report(self, tmp_path, capsys):
+        path = tmp_path / "e52.json"
+        run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+        doc = json.loads(path.read_text())
+        doc["one_form"] = ["0"] * 4
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["generate", str(path), "--samples", "5"],
+                                 capsys)
+        assert (code, err) == (1, "")
+        assert "[FAIL] pullback_independence:" in out
+        assert "emitted_family" in out
 
 
 class TestDeterminism:

@@ -13,16 +13,13 @@ from opfrob.fixtures import (
 from opfrob.frobalg import (
     OperatorBasis,
     algebra_report,
-    check_generic_covector,
-    check_generic_vector,
-    dual_basis,
+    batch_generic_search,
     find_generic_covector,
     find_generic_vector,
     find_well_conditioned_vector,
     is_generic_covector,
     is_generic_vector,
     point_data,
-    structure_constants,
     structure_constants_at,
     well_conditioned_xi,
 )
@@ -38,6 +35,14 @@ from oracles import (
 )
 
 ORIGIN4 = np.zeros(4)
+
+
+def search_at(basis, point, samples=32, seed=0):
+    """The batched (A1)/(A2) search at one point: (xi, covector), each None
+    where the search found nothing."""
+    _, V = basis.values([point])
+    return tuple(None if np.isnan(v[0]).any() else v[0]
+                 for v in batch_generic_search(V, seed, samples=samples))
 
 
 def nilpotent_pair_basis():
@@ -62,45 +67,46 @@ class TestGenericity:
     def test_identity_one_dim(self):
         basis = OperatorBasis.from_matrices([np.eye(1)])
         assert is_generic_vector([np.eye(1)], [0.7])
-        assert check_generic_vector(basis, [0.0], seed=1) is not None
-        assert check_generic_covector(basis, [0.0], seed=1) is not None
+        xi, a = search_at(basis, [0.0], seed=1)
+        assert xi is not None
+        assert a is not None
 
     def test_search_is_seeded(self):
         basis = demo4_constant_basis()
-        a = check_generic_vector(basis, ORIGIN4, seed=9)
-        b = check_generic_vector(basis, ORIGIN4, seed=9)
+        a = search_at(basis, ORIGIN4, seed=9)[0]
+        b = search_at(basis, ORIGIN4, seed=9)[0]
         assert np.array_equal(a, b)
 
     def test_search_failure_returns_none(self):
         # fields that annihilate every vector direction needed for rank n
         Z = np.zeros((2, 2)); Z[0, 0] = 1.0
         basis = OperatorBasis.from_matrices([np.eye(2) * 0 + Z, 2 * Z + 0])
-        assert check_generic_vector(basis, [0.0, 0.0], samples=8) is None
+        assert search_at(basis, [0.0, 0.0], samples=8)[0] is None
 
 
 class TestStructureConstants:
     def test_demo4_frozen_values(self):
-        data = structure_constants(demo4_constant_basis(), ORIGIN4)
-        a = np.asarray(data.structure, dtype=float)
+        data = demo4_constant_basis().point_data([ORIGIN4])
+        a = data.structure[0]
         assert np.isclose(a[1, 1, 3], 1.0)          # M2*M2 = M4
         assert np.allclose(a[1, 2], 0.0)            # M2*M3 = 0
         assert np.isclose(a[2, 2, 3], 1.0)          # M3*M3 = M4
         assert np.allclose(a[0, 2], [0, 0, 1, 0])   # Id*M3 = M3
-        assert data.closure_residual <= 1e-12
-        assert data.associativity_residual <= 1e-12
-        assert data.symmetry_residual <= 1e-12
+        assert data.closure_residual[0] <= 1e-12
+        assert data.associativity_residual[0] <= 1e-12
+        assert data.symmetry_residual[0] <= 1e-12
 
     def test_nilpotent_pair(self):
-        data = structure_constants(nilpotent_pair_basis(), np.zeros(2))
-        a = np.asarray(data.structure, dtype=float)
+        data = nilpotent_pair_basis().point_data([np.zeros(2)])
+        a = data.structure[0]
         assert np.allclose(a[0, 0], [1, 0])
         assert np.allclose(a[0, 1], [0, 1])
         assert np.allclose(a[1, 1], [0, 0])
 
     def test_identity_alone(self):
         basis = OperatorBasis.from_matrices([np.eye(1)])
-        data = structure_constants(basis, [0.0])
-        assert np.isclose(np.asarray(data.structure, float)[0, 0, 0], 1.0)
+        data = basis.point_data([[0.0]])
+        assert np.isclose(data.structure[0, 0, 0, 0], 1.0)
 
     def test_not_closed_has_residual(self):
         a, resid = structure_constants_at(not_closed_matrices(),
@@ -137,39 +143,38 @@ class TestStructureConstants:
 class TestDualBasis:
     def test_nilpotent_pair_dual(self):
         basis = nilpotent_pair_basis()
-        data = dual_basis(basis, [0.0, 1.0], np.zeros(2))
-        b = np.asarray(data.form, float)
+        data = basis.point_data([np.zeros(2)], [0.0, 1.0])
+        b = data.form[0]
         assert np.allclose(b, [[0, 1], [1, 0]])
         N = np.zeros((2, 2)); N[1, 0] = 1.0
-        assert np.allclose(np.asarray(data.dual[0], float), N)
-        assert np.allclose(np.asarray(data.dual[1], float), np.eye(2))
-        assert data.duality_residual <= 1e-12
-        assert data.identity_residual <= 1e-12
+        assert np.allclose(data.dual[0, 0], N)
+        assert np.allclose(data.dual[0, 1], np.eye(2))
+        assert data.duality_residual[0] <= 1e-12
+        assert data.identity_residual[0] <= 1e-12
 
     def test_companion_field_dual(self):
         # basis {Id, L}, L = [[u1,1],[u2,0]], a = (1,0), at u = (1,2)
         L = OperatorField.parse([["u1", "1"], ["u2", "0"]], 2)
         basis = OperatorBasis([OperatorField.identity(2), L])
-        data = dual_basis(basis, [1.0, 0.0], [1.0, 2.0])
-        assert np.allclose(np.asarray(data.form, float), np.diag([1.0, 2.0]))
-        assert np.allclose(np.asarray(data.dual[1], float),
-                           [[0.5, 0.5], [1.0, 0.0]])
+        data = basis.point_data([[1.0, 2.0]], [1.0, 0.0])
+        assert np.allclose(data.form[0], np.diag([1.0, 2.0]))
+        assert np.allclose(data.dual[0, 1], [[0.5, 0.5], [1.0, 0.0]])
 
     def test_identity_alone_dual(self):
         basis = OperatorBasis.from_matrices([np.eye(1)])
-        data = dual_basis(basis, [1.0], [0.0])
-        assert np.allclose(np.asarray(data.dual[0], float), np.eye(1))
+        data = basis.point_data([[0.0]], [1.0])
+        assert np.allclose(data.dual[0, 0], np.eye(1))
 
     def test_degenerate_covector_raises(self):
         basis = demo4_constant_basis()
         with pytest.raises(SingularMatrixError):
-            dual_basis(basis, [1.0, 0.0, 0.0, 0.0], ORIGIN4)
+            basis.point_data([ORIGIN4], [1.0, 0.0, 0.0, 0.0])
 
     def test_demo4_dual_reorders_basis(self):
-        data = dual_basis(demo4_constant_basis(), [0.0, 0.0, 0.0, 1.0],
-                          ORIGIN4)
+        data = demo4_constant_basis().point_data([ORIGIN4],
+                                                 [0.0, 0.0, 0.0, 1.0])
         M1, M2, M3, M4 = demo4_matrices()
-        duals = [np.asarray(D, float) for D in data.dual]
+        duals = data.dual[0]
         for got, want in zip(duals, [M4, M2, M3, M1]):
             assert np.allclose(got, want, atol=1e-12)
 
@@ -186,13 +191,11 @@ class TestDualityInvolution:
         a = admissible_covector(basis, points, rng)
         for u in points:
             values = basis.eval(u)
-            data = point_data(values, covector=a,
-                              rng=np.random.default_rng(0))
-            duals = [np.asarray(D, float) for D in data.dual]
-            back = point_data(duals, covector=data.identity_coords,
-                              rng=np.random.default_rng(0))
+            data = basis.point_data([u], covector=a)
+            back = point_data(data.dual, [u],
+                              covector=data.identity_coords[0])
             scale = 1.0 + max(np.max(np.abs(V)) for V in values)
-            for got, want in zip(back.dual, values):
+            for got, want in zip(back.dual[0], values):
                 assert np.max(np.abs(np.asarray(got, float) - want)) \
                     <= 1e-9 * scale
 
@@ -206,13 +209,11 @@ class TestRaisedStructureConstants:
         points = sample_points(n, guarded_config(n, seed=seed, count=5))
         a_cov = admissible_covector(basis, points, rng)
         for u in points:
-            values = basis.eval(u)
-            data = point_data(values, covector=a_cov,
-                              rng=np.random.default_rng(0))
-            a = np.asarray(data.structure, float)
-            binv = np.asarray(data.form_inv, float)
-            duals = [np.asarray(D, float) for D in data.dual]
-            a_dual, resid = structure_constants_at(duals, data.xi)
+            data = basis.point_data([u], covector=a_cov)
+            a = data.structure[0]
+            binv = data.form_inv[0]
+            duals = list(data.dual[0])
+            a_dual, resid = structure_constants_at(duals, data.xi[0])
             assert resid <= 1e-8
             raised = np.einsum("jb,kbi->ijk", binv, a)
             assert np.max(np.abs(np.asarray(a_dual, float) - raised)) <= 1e-9

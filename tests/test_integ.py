@@ -147,7 +147,7 @@ class TestGenerateSystem:
         assert np.allclose(grids[0], np.diag([1.0, 0.0]))   # ptilde_1^2
         assert np.allclose(grids[1], [[0.0, 1.0], [1.0, 0.0]])  # 2 pt1 pt2
         # chart is (u2, u1)
-        J = system.chart_rows(np.zeros(2))
+        J = system.chart_rows([np.zeros(2)])[0]
         assert np.allclose(J, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_one_dimensional(self):
@@ -182,9 +182,10 @@ class TestGenerateSystem:
         # printed rational family (reversal permutation)
         hams = demo4_rational_hamiltonians()
         for u in pts[:4]:
-            J = system.chart_rows(u)
+            J = system.chart_rows([u])[0]
             Jinv = np.linalg.inv(J)
-            gen = [Jinv @ A @ Jinv.T for A in system.coefficient_grids(u)]
+            grids = system.coefficient_grids([u])[0]
+            gen = [Jinv @ A @ Jinv.T for A in grids]
             want = [H.coeff(u) for H in hams]
             for G, W in zip(gen, want[::-1]):
                 assert np.max(np.abs(G - W)) <= 1e-8 * (1 + np.max(np.abs(W)))
@@ -207,7 +208,7 @@ class TestKillingTensors:
         per_point, report = killing_tensors(system, pts, tol=1e-10)
         assert report.passed
         M1, M2, M3, M4 = demo4_matrices()
-        Ks = system.killing_at(np.zeros(4))
+        Ks = system.killing_at([np.zeros(4)])[0]
         assert np.allclose(Ks[0], np.eye(4))
         for got, want in zip(Ks, [np.eye(4), M2, M3, M4]):
             assert np.allclose(got, want, atol=1e-12)
@@ -219,7 +220,7 @@ class TestKillingTensors:
         system, _ = generate_system(demo4_constant_basis(), demo4_one_form(),
                                     pts)
         per_point, report = killing_tensors(system, pts)
-        assert per_point == []
+        assert len(per_point) == 0
         by_name = {c.name: c for c in report.checks}
         assert list(by_name) == ["h1_invertible",
                                  "killing_pairwise_commutation",
@@ -247,7 +248,8 @@ class TestKillingTensors:
 
 
 class TestMomentumNondegeneracy:
-    """One stacked draw per point reproduces the one-momentum loop."""
+    """One stacked draw over all points reproduces the one-momentum
+    loop."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -264,7 +266,8 @@ class TestMomentumNondegeneracy:
             elif seed % 3 == 2 and k == 1:
                 g[1] = np.nan         # NaN ratios are ignored
             grids[u] = list(g)
-        got = _momentum_nondegeneracy(grids.get, points, n, seed)
+        got = _momentum_nondegeneracy(np.array([grids[u] for u in points]),
+                                      np.array(points), seed)
         worst, worst_pt = loop_momentum_nondegeneracy(grids.get, points, n,
                                                       seed)
         assert np.float64(got.residual).tobytes() == np.float64(
@@ -285,14 +288,14 @@ class TestHamiltonJacobi:
         system, pts = self._system()
         c = [0.0, 0.0, 0.0, 1.0]
         for u in pts[:5]:
-            dW = system.hj_differential(u, c)
+            dW = system.hj_differential([u], c)[0]
             assert np.allclose(dW, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_nilpotent_shift(self):
         # c = (eps, 0, 0, 1): dW = alpha + eps/2 * M4^T alpha
         system, pts = self._system()
         eps = 0.25
-        dW = system.hj_differential(pts[0], [eps, 0.0, 0.0, 1.0])
+        dW = system.hj_differential([pts[0]], [eps, 0.0, 0.0, 1.0])[0]
         want = np.array([eps / 2.0, 0.0, 0.0, 1.0])
         assert np.max(np.abs(dW - want)) <= 1e-10
 
@@ -303,15 +306,15 @@ class TestHamiltonJacobi:
             c = rng.uniform(-0.4, 0.4, 4)
             c[3] = rng.uniform(0.6, 1.4)   # keep the spectrum positive
             for u in pts[:3]:
-                dW = system.hj_differential(u, c)
-                grids = system.coefficient_grids(u)
+                dW = system.hj_differential([u], c)[0]
+                grids = system.coefficient_grids([u])[0]
                 vals = [float(dW @ A @ dW) for A in grids]
                 assert np.max(np.abs(np.array(vals) - c)) <= 1e-8
 
     def test_inadmissible_c_raises(self):
         system, pts = self._system()
         with pytest.raises(SqrtConvergenceError):
-            system.hj_differential(pts[0], [1.0, 0.0, 0.0, -1.0])
+            system.hj_differential([pts[0]], [1.0, 0.0, 0.0, -1.0])
 
     def test_raw_helper(self):
         mats = [np.eye(2)]
@@ -376,7 +379,7 @@ class TestSquareIdentity:
         rng = np.random.default_rng(12)
         for u in pts:
             p = rng.uniform(-1, 1, 4)
-            assert system.n15_residual(u, p) <= 1e-9
+            assert system.n15_residual([u], [p])[0] <= 1e-9
 
     def test_n15_on_tilde_system(self):
         basis = demo4_tilde_basis()
@@ -387,4 +390,4 @@ class TestSquareIdentity:
         rng = np.random.default_rng(13)
         for u in pts[:5]:
             p = rng.uniform(-1, 1, 4)
-            assert system.n15_residual(u, p) <= 1e-9
+            assert system.n15_residual([u], [p])[0] <= 1e-9

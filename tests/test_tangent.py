@@ -111,8 +111,7 @@ def test_dual_family_tangents(case):
     check_family(
         family,
         lambda u: jet_pipeline_duals(basis.eval_jet(u), covector),
-        lambda u: point_data(basis.eval(u), covector,
-                             rng=np.random.default_rng(SEED)).dual, P)
+        lambda u: basis.point_data([u], covector, seed=SEED).dual[0], P)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -127,8 +126,8 @@ def test_reconstructed_family_tangents(case):
     check_family(
         family,
         lambda u: jet_pipeline_duals(killing_jets(u), covector),
-        lambda u: point_data(family.killing_values(u), covector,
-                             rng=np.random.default_rng(SEED)).dual, P)
+        lambda u: point_data(family.killing_values([u]), [u], covector,
+                             seed=SEED).dual[0], P)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -142,14 +141,14 @@ def test_structure_jets_tangents(case):
         a_obj, _ = structure_constants_at(jets, well_conditioned_xi(jets,
                                                                     SEED))
         val, du = split_jet_matrix(a_obj, n)
-        J = system.chart_rows(u)
+        J = system.chart_rows([u])[0]
         assert_close(a_val[b], val, VALUE_RTOL)
         # a_chart = da/du J^{-1}, so a_chart J is the partial along u
         got_du = np.einsum("ijsk,km->ijsm", a_chart[b], J)
         assert_close(got_du, du, VALUE_RTOL)
         for s in range(n):
             fd = fd_matrix_derivatives(
-                lambda v: system.structure_at(v)[:, :, s], u)
+                lambda v: system.coefficient_grids([v])[0, s], u)
             assert_close(got_du[:, :, s], fd, FD_RTOL)
 
 
