@@ -7,11 +7,18 @@ is exact along its own time axis and any incompatibility between flows i
 and j shows up as a mismatch of the mixed coefficients computed via the two
 evolution routes.  For families of mutual symmetries the mismatch vanishes
 to rounding; for non-symmetric pairs it is order one already at degree 2.
+
+Series are dense float arrays over a graded monomial index, built on first
+use for each (nvars, order) and cached (dense truncated Taylor arithmetic,
+Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,106 +31,146 @@ __all__ = ["MultiSeries", "JetSolution", "taylor_flow",
 DEFAULT_MAX_ORDER = 6
 
 
-class MultiSeries:
-    """Dense-by-dict multivariate power series truncated at a total degree."""
+class _Layout:
+    """Graded monomial index in ``nvars`` variables up to total degree
+    ``order``: ``exps[k]`` are the exponents of coefficient k.  A monomial's
+    code, its exponents in radix order + 1, adds under products because no
+    kept exponent exceeds ``order``."""
 
-    __slots__ = ("nvars", "order", "coeffs")
-
-    def __init__(self, nvars, order, coeffs=None):
-        self.nvars = nvars
+    def __init__(self, nvars, order):
         self.order = order
-        self.coeffs = {} if coeffs is None else coeffs
+        # exponents by degree d, each from a multiset of d variables, by
+        # descending powers of the leading variables
+        self.exps = np.vstack([(np.array(list(combinations_with_replacement(
+            range(nvars), d)), dtype=np.intp)[:, :, None]
+            == np.arange(nvars)).sum(axis=1) for d in range(order + 1)])
+        self.deg = self.exps.sum(axis=1)
+        self.size = len(self.exps)
+        self.radix = (order + 1) ** np.arange(nvars)
+        self.codes = self.exps @ self.radix
+        self._sorter = np.argsort(self.codes)
+        self._sorted = self.codes[self._sorter]
+        # product pairs (left, right), one pair of degree blocks at a time,
+        # grouped by their target for one sum per coefficient
+        blk = [np.flatnonzero(self.deg == d) for d in range(order + 1)]
+        left, right = map(np.concatenate, zip(*[
+            [a.ravel() for a in np.broadcast_arrays(blk[d][:, None], blk[e])]
+            for d in range(order + 1) for e in range(order + 1 - d)]))
+        target = self.index(self.codes[left] + self.codes[right])
+        by_target = np.argsort(target, kind="stable")
+        self.left, self.right = left[by_target], right[by_target]
+        self.starts = np.searchsorted(target[by_target], np.arange(self.size))
+        # d/d(variable v): coefficient src times its exponent lands at dst
+        srcs = [np.flatnonzero(self.exps[:, v]) for v in range(nvars)]
+        self.diffs = [(s, self.index(self.codes[s] - self.radix[v]),
+                       self.exps[s, v].astype(float))
+                      for v, s in enumerate(srcs)]
+
+    def index(self, codes):
+        """Positions of the monomials with these codes."""
+        return self._sorter[np.searchsorted(self._sorted, codes)]
+
+    def mul(self, a, b):
+        """Truncated product of coefficient arrays: one gather, one sum."""
+        return np.add.reduceat(a[..., self.left] * b[..., self.right],
+                               self.starts, axis=-1)
+
+    def diff(self, c, var):
+        """d/d(variable var) of coefficient arrays (..., size)."""
+        src, dst, exps = self.diffs[var]
+        out = np.zeros_like(c)
+        out[..., dst] = c[..., src] * exps
+        return out
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+class MultiSeries:
+    """Multivariate power series truncated at a total degree: the float
+    coefficients ``c`` over the graded monomial index ``layout``."""
+
+    __slots__ = ("layout", "c")
+
+    def __init__(self, nvars, order):
+        self.layout = _layout(nvars, order)
+        self.c = np.zeros(self.layout.size)
 
     @classmethod
     def constant(cls, value, nvars, order):
-        s = cls(nvars, order)
-        if value != 0:
-            s.coeffs[(0,) * nvars] = float(value)
-        return s
+        return cls(nvars, order)._scalar(value)
 
     @classmethod
     def variable(cls, index, nvars, order):
         s = cls(nvars, order)
-        key = [0] * nvars
-        key[index] = 1
-        s.coeffs[tuple(key)] = 1.0
+        s.c[1 + index] = 1.0
         return s
 
+    @property
+    def coeffs(self):
+        """Read-only {exponent tuple: coefficient} of the nonzero entries."""
+        nz = np.flatnonzero(self.c)
+        return MappingProxyType(dict(zip(
+            map(tuple, self.layout.exps[nz].tolist()), self.c[nz].tolist())))
+
+    def _like(self, c):
+        s = object.__new__(MultiSeries)
+        s.layout, s.c = self.layout, c
+        return s
+
+    def _scalar(self, value):
+        c = np.zeros_like(self.c)
+        c[0] = value
+        return self._like(c)
+
     def copy(self):
-        return MultiSeries(self.nvars, self.order, dict(self.coeffs))
+        return self._like(self.c.copy())
 
     def constant_term(self) -> float:
-        return self.coeffs.get((0,) * self.nvars, 0.0)
+        return float(self.c[0])
 
     def coefficient(self, key) -> float:
-        return self.coeffs.get(tuple(key), 0.0)
+        if min(key) < 0 or sum(key) > self.layout.order:
+            return 0.0
+        return float(self.c[self.layout.index(key @ self.layout.radix)])
 
     def max_abs(self, max_degree=None) -> float:
-        vals = [abs(v) for k, v in self.coeffs.items()
-                if max_degree is None or sum(k) <= max_degree]
-        return max(vals, default=0.0)
+        c = self.c if max_degree is None else \
+            self.c[self.layout.deg <= max_degree]
+        return float(np.max(np.abs(c), initial=0.0))
 
-    def _like(self, coeffs):
-        return MultiSeries(self.nvars, self.order, coeffs)
-
-    def _check(self, other):
-        if self.nvars != other.nvars or self.order != other.order:
+    def _coeffs_of(self, other):
+        if isinstance(other, (int, float)):
+            return self._scalar(other).c
+        if not isinstance(other, MultiSeries):
+            return None
+        if other.layout is not self.layout:
             raise ValueError("series shape mismatch")
+        return other.c
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            out = dict(self.coeffs)
-            key = (0,) * self.nvars
-            out[key] = out.get(key, 0.0) + float(other)
-            if out[key] == 0.0:
-                del out[key]
-            return self._like(out)
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, 0.0) + v
-            if s == 0.0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return self._like(out)
+        c = self._coeffs_of(other)
+        return NotImplemented if c is None else self._like(self.c + c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.coeffs.items()})
+        return self._like(-self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiSeries) else -float(other))
+        c = self._coeffs_of(other)
+        return NotImplemented if c is None else self._like(self.c - c)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            if other == 0:
-                return MultiSeries(self.nvars, self.order)
-            return self._like({k: v * float(other)
-                               for k, v in self.coeffs.items()})
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        order = self.order
-        for k1, v1 in self.coeffs.items():
-            d1 = sum(k1)
-            for k2, v2 in other.coeffs.items():
-                if d1 + sum(k2) > order:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(key, 0.0) + v1 * v2
-                if s == 0.0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return self._like(out)
+            return self._like(self.c * float(other) if other != 0
+                              else np.zeros_like(self.c))
+        c = self._coeffs_of(other)
+        return NotImplemented if c is None else \
+            self._like(self.layout.mul(self.c, c))
 
     __rmul__ = __mul__
 
@@ -133,21 +180,18 @@ class MultiSeries:
             raise ExprEvalError("series reciprocal with zero constant term")
         # geometric series in the nilpotent part: 1/(c0 + x) = sum (-x/c0)^k / c0
         x = self - c0
-        term = MultiSeries.constant(1.0, self.nvars, self.order)
-        acc = MultiSeries.constant(1.0, self.nvars, self.order)
-        for _ in range(self.order):
+        term = acc = self._scalar(1.0)
+        for _ in range(self.layout.order):
             term = term * x * (-1.0 / c0)
             acc = acc + term
         return acc * (1.0 / c0)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise ZeroDivisionError("series divided by zero scalar")
-            return self * (1.0 / float(other))
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self * other.reciprocal()
+        if isinstance(other, MultiSeries):
+            return self * other.reciprocal()
+        if other == 0:
+            raise ZeroDivisionError("series divided by zero scalar")
+        return self * (1.0 / float(other))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
@@ -159,29 +203,19 @@ class MultiSeries:
             return NotImplemented
         if k < 0:
             return self.reciprocal() ** (-k)
-        acc = MultiSeries.constant(1.0, self.nvars, self.order)
-        base = self
-        e = k
-        while e:
-            if e & 1:
+        acc, base = self._scalar(1.0), self
+        while k:
+            if k & 1:
                 acc = acc * base
             base = base * base
-            e >>= 1
+            k >>= 1
         return acc
 
     def diff(self, var) -> "MultiSeries":
-        out = {}
-        for k, v in self.coeffs.items():
-            if k[var] == 0:
-                continue
-            key = list(k)
-            key[var] -= 1
-            out[tuple(key)] = v * k[var]
-        return self._like(out)
+        return self._like(self.layout.diff(self.c, var))
 
     def __repr__(self):
-        terms = sorted(self.coeffs.items())
-        return f"MultiSeries({terms!r})"
+        return f"MultiSeries({sorted(self.coeffs.items())!r})"
 
 
 @dataclass
@@ -200,20 +234,16 @@ class JetSolution:
     def coefficient(self, component: int, exponents) -> float:
         return self.series[component].coefficient(exponents)
 
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """Every flow's right-hand side K_j(u) u_x, (m, n, size), once."""
+        return _flow_rhs(self.fields, self.series)
 
-def _eval_fields_on_series(fld, u_series):
-    return fld.eval_generic(list(u_series))
 
-
-def _matvec_series(K, v):
-    n = len(v)
-    out = []
-    for i in range(n):
-        s = K[i, 0] * v[0]
-        for j in range(1, n):
-            s = s + K[i, j] * v[j]
-        out.append(s)
-    return out
+def _flow_rhs(fields, u) -> np.ndarray:
+    ux = [s.diff(0) for s in u]
+    return np.array([[sum(k * v for k, v in zip(row, ux)).c
+                      for row in f.eval_generic(list(u))] for f in fields])
 
 
 def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
@@ -226,22 +256,19 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
     vectors K_i(u0) u0' dependent) only triggers a warning flag.
     """
     if order > max_order:
-        raise OpfrobError(
-            f"truncation order {order} exceeds the configured cap {max_order}"
-        )
-    m = len(fields)
-    n = fields[0].dimension
-    nvars = 1 + m
+        raise OpfrobError(f"truncation order {order} exceeds the configured "
+                          f"cap {max_order}")
+    m, n = len(fields), fields[0].dimension
 
-    # initial data: u0_i(x0 + x) via Horner over the series ring
-    xvar = MultiSeries.variable(0, nvars, order)
-    u = []
-    for coeffs in initial_curve:
-        coeffs = [float(c) for c in coeffs]
-        s = MultiSeries.constant(0.0, nvars, order)
-        for c in reversed(coeffs):
-            s = s * (xvar + x0) + c
-        u.append(s)
+    # initial data: u0_i(x0 + x) by Horner over the series ring, in the rows
+    # of U; the series of u are views of those rows, filled in place below
+    xvar = MultiSeries.variable(0, 1 + m, order)
+    lay = xvar.layout
+    U = np.zeros((len(initial_curve), lay.size))
+    for row, coeffs in zip(U, initial_curve):
+        for c in reversed([float(c) for c in coeffs]):
+            row[:] = (xvar._like(row) * (xvar + x0) + c).c
+    u = [xvar._like(row) for row in U]
     if len(u) != n:
         raise OpfrobError(f"initial curve needs {n} components, got {len(u)}")
 
@@ -253,42 +280,19 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
         [f.eval(u0_val) @ np.asarray(du0, dtype=float) for f in fields])
     warning = mat_rank(cols) < m
 
-    # order-by-order fill; min-flow-index routing for mixed coefficients
-    for level in range(order):
-        rhs = []
-        ux = [s.diff(0) for s in u]
-        for f in fields:
-            K = _eval_fields_on_series(f, u)
-            rhs.append(_matvec_series(K, ux))
-        for key_t in _t_multi_indices(m, level + 1):
-            j = next(idx for idx, b in enumerate(key_t) if b > 0)
-            src_t = list(key_t)
-            src_t[j] -= 1
-            for k in range(order - level):
-                key = (k,) + key_t
-                src = (k,) + tuple(src_t)
-                for i in range(n):
-                    c = rhs[j][i].coefficient(src) / key_t[j]
-                    if c != 0.0:
-                        u[i].coeffs[key] = c
-    return JetSolution(dimension=n, nflows=m, order=order, x0=x0,
-                       series=u, fields=list(fields),
-                       generic_warning=warning)
-
-
-def _t_multi_indices(m, total):
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _t_multi_indices(m - 1, total - first):
-            yield (first,) + rest
-
-
-def _rhs_series(sol: JetSolution, flow: int):
-    ux = [s.diff(0) for s in sol.series]
-    K = _eval_fields_on_series(sol.fields[flow], sol.series)
-    return _matvec_series(K, ux)
+    # order-by-order fill, routed by the minimal flow index: the monomial
+    # with t-part beta comes from flow j = the first with beta_j > 0, at
+    # beta_j lowered by one, divided by beta_j
+    T = lay.exps[:, 1:]
+    dst = np.flatnonzero(T.sum(axis=1))
+    flow = np.argmax(T[dst] > 0, axis=1)
+    src = lay.index(lay.codes[dst] - lay.radix[1 + flow])
+    div, level = T[dst, flow].astype(float), T[dst].sum(axis=1)
+    for t_degree in range(1, order + 1):
+        k = level == t_degree
+        U[:, dst[k]] = _flow_rhs(fields, u)[flow[k], :, src[k]].T / div[k]
+    return JetSolution(dimension=n, nflows=m, order=order, x0=x0, series=u,
+                       fields=list(fields), generic_warning=warning)
 
 
 def flow_compatibility_residual(sol: JetSolution, i: int, j: int) -> float:
@@ -298,13 +302,8 @@ def flow_compatibility_residual(sol: JetSolution, i: int, j: int) -> float:
     indices are 0-based."""
     if sol.order < 2:
         raise OpfrobError("compatibility needs truncation order >= 2")
-    rhs_i = _rhs_series(sol, i)
-    rhs_j = _rhs_series(sol, j)
-    limit = sol.order - 2
-    diffs = []
-    for comp in range(sol.dimension):
-        a = rhs_j[comp].diff(1 + i)   # d/dt_i of flow-j evolution
-        b = rhs_i[comp].diff(1 + j)   # d/dt_j of flow-i evolution
-        diffs.extend(abs(a.coefficient(k) - b.coefficient(k))
-                     for k in set(a.coeffs) | set(b.coeffs) if sum(k) <= limit)
-    return float(np.max(diffs, initial=0.0))
+    lay = sol.series[0].layout
+    a = lay.diff(sol.rhs[j], 1 + i)   # d/dt_i of flow-j evolution
+    b = lay.diff(sol.rhs[i], 1 + j)   # d/dt_j of flow-i evolution
+    return float(np.max(np.abs(a - b)[:, lay.deg <= sol.order - 2],
+                        initial=0.0))

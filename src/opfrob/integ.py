@@ -45,7 +45,7 @@ from .opfields import (
     bracket_from_jets,
     conservation_law_residuals,
 )
-from .report import CheckResult, VerificationReport, reduce_check
+from .report import CheckResult, VerificationReport, failed_check, reduce_check
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -397,10 +397,8 @@ def generate_system(
         report.add(verify_commuting_family(system.forms(), P, p_draws,
                                            tol=bracket_tol))
     except SingularMatrixError as exc:
-        report.add(CheckResult(
-            name="pairwise_poisson_brackets", passed=False,
-            residual=float("inf"), tolerance=bracket_tol, samples=len(P),
-            detail=str(exc)))
+        report.add(failed_check("pairwise_poisson_brackets", exc, P,
+                                bracket_tol))
     report.add(_momentum_nondegeneracy(
         data.structure.transpose(0, 3, 1, 2), P, seed=seed + 2))
     return system, report
@@ -441,11 +439,8 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
     try:
         K, _ = _killing_values(G, P)
     except SingularMatrixError as exc:
-        report.add(CheckResult(
-            name="h1_invertible", passed=False, residual=float("inf"),
-            tolerance=tol, worst_point=list(map(float, P[exc.index])),
-            samples=exc.index + 1, detail="h_1 degenerate",
-        ))
+        report.add(failed_check("h1_invertible", exc, P, tol,
+                                detail="h_1 degenerate"))
         P, G = P[:exc.index], G[:exc.index]
         K, _ = _killing_values(G, P)
     mats, _ = system.chart_frame_basis(P)

@@ -43,7 +43,7 @@ from .frobalg import (
     well_conditioned_xi,
 )
 from .numkit import batch_max_abs
-from .report import CheckResult, VerificationReport, reduce_check
+from .report import CheckResult, VerificationReport, failed_check, reduce_check
 
 __all__ = [
     "bracket",
@@ -290,10 +290,7 @@ def dualize_family(
     try:
         report.add(mutual_symmetries("dual_mutual_symmetries", family.fields))
     except OpfrobError as exc:
-        report.add(CheckResult(
-            name="dual_mutual_symmetries", passed=False, residual=float("inf"),
-            tolerance=tol, samples=len(points), detail=str(exc),
-        ))
+        report.add(failed_check("dual_mutual_symmetries", exc, points, tol))
     return family, report
 
 

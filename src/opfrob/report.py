@@ -89,6 +89,20 @@ def reduce_check(name: str, residuals, points, tol: float,
                        samples=samples, **report_fields)
 
 
+def failed_check(name: str, exc, points, tol: float,
+                 detail: str | None = None) -> CheckResult:
+    """The FAIL of check ``name`` whose batch over ``points`` raised ``exc``
+    before giving residuals: it counts the points up to the one named by
+    the error's ``index`` and reports that point, or counts none when the
+    error names no point.  ``detail`` defaults to the error's message."""
+    k = exc.index
+    return CheckResult(
+        name=name, passed=False, residual=float("inf"), tolerance=tol,
+        worst_point=None if k is None else [float(x) for x in points[k]],
+        samples=0 if k is None else k + 1,
+        detail=str(exc) if detail is None else detail)
+
+
 @dataclass
 class VerificationReport:
     title: str

@@ -1,8 +1,12 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opfrob import hydroflow
 from opfrob.errors import ExprEvalError, OpfrobError
 from opfrob.fields import OperatorField
 from opfrob.fixtures import (
@@ -60,6 +64,139 @@ class TestMultiSeries:
             assert np.isclose(s.coefficient((k,)), (-1.0) ** k * (k + 1))
 
 
+# dict reference for the dense series: {exponent tuple: coefficient}, with
+# the product and derivative the series had before its array form
+
+
+def ref_mul(a, b, order):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            if sum(k1) + sum(k2) <= order:
+                key = tuple(x + y for x, y in zip(k1, k2))
+                out[key] = out.get(key, 0.0) + v1 * v2
+    return out
+
+
+def ref_diff(a, var):
+    out = {}
+    for k, v in a.items():
+        if k[var]:
+            key = list(k)
+            key[var] -= 1
+            out[tuple(key)] = v * k[var]
+    return out
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0.0) + v
+    return out
+
+
+def ref_scale(a, f):
+    return {k: v * f for k, v in a.items()}
+
+
+def ref_reciprocal(a, nvars, order):
+    one = {(0,) * nvars: 1.0}
+    c0 = a[(0,) * nvars]
+    x = ref_add(a, {(0,) * nvars: -c0})
+    term, acc = one, one
+    for _ in range(order):
+        term = ref_scale(ref_mul(term, x, order), -1.0 / c0)
+        acc = ref_add(acc, term)
+    return ref_scale(acc, 1.0 / c0)
+
+
+def ref_pow(a, k, nvars, order):
+    base = ref_reciprocal(a, nvars, order) if k < 0 else a
+    acc = {(0,) * nvars: 1.0}
+    for _ in range(abs(k)):
+        acc = ref_mul(acc, base, order)
+    return acc
+
+
+def from_dict(d, nvars, order):
+    s = MultiSeries(nvars, order)
+    exps = s.layout.exps
+    for key, v in d.items():
+        s.c[np.flatnonzero((exps == key).all(axis=1))[0]] += v
+    return s
+
+
+def assert_matches(series, ref):
+    got = series.coeffs
+    assert all(sum(k) <= series.layout.order for k in got)
+    scale = max([1.0] + [abs(v) for v in ref.values()])
+    for k in set(got) | set(ref):
+        assert abs(got.get(k, 0.0) - ref.get(k, 0.0)) <= 1e-12 * scale, k
+
+
+@st.composite
+def sparse_series(draw, nvars, order, unit_constant=False):
+    """A dict series with a few terms; exponents are clipped so that the
+    total degree stays within ``order``."""
+    out = {}
+    for _ in range(draw(st.integers(1, 8))):
+        room, key = order, []
+        for e in draw(st.lists(st.integers(0, order), min_size=nvars,
+                               max_size=nvars)):
+            key.append(min(e, room))
+            room -= key[-1]
+        out[tuple(key)] = draw(st.floats(-2.0, 2.0))
+    if unit_constant:
+        out[(0,) * nvars] = draw(st.sampled_from([-1.5, -1.0, 0.5, 1.25]))
+    return out
+
+
+SHAPES = [(1, 3), (2, 4), (3, 4), (5, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dense_series_match_the_dict_reference(data):
+    nvars, order = data.draw(st.sampled_from(SHAPES))
+    a = data.draw(sparse_series(nvars, order, unit_constant=True))
+    b = data.draw(sparse_series(nvars, order))
+    sa, sb = from_dict(a, nvars, order), from_dict(b, nvars, order)
+    assert_matches(sa * sb, ref_mul(a, b, order))
+    var = data.draw(st.integers(0, nvars - 1))
+    assert_matches(sb.diff(var), ref_diff(b, var))
+    assert_matches(sa.reciprocal(), ref_reciprocal(a, nvars, order))
+    k = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    assert_matches(sa ** k, ref_pow(a, k, nvars, order))
+
+
+class TestLayout:
+    def test_sizes_and_products_at_nine_variables(self):
+        tracemalloc.start()
+        try:
+            lay = hydroflow._Layout(9, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (order + 1)^nvars table, even of bytes, would exceed this
+        assert peak < 7 ** 9
+        assert lay.size == 5005 and len(lay.left) == 134596
+        assert len({tuple(e) for e in lay.exps.tolist()}) == lay.size
+        assert np.all(np.diff(lay.deg) >= 0) and lay.deg[-1] == 6
+        target = np.repeat(np.arange(lay.size),
+                           np.diff(np.append(lay.starts, len(lay.left))))
+        assert np.array_equal(lay.exps[lay.left] + lay.exps[lay.right],
+                              lay.exps[target])
+
+    def test_no_layout_is_built_at_import(self):
+        saved = dict(vars(hydroflow))
+        try:
+            importlib.reload(hydroflow)
+            assert hydroflow._layout.cache_info().currsize == 0
+        finally:
+            vars(hydroflow).clear()
+            vars(hydroflow).update(saved)
+
+
 class TestTaylorFlow:
     def test_constant_diag_transport(self):
         K = OperatorField.constant(np.diag([1.0, 2.0]))
@@ -94,6 +231,17 @@ class TestTaylorFlow:
         K1, K2 = nonsymmetric_pair_fields()
         sol = taylor_flow([K1, K2], [[0, 1], [1, 1]], order=4)
         assert flow_compatibility_residual(sol, 0, 1) >= 1e-3
+
+    def test_nonsymmetric_control_mismatch_at_degree_two(self):
+        K1, K2 = nonsymmetric_pair_fields()
+        sol = taylor_flow([K1, K2], [[0, 1], [1, 1]], order=2)
+        assert flow_compatibility_residual(sol, 0, 1) == 1.0
+
+    def test_non_finite_coefficient_fails(self):
+        K1, K2 = nonsymmetric_pair_fields()
+        sol = taylor_flow([K1, K2], [[0, 1], [1, 1]], order=3)
+        sol.series[0].c[1] = np.nan
+        assert np.isnan(flow_compatibility_residual(sol, 0, 1))
 
     def test_dual_family_flows_are_compatible(self):
         basis = OperatorBasis([

@@ -190,6 +190,18 @@ class TestGenerateSystem:
             for G, W in zip(gen, want[::-1]):
                 assert np.max(np.abs(G - W)) <= 1e-8 * (1 + np.max(np.abs(W)))
 
+    def test_singular_pullback_counts_the_points_reached(self):
+        # alpha = d((u4 - 1/2)^2 / 2) vanishes at P[2] only, so the
+        # pullback rows are dependent there and the brackets stop
+        P = np.asarray(sample_points(4, GUARDED))[:5]
+        P[2, 3] = 0.5
+        alpha = OneFormField.parse(["0", "0", "0", "u4 - 0.5"], 4)
+        _, report = generate_system(demo4_tilde_basis(), alpha, P,
+                                    chart=demo4_chart_strings())
+        c = {c.name: c for c in report.checks}["pairwise_poisson_brackets"]
+        assert not c.passed and "pullback rows" in c.detail
+        assert c.samples == 3 and c.worst_point == list(P[2])
+
     def test_rejects_wrong_chart(self):
         basis = demo4_tilde_basis()
         pts = sample_points(4, GUARDED)

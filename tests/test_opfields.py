@@ -285,6 +285,27 @@ class TestDualizeFamily:
         assert np.isnan(c.residual)
         assert c.samples == 5
 
+    def test_degenerate_form_counts_the_points_reached(self):
+        # covector (1, 0): the form diag(1, -u1 u2) is degenerate on u1 = 0
+        basis = OperatorBasis([OperatorField.identity(2),
+                               diag_field("u1", "u2")])
+        pts = sample_points(2, guarded_config(2, seed=6, count=5))
+        P = np.vstack([pts[:2], [[0.0, 0.5]], pts[2:]])
+        _, report = dualize_family(basis, [1.0, 0.0], P)
+        c = report.checks[-1]
+        assert c.name == "dual_mutual_symmetries" and not c.passed
+        assert c.samples == 3 and c.worst_point == [0.0, 0.5]
+
+    def test_error_naming_no_point_counts_none(self):
+        basis = OperatorBasis([OperatorField.identity(2),
+                               diag_field("1/u1", "u2")])
+        pts = sample_points(2, guarded_config(2, seed=6, count=5))
+        P = np.vstack([pts[:2], [[0.0, 0.5]], pts[2:]])
+        _, report = dualize_family(basis, [1.0, 0.0], P, check_inputs=False)
+        (c,) = report.checks
+        assert not c.passed and "division by zero" in c.detail
+        assert c.samples == 0 and c.worst_point is None
+
     def test_theorem_conclusion_on_demo4(self):
         basis = demo4_constant_basis()
         pts = sample_points(4, CFG10)
