@@ -56,13 +56,8 @@ class SystemFile:
             raise InputError(f"{path}: top level must be an object")
         if doc.get("schema") != 1:
             raise InputError(f"{path}: missing or unsupported schema version")
-        try:
-            self.dimension = int(doc["dimension"])
-        except (KeyError, TypeError, ValueError):
-            raise InputError(f"{path}: missing integer dimension")
-        if self.dimension < 1:
-            raise InputError(f"{path}: dimension must be positive")
-        n = self.dimension
+        self.dimension = n = _integer(doc.get("dimension"),
+                                      f"{path}: dimension", 1)
         self.doc = doc
         self.path = path
 
@@ -85,13 +80,22 @@ class SystemFile:
         self.covector = self._vector(doc, "covector")
         self.xi = self._vector(doc, "xi")
         self.candidate_name = doc.get("candidate")
+        if not isinstance(self.candidate_name, (str, type(None))):
+            raise InputError(f"{path}: candidate must be a field name")
         self.chart = doc.get("chart")
-        self.initial_curve = doc.get("initial_curve")
-        self.flow_order = doc.get("flow_order", 4)
-        if type(self.flow_order) is not int or self.flow_order < 1:
-            raise InputError(f"{path}: flow_order must be an integer of at "
-                             f"least 1, got {self.flow_order!r}")
-        self.polynomials = doc.get("polynomials")
+        if self.chart is not None:
+            if not (isinstance(self.chart, list) and len(self.chart) == n
+                    and all(isinstance(c, str) for c in self.chart)):
+                raise InputError(f"{path}: chart must be a list of {n} "
+                                 "expressions")
+            try:
+                self.chart = [parse_expr(c, n) for c in self.chart]
+            except OpfrobError as exc:
+                raise InputError(f"{path}: chart: {exc}")
+        self.initial_curve = self._number_rows(doc, "initial_curve")
+        self.flow_order = _integer(doc.get("flow_order", 4),
+                                   f"{path}: flow_order", 1)
+        self.polynomials = self._number_rows(doc, "polynomials")
 
         try:
             self.one_form = (OneFormField.parse(doc["one_form"], n)
@@ -122,6 +126,18 @@ class SystemFile:
             raise InputError(f"{self.path}: {key} components must be finite")
         return out
 
+    def _number_rows(self, doc, key):
+        """``doc[key]`` (None when absent), checked to be one list of
+        finite numbers per coordinate."""
+        rows = doc.get(key)
+        if rows is not None and not (
+                isinstance(rows, list) and len(rows) == self.dimension
+                and all(isinstance(r, list) and all(map(_is_number, r))
+                        for r in rows)):
+            raise InputError(f"{self.path}: {key} must be {self.dimension} "
+                             "lists of finite numbers")
+        return rows
+
     def basis_fields(self) -> list:
         if not self.basis_names:
             raise InputError(f"{self.path}: no basis listed")
@@ -139,28 +155,56 @@ class SystemFile:
 
     def sample_config(self, args) -> SampleConfig:
         s = self.doc.get("sampling", {})
-        seed = args.seed if args.seed is not None else s.get("seed", DEFAULT_SEED)
+        if not isinstance(s, dict):
+            raise InputError(f"{self.path}: sampling must be an object")
+        seed = _seed(args, s.get("seed", DEFAULT_SEED),
+                     f"{self.path}: sampling seed")
         count = _sample_count(args, s.get("samples", DEFAULT_SAMPLES))
         box = s.get("box", 1.0)
+        if not (_is_number(box) and box > 0):
+            raise InputError(f"{self.path}: sampling box must be a positive "
+                             f"number, got {box!r}")
         guard_floor = args.guard if args.guard is not None else DEFAULT_GUARD
         guards = []
         try:
             for g in s.get("guards", []):
+                floor = g.get("min", guard_floor)
+                if not _is_number(floor):
+                    raise InputError(f"{self.path}: sampling guards: min "
+                                     f"must be a finite number, got {floor!r}")
                 guards.append((parse_expr(g["expr"], self.dimension),
-                               float(g.get("min", guard_floor))))
-        except (OpfrobError, KeyError, TypeError) as exc:
+                               float(floor)))
+        except (OpfrobError, KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"{self.path}: sampling guards: {exc}")
-        return SampleConfig(seed=int(seed), count=count, box=float(box),
+        return SampleConfig(seed=seed, count=count, box=float(box),
                             guards=tuple(guards))
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _integer(value, what: str, least: int) -> int:
+    """``value`` if it is an integer of at least ``least``; a float, a
+    string or a bool is an input error, never truncated."""
+    if type(value) is not int or value < least:
+        raise InputError(f"{what} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return value
+
+
+def _seed(args, default, what: str) -> int:
+    """The sampling seed: ``--seed`` if given, else ``default``."""
+    if args.seed is not None:
+        return _integer(args.seed, "--seed", 0)
+    return _integer(default, what, 0)
 
 
 def _sample_count(args, default) -> int:
     """The number of sample points: ``--samples`` if given, else
     ``default``; a count below 1 is an input error."""
     count = args.samples if args.samples is not None else default
-    try:
-        count = int(count)
-    except (TypeError, ValueError):
+    if type(count) is not int:
         raise InputError(f"sample count must be an integer, got {count!r}")
     if count < 1:
         raise InputError(f"sample count must be at least 1, got {count}")
@@ -223,8 +267,6 @@ def cmd_symcheck(args) -> VerificationReport:
     points = sample_points(sf.dimension, cfg)
     report = VerificationReport(title="symcheck", seed=cfg.seed)
     if sf.polynomials is not None:
-        if len(sf.polynomials) != sf.dimension:
-            raise InputError(f"{sf.path}: need {sf.dimension} polynomials")
         candidate = analytic_symmetry(flat, sf.polynomials)
         sub = sym_membership(basis, candidate, points, tol=_tol(args),
                              seed=cfg.seed)
@@ -364,10 +406,8 @@ def cmd_flow(args) -> VerificationReport:
 
 
 def cmd_builtin(args) -> VerificationReport:
-    cfg = SampleConfig(
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        count=_sample_count(args, DEFAULT_SAMPLES),
-    )
+    cfg = SampleConfig(seed=_seed(args, DEFAULT_SEED, "seed"),
+                       count=_sample_count(args, DEFAULT_SAMPLES))
     if args.emit:
         try:
             doc = emit_builtin(args.name, variant=args.variant)

@@ -1,17 +1,21 @@
-"""Bundled fixtures: the 4-dimensional Jordan-block demonstration family
-(builtin name ``example52``, constant and analytic variants), the
-gl-regular centraliser families (diagonal and Jordan), and the negative
-controls.  Each builtin has a regression runner returning a
-VerificationReport and a system-file emitter for the JSON schema.
+"""Bundled fixtures: the 4-dimensional demonstration family (builtin name
+``example52``, constant and analytic variants), the regular representations
+of Segre type (``segre_algebra``; the centraliser builtins), and the
+negative controls.  Each builtin is one :class:`Builtin` record, read both
+by its regression runner (a VerificationReport) and by its system-file
+emitter (a JSON document of schema 1).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exprs import parse_expr
 from .fields import OneFormField, OperatorField
-from .frobalg import OperatorBasis
+from .frobalg import OperatorBasis, algebra_report
 from .integ import (
     QuadraticHamiltonian,
     generate_system,
@@ -20,9 +24,9 @@ from .integ import (
     poisson_bracket,
     verify_commuting_family,
 )
-from .opfields import bracket_residuals, nijenhuis_torsion_report
+from .opfields import bracket_residuals, is_symmetry, nijenhuis_torsion_report
 from .report import VerificationReport, reduce_check
-from .sampling import SampleConfig, sample_points
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SampleConfig, sample_points
 from .symalg import FlatBasis, analytic_symmetry
 
 __all__ = [
@@ -35,11 +39,7 @@ __all__ = [
     "demo4_rational_hamiltonians",
     "demo4_rational_guards",
     "demo4_chart_strings",
-    "centraliser_diag_matrices",
-    "centraliser_jordan_matrices",
-    "diag_symmetry_field",
-    "jordan_symmetry_field",
-    "power_basis_fields",
+    "segre_algebra",
     "not_closed_matrices",
     "nonsymmetric_pair_fields",
     "builtin_names",
@@ -51,6 +51,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the 4-dimensional demonstration family
 # ---------------------------------------------------------------------------
+
+DEMO4_XI = (1.0, 0.0, 0.0, 0.0)     # the unit: M^i xi = e_i
+DEMO4_TOP = (0.0, 0.0, 0.0, 1.0)    # du4, a Frobenius form of the algebra
+DEMO4_GUARDS = (("u1", 0.2), ("u3", 0.2), ("u2^2+u3^2", 0.1))
 
 
 def demo4_matrices():
@@ -64,7 +68,7 @@ def demo4_matrices():
 
 
 def demo4_flat_basis() -> FlatBasis:
-    return FlatBasis(demo4_matrices(), xi=np.array([1.0, 0.0, 0.0, 0.0]))
+    return FlatBasis(demo4_matrices(), xi=DEMO4_XI)
 
 
 def demo4_constant_basis() -> OperatorBasis:
@@ -80,7 +84,7 @@ def demo4_system_basis() -> OperatorBasis:
 
 
 def demo4_one_form() -> OneFormField:
-    return OneFormField.constant([0.0, 0.0, 0.0, 1.0])
+    return OneFormField.constant(DEMO4_TOP)
 
 
 def demo4_target_family():
@@ -152,13 +156,8 @@ def demo4_rational_hamiltonians():
     return [QuadraticHamiltonian.parse(g, 4) for g in (h1, h2, h3, h4)]
 
 
-def demo4_rational_guard_specs():
-    return [("u1", 0.2), ("u3", 0.2), ("u2^2+u3^2", 0.1)]
-
-
 def demo4_rational_guards():
-    return tuple((parse_expr(s, 4), floor)
-                 for s, floor in demo4_rational_guard_specs())
+    return tuple((parse_expr(s, 4), floor) for s, floor in DEMO4_GUARDS)
 
 
 def demo4_chart_strings():
@@ -172,43 +171,32 @@ def demo4_chart_strings():
 
 
 # ---------------------------------------------------------------------------
-# centraliser families
+# algebras of Segre type and the negative controls
 # ---------------------------------------------------------------------------
 
 
-def centraliser_diag_matrices(n: int):
-    return [np.diag(np.eye(n)[i]) for i in range(n)]
+def segre_algebra(blocks):
+    """Regular representation of R[x]/(x^k_1) + ... + R[x]/(x^k_r), the
+    gl-regular algebra of Segre type [k_1 .. k_r], in the basis x^0..x^(k-1)
+    of each block, block by block.
 
-
-def centraliser_jordan_matrices(n: int):
-    J = np.zeros((n, n))
-    for i in range(1, n):
-        J[i, i - 1] = 1.0
-    return [np.linalg.matrix_power(J, k) for k in range(n)]
-
-
-def diag_symmetry_field(n: int) -> OperatorField:
-    grid = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = f"u{i + 1}"
-    return OperatorField.parse(grid, n)
-
-
-def jordan_symmetry_field(n: int) -> OperatorField:
-    grid = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            grid[i][j] = f"u{i - j + 1}"
-    return OperatorField.parse(grid, n)
-
-
-def power_basis_fields(L: OperatorField):
-    """[Id, L, L^2, .., L^{n-1}] as expression fields."""
-    n = L.dimension
-    fields = [OperatorField.identity(n)]
-    for _ in range(n - 1):
-        fields.append(fields[-1] @ L)
-    return fields
+    Returns (matrices, top, unit): ``matrices[i]`` multiplies by the i-th
+    basis element; ``top`` (1 on each block's x^(k-1)) is a Frobenius form;
+    ``unit`` (1 on each block's x^0) is the unit, so M^i unit = e_i and
+    ``FlatBasis(matrices, unit)`` holds.  [1]*n gives the diagonal
+    matrices, [n] the powers of one nilpotent Jordan block.
+    """
+    n = sum(blocks)
+    matrices, top, unit = [], np.zeros(n), np.zeros(n)
+    start = 0
+    for k in blocks:
+        for j in range(k):
+            M = np.zeros((n, n))
+            M[start:start + k, start:start + k] = np.eye(k, k=-j)
+            matrices.append(M)
+        unit[start], top[start + k - 1] = 1.0, 1.0
+        start += k
+    return matrices, top, unit
 
 
 def not_closed_matrices():
@@ -228,8 +216,29 @@ def nonsymmetric_pair_fields():
 
 
 # ---------------------------------------------------------------------------
-# builtin regression runners
+# builtins: one record each, read by the runner and the emitter
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Builtin:
+    """A bundled fixture.  ``run(builtin, config)`` is its regression
+    runner; the system file carries the basis ``fields`` (named
+    ``prefix``1, ``prefix``2, ..), the vectors and sampling guards given,
+    the Hamiltonians' grids and the further ``entries`` as they are."""
+    title: str
+    run: Callable
+    fields: list
+    prefix: str = "K"
+    covector: tuple | None = None
+    xi: tuple | None = None
+    guards: tuple = ()            # (expression text, floor) pairs
+    hamiltonians: list | None = None
+    entries: dict = field(default_factory=dict)
+
+    @property
+    def dimension(self) -> int:
+        return self.fields[0].dimension
 
 
 def _match_family(generated, target, tol=1e-12):
@@ -250,11 +259,10 @@ def _match_family(generated, target, tol=1e-12):
     return float(np.max(matched, initial=0.0))
 
 
-def run_demo4_constant(config: SampleConfig) -> VerificationReport:
-    report = VerificationReport(title="example52 (constant variant)",
-                                seed=config.seed)
-    basis = demo4_constant_basis()
-    alpha = demo4_one_form()
+def _run_demo4_constant(b: Builtin, config: SampleConfig) -> VerificationReport:
+    report = VerificationReport(title=b.title, seed=config.seed)
+    basis = OperatorBasis(b.fields, name="demo4")
+    alpha = OneFormField.constant(b.covector)
     points = sample_points(4, config)
     system, gen_report = generate_system(basis, alpha, points,
                                          seed=config.seed)
@@ -284,8 +292,7 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
                 phase_points, 1e-12))
 
     # Killing tensors and duality identities on the canonical-order system
-    sys_basis = demo4_system_basis()
-    system2, _ = generate_system(sys_basis, alpha, points[:5],
+    system2, _ = generate_system(demo4_system_basis(), alpha, points[:5],
                                  seed=config.seed)
     _, kill_report = killing_tensors(system2, points, tol=1e-10)
     report.extend(kill_report)
@@ -302,99 +309,109 @@ def run_demo4_constant(config: SampleConfig) -> VerificationReport:
     return report
 
 
-def run_demo4_analytic(config: SampleConfig) -> VerificationReport:
-    report = VerificationReport(title="example52 (analytic variant)",
-                                seed=config.seed)
-    guards = demo4_rational_guards()
+def _run_demo4_analytic(b: Builtin, config: SampleConfig) -> VerificationReport:
+    report = VerificationReport(title=b.title, seed=config.seed)
     cfg = SampleConfig(seed=config.seed, count=config.count, box=config.box,
-                       guards=guards)
+                       guards=demo4_rational_guards())
     points = sample_points(4, cfg)
-    hams = demo4_rational_hamiltonians()
     rng = np.random.default_rng(cfg.seed + 1)
     p_draws = rng.uniform(-1.0, 1.0, (len(points), 4))
-    report.add(verify_commuting_family(hams, points, p_draws, tol=1e-8,
+    report.add(verify_commuting_family(b.hamiltonians, points, p_draws,
+                                       tol=1e-8,
                                        name="rational_poisson_brackets"))
 
-    basis = demo4_tilde_basis()
-    for i, f in enumerate(basis.fields):
+    K = b.fields
+    for i, f in enumerate(K):
         report.add(nijenhuis_torsion_report(
             f, points, tol=1e-9, name=f"torsion_field_{i + 1}"))
-    K = basis.fields
     report.add(reduce_check("pairwise_strong_symmetries", [
         bracket_residuals(K[i], K[j], points, 1e-9, symmetric_part_only=False)
         for i in range(4) for j in range(i + 1, 4)], points, 1e-9))
 
-    inv_report, _ = inverse_verify(hams, [1.0, 0.0, 0.0, 0.0], points,
+    inv_report, _ = inverse_verify(b.hamiltonians, b.covector, points,
                                    tol=1e-8, seed=cfg.seed)
     report.extend(inv_report)
     return report
 
 
-def run_example32(config: SampleConfig) -> VerificationReport:
-    report = VerificationReport(title="example32 algebra", seed=config.seed)
-    basis = demo4_constant_basis()
-    points = sample_points(4, config)
-    report.extend(basis.validate(points))
-    origin = [np.zeros(4)]
-    data = basis.point_data(origin, covector=[0.0, 0.0, 0.0, 1.0],
-                            seed=config.seed)
-    for name, r in (("span_closure", data.closure_residual),
-                    ("associativity", data.associativity_residual),
-                    ("duality_pairing", data.duality_residual)):
-        report.add(reduce_check(name, r, origin, 1e-9))
+_ORIGIN_RESIDUALS = {"span_closure": "closure_residual",
+                     "associativity": "associativity_residual",
+                     "duality_pairing": "duality_residual"}
+
+
+def _run_at_origin(b: Builtin, config: SampleConfig,
+                   checks=("span_closure", "duality_pairing")):
+    """Basis validation at the sample points, then the named Frobenius
+    residuals at the origin with the builtin's covector."""
+    report = VerificationReport(title=b.title, seed=config.seed)
+    basis = OperatorBasis(b.fields)
+    report.extend(basis.validate(sample_points(b.dimension, config)))
+    origin = [np.zeros(b.dimension)]
+    data = basis.point_data(origin, covector=b.covector, seed=config.seed)
+    for name in checks:
+        report.add(reduce_check(name, getattr(data, _ORIGIN_RESIDUALS[name]),
+                                origin, 1e-9))
     return report
 
 
-def _run_centraliser(kind: str, config: SampleConfig) -> VerificationReport:
-    n = 4
-    if kind == "diag":
-        mats = centraliser_diag_matrices(n)
-        covector = [1.0] * n
-    else:
-        mats = centraliser_jordan_matrices(n)
-        covector = [0.0] * (n - 1) + [1.0]
-    report = VerificationReport(title=f"centraliser-{kind}", seed=config.seed)
-    basis = OperatorBasis.from_matrices(mats, name=f"centraliser-{kind}")
-    points = sample_points(n, config)
-    report.extend(basis.validate(points))
-    origin = [np.zeros(n)]
-    data = basis.point_data(origin, covector=covector, seed=config.seed)
-    for name, r in (("span_closure", data.closure_residual),
-                    ("duality_pairing", data.duality_residual)):
-        report.add(reduce_check(name, r, origin, 1e-9))
-    return report
+def _run_not_closed(b: Builtin, config: SampleConfig) -> VerificationReport:
+    return algebra_report(OperatorBasis(b.fields),
+                          sample_points(b.dimension, config), covector=None,
+                          tol=1e-9, seed=config.seed)
 
 
-def run_not_closed(config: SampleConfig) -> VerificationReport:
-    from .frobalg import algebra_report
-    basis = OperatorBasis.from_matrices(not_closed_matrices(),
-                                        name="not-closed")
+def _run_nonsymmetric_pair(b: Builtin,
+                           config: SampleConfig) -> VerificationReport:
+    report = VerificationReport(title=b.title, seed=config.seed)
+    K1, K2 = b.fields
     points = sample_points(2, config)
-    return algebra_report(basis, points, covector=None, tol=1e-9,
-                          seed=config.seed)
-
-
-def run_nonsymmetric_pair(config: SampleConfig) -> VerificationReport:
-    report = VerificationReport(title="nonsymmetric-pair", seed=config.seed)
-    K1, K2 = nonsymmetric_pair_fields()
-    cfg = SampleConfig(seed=config.seed, count=config.count, box=config.box,
-                       guards=())
-    points = sample_points(2, cfg)
-    from .opfields import is_symmetry
-    c = is_symmetry(K1, K2, points, tol=1e-9, name="mutual_symmetry")
-    report.add(c)
+    report.add(is_symmetry(K1, K2, points, tol=1e-9, name="mutual_symmetry"))
     report.add(nijenhuis_torsion_report(K2, points, tol=1e-9,
                                         name="torsion_diag_u2_u1"))
     return report
 
 
+def _example52(variant: str) -> Builtin:
+    one_form = {"one_form": [f"{v:g}" for v in DEMO4_TOP]}
+    if variant == "constant":
+        return Builtin(
+            "example52 (constant variant)", _run_demo4_constant,
+            demo4_constant_basis().fields, "M", DEMO4_TOP, DEMO4_XI,
+            hamiltonians=[QuadraticHamiltonian.constant(G)
+                          for G in demo4_target_family()],
+            entries=dict(one_form, polynomials=[[0, 0, 1], [], [], []],
+                         initial_curve=[[0, 1], [0, 0, 1], [0, 0, 0, 1],
+                                        [0, 0, 0, 0, 1]],
+                         flow_order=4))
+    return Builtin(
+        "example52 (analytic variant)", _run_demo4_analytic,
+        demo4_tilde_basis().fields, "M", (1.0, 0.0, 0.0, 0.0),
+        guards=DEMO4_GUARDS, hamiltonians=demo4_rational_hamiltonians(),
+        entries=dict(one_form, chart=demo4_chart_strings()))
+
+
+def _centraliser(kind: str, blocks) -> Builtin:
+    matrices, top, _ = segre_algebra(blocks)
+    return Builtin(f"centraliser-{kind}", _run_at_origin,
+                   [OperatorField.constant(M) for M in matrices],
+                   covector=tuple(top))
+
+
 _BUILTINS = {
-    "example52": None,  # dispatched on variant
-    "example32": run_example32,
-    "centraliser-diag": lambda cfg: _run_centraliser("diag", cfg),
-    "centraliser-jordan": lambda cfg: _run_centraliser("jordan", cfg),
-    "not-closed": run_not_closed,
-    "nonsymmetric-pair": run_nonsymmetric_pair,
+    "example52": _example52,
+    "example32": lambda variant: Builtin(
+        "example32 algebra",
+        lambda b, cfg: _run_at_origin(b, cfg, tuple(_ORIGIN_RESIDUALS)),
+        demo4_constant_basis().fields, "M", DEMO4_TOP, DEMO4_XI),
+    "centraliser-diag": lambda variant: _centraliser("diag", [1, 1, 1, 1]),
+    "centraliser-jordan": lambda variant: _centraliser("jordan", [4]),
+    "not-closed": lambda variant: Builtin(
+        "not-closed", _run_not_closed,
+        [OperatorField.constant(M) for M in not_closed_matrices()]),
+    "nonsymmetric-pair": lambda variant: Builtin(
+        "nonsymmetric-pair", _run_nonsymmetric_pair,
+        nonsymmetric_pair_fields(),
+        entries={"initial_curve": [[0, 1], [1, 1]], "flow_order": 4}),
 }
 
 
@@ -402,125 +419,39 @@ def builtin_names():
     return sorted(_BUILTINS)
 
 
-def run_builtin(name: str, config: SampleConfig,
-                variant: str = "constant") -> VerificationReport:
-    if name == "example52":
-        if variant == "constant":
-            return run_demo4_constant(config)
-        if variant == "analytic":
-            return run_demo4_analytic(config)
+def _builtin(name: str, variant: str) -> Builtin:
+    if variant not in ("constant", "analytic"):
         raise ValueError(f"unknown variant {variant!r}")
-    try:
-        runner = _BUILTINS[name]
-    except KeyError:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown builtin {name!r}; known: "
                          + ", ".join(builtin_names()))
-    return runner(config)
+    return _BUILTINS[name](variant)
 
 
-# ---------------------------------------------------------------------------
-# system-file emission
-# ---------------------------------------------------------------------------
+def run_builtin(name: str, config: SampleConfig,
+                variant: str = "constant") -> VerificationReport:
+    b = _builtin(name, variant)
+    return b.run(b, config)
 
 
-def _grid_strings(f: OperatorField):
-    return [[str(e) for e in row] for row in f.entries]
-
-
-def _ham_strings(H: QuadraticHamiltonian):
-    return [[str(e) for e in row] for row in H.grid]
+def _grid_strings(grid):
+    return [[str(e) for e in row] for row in grid]
 
 
 def emit_builtin(name: str, variant: str = "constant") -> dict:
     """The JSON system-file document for a builtin fixture."""
-    if name == "example52" and variant == "constant":
-        basis = demo4_constant_basis()
-        doc = {
-            "schema": 1,
-            "dimension": 4,
-            "fields": {f"M{i + 1}": _grid_strings(f)
-                       for i, f in enumerate(basis.fields)},
-            "basis": [f"M{i + 1}" for i in range(4)],
-            "covector": [0.0, 0.0, 0.0, 1.0],
-            "one_form": ["0", "0", "0", "1"],
-            "xi": [1.0, 0.0, 0.0, 0.0],
-            "polynomials": [[0, 0, 1], [], [], []],
-            "hamiltonians": [_ham_strings(QuadraticHamiltonian.constant(G))
-                             for G in demo4_target_family()],
-            "initial_curve": [[0, 1], [0, 0, 1], [0, 0, 0, 1],
-                              [0, 0, 0, 0, 1]],
-            "flow_order": 4,
-            "sampling": {"seed": 42, "samples": 50, "box": 1.0},
-        }
-        return doc
-    if name == "example52" and variant == "analytic":
-        basis = demo4_tilde_basis()
-        return {
-            "schema": 1,
-            "dimension": 4,
-            "fields": {f"M{i + 1}": _grid_strings(f)
-                       for i, f in enumerate(basis.fields)},
-            "basis": [f"M{i + 1}" for i in range(4)],
-            "covector": [1.0, 0.0, 0.0, 0.0],
-            "one_form": ["0", "0", "0", "1"],
-            "chart": demo4_chart_strings(),
-            "hamiltonians": [_ham_strings(H)
-                             for H in demo4_rational_hamiltonians()],
-            "sampling": {
-                "seed": 42, "samples": 50, "box": 1.0,
-                "guards": [{"expr": s, "min": g}
-                           for s, g in demo4_rational_guard_specs()],
-            },
-        }
-    if name == "example32":
-        basis = demo4_constant_basis()
-        return {
-            "schema": 1,
-            "dimension": 4,
-            "fields": {f"M{i + 1}": _grid_strings(f)
-                       for i, f in enumerate(basis.fields)},
-            "basis": [f"M{i + 1}" for i in range(4)],
-            "covector": [0.0, 0.0, 0.0, 1.0],
-            "xi": [1.0, 0.0, 0.0, 0.0],
-            "sampling": {"seed": 42, "samples": 50, "box": 1.0},
-        }
-    if name in ("centraliser-diag", "centraliser-jordan"):
-        n = 4
-        if name.endswith("diag"):
-            mats = centraliser_diag_matrices(n)
-            covector = [1.0] * n
-        else:
-            mats = centraliser_jordan_matrices(n)
-            covector = [0.0] * (n - 1) + [1.0]
-        fields = [OperatorField.constant(M) for M in mats]
-        return {
-            "schema": 1,
-            "dimension": n,
-            "fields": {f"K{i + 1}": _grid_strings(f)
-                       for i, f in enumerate(fields)},
-            "basis": [f"K{i + 1}" for i in range(n)],
-            "covector": covector,
-            "sampling": {"seed": 42, "samples": 50, "box": 1.0},
-        }
-    if name == "not-closed":
-        fields = [OperatorField.constant(M) for M in not_closed_matrices()]
-        return {
-            "schema": 1,
-            "dimension": 2,
-            "fields": {f"K{i + 1}": _grid_strings(f)
-                       for i, f in enumerate(fields)},
-            "basis": ["K1", "K2"],
-            "sampling": {"seed": 42, "samples": 50, "box": 1.0},
-        }
-    if name == "nonsymmetric-pair":
-        K1, K2 = nonsymmetric_pair_fields()
-        return {
-            "schema": 1,
-            "dimension": 2,
-            "fields": {"K1": _grid_strings(K1), "K2": _grid_strings(K2)},
-            "basis": ["K1", "K2"],
-            "initial_curve": [[0, 1], [1, 1]],
-            "flow_order": 4,
-            "sampling": {"seed": 42, "samples": 50, "box": 1.0},
-        }
-    raise ValueError(f"unknown builtin {name!r} / variant {variant!r}")
+    b = _builtin(name, variant)
+    names = [f"{b.prefix}{i + 1}" for i in range(len(b.fields))]
+    sampling = {"seed": DEFAULT_SEED, "samples": DEFAULT_SAMPLES, "box": 1.0}
+    if b.guards:
+        sampling["guards"] = [{"expr": s, "min": g} for s, g in b.guards]
+    doc = {"schema": 1, "dimension": b.dimension,
+           "fields": {k: _grid_strings(f.entries)
+                      for k, f in zip(names, b.fields)},
+           "basis": names, "sampling": sampling, **b.entries}
+    for key in ("covector", "xi"):
+        if getattr(b, key) is not None:
+            doc[key] = [float(v) for v in getattr(b, key)]
+    if b.hamiltonians is not None:
+        doc["hamiltonians"] = [_grid_strings(H.grid) for H in b.hamiltonians]
+    return doc

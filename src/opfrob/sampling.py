@@ -16,6 +16,7 @@ from .exprs import eval_expr
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 50
 DEFAULT_GUARD = 1e-3
+MAX_DRAW_FACTOR = 1000   # draws allowed per requested point
 
 
 @dataclass(frozen=True)
@@ -24,11 +25,6 @@ class SampleConfig:
     count: int = DEFAULT_SAMPLES
     box: float = 1.0
     guards: tuple = ()  # pairs (Expression, floor)
-    max_draw_factor: int = 1000
-
-    def with_count(self, count: int) -> "SampleConfig":
-        return SampleConfig(self.seed, count, self.box, self.guards,
-                            self.max_draw_factor)
 
 
 def guards_ok(point, guards) -> bool:
@@ -44,7 +40,7 @@ def sample_points(n: int, config: SampleConfig) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
     points = np.empty((config.count, n))
     kept = 0
-    budget = config.max_draw_factor * config.count
+    budget = MAX_DRAW_FACTOR * config.count
     for _ in range(budget):
         p = rng.uniform(-config.box, config.box, n)
         if guards_ok(p, config.guards):

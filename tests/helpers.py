@@ -3,13 +3,11 @@
 import numpy as np
 
 from opfrob.exprs import parse_expr
-from opfrob.fixtures import (
-    diag_symmetry_field,
-    jordan_symmetry_field,
-    power_basis_fields,
-)
+from opfrob.fields import OperatorField
+from opfrob.fixtures import segre_algebra
 from opfrob.frobalg import OperatorBasis
 from opfrob.sampling import SampleConfig
+from opfrob.symalg import FlatBasis, canonical_symmetry_U
 
 
 def guarded_config(n, seed=42, count=20, extra=()):
@@ -23,12 +21,22 @@ def guarded_config(n, seed=42, count=20, extra=()):
     return SampleConfig(seed=seed, count=count, box=1.0, guards=tuple(guards))
 
 
+def canonical_field(kind, n):
+    """The canonical symmetry U of the n-dimensional centraliser family:
+    diag(u1, .., un) for "diag" (Segre type [1 .. 1]), sum_k u^k J^(k-1)
+    for "jordan" (Segre type [n])."""
+    matrices, _, unit = segre_algebra([1] * n if kind == "diag" else [n])
+    return canonical_symmetry_U(FlatBasis(matrices, unit))
+
+
 def random_power_basis(kind, n, seed):
-    """Random invertible recombination of the powers of the canonical
-    symmetry field of an n-dimensional centraliser family; Id stays in the
-    span and the fields remain mutual strong symmetries."""
-    L = diag_symmetry_field(n) if kind == "diag" else jordan_symmetry_field(n)
-    powers = power_basis_fields(L)
+    """Random invertible recombination of the powers Id, U, .., U^(n-1) of
+    the canonical symmetry field of an n-dimensional centraliser family;
+    Id stays in the span and the fields remain mutual strong symmetries."""
+    L = canonical_field(kind, n)
+    powers = [OperatorField.identity(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ L)
     rng = np.random.default_rng(seed)
     while True:
         T = rng.uniform(-1.0, 1.0, (n, n))

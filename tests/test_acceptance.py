@@ -21,6 +21,7 @@ from opfrob.fixtures import (
     demo4_tilde_basis,
     demo4_flat_basis,
     nonsymmetric_pair_fields,
+    segre_algebra,
 )
 from opfrob.frobalg import (
     is_generic_vector,
@@ -40,7 +41,12 @@ from opfrob.opfields import bracket, dualize_family, is_strong_symmetry
 from opfrob.sampling import SampleConfig, sample_points
 from opfrob.symalg import analytic_symmetry, sym_membership
 
-from helpers import admissible_covector, guarded_config, random_power_basis
+from helpers import (
+    admissible_covector,
+    canonical_field,
+    guarded_config,
+    random_power_basis,
+)
 from oracles import central_gradient, lstsq_structure_constants
 
 SEED = 42
@@ -259,17 +265,15 @@ def test_criterion_8_oracle_agreement():
                       <= 1e-6 * (1.0 + np.abs(jet.partials)))
         probes += 1
 
-    from opfrob.fixtures import (centraliser_jordan_matrices,
-                                 jordan_symmetry_field)
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
         if seed % 2:
-            L = jordan_symmetry_field(3)
+            L = canonical_field("jordan", 3)
             u = rng.uniform(0.3, 1.0, 3)
             Lv = L.eval(u)
             powers = [np.eye(3), Lv, Lv @ Lv]
         else:
-            powers = centraliser_jordan_matrices(3)
+            powers = segre_algebra([3])[0]
         while True:
             T = rng.uniform(-1, 1, (3, 3))
             if abs(np.linalg.det(T)) > 0.2:

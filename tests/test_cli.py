@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -156,6 +157,54 @@ class TestInputChecks:
         self.assert_input_error(
             _run_doc(doc, "verify-algebra", tmp_path, capsys), message)
 
+    @pytest.mark.parametrize("command,entries,message", [
+        ("flow", {"initial_curve": 5}, "initial_curve must be 2 lists"),
+        ("flow", {"initial_curve": [[0, "x"], [1, 1]]},
+         "initial_curve must be 2 lists"),
+        ("symcheck", {"polynomials": 5}, "polynomials must be 2 lists"),
+        ("symcheck", {"polynomials": [[1, "x"], []]},
+         "polynomials must be 2 lists"),
+        ("symcheck", {"candidate": ["N"]}, "candidate must be a field name"),
+        ("generate", {"chart": 5}, "chart must be a list of 2 expressions"),
+        ("generate", {"chart": [1, 2]},
+         "chart must be a list of 2 expressions"),
+        ("generate", {"chart": ["u1 +", "u2"]}, "chart: expected number"),
+        ("verify-algebra", {"sampling": "x"}, "sampling must be an object"),
+        ("verify-algebra", {"sampling": {"box": "x"}}, "sampling box"),
+        ("verify-algebra", {"sampling": {"box": -1}}, "sampling box"),
+        ("verify-algebra", {"sampling": {"box": float("nan")}},
+         "sampling box"),
+        ("verify-algebra", {"sampling": {"seed": "x"}}, "sampling seed"),
+        ("verify-algebra", {"sampling": {"seed": -1}}, "sampling seed"),
+        ("verify-algebra", {"sampling": {"seed": 1.5}},
+         "sampling seed must be an integer of at least 0, got 1.5"),
+        ("verify-algebra", {"sampling": {"guards": [{"expr": "u1",
+                                                      "min": "x"}]}},
+         "min must be a finite number"),
+        ("verify-algebra", {"dimension": 2.7},
+         "dimension must be an integer of at least 1, got 2.7"),
+        ("verify-algebra --seed -1", {}, "--seed must be an integer"),
+        ("dualize --seed -1", {}, "--seed must be an integer"),
+    ])
+    def test_malformed_entry_exits_2_with_one_line(self, command, entries,
+                                                   message, tmp_path, capsys):
+        doc = {"schema": 1, "dimension": 2,
+               "fields": {"I": [["1", "0"], ["0", "1"]],
+                          "N": [["0", "0"], ["1", "0"]]},
+               "basis": ["I", "N"], "xi": [1.0, 0.0], "covector": [0.0, 1.0],
+               "one_form": ["0", "1"], **entries}
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        cmd, *options = command.split()
+        result = run_cli([cmd, str(f), *options], capsys)
+        assert "Traceback" not in result[2]
+        self.assert_input_error(result, message)
+
+    def test_builtin_negative_seed_is_input_error(self, capsys):
+        self.assert_input_error(
+            run_cli(["builtin", "example32", "--seed", "-1"], capsys),
+            "--seed must be an integer of at least 0, got -1")
+
     def test_nan_at_a_sampled_point_is_no_traceback(self, tmp_path, capsys):
         # finite constants, NaN values: the xi search rejects every draw
         doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]],
@@ -168,7 +217,37 @@ class TestInputChecks:
                       f"32 draws at {[float(x) for x in first]}\n"
 
 
+EMITTED_SHA256 = {
+    "centraliser-diag":
+        "27c8c0c5a2fd1205f206924df31bb24e988662d5105a087f6e5d911d0c8f38f9",
+    "centraliser-jordan":
+        "eb6405211e597801ed05283d60d9f870a936ab469fa48d6c0423c9c5581600ae",
+    "example32":
+        "9ab0d8e34e80aca0648985bb84661f96ae4583be5ab119de5f5e8a851d3d624e",
+    "example52":
+        "a4b228af6993ffb9eef22dd8f83abc4ee9a21bb7b34aa905898f33e3018cf13a",
+    "example52 analytic":
+        "c9b20b1259706ae9795c2c6252f0745ffc3afdba88d82e7c9e48214584f4bfb1",
+    "nonsymmetric-pair":
+        "4c2d4e25bdc296f9b126c2fe1d38dcdf5032d65ac27ace523d238d346ce80220",
+    "not-closed":
+        "e8fd911c6a251dc418716bc76029d1cc7f0983e4943c3891ea7f0bae6b087c37",
+}
+
+
 class TestEmittedFixtures:
+    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("variant", ["constant", "analytic"])
+    def test_emitted_documents_are_pinned(self, name, variant, tmp_path,
+                                          capsys):
+        """Every ``--emit`` file, byte for byte; only example52 has two
+        variants.  The benchmark's system files are among these."""
+        path = tmp_path / "doc.json"
+        run_cli(["builtin", name, "--variant", variant, "--emit", str(path)],
+                capsys)
+        want = EMITTED_SHA256.get(f"{name} {variant}") or EMITTED_SHA256[name]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
     @pytest.mark.parametrize("name", builtin_names())
     def test_emit_and_reload(self, name, tmp_path, capsys):
         path = tmp_path / f"{name}.json"

@@ -4,11 +4,10 @@ import pytest
 from opfrob.errors import GenericityError, SingularMatrixError
 from opfrob.fields import OperatorField
 from opfrob.fixtures import (
-    centraliser_jordan_matrices,
     demo4_constant_basis,
     demo4_matrices,
-    jordan_symmetry_field,
     not_closed_matrices,
+    segre_algebra,
 )
 from opfrob.frobalg import (
     OperatorBasis,
@@ -26,7 +25,12 @@ from opfrob.frobalg import (
 from opfrob.numkit import mat_solve, split_jet_matrix
 from opfrob.sampling import SampleConfig, sample_points
 
-from helpers import admissible_covector, guarded_config, random_power_basis
+from helpers import (
+    admissible_covector,
+    canonical_field,
+    guarded_config,
+    random_power_basis,
+)
 from oracles import (
     loop_mat_rank,
     loop_well_conditioned_vector,
@@ -118,11 +122,11 @@ class TestStructureConstants:
         # random commutative spans from the 3x3 Jordan-block centraliser
         rng = np.random.default_rng(100 + seed)
         if seed % 2:
-            L = jordan_symmetry_field(3)
+            L = canonical_field("jordan", 3)
             u = rng.uniform(0.3, 1.0, 3)
             powers = [np.eye(3), L.eval(u), L.eval(u) @ L.eval(u)]
         else:
-            powers = centraliser_jordan_matrices(3)
+            powers = segre_algebra([3])[0]
         while True:
             T = rng.uniform(-1, 1, (3, 3))
             if abs(np.linalg.det(T)) > 0.2:
