@@ -112,19 +112,21 @@ class SystemFile:
                 raise InputError(f"{path}: hamiltonians: {exc}")
 
     def _vector(self, doc, key):
+        """``doc[key]`` as floats (None when absent), checked to be one
+        finite real number per coordinate; a bool or a numeric string is
+        not a number."""
         if key not in doc:
             return None
         v = doc[key]
-        try:
-            out = [float(x) for x in v]
-        except (TypeError, ValueError):
+        if not (isinstance(v, list)
+                and all(type(x) in (int, float) for x in v)):
             raise InputError(f"{self.path}: {key} must be a number list")
-        if len(out) != self.dimension:
+        if len(v) != self.dimension:
             raise InputError(
                 f"{self.path}: {key} needs {self.dimension} components")
-        if not all(map(math.isfinite, out)):
+        if not all(map(_is_number, v)):
             raise InputError(f"{self.path}: {key} components must be finite")
-        return out
+        return [float(x) for x in v]
 
     def _number_rows(self, doc, key):
         """``doc[key]`` (None when absent), checked to be one list of
@@ -227,31 +229,41 @@ def load_system_file(path: str) -> SystemFile:
 # ---------------------------------------------------------------------------
 
 
-def _tol(args) -> float:
-    return args.tol if args.tol is not None else 1e-9
+def _tol(args, default: float) -> float:
+    """The residual tolerance: ``--tol`` if given, else ``default``; a
+    tolerance that is not finite and positive is an input error."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be a finite positive number, "
+                         f"got {args.tol!r}")
+    return args.tol
 
 
 def cmd_verify_algebra(args) -> VerificationReport:
+    tol = _tol(args, 1e-9)
     sf = load_system_file(args.file)
     cfg = sf.sample_config(args)
     basis = sf.basis()
     points = sample_points(sf.dimension, cfg)
-    return algebra_report(basis, points, covector=sf.covector,
-                          tol=_tol(args), seed=cfg.seed)
+    return algebra_report(basis, points, covector=sf.covector, tol=tol,
+                          seed=cfg.seed)
 
 
 def cmd_dualize(args) -> VerificationReport:
+    tol = _tol(args, 1e-9)
     sf = load_system_file(args.file)
     if sf.covector is None:
         raise InputError(f"{sf.path}: dualize needs a covector")
     cfg = sf.sample_config(args)
     points = sample_points(sf.dimension, cfg)
-    _, report = dualize_family(sf.basis(), sf.covector, points,
-                               tol=_tol(args), seed=cfg.seed)
+    _, report = dualize_family(sf.basis(), sf.covector, points, tol=tol,
+                               seed=cfg.seed)
     return report
 
 
 def cmd_symcheck(args) -> VerificationReport:
+    tol = _tol(args, 1e-9)
     sf = load_system_file(args.file)
     cfg = sf.sample_config(args)
     basis = sf.basis()
@@ -268,7 +280,7 @@ def cmd_symcheck(args) -> VerificationReport:
     report = VerificationReport(title="symcheck", seed=cfg.seed)
     if sf.polynomials is not None:
         candidate = analytic_symmetry(flat, sf.polynomials)
-        sub = sym_membership(basis, candidate, points, tol=_tol(args),
+        sub = sym_membership(basis, candidate, points, tol=tol,
                              seed=cfg.seed)
         for c in sub.checks:
             c.name = f"analytic_candidate.{c.name}"
@@ -278,7 +290,7 @@ def cmd_symcheck(args) -> VerificationReport:
             raise InputError(
                 f"{sf.path}: candidate {sf.candidate_name!r} not defined")
         sub = sym_membership(basis, sf.fields[sf.candidate_name], points,
-                             tol=_tol(args), seed=cfg.seed)
+                             tol=tol, seed=cfg.seed)
         for c in sub.checks:
             c.name = f"{sf.candidate_name}.{c.name}"
             report.add(c)
@@ -289,13 +301,14 @@ def cmd_symcheck(args) -> VerificationReport:
 
 
 def cmd_generate(args) -> VerificationReport:
+    tol = _tol(args, 1e-9)
     sf = load_system_file(args.file)
     if sf.one_form is None:
         raise InputError(f"{sf.path}: generate needs a one_form")
     cfg = sf.sample_config(args)
     points = sample_points(sf.dimension, cfg)
     system, report = generate_system(
-        sf.basis(), sf.one_form, points, chart=sf.chart, tol=_tol(args),
+        sf.basis(), sf.one_form, points, chart=sf.chart, tol=tol,
         seed=cfg.seed)
     if system.hamiltonians is not None:
         lines = []
@@ -317,6 +330,7 @@ def cmd_generate(args) -> VerificationReport:
 
 
 def cmd_poisson_check(args) -> VerificationReport:
+    tol = _tol(args, 1e-8)
     sf = load_system_file(args.file)
     if not sf.hamiltonians:
         raise InputError(f"{sf.path}: poisson-check needs hamiltonians")
@@ -324,7 +338,6 @@ def cmd_poisson_check(args) -> VerificationReport:
     points = sample_points(sf.dimension, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     p_draws = rng.uniform(-cfg.box, cfg.box, (len(points), sf.dimension))
-    tol = args.tol if args.tol is not None else 1e-8
     report = VerificationReport(title="poisson-check", seed=cfg.seed)
     report.add(verify_commuting_family(sf.hamiltonians, points, p_draws,
                                        tol=tol))
@@ -332,6 +345,7 @@ def cmd_poisson_check(args) -> VerificationReport:
 
 
 def cmd_inverse(args) -> VerificationReport:
+    tol = _tol(args, 1e-8)
     sf = load_system_file(args.file)
     if not sf.hamiltonians:
         raise InputError(f"{sf.path}: inverse needs hamiltonians")
@@ -339,13 +353,13 @@ def cmd_inverse(args) -> VerificationReport:
         raise InputError(f"{sf.path}: inverse needs a covector")
     cfg = sf.sample_config(args)
     points = sample_points(sf.dimension, cfg)
-    tol = args.tol if args.tol is not None else 1e-8
     report, _ = inverse_verify(sf.hamiltonians, sf.covector, points,
                                tol=tol, seed=cfg.seed)
     return report
 
 
 def cmd_hj(args) -> VerificationReport:
+    tol = _tol(args, 1e-9)
     sf = load_system_file(args.file)
     if sf.one_form is None:
         raise InputError(f"{sf.path}: hj needs a one_form")
@@ -361,7 +375,7 @@ def cmd_hj(args) -> VerificationReport:
     cfg = sf.sample_config(args)
     points = sample_points(sf.dimension, cfg)
     system, gen_report = generate_system(
-        sf.basis(), sf.one_form, points, chart=sf.chart, tol=_tol(args),
+        sf.basis(), sf.one_form, points, chart=sf.chart, tol=tol,
         seed=cfg.seed)
     report = VerificationReport(title="hj", seed=cfg.seed)
     report.extend(gen_report)
@@ -377,6 +391,7 @@ def cmd_hj(args) -> VerificationReport:
 
 
 def cmd_flow(args) -> VerificationReport:
+    tol = _tol(args, 1e-8)
     sf = load_system_file(args.file)
     if sf.initial_curve is None:
         raise InputError(f"{sf.path}: flow needs an initial_curve")
@@ -387,7 +402,6 @@ def cmd_flow(args) -> VerificationReport:
     except OpfrobError as exc:
         raise InputError(f"{sf.path}: {exc}")
     report = VerificationReport(title="flow", seed=cfg.seed)
-    tol = args.tol if args.tol is not None else 1e-8
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             r = flow_compatibility_residual(sol, i, j)

@@ -16,13 +16,15 @@ Grammar (``^`` binds tightest; a single integer exponent per atom)::
     atom   := number | 'u' integer | '(' expr ')'
 
 Negative exponents are sugar for division: ``u1^-2`` parses to ``1/u1^2``.
-Integer literals are kept exact; decimal literals become binary64 floats.
+Digits are ASCII ``0-9`` only.  Integer literals are kept exact; decimal
+literals become binary64 floats.
 Parentheses nest, and parsed trees reach, at most MAX_DEPTH levels, so the
 recursive parser, evaluator and printer stay within the recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,175 +161,151 @@ def var(index: int) -> Var:
 # parsing
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
 MAX_DEPTH = 100
 
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        text, i, n = self.text, 0, len(self.text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in _OPS:
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c == "u" and i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("var", int(text[i + 1 : j]), i))
-                i = j
-                continue
-            if c.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                is_float = False
-                if j < n and text[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        is_float = True
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                lit = text[i:j]
-                self.tokens.append(("num", float(lit) if is_float else int(lit), i))
-                i = j
-                continue
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", None, n))
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+_TOKEN = re.compile(r"u[0-9]+|[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+                    r"|[-+*/^()]")
+_SCAN = re.compile(_TOKEN.pattern + r"|(\S)")   # group 1: a stray character
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
-    def __init__(self, text: str, dimension: int, table: dict):
-        self.toks = _Tokenizer(text)
-        self.dimension = dimension
-        self.table = table
-        self.nesting = 0
+    """Operator-precedence parser over the tokens of one text.
 
-    def _node(self, cls, *fields) -> Expression:
+    The intern table maps each node's key to the node and the node's id to
+    its tree depth.  It also maps (dimension, tokens) of each parenthesised
+    group parsed with it to the group's node, so a group repeated within a
+    text or across the texts of a grid is parsed once."""
+
+    def __init__(self, text: str, dimension: int, table: dict):
+        toks = _TOKEN.findall(text)
+        if "".join(toks) != "".join(text.split()):
+            m = next(m for m in _SCAN.finditer(text) if m.group(1))
+            raise ExprSyntaxError(f"unexpected character {m.group(1)!r}",
+                                  m.start())
+        self.text, self.dimension, self.table = text, dimension, table
+        self.toks = (*toks, "")         # "" ends the text
+        self.i = self.nesting = 0
+        # each matched '(' -> its ')' and the group's own nesting
+        self.groups, opens = {}, []
+        for j, t in enumerate(toks):
+            if t == "(":
+                opens.append([j, 1])
+            elif t == ")" and opens:
+                i, nest = opens.pop()
+                self.groups[i] = (j, nest)
+                if opens and opens[-1][1] <= nest:
+                    opens[-1][1] = nest + 1
+
+    def fail(self, message: str, i=None):
+        """Raise ``message`` at the offset of token ``i`` (default: the
+        current token); offsets are found only here."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        raise ExprSyntaxError(message, starts[self.i if i is None else i])
+
+    def node(self, key, cls, *fields) -> Expression:
         """The node ``cls(*fields)``, built once per intern table.
 
-        Children are interned already, so they are keyed by identity.  A
-        literal is keyed by its type and bits: Const(1) == Const(1.0), but
-        the int computes exactly and prints differently.  The table also
-        holds each node's tree depth, keyed by the node's id."""
-        if cls is Const:
-            v = fields[0]
-            key = (Const, type(v), v.hex() if type(v) is float else v)
-        else:
-            key = (cls, *[id(f) if isinstance(f, Expression) else f
-                          for f in fields])
+        Children are interned already, so ``key`` holds them by identity.
+        A literal is keyed by its type and bits: Const(1) == Const(1.0),
+        but the int computes exactly and prints differently."""
         node = self.table.get(key)
         if node is None:
-            if cls is BinOp:
-                depth = 1 + max(self.table[id(fields[1])],
-                                self.table[id(fields[2])])
-            else:
-                depth = 1 + (self.table[id(fields[0])]
-                             if cls is Neg or cls is Pow else 0)
+            depth = 1 + max([self.table[id(f)] for f in fields
+                             if isinstance(f, Expression)], default=0)
             if depth > MAX_DEPTH:
-                raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} "
-                                      "levels", self.toks.peek()[2])
+                self.fail(f"expression deeper than {MAX_DEPTH} levels")
             node = self.table[key] = cls(*fields)
             self.table[id(node)] = depth
         return node
 
     def parse(self) -> Expression:
-        e = self._expr()
-        kind, _, pos = self.toks.peek()
-        if kind != "end":
-            raise ExprSyntaxError("trailing input after expression", pos)
+        try:
+            e = self.expr()
+        except ValueError:  # int() of the token just taken: too many digits
+            self.fail("integer literal too long", self.i - 1)
+        if self.toks[self.i]:
+            self.fail("trailing input after expression")
         return e
 
-    def _expr(self) -> Expression:
-        e = self._term()
-        while self.toks.peek()[0] in ("+", "-"):
-            op, _, _ = self.toks.next()
-            e = self._node(BinOp, op, e, self._term())
-        return e
+    def expr(self) -> Expression:
+        """Operands joined by left-associative binary operators."""
+        stack = []      # (left operand, operator, its level), rising
+        while True:
+            e = self.operand()
+            op = self.toks[self.i]
+            level = _PRECEDENCE.get(op, 0)
+            while stack and stack[-1][2] >= level:
+                lhs, o, _ = stack.pop()
+                e = self.node((BinOp, o, id(lhs), id(e)), BinOp, o, lhs, e)
+            if not level:
+                return e
+            stack.append((e, op, level))
+            self.i += 1
 
-    def _term(self) -> Expression:
-        e = self._factor()
-        while self.toks.peek()[0] in ("*", "/"):
-            op, _, _ = self.toks.next()
-            e = self._node(BinOp, op, e, self._factor())
-        return e
-
-    def _factor(self) -> Expression:
-        signs = 0   # leading minus signs are counted, not recursed into
-        while self.toks.peek()[0] == "-":
-            self.toks.next()
+    def operand(self) -> Expression:
+        """Leading minus signs, then an atom with an optional exponent."""
+        toks, i, signs = self.toks, self.i, 0
+        while toks[i] == "-":       # counted, not recursed into
+            i += 1
             signs += 1
-        e = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            sign = 1
-            if self.toks.peek()[0] == "-":
-                self.toks.next()
-                sign = -1
-            kind, value, pos = self.toks.next()
-            if kind != "num" or not isinstance(value, int):
-                raise ExprSyntaxError("exponent must be an integer literal", pos)
-            k = sign * value
-            e = self._node(BinOp, "/", self._node(Const, 1),
-                           self._node(Pow, e, -k)) if k < 0 \
-                else self._node(Pow, e, k)
-        while signs:
-            e = self._node(Neg, e)
-            signs -= 1
+        t = toks[i]
+        self.i = i + 1
+        if t == "(":
+            e = self.group(i)
+        elif t[:1] == "u":
+            k = int(t[1:])
+            if not 1 <= k <= self.dimension:
+                self.fail(f"variable index out of range: u{k} with "
+                          f"dimension {self.dimension}", i)
+            e = self.node((Var, k), Var, k)
+        elif t[:1].isdigit():
+            v = int(t) if t.isdigit() else float(t)
+            e = self.node((Const, int, v) if type(v) is int
+                          else (Const, float, v.hex()), Const, v)
+        else:
+            self.fail("expected number, variable or '('", i)
+        if toks[self.i] == "^":
+            j = self.i + 1 + (toks[self.i + 1] == "-")
+            if not toks[j].isdigit():
+                self.fail("exponent must be an integer literal", j)
+            self.i = j + 1
+            k = int(toks[j])
+            if toks[j - 1] == "-" and k:
+                one = self.node((Const, int, 1), Const, 1)
+                p = self.node((Pow, id(e), k), Pow, e, k)
+                e = self.node((BinOp, "/", id(one), id(p)), BinOp, "/", one, p)
+            else:
+                e = self.node((Pow, id(e), k), Pow, e, k)
+        for _ in range(signs):
+            e = self.node((Neg, id(e)), Neg, e)
         return e
 
-    def _atom(self) -> Expression:
-        kind, value, pos = self.toks.next()
-        if kind == "num":
-            return self._node(Const, value)
-        if kind == "var":
-            if value < 1 or value > self.dimension:
-                raise ExprSyntaxError(
-                    f"variable index out of range: u{value} with dimension "
-                    f"{self.dimension}",
-                    pos,
-                )
-            return self._node(Var, value)
-        if kind == "(":
-            self.nesting += 1
-            if self.nesting > MAX_DEPTH:
-                raise ExprSyntaxError(f"more than {MAX_DEPTH} nested "
-                                      "parentheses", pos)
-            e = self._expr()
-            self.nesting -= 1
-            kind2, _, pos2 = self.toks.next()
-            if kind2 != ")":
-                raise ExprSyntaxError("expected ')'", pos2)
-            return e
-        raise ExprSyntaxError(f"expected number, variable or '('", pos)
+    def group(self, i: int) -> Expression:
+        """The group opened at token ``i``: one memo lookup when it was
+        parsed before and still fits within MAX_DEPTH nested parentheses
+        here, else parsed (and raising what a first parse raises)."""
+        if self.nesting >= MAX_DEPTH:
+            self.fail(f"more than {MAX_DEPTH} nested parentheses", i)
+        key = None
+        if i in self.groups:
+            j, nest = self.groups[i]
+            if self.nesting + nest <= MAX_DEPTH:
+                key = (self.dimension, self.toks[i:j + 1])
+                e = self.table.get(key)
+                if e is not None:
+                    self.i = j + 1
+                    return e
+        self.nesting += 1
+        e = self.expr()
+        self.nesting -= 1
+        if self.toks[self.i] != ")":
+            self.fail("expected ')'")
+        self.i += 1
+        if key is not None:
+            self.table[key] = e
+        return e
 
 
 def parse_expr(text: str, dimension: int, table=None) -> Expression:
@@ -335,16 +313,24 @@ def parse_expr(text: str, dimension: int, table=None) -> Expression:
 
     Every node is interned in ``table`` (a dict, fresh when None), so
     structurally identical subexpressions -- within the text and across
-    the texts parsed with the same table -- are one node object.  Interning
-    neither folds constants nor reassociates: the tree is the one the text
-    spells, and it prints back the same.
+    the texts parsed with the same table -- are one node object.  The
+    table also remembers each text and each parenthesised group it has
+    parsed, so a repeated one costs one lookup.  Interning neither folds
+    constants nor reassociates: the tree is the one the text spells, and
+    it prints back the same.
 
-    Raises ExprSyntaxError with a byte offset on malformed input, variable
-    indices outside [1, dimension], or non-positive dimension.
+    Raises ExprSyntaxError with a character offset on malformed input,
+    variable indices outside [1, dimension], or non-positive dimension.
     """
     if dimension < 1:
         raise ExprSyntaxError("dimension must be a positive integer", 0)
-    return _Parser(text, dimension, {} if table is None else table).parse()
+    if table is None:
+        table = {}
+    key = (dimension, text)
+    e = table.get(key)
+    if e is None:
+        e = table[key] = _Parser(text, dimension, table).parse()
+    return e
 
 
 def parse_grid(rows, dimension: int) -> list:

@@ -425,6 +425,8 @@ def _builtin(name: str, variant: str) -> Builtin:
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin {name!r}; known: "
                          + ", ".join(builtin_names()))
+    if variant == "analytic" and name != "example52":
+        raise ValueError(f"builtin {name} has no analytic variant")
     return _BUILTINS[name](variant)
 
 

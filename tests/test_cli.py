@@ -185,6 +185,28 @@ class TestInputChecks:
          "dimension must be an integer of at least 1, got 2.7"),
         ("verify-algebra --seed -1", {}, "--seed must be an integer"),
         ("dualize --seed -1", {}, "--seed must be an integer"),
+        ("generate", {"chart": ["u\u00b2", "u2"]},
+         "chart: unexpected character 'u' (at offset 0)"),
+        ("generate", {"chart": ["u1", "u\u0661"]},
+         "chart: unexpected character 'u' (at offset 0)"),
+        ("verify-algebra", {"sampling": {"guards": [{"expr": "u\u00b2"}]}},
+         "sampling guards: unexpected character 'u' (at offset 0)"),
+        ("verify-algebra", {"sampling": {"guards": [{"expr": "1 - u\u0661"}]}},
+         "sampling guards: unexpected character 'u' (at offset 4)"),
+        ("verify-algebra", {"covector": [False, True]},
+         "covector must be a number list"),
+        ("verify-algebra", {"covector": ["0", "1"]},
+         "covector must be a number list"),
+        ("verify-algebra", {"xi": [True, 0.0]}, "xi must be a number list"),
+        ("verify-algebra --tol nan", {},
+         "--tol must be a finite positive number, got nan"),
+        ("dualize --tol -1", {}, "got -1.0"),
+        ("symcheck --tol inf", {}, "got inf"),
+        ("generate --tol 0", {}, "got 0.0"),
+        ("poisson-check --tol nan", {}, "got nan"),
+        ("inverse --tol -1", {}, "got -1.0"),
+        ("hj --tol inf --c 1,1", {}, "got inf"),
+        ("flow --tol 0", {}, "got 0.0"),
     ])
     def test_malformed_entry_exits_2_with_one_line(self, command, entries,
                                                    message, tmp_path, capsys):
@@ -204,6 +226,15 @@ class TestInputChecks:
         self.assert_input_error(
             run_cli(["builtin", "example32", "--seed", "-1"], capsys),
             "--seed must be an integer of at least 0, got -1")
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_builtin_without_analytic_variant(self, emit, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        self.assert_input_error(
+            run_cli(["builtin", "centraliser-diag", "--variant", "analytic"]
+                    + (["--emit", str(path)] if emit else []), capsys),
+            "builtin centraliser-diag has no analytic variant")
+        assert not path.exists()
 
     def test_nan_at_a_sampled_point_is_no_traceback(self, tmp_path, capsys):
         # finite constants, NaN values: the xi search rejects every draw
@@ -241,10 +272,16 @@ class TestEmittedFixtures:
     def test_emitted_documents_are_pinned(self, name, variant, tmp_path,
                                           capsys):
         """Every ``--emit`` file, byte for byte; only example52 has two
-        variants.  The benchmark's system files are among these."""
+        variants, the other builtins refuse the analytic one.  The
+        benchmark's system files are among these."""
         path = tmp_path / "doc.json"
-        run_cli(["builtin", name, "--variant", variant, "--emit", str(path)],
-                capsys)
+        code, _, err = run_cli(["builtin", name, "--variant", variant,
+                                "--emit", str(path)], capsys)
+        if variant == "analytic" and name != "example52":
+            assert (code, err) == (2, f"input error: builtin {name} has no "
+                                      "analytic variant\n")
+            assert not path.exists()
+            return
         want = EMITTED_SHA256.get(f"{name} {variant}") or EMITTED_SHA256[name]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from opfrob import exprs
 from opfrob.errors import ExprEvalError, ExprSyntaxError
 from opfrob.exprs import (MAX_DEPTH, BinOp, Const, Expression, Neg, Pow, Var,
                           eval_expr, parse_expr, parse_grid)
@@ -76,6 +77,23 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expr("u1 $ u2", 2)
 
+    @pytest.mark.parametrize("text,offset", [
+        ("u\u00b2", 0), ("u\u0661", 0), ("2*\u00b2", 2), ("1\u0661", 1)])
+    def test_only_ascii_digits(self, text, offset):
+        with pytest.raises(ExprSyntaxError,
+                           match="unexpected character") as err:
+            parse_expr(text, 2)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text,offset", [
+        ("1" * 5000, 0), ("u" + "1" * 5000, 0), ("u1^" + "2" * 5000, 3)],
+        ids=["number", "variable", "exponent"])
+    def test_integer_literal_too_long(self, text, offset):
+        with pytest.raises(ExprSyntaxError,
+                           match="integer literal too long") as err:
+            parse_expr(text, 2)
+        assert err.value.offset == offset
+
     @pytest.mark.parametrize("text,value", [
         ("(" * MAX_DEPTH + "u1" + ")" * MAX_DEPTH, 3.0),
         ("-" * (MAX_DEPTH - 1) + "u1", -3.0),
@@ -94,6 +112,120 @@ class TestParsing:
     def test_depth_past_the_limit_is_a_syntax_error(self, text):
         with pytest.raises(ExprSyntaxError, match=str(MAX_DEPTH)):
             parse_expr(text, 1)
+
+
+_D = MAX_DEPTH
+_NESTED = "(" * (_D + 1) + "u1" + ")" * (_D + 1)
+
+# (text, dimension, message, offset) of each kind of syntax error
+MALFORMED = [
+    ("u1 $ u2", 2, "unexpected character '$'", 3),
+    ("u1 + * $", 2, "unexpected character '$'", 7),
+    ("(" * (_D + 1) + "$", 1, "unexpected character '$'", _D + 1),
+    ("ux", 2, "unexpected character 'u'", 0),
+    (".5", 1, "unexpected character '.'", 0),
+    ("1e+", 1, "unexpected character 'e'", 1),
+    ("1.5.2", 1, "unexpected character '.'", 3),
+    ("u1\t+ \xa0u2 #", 2, "unexpected character '#'", 9),
+    ("u1 u2", 2, "trailing input after expression", 3),
+    ("(u1) (u2)", 2, "trailing input after expression", 5),
+    ("u1 )", 1, "trailing input after expression", 3),
+    ("u1^2^3", 2, "trailing input after expression", 4),
+    ("(u1 + u2", 2, "expected ')'", 8),
+    ("((u1)", 1, "expected ')'", 5),
+    ("(u1 u2)", 2, "expected ')'", 4),
+    ("", 1, "expected number, variable or '('", 0),
+    ("   ", 1, "expected number, variable or '('", 3),
+    ("u1 + * u2", 2, "expected number, variable or '('", 5),
+    ("()", 1, "expected number, variable or '('", 1),
+    ("-", 1, "expected number, variable or '('", 1),
+    ("u1 + )", 1, "expected number, variable or '('", 5),
+    ("u1^2.5", 2, "exponent must be an integer literal", 3),
+    ("u1^u2", 2, "exponent must be an integer literal", 3),
+    ("u1^-", 1, "exponent must be an integer literal", 4),
+    ("u1^(2)", 1, "exponent must be an integer literal", 3),
+    ("u1^1e2", 1, "exponent must be an integer literal", 3),
+    ("u1^--2", 1, "exponent must be an integer literal", 4),
+    ("u0", 2, "variable index out of range: u0 with dimension 2", 0),
+    ("u1 + u3", 2, "variable index out of range: u3 with dimension 2", 5),
+    ("(u1*(2 + u007))", 3, "variable index out of range: u7 with dimension 3",
+     9),
+    (_NESTED, 1, f"more than {_D} nested parentheses", _D),
+    ("u1 + " + _NESTED, 1, f"more than {_D} nested parentheses", _D + 5),
+    ("(" * (_D + 1) + "u1", 1, f"more than {_D} nested parentheses", _D),
+    ("-" * _D + "u1", 1, f"expression deeper than {_D} levels", _D + 2),
+    ("+".join(["u1"] * (_D + 1)), 1, f"expression deeper than {_D} levels",
+     3 * _D + 2),
+    ("*".join(["u1"] * (_D + 1)), 1, f"expression deeper than {_D} levels",
+     3 * _D + 2),
+    ("(" + "+".join(["u1"] * (_D + 1)) + ") * 2", 1,
+     f"expression deeper than {_D} levels", 3 * _D + 3),
+    ("-" * (_D - 1) + "u1^-1", 1, f"expression deeper than {_D} levels",
+     _D + 4),
+    ("-" * (_D - 1) + "(u1)^2", 1, f"expression deeper than {_D} levels",
+     _D + 5),
+]
+
+
+@pytest.mark.parametrize("text,n,message,offset", MALFORMED,
+                         ids=[f"{m.split()[0]}-{k}" for k, (_, _, m, _)
+                              in enumerate(MALFORMED)])
+def test_syntax_error_message_and_offset(text, n, message, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, n)
+    assert (str(err.value), err.value.offset) == \
+        (f"{message} (at offset {offset})", offset)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(alphabet="u0123456789.eE+-*/^() \t\xa0\u00b2\u0661",
+               max_size=40))
+def test_random_text_raises_only_syntax_errors(text):
+    try:
+        parse_expr(text, 3)
+    except ExprSyntaxError:
+        pass
+
+
+def shape(e):
+    """The tree as nested tuples, literals with their type."""
+    if isinstance(e, Const):
+        return "C", type(e.value), e.value
+    if isinstance(e, Var):
+        return "V", e.index
+    if isinstance(e, Neg):
+        return "N", shape(e.arg)
+    if isinstance(e, BinOp):
+        return "B", e.op, shape(e.lhs), shape(e.rhs)
+    return "P", shape(e.base), e.exponent
+
+
+# trees whose printed text spells them: literals are non-negative (the
+# printer writes -3 as a negation)
+_TREES = st.recursive(
+    st.one_of(st.integers(0, 10 ** 6).map(Const),
+              st.floats(0.0, 1e300).map(Const),
+              st.integers(1, 3).map(Var)),
+    lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.integers(0, 5))),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_TREES)
+def test_printed_tree_parses_back_to_itself_with_sharing(tree):
+    e = parse_expr(str(tree), 3)
+    assert shape(e) == shape(tree)
+    ids = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        ids.setdefault(shape(node), set()).add(id(node))
+        stack.extend(v for v in vars(node).values()
+                     if isinstance(v, Expression))
+    assert all(len(s) == 1 for s in ids.values())
 
 
 class TestEvaluation:
@@ -243,6 +375,31 @@ class TestInternedGrids:
         assert grid[0][0] is grid[0][1]
         assert grid[0][0].rhs.rhs is grid[1][0]
         assert str(grid[0][1]) == "u1 + u2/(1 + u1)"
+
+    def test_repeated_group_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = exprs._Parser.expr
+        monkeypatch.setattr(exprs._Parser, "expr",
+                            lambda self: calls.append(1) or parse(self))
+        (a, b, c), = parse_grid([["(u1 + 2*u2)*u1", "u2 - (u1 + 2*u2)",
+                                  "(u1 + 2*u2)*u1"]], 2)
+        assert a.lhs is b.rhs and a is c
+        # the first two texts and the group, once each
+        assert len(calls) == 3
+
+    def test_group_memo_keeps_the_nesting_limit(self):
+        inner = "(" * 50 + "u1" + ")" * 50
+        fits = "(" * (MAX_DEPTH - 50) + inner + ")" * (MAX_DEPTH - 50)
+        deep = "(" + fits + ")"
+        assert parse_grid([[inner, fits]], 1)[0] == [Var(1)] * 2
+        with pytest.raises(ExprSyntaxError) as fresh:
+            parse_expr(deep, 1)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_grid([[inner, deep]], 1)
+        assert (str(err.value), err.value.offset) == \
+            (str(fresh.value), fresh.value.offset) == \
+            (f"more than {MAX_DEPTH} nested parentheses (at offset "
+             f"{MAX_DEPTH})", MAX_DEPTH)
 
     def test_separate_grids_do_not_share(self):
         a = parse_grid([["u1 + 1"]], 1)[0][0]
