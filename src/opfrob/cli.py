@@ -166,14 +166,15 @@ class SystemFile:
         if not (_is_number(box) and box > 0):
             raise InputError(f"{self.path}: sampling box must be a positive "
                              f"number, got {box!r}")
-        guard_floor = args.guard if args.guard is not None else DEFAULT_GUARD
+        guard_floor = _positive(args, "guard", DEFAULT_GUARD)
         guards = []
         try:
             for g in s.get("guards", []):
                 floor = g.get("min", guard_floor)
-                if not _is_number(floor):
-                    raise InputError(f"{self.path}: sampling guards: min "
-                                     f"must be a finite number, got {floor!r}")
+                if not (_is_number(floor) and floor > 0):
+                    raise InputError(f"{self.path}: sampling guards: min must "
+                                     f"be a finite number above 0, got "
+                                     f"{floor!r}")
                 guards.append((parse_expr(g["expr"], self.dimension),
                                float(floor)))
         except (OpfrobError, KeyError, TypeError, AttributeError) as exc:
@@ -183,7 +184,8 @@ class SystemFile:
 
 
 def _is_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
+    # a finite float, or an integer that converts to one (nan fails too)
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _integer(value, what: str, least: int) -> int:
@@ -229,19 +231,19 @@ def load_system_file(path: str) -> SystemFile:
 # ---------------------------------------------------------------------------
 
 
-def _tol(args, default: float) -> float:
-    """The residual tolerance: ``--tol`` if given, else ``default``; a
-    tolerance that is not finite and positive is an input error."""
-    if args.tol is None:
+def _positive(args, name: str, default: float) -> float:
+    """``--name`` if given, else ``default``; it must be finite and > 0."""
+    value = getattr(args, name)
+    if value is None:
         return default
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"--tol must be a finite positive number, "
-                         f"got {args.tol!r}")
-    return args.tol
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"--{name} must be a finite positive number, "
+                         f"got {value!r}")
+    return value
 
 
 def cmd_verify_algebra(args) -> VerificationReport:
-    tol = _tol(args, 1e-9)
+    tol = _positive(args, "tol", 1e-9)
     sf = load_system_file(args.file)
     cfg = sf.sample_config(args)
     basis = sf.basis()
@@ -251,7 +253,7 @@ def cmd_verify_algebra(args) -> VerificationReport:
 
 
 def cmd_dualize(args) -> VerificationReport:
-    tol = _tol(args, 1e-9)
+    tol = _positive(args, "tol", 1e-9)
     sf = load_system_file(args.file)
     if sf.covector is None:
         raise InputError(f"{sf.path}: dualize needs a covector")
@@ -263,7 +265,7 @@ def cmd_dualize(args) -> VerificationReport:
 
 
 def cmd_symcheck(args) -> VerificationReport:
-    tol = _tol(args, 1e-9)
+    tol = _positive(args, "tol", 1e-9)
     sf = load_system_file(args.file)
     cfg = sf.sample_config(args)
     basis = sf.basis()
@@ -301,7 +303,7 @@ def cmd_symcheck(args) -> VerificationReport:
 
 
 def cmd_generate(args) -> VerificationReport:
-    tol = _tol(args, 1e-9)
+    tol = _positive(args, "tol", 1e-9)
     sf = load_system_file(args.file)
     if sf.one_form is None:
         raise InputError(f"{sf.path}: generate needs a one_form")
@@ -330,7 +332,7 @@ def cmd_generate(args) -> VerificationReport:
 
 
 def cmd_poisson_check(args) -> VerificationReport:
-    tol = _tol(args, 1e-8)
+    tol = _positive(args, "tol", 1e-8)
     sf = load_system_file(args.file)
     if not sf.hamiltonians:
         raise InputError(f"{sf.path}: poisson-check needs hamiltonians")
@@ -345,7 +347,7 @@ def cmd_poisson_check(args) -> VerificationReport:
 
 
 def cmd_inverse(args) -> VerificationReport:
-    tol = _tol(args, 1e-8)
+    tol = _positive(args, "tol", 1e-8)
     sf = load_system_file(args.file)
     if not sf.hamiltonians:
         raise InputError(f"{sf.path}: inverse needs hamiltonians")
@@ -359,7 +361,7 @@ def cmd_inverse(args) -> VerificationReport:
 
 
 def cmd_hj(args) -> VerificationReport:
-    tol = _tol(args, 1e-9)
+    tol = _positive(args, "tol", 1e-9)
     sf = load_system_file(args.file)
     if sf.one_form is None:
         raise InputError(f"{sf.path}: hj needs a one_form")
@@ -391,7 +393,7 @@ def cmd_hj(args) -> VerificationReport:
 
 
 def cmd_flow(args) -> VerificationReport:
-    tol = _tol(args, 1e-8)
+    tol = _positive(args, "tol", 1e-8)
     sf = load_system_file(args.file)
     if sf.initial_curve is None:
         raise InputError(f"{sf.path}: flow needs an initial_curve")
@@ -420,6 +422,8 @@ def cmd_flow(args) -> VerificationReport:
 
 
 def cmd_builtin(args) -> VerificationReport:
+    if args.tol is not None or args.guard is not None:
+        raise InputError("builtin takes no --tol or --guard")
     cfg = SampleConfig(seed=_seed(args, DEFAULT_SEED, "seed"),
                        count=_sample_count(args, DEFAULT_SAMPLES))
     if args.emit:

@@ -4,7 +4,8 @@ Expressions are immutable trees built from constants, coordinate variables,
 negation and the binary operations ``+ - * /`` plus integer powers.  They are
 the entry language for every coordinate-dependent quantity in the package
 (matrix entries of operator fields, 1-form components, Hamiltonian
-coefficients) and evaluate over any scalar type implementing the arithmetic
+coefficients).  A grid of them is compiled once into a straight-line
+Program, which evaluates over any scalar type implementing the arithmetic
 dunders: plain floats, first-order jets, numpy batches, truncated power
 series.
 
@@ -19,11 +20,14 @@ Negative exponents are sugar for division: ``u1^-2`` parses to ``1/u1^2``.
 Digits are ASCII ``0-9`` only.  Integer literals are kept exact; decimal
 literals become binary64 floats.
 Parentheses nest, and parsed trees reach, at most MAX_DEPTH levels, so the
-recursive parser, evaluator and printer stay within the recursion limit.
+recursive parser and printer stay within the recursion limit; compiling and
+running a Program never recurse, so trees built by matrix algebra may be
+deeper.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -41,54 +45,31 @@ __all__ = [
     "parse_expr",
     "parse_grid",
     "eval_expr",
-    "const",
-    "var",
+    "Program",
 ]
 
 
-def _coerce(x):
-    if isinstance(x, Expression):
-        return x
-    if isinstance(x, (int, float)):
-        return Const(x)
-    return NotImplemented
+def _operator(op: str, reflected: bool = False):
+    """The dunder building ``self op other`` (``other op self`` when
+    reflected); a number operand becomes a Const."""
+
+    def build(self, other):
+        if isinstance(other, (int, float)):
+            other = Const(other)
+        elif not isinstance(other, Expression):
+            return NotImplemented
+        return BinOp(op, other, self) if reflected else BinOp(op, self, other)
+    return build
 
 
 @dataclass(frozen=True)
 class Expression:
     """Base node; subclasses form the tree."""
 
-    def __add__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("+", self, other)
-
-    def __radd__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("+", other, self)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("-", self, other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("-", other, self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("*", self, other)
-
-    def __rmul__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("*", other, self)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("/", self, other)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("/", other, self)
+    __add__, __radd__ = _operator("+"), _operator("+", True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", True)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -103,20 +84,8 @@ class Expression:
     def __str__(self):
         return _print(self, 0)
 
-    # --- queries -----------------------------------------------------------
-
-    def max_variable(self, memo=None) -> int:
-        """Largest coordinate index appearing in the tree (0 if constant).
-
-        ``memo`` (a dict) may be shared by the expressions of one grid, so
-        that each distinct node is visited once over all of them."""
-        return _max_var(self, {} if memo is None else memo)
-
     def is_constant(self) -> bool:
-        return self.max_variable() == 0
-
-    def evaluate(self, point):
-        return eval_expr(self, point)
+        return Program([self]).max_variable == 0
 
 
 @dataclass(frozen=True)
@@ -147,14 +116,20 @@ class Pow(Expression):
     exponent: int  # >= 0; negatives are stored as divisions
 
 
-def const(value) -> Const:
-    return Const(value)
+def literal(v) -> Const:
+    """The Const of the number ``v``, an integral float as an exact int."""
+    return Const(int(v) if isinstance(v, float) and v == int(v) else v)
 
 
-def var(index: int) -> Var:
-    if index < 1:
-        raise ValueError("variable index must be >= 1")
-    return Var(index)
+def linear_form(coeffs) -> Expression:
+    """sum_m coeffs[m] u(m+1) over the nonzero coefficients, left to right
+    and a unit coefficient left out; Const(0) when all vanish."""
+    e = None
+    for m, c in enumerate(map(float, coeffs)):
+        if c != 0.0:
+            term = Var(m + 1) if c == 1.0 else literal(c) * Var(m + 1)
+            e = term if e is None else e + term
+    return Const(0) if e is None else e
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +311,7 @@ def parse_expr(text: str, dimension: int, table=None) -> Expression:
 def parse_grid(rows, dimension: int) -> list:
     """Parse rows of entry texts into rows of expressions that share one
     intern table, so that a subexpression common to several entries of the
-    grid is one node, evaluated once by a grid evaluation's shared memo."""
+    grid is one node, computed once by the grid's Program."""
     table = {}
     return [[parse_expr(s, dimension, table) for s in row] for row in rows]
 
@@ -346,94 +321,146 @@ def parse_grid(rows, dimension: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _divisor_is_zero(x) -> bool:
-    v = x
-    # unwrap jets / series to the part that controls invertibility
-    if hasattr(v, "value"):
-        v = v.value
-    elif hasattr(v, "constant_term"):
-        v = v.constant_term()
-    if isinstance(v, np.ndarray):
-        return bool(np.any(v == 0))
-    return v == 0
+def _invertible(x):
+    # a jet or a series is invertible where its value / constant term is
+    v = x.value if hasattr(x, "value") else \
+        x.constant_term() if hasattr(x, "constant_term") else x
+    if np.any(v == 0) if isinstance(v, np.ndarray) else v == 0:
+        raise ZeroDivisionError
+    return x
 
 
-def eval_expr(e: Expression, point, memo=None):
-    """Evaluate ``e`` at ``point`` (a sequence of scalars of uniform type).
+def _load(point, k):
+    if k > len(point):
+        raise ExprEvalError(
+            f"variable u{k} out of range for point of dimension {len(point)}")
+    return point[k - 1]
+
+
+def _div(a, b):
+    return a / _invertible(b)
+
+
+def _power(a, k):
+    return (_invertible(a) if k < 0 else a) ** k if k else 1
+
+
+def _neg(a, _):
+    return -a
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
+
+
+class Program:
+    """Straight-line code for a list of expressions, its roots.
+
+    Compiling walks the distinct nodes (by identity) without recursion and
+    emits one instruction per node in the order in which a recursive
+    evaluation that reuses values would finish them: roots in order,
+    operands first, left before right.  So every value and the first
+    ExprEvalError are those of evaluating each root alone.  A register is
+    reused after its last read, so a run holds only the live values.
+    ``max_variable`` is the largest coordinate index read (0 if none).
+    """
+
+    def __init__(self, roots):
+        self.roots = roots = list(roots)
+        registers = [None]      # register 0 holds the point
+        value = {}              # id(node) -> its register, or ~instruction
+        ops = []                # (function, operand, operand, node)
+        last = []               # instruction -> the last one reading it
+        self.max_variable = 0
+        for root in roots:
+            stack = [root]
+            while stack:
+                e = stack.pop()
+                if id(e) in value:
+                    continue
+                t = type(e)
+                if t is BinOp:
+                    a, b = value.get(id(e.lhs)), value.get(id(e.rhs))
+                    if a is None or b is None:     # operands first
+                        stack += (e, e.rhs, e.lhs)
+                        continue
+                    fn = _BINARY[e.op]
+                elif t is Const:
+                    value[id(e)] = len(registers)
+                    registers.append(e.value)
+                    continue
+                elif t is Var:
+                    self.max_variable = max(self.max_variable, e.index)
+                    fn, a, b = _load, 0, len(registers)
+                    registers.append(e.index)
+                elif t is Neg or t is Pow:
+                    arg = e.arg if t is Neg else e.base
+                    a = value.get(id(arg))
+                    if a is None:
+                        stack += (e, arg)
+                        continue
+                    fn, b = (_neg, a) if t is Neg else (_power, len(registers))
+                    if t is Pow:
+                        registers.append(e.exponent)
+                else:
+                    raise TypeError(f"not an expression node: {e!r}")
+                if a < 0:
+                    last[~a] = len(ops)
+                if b < 0:
+                    last[~b] = len(ops)
+                value[id(e)] = ~len(ops)
+                last.append(len(ops))
+                ops.append((fn, a, b, e))
+
+        # an instruction's result takes a register freed by an earlier
+        # last read; the roots' values are kept to the end
+        outputs = [value[id(e)] for e in roots]
+        for v in outputs:
+            if v < 0:
+                last[~v] = len(ops)
+        where, free, self.code = [], [], []
+        for i, (fn, a, b, e) in enumerate(ops):
+            if a < 0:
+                if last[~a] == i:
+                    last[~a] = len(ops)         # one free if b is a too
+                    free.append(where[~a])
+                a = where[~a]
+            if b < 0:
+                if last[~b] == i:
+                    free.append(where[~b])
+                b = where[~b]
+            where.append(free.pop() if free else len(registers))
+            if where[i] == len(registers):
+                registers.append(None)
+            self.code.append((fn, where[i], a, b, e))
+        self.registers = registers
+        self.outputs = [where[~v] if v < 0 else v for v in outputs]
+
+    def run(self, point) -> list:
+        """The roots' values at ``point``, a sequence of scalars of one type
+        (floats, jets, jet batches, series), by that type's operators;
+        ExprEvalError at a zero divisor or an overflow."""
+        r = self.registers.copy()
+        r[0] = point
+        try:
+            for fn, dst, a, b, e in self.code:
+                r[dst] = fn(r[a], r[b])
+        except ZeroDivisionError:
+            raise ExprEvalError(
+                f"division by zero evaluating {e.rhs}" if type(e) is BinOp
+                else f"zero base raised to negative power in {e}") from None
+        except OverflowError:
+            raise ExprEvalError(f"overflow evaluating {e}") from None
+        return [r[k] for k in self.outputs]
+
+
+def eval_expr(e: Expression, point):
+    """Evaluate ``e`` at ``point`` (a sequence of scalars of uniform type)
+    as a one-root Program.
 
     Over jets the result carries exact first partials with respect to all
     coordinates.  Raises ExprEvalError on division by zero at the point.
-    Shared subtrees (expression DAGs built by matrix algebra, interned
-    grids) are evaluated once per ``memo``: a dict keyed by node identity,
-    fresh when None, which the evaluation of one grid at one point shares
-    across its entries.  Results held in the memo are never mutated.
     """
-    n = len(point)
-    return _eval(e, point, n, {} if memo is None else memo)
-
-
-def _eval(e, point, n, memo):
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = e.value
-    elif isinstance(e, Var):
-        if e.index > n:
-            raise ExprEvalError(
-                f"variable u{e.index} out of range for point of dimension {n}"
-            )
-        out = point[e.index - 1]
-    elif isinstance(e, Neg):
-        out = -_eval(e.arg, point, n, memo)
-    elif isinstance(e, BinOp):
-        a = _eval(e.lhs, point, n, memo)
-        b = _eval(e.rhs, point, n, memo)
-        if e.op == "+":
-            out = a + b
-        elif e.op == "-":
-            out = a - b
-        elif e.op == "*":
-            out = a * b
-        else:
-            if _divisor_is_zero(b):
-                raise ExprEvalError(f"division by zero evaluating {e.rhs}")
-            out = a / b
-    elif isinstance(e, Pow):
-        base = _eval(e.base, point, n, memo)
-        if e.exponent == 0:
-            out = 1
-        else:
-            if e.exponent < 0 and _divisor_is_zero(base):
-                raise ExprEvalError(
-                    f"zero base raised to negative power in {e}")
-            out = base ** e.exponent
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
-    return out
-
-
-def _max_var(e, memo) -> int:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = 0
-    elif isinstance(e, Var):
-        out = e.index
-    elif isinstance(e, Neg):
-        out = _max_var(e.arg, memo)
-    elif isinstance(e, BinOp):
-        out = max(_max_var(e.lhs, memo), _max_var(e.rhs, memo))
-    elif isinstance(e, Pow):
-        out = _max_var(e.base, memo)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
-    return out
+    return Program([e]).run(point)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Operator fields and 1-form fields: grids of expressions on the manifold.
 
-An operator field is an n x n matrix of expressions in u1..un, evaluable at
-a point over floats (values), jets (values plus exact first partials) or any
-other scalar type the expression evaluator supports.  These are the geometric
+An operator field is an n x n matrix of expressions in u1..un, compiled once
+into a straight-line ``exprs.Program`` and evaluable at a point over floats
+(values), jets (values plus exact first partials), batches of jets or any
+other scalar type with the arithmetic operators.  These are the geometric
 raw data for every verification in the package.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
-from .exprs import Const, Expression, eval_expr, parse_grid
+from .errors import ExprEvalError
+from .exprs import Const, Expression, Program, literal, parse_grid
 from .numkit import Jet, jet_point
 
-__all__ = ["OperatorField", "OneFormField", "expression_matmul"]
+__all__ = ["OperatorField", "OneFormField", "expression_add",
+           "expression_matmul"]
 
 
 def _as_expression(x) -> Expression:
@@ -24,77 +30,62 @@ def _as_expression(x) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression entry")
 
 
-def checked_grid(exprs, dimension: int, entry: str, owner: str) -> bool:
-    """Raise ValueError at the first expression that refers to a coordinate
-    beyond ``dimension``; return whether all of them are constant.  One
-    walk with one memo visits each distinct node of the grid once."""
-    memo = {}
-    constant = True
-    for e in exprs:
-        m = e.max_variable(memo)
+def compile_grid(exprs, dimension: int, entry: str, owner: str) -> Program:
+    """The Program of a grid's expressions (row-major); raise ValueError at
+    the first one that refers to a coordinate beyond ``dimension``."""
+    program = Program(exprs)
+    for e in program.roots if program.max_variable > dimension else ():
+        m = Program([e]).max_variable
         if m > dimension:
             raise ValueError(f"{entry} {e} refers to u{m} but the {owner} "
                              f"dimension is {dimension}")
-        constant = constant and m == 0
-    return constant
+    return program
 
 
-def eval_grid(rows, u) -> np.ndarray:
-    """Float values of a square grid of expressions at ``u``.  Like every
-    grid evaluator here, it gives the entries one memo, so that a node
-    common to several of them is evaluated once."""
-    point = [float(x) for x in u]
-    memo = {}
-    return np.array([[float(eval_expr(e, point, memo)) for e in row]
-                     for row in rows])
+def _float(value, e) -> float:
+    try:
+        return float(value)
+    except OverflowError:   # an exact integer beyond the float range
+        raise ExprEvalError(f"overflow evaluating {e}") from None
 
 
-def eval_grid_generic(rows, point) -> np.ndarray:
-    """Object array of a square grid of expressions evaluated over the
-    scalars of ``point`` (jets, series)."""
-    memo = {}
-    out = np.empty((len(rows), len(rows)), dtype=object)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[i, j] = eval_expr(e, point, memo)
-    return out
+def grid_floats(program, u) -> np.ndarray:
+    """Float values of the program's roots at the point ``u``."""
+    values = program.run([float(x) for x in u])
+    return np.array([_float(v, e) for v, e in zip(values, program.roots)])
 
 
-def _batch_jets(exprs, shape, points):
-    """Vectorized jets of the expressions (laid out row-major in ``shape``)
-    over a (B, n) batch of points: values (B, *shape) and partials
-    (B, *shape, n), in one pass over the grid's distinct nodes."""
+def grid_jets(program, shape, points):
+    """Jets of the program's roots (row-major in ``shape``) over a (B, n)
+    batch of points: values (B, *shape) and partials (B, *shape, n).  The
+    checks judge non-finite values, so numpy does not warn of them here."""
     points = np.asarray(points, dtype=float)
     B, n = points.shape
-    eye = np.eye(n)
-    coords = [Jet(points[:, i], np.broadcast_to(eye[i], (B, n)).copy())
+    coords = [Jet(points[:, i], np.broadcast_to(np.eye(n)[i], (B, n)).copy())
               for i in range(n)]
-    vals = np.empty((B, len(exprs)))
-    ders = np.zeros((B, len(exprs), n))
-    memo = {}
-    for k, e in enumerate(exprs):
-        out = eval_expr(e, coords, memo)
+    with np.errstate(all="ignore"):
+        outs = program.run(coords)
+    vals = np.empty((B, len(outs)))
+    ders = np.zeros((B, len(outs), n))
+    for k, (out, e) in enumerate(zip(outs, program.roots)):
         if isinstance(out, Jet):
-            vals[:, k] = out.value
-            ders[:, k, :] = out.partials
+            vals[:, k], ders[:, k] = out.value, out.partials
         else:
-            vals[:, k] = out
+            vals[:, k] = _float(out, e)
     return vals.reshape((B,) + shape), ders.reshape((B,) + shape + (n,))
 
 
+def expression_add(A, B):
+    """Entrywise sum of two grids of expressions (builds new trees)."""
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def expression_matmul(A, B):
-    """Product of two square grids of expressions (builds new trees)."""
+    """Product of two square grids of expressions (builds new trees, each
+    entry a left-to-right sum of products)."""
     n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = A[i][0] * B[0][j]
-            for k in range(1, n):
-                s = s + A[i][k] * B[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+    return [[reduce(operator.add, (A[i][k] * B[k][j] for k in range(n)))
+             for j in range(n)] for i in range(n)]
 
 
 class OperatorField:
@@ -107,9 +98,10 @@ class OperatorField:
         self.entries = tuple(tuple(_as_expression(e) for e in row) for row in entries)
         self.dimension = n
         self._constant_value = None
-        if checked_grid((e for row in self.entries for e in row), n,
-                        "entry", "field"):
-            value = eval_grid(self.entries, [])
+        self.program = compile_grid([e for row in self.entries for e in row],
+                                    n, "entry", "field")
+        if self.program.max_variable == 0:
+            value = grid_floats(self.program, []).reshape(n, n)
             bad = np.flatnonzero(~np.isfinite(value))
             if len(bad):
                 i, j = divmod(int(bad[0]), n)
@@ -126,8 +118,7 @@ class OperatorField:
     @classmethod
     def constant(cls, matrix) -> "OperatorField":
         matrix = np.asarray(matrix, dtype=float)
-        return cls([[Const(v if v != int(v) else int(v)) for v in row]
-                    for row in matrix.tolist()])
+        return cls([[literal(v) for v in row] for row in matrix.tolist()])
 
     @property
     def is_constant(self) -> bool:
@@ -136,24 +127,25 @@ class OperatorField:
     def eval(self, u) -> np.ndarray:
         if self._constant_value is not None:
             return self._constant_value.copy()
-        return eval_grid(self.entries, u)
+        n = self.dimension
+        return grid_floats(self.program, u).reshape(n, n)
 
     def eval_generic(self, point) -> np.ndarray:
-        return eval_grid_generic(self.entries, point)
+        n = self.dimension
+        return np.fromiter(self.program.run(point), object).reshape(n, n)
 
     def eval_jet(self, u) -> np.ndarray:
         return self.eval_generic(jet_point(u))
 
     def batch_jet_arrays(self, points):
         """Vectorized jets over a (B, n) batch of points: values (B, n, n)
-        and partials (B, n, n, n) in one pass over each entry's tree."""
+        and partials (B, n, n, n) in one run of the field's program."""
         points = np.asarray(points, dtype=float)
         B, n = points.shape
         if self._constant_value is not None:
             vals = np.broadcast_to(self._constant_value, (B, n, n)).copy()
             return vals, np.zeros((B, n, n, n))
-        return _batch_jets([e for row in self.entries for e in row], (n, n),
-                           points)
+        return grid_jets(self.program, (n, n), points)
 
     def jet_arrays(self, u):
         """Values (n,n) and partials (n,n,n) with der[i,j,s] = d(entry ij)/du^s
@@ -171,10 +163,7 @@ class OperatorField:
     def __add__(self, other: "OperatorField") -> "OperatorField":
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
-        return OperatorField(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)]
-        )
+        return OperatorField(expression_add(self.entries, other.entries))
 
     def scaled(self, factor) -> "OperatorField":
         factor = _as_expression(factor)
@@ -197,8 +186,9 @@ class OneFormField:
     def __init__(self, components):
         self.components = tuple(_as_expression(c) for c in components)
         self.dimension = len(self.components)
-        self.is_constant = checked_grid(self.components, self.dimension,
-                                        "component", "form")
+        self.program = compile_grid(self.components, self.dimension,
+                                    "component", "form")
+        self.is_constant = self.program.max_variable == 0
 
     @classmethod
     def parse(cls, components, dimension: int) -> "OneFormField":
@@ -211,12 +201,10 @@ class OneFormField:
         return cls([Const(float(v)) for v in values])
 
     def eval(self, u) -> np.ndarray:
-        point = [float(x) for x in u]
-        return np.array([float(v) for v in self.eval_generic(point)])
+        return grid_floats(self.program, u)
 
     def eval_generic(self, point):
-        memo = {}
-        return [eval_expr(c, point, memo) for c in self.components]
+        return self.program.run(point)
 
     def jet_arrays(self, u):
         """Values (n,) and partials (n,n) with der[i,j] = d(alpha_i)/du^j."""
@@ -226,7 +214,7 @@ class OneFormField:
     def batch_jet_arrays(self, points):
         """Vectorized jets over a (B, n) batch: values (B, n), partials
         (B, n, n)."""
-        return _batch_jets(self.components, (self.dimension,), points)
+        return grid_jets(self.program, (self.dimension,), points)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"

@@ -29,8 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenericityError, OpfrobError, SingularMatrixError
-from .exprs import Const, Expression, Var, parse_expr, parse_grid
-from .fields import OneFormField, _batch_jets, checked_grid, eval_grid
+from .exprs import (Const, Expression, linear_form, literal, parse_expr,
+                    parse_grid)
+from .fields import OneFormField, compile_grid, grid_floats, grid_jets
 from .frobalg import (
     OperatorBasis,
     batch_generic_search,
@@ -73,7 +74,8 @@ class QuadraticHamiltonian:
         self.grid = [[e if isinstance(e, Expression) else Const(e)
                       for e in row] for row in grid]
         self.dimension = n
-        checked_grid((e for row in self.grid for e in row), n, "entry", "form")
+        self.program = compile_grid([e for row in self.grid for e in row], n,
+                                    "entry", "form")
         for i in range(n):
             for j in range(i + 1, n):
                 # equal parsed texts are one node (exprs.parse_grid)
@@ -95,18 +97,18 @@ class QuadraticHamiltonian:
         matrix = np.asarray(matrix, dtype=float)
         if max_abs(matrix - matrix.T) > 0:
             raise ValueError("constant coefficient matrix must be symmetric")
-        return cls([[Const(v if v != int(v) else int(v)) for v in row]
-                    for row in matrix.tolist()])
+        return cls([[literal(v) for v in row] for row in matrix.tolist()])
 
     def coeff(self, u) -> np.ndarray:
-        return eval_grid(self.grid, u)
+        n = self.dimension
+        return grid_floats(self.program, u).reshape(n, n)
 
     def coeff_jets(self, points):
         """(A, dA) over a (B, n) batch of points, with A[b] = h at points[b]
         and dA[b, i, j, s] = d h^{ij} / du^s there."""
         n = self.dimension
-        return _batch_jets([e for row in self.grid for e in row], (n, n),
-                           np.asarray(points, dtype=float).reshape(-1, n))
+        return grid_jets(self.program, (n, n),
+                         np.asarray(points, dtype=float).reshape(-1, n))
 
     def value(self, u, p) -> float:
         p = np.asarray(p, dtype=float)
@@ -365,18 +367,7 @@ def generate_system(
         origin = np.zeros((1, n))
         C = _pullback_rows(alpha.batch_jet_arrays(origin)[0],
                            basis.values(origin)[1])[0]
-        chart = []
-        for i in range(n):
-            e: Expression = Const(0)
-            for m in range(n):
-                coeff = float(C[i, m])
-                if coeff != 0.0:
-                    term = Var(m + 1) if coeff == 1.0 else \
-                        Const(coeff if coeff != int(coeff) else int(coeff)) \
-                        * Var(m + 1)
-                    e = term if (isinstance(e, Const) and e.value == 0) \
-                        else e + term
-            chart.append(e)
+        chart = [linear_form(row) for row in C]
     else:
         chart = [c if isinstance(c, Expression) else parse_expr(c, n)
                  for c in chart]

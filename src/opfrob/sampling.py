@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OpfrobError
-from .exprs import eval_expr
+from .exprs import Program
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 50
@@ -28,8 +28,11 @@ class SampleConfig:
 
 
 def guards_ok(point, guards) -> bool:
-    for expr, floor in guards:
-        if abs(float(eval_expr(expr, list(point)))) < floor:
+    """Whether every (guard, floor) pair has |guard| >= floor at ``point``,
+    the guards taken in order; a guard is an Expression or its Program."""
+    for guard, floor in guards:
+        program = guard if isinstance(guard, Program) else Program([guard])
+        if abs(program.run(list(point))[0]) < floor:
             return False
     return True
 
@@ -41,9 +44,10 @@ def sample_points(n: int, config: SampleConfig) -> np.ndarray:
     points = np.empty((config.count, n))
     kept = 0
     budget = MAX_DRAW_FACTOR * config.count
+    guards = [(Program([e]), floor) for e, floor in config.guards]
     for _ in range(budget):
         p = rng.uniform(-config.box, config.box, n)
-        if guards_ok(p, config.guards):
+        if guards_ok(p, guards):
             points[kept] = p
             kept += 1
             if kept == config.count:

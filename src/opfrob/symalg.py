@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OpfrobError
-from .exprs import Const, Expression, Var
-from .fields import OperatorField
+from .exprs import Const, linear_form, literal
+from .fields import OperatorField, expression_add, expression_matmul
 from .frobalg import (
     OperatorBasis,
     find_generic_covector,
@@ -91,38 +91,26 @@ class FlatBasis:
 def canonical_symmetry_U(flat: FlatBasis) -> OperatorField:
     """The field U(u) = sum_i u^i M^i in the flat coordinates."""
     n = flat.dimension
-    entries = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            e: Expression = Const(0)
-            for i in range(n):
-                coeff = float(flat.matrices[i][r, c])
-                if coeff != 0.0:
-                    term = Var(i + 1) if coeff == 1.0 \
-                        else Const(_exact(coeff)) * Var(i + 1)
-                    e = term if (isinstance(e, Const) and e.value == 0) else e + term
-            row.append(e)
-        entries.append(row)
-    return OperatorField(entries)
+    return OperatorField([[linear_form([M[r, c] for M in flat.matrices])
+                           for c in range(n)] for r in range(n)])
 
 
-def _matrix_polynomial(coeffs, U: OperatorField) -> OperatorField:
-    """Horner evaluation of a scalar polynomial at the matrix field U."""
-    n = U.dimension
+def _matrix_polynomial(coeffs, U) -> list:
+    """Horner evaluation of a scalar polynomial at the matrix grid U."""
+    n = len(U)
     deg = len(coeffs) - 1
     while deg > 0 and coeffs[deg] == 0:
         deg -= 1
-    acc = OperatorField.identity(n).scaled(Const(_exact(coeffs[deg])))
+
+    def scaled_identity(c):     # one Const c shared by the n^2 entries
+        return [[c * Const(int(i == j)) for j in range(n)] for i in range(n)]
+
+    acc = scaled_identity(literal(coeffs[deg]))
     for k in range(deg - 1, -1, -1):
-        acc = acc @ U
+        acc = expression_matmul(acc, U)
         if coeffs[k] != 0:
-            acc = acc + OperatorField.identity(n).scaled(Const(_exact(coeffs[k])))
+            acc = expression_add(acc, scaled_identity(literal(coeffs[k])))
     return acc
-
-
-def _exact(v):
-    return int(v) if isinstance(v, float) and v == int(v) else v
 
 
 def analytic_symmetry(flat: FlatBasis, polynomials) -> OperatorField:
@@ -134,19 +122,17 @@ def analytic_symmetry(flat: FlatBasis, polynomials) -> OperatorField:
     n = flat.dimension
     if len(polynomials) != n:
         raise ValueError(f"need {n} polynomials, got {len(polynomials)}")
-    U = canonical_symmetry_U(flat)
+    U = canonical_symmetry_U(flat).entries
     out = None
     for i, coeffs in enumerate(polynomials):
         coeffs = list(coeffs)
         if not coeffs or all(c == 0 for c in coeffs):
             continue
-        term = _matrix_polynomial(coeffs, U) @ OperatorField.constant(
-            flat.matrices[i]
-        )
-        out = term if out is None else out + term
-    if out is None:
-        out = OperatorField.constant(np.zeros((n, n)))
-    return out
+        M = OperatorField.constant(flat.matrices[i]).entries
+        term = expression_matmul(_matrix_polynomial(coeffs, U), M)
+        out = term if out is None else expression_add(out, term)
+    return OperatorField.constant(np.zeros((n, n))) if out is None \
+        else OperatorField(out)
 
 
 def sym_membership(

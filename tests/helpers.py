@@ -1,7 +1,14 @@
-"""Shared randomized fixture builders for the test suite."""
+"""Shared randomized fixture builders and process runners for the test
+suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import opfrob
 from opfrob.exprs import parse_expr
 from opfrob.fields import OperatorField
 from opfrob.fixtures import segre_algebra
@@ -68,3 +75,15 @@ def admissible_covector(basis, points, rng, tries=20):
     if best is None:
         raise AssertionError("no admissible covector found")
     return best
+
+
+def run_opfrob(*args, cwd=None):
+    """(exit code, stdout, stderr) of ``python -m opfrob ARGS`` run in a
+    fresh process on the package under test, so the streams hold what a
+    terminal would show: warnings and tracebacks included."""
+    src = str(Path(opfrob.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "opfrob", *map(str, args)],
+                          capture_output=True, text=True, cwd=cwd, env=env)
+    return proc.returncode, proc.stdout, proc.stderr

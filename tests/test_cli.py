@@ -14,6 +14,8 @@ from opfrob.sampling import (
     sample_points,
 )
 
+from helpers import run_opfrob
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -207,6 +209,28 @@ class TestInputChecks:
         ("inverse --tol -1", {}, "got -1.0"),
         ("hj --tol inf --c 1,1", {}, "got inf"),
         ("flow --tol 0", {}, "got 0.0"),
+        ("verify-algebra --guard nan", {},
+         "--guard must be a finite positive number, got nan"),
+        ("dualize --guard -1", {},
+         "--guard must be a finite positive number, got -1.0"),
+        ("generate --guard 0", {},
+         "--guard must be a finite positive number, got 0.0"),
+        ("verify-algebra", {"sampling": {"guards": [{"expr": "u1",
+                                                      "min": 0}]}},
+         "sampling guards: min must be a finite number above 0, got 0"),
+        ("verify-algebra", {"sampling": {"guards": [{"expr": "u1",
+                                                      "min": -0.5}]}},
+         "min must be a finite number above 0, got -0.5"),
+        ("verify-algebra", {"fields": {"I": [["1", "0"], ["0", "1"]],
+                                       "N": [["0", "10^400"], ["1", "0"]]}},
+         "field 'N': overflow evaluating 10^400"),
+        ("verify-algebra", {"fields": {"I": [["1", "0"], ["0", "1"]],
+                                       "N": [["0", "0"], ["2.0^2000", "0"]]}},
+         "field 'N': overflow evaluating 2.0^2000"),
+        ("symcheck", {"polynomials": [[1, 10 ** 400], []]},
+         "polynomials must be 2 lists"),
+        ("verify-algebra", {"covector": [0, -10 ** 309]},
+         "covector components must be finite"),
     ])
     def test_malformed_entry_exits_2_with_one_line(self, command, entries,
                                                    message, tmp_path, capsys):
@@ -236,7 +260,15 @@ class TestInputChecks:
             "builtin centraliser-diag has no analytic variant")
         assert not path.exists()
 
-    def test_nan_at_a_sampled_point_is_no_traceback(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option", [["--tol", "1e-3"],
+                                        ["--guard", "nan"]])
+    def test_builtin_rejects_tol_and_guard(self, option, capsys):
+        self.assert_input_error(
+            run_cli(["builtin", "example32", *option], capsys),
+            "builtin takes no --tol or --guard")
+
+    def test_nan_at_a_sampled_point_is_no_traceback(self, tmp_path, capsys,
+                                                     recwarn):
         # finite constants, NaN values: the xi search rejects every draw
         doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]],
                                   "D": [["u1*1e400*0", "0"], ["0", "u2"]]})
@@ -246,6 +278,22 @@ class TestInputChecks:
                                               count=DEFAULT_SAMPLES))[0]
         assert err == "verification error: no generic vector found in " \
                       f"32 draws at {[float(x) for x in first]}\n"
+        assert not recwarn.list
+        # numpy warnings would be printed by a real process
+        assert run_opfrob("verify-algebra", tmp_path / "sys.json") == \
+            (code, out, err)
+
+    @pytest.mark.parametrize("field,code,line", [
+        ([["10^400", "0"], ["0", "2"]], 2,
+         "input error: sys.json: field 'D': overflow evaluating 10^400"),
+        ([["u1^2000*1.5^2000", "0"], ["0", "u2"]], 1,
+         "verification error: overflow evaluating 1.5^2000"),
+    ])
+    def test_overflow_is_one_line(self, field, code, line, tmp_path):
+        doc = dict(DIAG2, fields={"I": [["1", "0"], ["0", "1"]], "D": field})
+        (tmp_path / "sys.json").write_text(json.dumps(doc))
+        assert run_opfrob("verify-algebra", "sys.json", cwd=tmp_path) == \
+            (code, "", line + "\n")
 
 
 EMITTED_SHA256 = {

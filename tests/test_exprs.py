@@ -331,7 +331,7 @@ class TestPrinterRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# interned grids and the shared evaluation memo
+# interned grids and their compiled programs
 # ---------------------------------------------------------------------------
 
 
@@ -422,6 +422,22 @@ class TestInternedGrids:
             eval_expr(unshared(field.entries[0][0]), [0.5, 0.5])
         assert str(ref.value) == str(err.value)
 
+    def test_program_reuses_a_register_after_its_last_read(self):
+        # 2,000 Horner steps: far deeper than the recursion limit, and a
+        # run holds a few values at a time instead of one per step
+        u, half = Var(1), Const(0.5)
+        e = u
+        for _ in range(2000):
+            e = e * half + u
+        program = exprs.Program([e, u])
+        assert len(program.code) == 4001
+        assert len(program.registers) <= 6
+        want = x = 0.75
+        for _ in range(2000):
+            want = want * 0.5 + x
+        assert program.run([x]) == [want, x]
+        assert program.max_variable == 1
+
 
 _ATOMS = [("u1", Var(1)), ("u2", Var(2)), ("u3", Var(3)), ("1", Const(1)),
           ("2", Const(2)), ("3", Const(3)), ("1.0", Const(1.0)),
@@ -494,9 +510,9 @@ _ZERO_DIVISOR = ("((1 - 1))^-1", BinOp("/", Const(1),
 @example(entries=[[_ONE, _ONE, _ONE], [_ONE, _ZERO_DIVISOR, _ONE],
                   [_ONE, _ONE, _ONE]], seed=0)
 def test_grid_evaluation_is_bit_equal_to_per_entry_trees(entries, seed):
-    """A grid parsed with one intern table and evaluated with one memo per
-    point gives exactly the per-entry results on unshared trees, over
-    floats, jets, batched jets and truncated series."""
+    """A grid parsed with one intern table and evaluated by one Program
+    gives exactly the per-entry results on unshared trees, over floats,
+    jets, batched jets and truncated series."""
     n = 3
     trees = [[unshared(e) for _, e in row] for row in entries]
     rng = np.random.default_rng(seed)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from opfrob.errors import OpfrobError
 from opfrob.fields import OperatorField
-from opfrob.fixtures import demo4_flat_basis, demo4_matrices
+from opfrob.fixtures import demo4_flat_basis, demo4_matrices, emit_builtin
 from opfrob.opfields import conservation_law_check, is_strong_symmetry
 from opfrob.fields import OneFormField
 from opfrob.sampling import SampleConfig, sample_points
@@ -13,6 +15,8 @@ from opfrob.symalg import (
     canonical_symmetry_U,
     sym_membership,
 )
+
+from helpers import run_opfrob
 
 CFG = SampleConfig(seed=3, count=12)
 E1 = np.array([1.0, 0.0])
@@ -176,3 +180,15 @@ class TestMembership:
             tup = [list(np.round(rng.uniform(-1, 1, 3), 3)) for _ in range(4)]
             M = analytic_symmetry(flat, tup)
             assert conservation_law_check(M, alpha, pts).passed
+
+
+def test_degree_300_polynomial_is_no_recursion_error(tmp_path):
+    """Horner at degree 300 builds entry trees about 1,500 levels deep;
+    compiling and running their programs never recurses."""
+    doc = emit_builtin("example52")
+    doc["polynomials"] = [[1] * 301, [], [], []]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_opfrob("symcheck", path, "--samples", "5")
+    assert (code, err) == (0, "")
+    assert "-- 2 checks: OK" in out

@@ -9,7 +9,7 @@ import pytest
 
 from opfrob.errors import SingularMatrixError
 from opfrob.exprs import Const
-from opfrob.fields import OneFormField, OperatorField, eval_grid_generic
+from opfrob.fields import OneFormField, OperatorField
 from opfrob.fixtures import (
     demo4_chart_strings,
     demo4_one_form,
@@ -32,7 +32,7 @@ from opfrob.integ import (
     ReconstructedFamily,
     verify_commuting_family,
 )
-from opfrob.numkit import jet_point, mat_inv, split_jet_matrix
+from opfrob.numkit import mat_inv, split_jet_matrix
 from opfrob.opfields import DualFamily, dualize_family
 from opfrob.sampling import SampleConfig, sample_points
 
@@ -120,8 +120,7 @@ def test_reconstructed_family_tangents(case):
     family = ReconstructedFamily(hams, covector, seed=SEED)
 
     def killing_jets(u):
-        return killing_of([eval_grid_generic(H.grid, jet_point(u))
-                           for H in hams])
+        return killing_of([OperatorField(H.grid).eval_jet(u) for H in hams])
 
     check_family(
         family,
