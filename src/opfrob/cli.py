@@ -166,7 +166,7 @@ class SystemFile:
         if not (_is_number(box) and box > 0):
             raise InputError(f"{self.path}: sampling box must be a positive "
                              f"number, got {box!r}")
-        guard_floor = _positive(args, "guard", DEFAULT_GUARD)
+        guard_floor = args.guard or DEFAULT_GUARD
         guards = []
         try:
             for g in s.get("guards", []):
@@ -231,19 +231,20 @@ def load_system_file(path: str) -> SystemFile:
 # ---------------------------------------------------------------------------
 
 
-def _positive(args, name: str, default: float) -> float:
-    """``--name`` if given, else ``default``; it must be finite and > 0."""
-    value = getattr(args, name)
-    if value is None:
-        return default
-    if not (math.isfinite(value) and value > 0):
-        raise InputError(f"--{name} must be a finite positive number, "
-                         f"got {value!r}")
-    return value
+def _check_options(args):
+    """``--tol`` and ``--guard`` must be finite and positive where given;
+    ``builtin`` takes neither (each fixture sets its own)."""
+    for name in ("tol", "guard"):
+        value = getattr(args, name)
+        if value is not None and args.command == "builtin":
+            raise InputError("builtin takes no --tol or --guard")
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InputError(f"--{name} must be a finite positive number, "
+                             f"got {value!r}")
 
 
 def cmd_verify_algebra(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-9)
+    tol = args.tol or 1e-9
     sf = load_system_file(args.file)
     cfg = sf.sample_config(args)
     basis = sf.basis()
@@ -253,7 +254,7 @@ def cmd_verify_algebra(args) -> VerificationReport:
 
 
 def cmd_dualize(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-9)
+    tol = args.tol or 1e-9
     sf = load_system_file(args.file)
     if sf.covector is None:
         raise InputError(f"{sf.path}: dualize needs a covector")
@@ -265,7 +266,7 @@ def cmd_dualize(args) -> VerificationReport:
 
 
 def cmd_symcheck(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-9)
+    tol = args.tol or 1e-9
     sf = load_system_file(args.file)
     cfg = sf.sample_config(args)
     basis = sf.basis()
@@ -303,7 +304,7 @@ def cmd_symcheck(args) -> VerificationReport:
 
 
 def cmd_generate(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-9)
+    tol = args.tol or 1e-9
     sf = load_system_file(args.file)
     if sf.one_form is None:
         raise InputError(f"{sf.path}: generate needs a one_form")
@@ -332,7 +333,7 @@ def cmd_generate(args) -> VerificationReport:
 
 
 def cmd_poisson_check(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-8)
+    tol = args.tol or 1e-8
     sf = load_system_file(args.file)
     if not sf.hamiltonians:
         raise InputError(f"{sf.path}: poisson-check needs hamiltonians")
@@ -347,7 +348,7 @@ def cmd_poisson_check(args) -> VerificationReport:
 
 
 def cmd_inverse(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-8)
+    tol = args.tol or 1e-8
     sf = load_system_file(args.file)
     if not sf.hamiltonians:
         raise InputError(f"{sf.path}: inverse needs hamiltonians")
@@ -361,7 +362,7 @@ def cmd_inverse(args) -> VerificationReport:
 
 
 def cmd_hj(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-9)
+    tol = args.tol or 1e-9
     sf = load_system_file(args.file)
     if sf.one_form is None:
         raise InputError(f"{sf.path}: hj needs a one_form")
@@ -393,7 +394,7 @@ def cmd_hj(args) -> VerificationReport:
 
 
 def cmd_flow(args) -> VerificationReport:
-    tol = _positive(args, "tol", 1e-8)
+    tol = args.tol or 1e-8
     sf = load_system_file(args.file)
     if sf.initial_curve is None:
         raise InputError(f"{sf.path}: flow needs an initial_curve")
@@ -422,8 +423,6 @@ def cmd_flow(args) -> VerificationReport:
 
 
 def cmd_builtin(args) -> VerificationReport:
-    if args.tol is not None or args.guard is not None:
-        raise InputError("builtin takes no --tol or --guard")
     cfg = SampleConfig(seed=_seed(args, DEFAULT_SEED, "seed"),
                        count=_sample_count(args, DEFAULT_SAMPLES))
     if args.emit:
@@ -515,6 +514,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_options(args)
         report = args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
