@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -86,8 +87,8 @@ class SystemFile:
         if self.chart is not None:
             if not (isinstance(self.chart, list) and len(self.chart) == n
                     and all(isinstance(c, str) for c in self.chart)):
-                raise InputError(f"{path}: chart must be a list of {n} "
-                                 "expressions")
+                raise InputError(
+                    f"{path}: chart must be a list of {n} expressions")
             try:
                 self.chart = [parse_expr(c, n) for c in self.chart]
             except OpfrobError as exc:
@@ -172,9 +173,9 @@ class SystemFile:
             for g in s.get("guards", []):
                 floor = g.get("min", guard_floor)
                 if not (_is_number(floor) and floor > 0):
-                    raise InputError(f"{self.path}: sampling guards: min must "
-                                     f"be a finite number above 0, got "
-                                     f"{floor!r}")
+                    raise InputError(
+                        f"{self.path}: sampling guards: min must be a "
+                        f"finite number above 0, got {floor!r}")
                 guards.append((parse_expr(g["expr"], self.dimension),
                                float(floor)))
         except (OpfrobError, KeyError, TypeError, AttributeError) as exc:
@@ -192,8 +193,8 @@ def _integer(value, what: str, least: int) -> int:
     """``value`` if it is an integer of at least ``least``; a float, a
     string or a bool is an input error, never truncated."""
     if type(value) is not int or value < least:
-        raise InputError(f"{what} must be an integer of at least {least}, "
-                         f"got {value!r}")
+        raise InputError(
+            f"{what} must be an integer of at least {least}, got {value!r}")
     return value
 
 
@@ -239,8 +240,8 @@ def _check_options(args):
         if value is not None and args.command == "builtin":
             raise InputError("builtin takes no --tol or --guard")
         if value is not None and not (math.isfinite(value) and value > 0):
-            raise InputError(f"--{name} must be a finite positive number, "
-                             f"got {value!r}")
+            raise InputError(
+                f"--{name} must be a finite positive number, got {value!r}")
 
 
 def cmd_verify_algebra(args) -> VerificationReport:
@@ -449,7 +450,9 @@ def cmd_builtin(args) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="sampling seed (default 42 or file value)")
@@ -510,8 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         _check_options(args)

@@ -20,7 +20,7 @@ Negative exponents are sugar for division: ``u1^-2`` parses to ``1/u1^2``.
 Digits are ASCII ``0-9`` only.  Integer literals are kept exact; decimal
 literals become binary64 floats.
 Parentheses nest, and parsed trees reach, at most MAX_DEPTH levels, so the
-recursive parser and printer stay within the recursion limit; compiling and
+recursive parser stays within the recursion limit; printing, compiling and
 running a Program never recurse, so trees built by matrix algebra may be
 deeper.
 """
@@ -471,32 +471,42 @@ _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
 def _print(e, parent_level) -> str:
-    if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, int):
-            s = str(v)
+    """The text of ``e`` as an operand at ``parent_level``.  Each node's
+    text and precedence follow from its operands' in a post-order walk
+    over an explicit stack, so a tree of any depth prints; an operand is
+    parenthesised where its place binds tighter than it does."""
+    done, todo = {}, [e]        # id(node) -> (text, precedence)
+
+    def operand(k, level):
+        text, own = done[id(k)]
+        return f"({text})" if level > own else text
+    while todo:
+        node = todo.pop()
+        kids = (node.arg,) if isinstance(node, Neg) else (
+            (node.lhs, node.rhs) if isinstance(node, BinOp) else
+            (node.base,) if isinstance(node, Pow) else ())
+        missing = [k for k in kids if id(k) not in done]
+        if missing:
+            todo += [node, *missing]
+        elif isinstance(node, Const):
+            v = node.value
+            done[id(node)] = (str(v) if isinstance(v, int) else repr(float(v)),
+                              _LEVEL_ADD if v < 0 else _LEVEL_ATOM)
+        elif isinstance(node, Var):
+            done[id(node)] = f"u{node.index}", _LEVEL_ATOM
+        elif isinstance(node, Neg):     # bare as a factor, not under - or ^
+            done[id(node)] = f"-{operand(node.arg, _LEVEL_NEG)}", _LEVEL_MUL
+        elif isinstance(node, BinOp):
+            # the right operand is always bumped one level so the printed
+            # text preserves the tree's association exactly (floating-point
+            # addition and multiplication are not associative)
+            level = _LEVEL_ADD if node.op in "+-" else _LEVEL_MUL
+            op = f" {node.op} " if node.op in "+-" else node.op
+            done[id(node)] = (f"{operand(node.lhs, level)}{op}"
+                              f"{operand(node.rhs, level + 1)}", level)
+        elif isinstance(node, Pow):
+            done[id(node)] = (f"{operand(node.base, _LEVEL_ATOM)}^"
+                              f"{node.exponent}", _LEVEL_POW)
         else:
-            s = repr(float(v))
-        if v < 0:
-            return s if parent_level <= _LEVEL_ADD else f"({s})"
-        return s
-    if isinstance(e, Var):
-        return f"u{e.index}"
-    if isinstance(e, Neg):
-        inner = _print(e.arg, _LEVEL_NEG)
-        s = f"-{inner}"
-        return s if parent_level < _LEVEL_NEG else f"({s})"
-    if isinstance(e, BinOp):
-        # the right operand is always bumped one level so the printed text
-        # preserves the tree's association exactly (floating-point addition
-        # and multiplication are not associative)
-        level = _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
-        lhs = _print(e.lhs, level)
-        rhs = _print(e.rhs, level + 1)
-        s = f"{lhs} {e.op} {rhs}" if e.op in "+-" else f"{lhs}{e.op}{rhs}"
-        return s if level >= parent_level else f"({s})"
-    if isinstance(e, Pow):
-        base = _print(e.base, _LEVEL_ATOM)
-        s = f"{base}^{e.exponent}"
-        return s if parent_level <= _LEVEL_POW else f"({s})"
-    raise TypeError(f"not an expression node: {e!r}")
+            raise TypeError(f"not an expression node: {node!r}")
+    return operand(e, parent_level)

@@ -15,23 +15,21 @@ M^j = b^{ji} K_i and the coordinates of Id in the basis are the identity
 coordinates.
 
 The float checks run one pipeline over a whole (B, n) sample batch:
-``point_data`` takes the basis values as a (B, n, n, n) stack and returns
-every quantity as a (B, ...) array, with one seeded xi search per distinct
-basis and one elimination (``numkit.batch_solve``) per system over the
-batch.  ``tangent_structure_constants`` and ``tangent_dual`` reuse its
-solve and add exact first derivatives, carrying each quantity as a pair
+``point_data`` takes the basis values as a (B, n, n, n) stack and returns every
+quantity as a (B, ...) array, solving each distinct basis once
+(``numkit.on_distinct_rows``) by one elimination (``numkit.batch_solve``) per
+system.  ``tangent_structure_constants`` and ``tangent_dual`` reuse its solve
+and add exact first derivatives, carrying each quantity as a pair
 (value[B, ...], tangent[B, ..., n]) by the forward-mode matrix rules
-d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R
-(Giles, "An extended collection of matrix derivative results for forward
-and reverse mode AD", 2008).  The lone-point routines
-(``structure_constants_at``, ``frobenius_dual``, ``well_conditioned_xi``)
-are generic over the scalar type and serve truncated series and the flat
-basis.
+d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R (Giles,
+"An extended collection of matrix derivative results for forward and reverse
+mode AD", 2008).  The lone-point routines (``structure_constants_at``,
+``frobenius_dual``, ``well_conditioned_xi``) are generic over the scalar type
+and serve truncated series and the flat basis.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -43,10 +41,12 @@ from .fields import OperatorField
 from .numkit import (
     batch_max_abs,
     batch_solve,
+    distinct_rows,
     mat_inv,
     mat_rank,
     mat_solve,
     max_abs,
+    on_distinct_rows,
     value_array,
 )
 from .report import CheckResult, VerificationReport, reduce_check
@@ -279,25 +279,15 @@ def checked_inv(A, points, what: str, tol: float = 1e-12) -> np.ndarray:
                          points, what, tol)
 
 
-def _distinct(V):
-    """The distinct bases of the (B, ...) stack V and, per b, the index of
-    V[b] among them."""
-    distinct, which = np.unique(V.reshape(-1, math.prod(V.shape[1:])),
-                                axis=0, return_inverse=True)
-    return distinct.reshape((-1,) + V.shape[1:]), which.reshape(-1)
-
-
 def batch_well_conditioned_xi(V, points, seed: int = 0,
                               tol: float = DEFAULT_TOL,
                               samples: int = DEFAULT_GENERIC_SAMPLES):
     """``well_conditioned_xi(V[b], seed)`` for each basis of the (B, n, n, n)
-    stack, bit for bit: every point re-seeds, so all judge one draw, and
-    equal bases are judged once.  Raises GenericityError at the first point
-    without a generic draw."""
+    stack, bit for bit: every point re-seeds, so all judge one draw.
+    Raises GenericityError at the first point without a generic draw."""
     xis = np.random.default_rng(seed).uniform(-1.0, 1.0,
                                               (samples, V.shape[-1]))
-    distinct, which = _distinct(V)
-    k = _best_draw(distinct, xis, tol)[which]
+    k = _best_draw(V, xis, tol)
     bad = np.flatnonzero(k < 0)
     if len(bad):
         raise GenericityError(f"no generic vector found in {samples} draws "
@@ -330,14 +320,14 @@ def batch_generic_search(V, seed: int = 0, tol: float = DEFAULT_TOL,
     draws."""
     draws = np.random.default_rng(seed).uniform(
         -1.0, 1.0, (2 * samples, V.shape[-1]))
-    distinct, which = _distinct(V)
-    kv = np.zeros(len(distinct), dtype=int)
-    kc = np.ones(len(distinct), dtype=int)
-    found = np.ones((2, len(distinct)), dtype=bool)
-    vec, cov = _full_rank(distinct, draws[:1], draws[1:2], tol)
+    first, which = distinct_rows(V)
+    kv = np.zeros(len(first), dtype=int)
+    kc = np.ones(len(first), dtype=int)
+    found = np.ones((2, len(first)), dtype=bool)
+    vec, cov = _full_rank(V[first], draws[:1], draws[1:2], tol)
     rest = np.flatnonzero(~(vec[:, 0] & cov[:, 0]))
     if len(rest):
-        vec, cov = _full_rank(distinct[rest], draws[:samples], draws, tol)
+        vec, cov = _full_rank(V[first[rest]], draws[:samples], draws, tol)
         found[0, rest] = vec.any(axis=1)
         kv[rest] = np.where(found[0, rest], np.argmax(vec, axis=1),
                             samples - 1)
@@ -383,7 +373,6 @@ class FrobeniusPointData:
     closure_residual: np.ndarray    # (B,) scaled; see point_data
     associativity_residual: np.ndarray
     symmetry_residual: np.ndarray   # |a_{ij}^s - a_{ji}^s|
-    covector: np.ndarray | None = None
     form: np.ndarray | None = None          # (B, n, n) b_{ij}
     form_inv: np.ndarray | None = None      # b^{ij}
     dual: np.ndarray | None = None          # (B, n, n, n) M^j = b^{ji} K_i
@@ -429,6 +418,10 @@ def point_data(V, points, covector=None, seed: int = 0,
     through the decomposition in K.  Raises GenericityError or
     SingularMatrixError at the first failing point.
     """
+    return on_distinct_rows(_point_data, (V,), points, covector, seed, tol)
+
+
+def _point_data(V, points, covector, seed, tol):
     B, n = V.shape[:2]
     xi, C, recon, X, Cinv = _solve_structure(V, points, seed, tol)
     a = X.reshape(B, n, n, n).transpose(0, 2, 3, 1)
@@ -449,8 +442,7 @@ def point_data(V, points, covector=None, seed: int = 0,
     MC = (M @ C[:, None]).transpose(0, 2, 1, 3).reshape(B, n, n * n)
     Y = Cinv @ np.concatenate([MC, xi[:, :, None]], axis=2)
     beta = Y[:, :, -1]
-    data.covector, data.form, data.form_inv = cov, b, binv
-    data.dual, data.identity_coords = M, beta
+    data.form, data.form_inv, data.dual, data.identity_coords = b, binv, M, beta
     data.duality_residual = batch_max_abs(
         np.einsum("bsk,s->bk", Y[:, :, :-1], cov).reshape(B, n, n)
         - np.eye(n))
@@ -467,6 +459,10 @@ def tangent_structure_constants(V, dV, points, seed: int = 0,
     ``point_data``'s solve C X = R; the tangents are
     dX = C^{-1}(dR - dC X), with xi contracted first, dR = dK_i (K_j xi) +
     K_i (dK_j xi), so no (B, n, n, n, n, n) product tangent is built."""
+    return on_distinct_rows(_tangent_structure, (V, dV), points, seed, tol)
+
+
+def _tangent_structure(V, dV, points, seed, tol):
     B, n = V.shape[:2]
     xi, C, _, X, Cinv = _solve_structure(V, points, seed, tol)
     dC = np.einsum("bircm,bc->brim", dV, xi)
@@ -484,7 +480,11 @@ def tangent_dual(V, dV, covector, points, seed: int = 0,
     """Dual basis M^j = b^{ji} K_i of b_{ij} = a_{ij}^s a_s and its tangent,
     (M[b, j], dM[b, j, :, :, m]), by d(b^{-1}) = -b^{-1} db b^{-1}; raises
     SingularMatrixError at the first point where the form is degenerate."""
-    a, da = tangent_structure_constants(V, dV, points, seed, tol)
+    return on_distinct_rows(_tangent_dual, (V, dV), points, covector, seed, tol)
+
+
+def _tangent_dual(V, dV, points, covector, seed, tol):
+    a, da = _tangent_structure(V, dV, points, seed, tol)
     covector = np.asarray(covector, dtype=float)
     _, binv = _form(a, covector, points)
     dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GenericityError, OpfrobError, SingularMatrixError
+from .errors import (GenericityError, OpfrobError, SingularMatrixError,
+                     SqrtConvergenceError)
 from .exprs import (Const, Expression, linear_form, literal, parse_expr,
                     parse_grid)
 from .fields import OneFormField, compile_grid, grid_floats, grid_jets
@@ -40,7 +41,8 @@ from .frobalg import (
     point_data,
     tangent_structure_constants,
 )
-from .numkit import batch_max_abs, mat_rank, max_abs, sqrt_near_identity
+from .numkit import (batch_max_abs, mat_rank, max_abs, on_distinct_rows,
+                     sqrt_near_identity)
 from .opfields import (
     DualFamilyBase,
     bracket_from_jets,
@@ -303,10 +305,15 @@ class IntegrableSystem:
 
     def hj_differential(self, points, c) -> np.ndarray:
         """dW(u, c) in chart components at each of the points, (B, n);
-        substituting p = dW solves F_s(u, p) = c_s."""
-        mats, alpha_chart = self.chart_frame_basis(points)
-        return np.array([hj_differential(M, a, c) for M, a in
-                         zip(mats, alpha_chart)]).reshape(-1, self.dimension)
+        substituting p = dW solves F_s(u, p) = c_s.  SqrtConvergenceError
+        names the first point where the square root fails."""
+        P = _batch(points, self.dimension)
+        try:
+            return hj_differential(*self.chart_frame_basis(P), c)
+        except SqrtConvergenceError as exc:
+            raise SqrtConvergenceError(
+                f"dW at {list(map(float, P[exc.index]))}: {exc}",
+                index=exc.index) from None
 
     def n15_residual(self, points, p) -> np.ndarray:
         """Residual of the matrix identity (p_i M^i)^2 = F_s M^s in the
@@ -411,8 +418,12 @@ def _asymmetry(A) -> np.ndarray:
 
 def _killing_values(G, points):
     """Killing tensors K[b, s] = h_s h_1^{-1} from the grids G[b, s] = h_s
-    at points[b], and h_1^{-1}; SingularMatrixError at the first point
-    where h_1 is singular."""
+    at points[b], and h_1^{-1}, once per distinct G[b]; SingularMatrixError
+    at the first point where h_1 is singular."""
+    return on_distinct_rows(_killing_rows, (G,), points)
+
+
+def _killing_rows(G, points):
     h1_inv = checked_inv(G[:, 0], points, "h_1 is singular")
     return G @ h1_inv[:, None], h1_inv
 
@@ -449,17 +460,19 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
 
 
 def hj_differential(mats, alpha_value, c) -> np.ndarray:
-    """dW = sqrt(c_1 M^1 + ... + c_n M^n)^* alpha at one point.
+    """dW = sqrt(c_1 M^1 + ... + c_n M^n)^* alpha at one point, or at each
+    point of a batch: ``mats`` (..., n, n, n), ``alpha_value`` (..., n).
 
     ``mats`` are basis values in the canonical chart frame, ``alpha_value``
     the conservation-law components in the same frame.  The square root is
-    the principal branch near the identity; its failure to converge signals
-    an inadmissible c.
+    the principal branch near the identity, one stacked iteration over a
+    batch; its failure to converge signals an inadmissible c.
     """
-    c = np.asarray(c, dtype=float)
-    S = sum(c[i] * np.asarray(mats[i], dtype=float) for i in range(len(mats)))
-    R = sqrt_near_identity(S)
-    return R.T @ np.asarray(alpha_value, dtype=float)
+    c, mats = np.asarray(c, dtype=float), np.asarray(mats, dtype=float)
+    R = sqrt_near_identity(sum(c[i] * mats[..., i, :, :]
+                               for i in range(mats.shape[-3])))
+    alpha = np.asarray(alpha_value, dtype=float)[..., None]
+    return (R.swapaxes(-1, -2) @ alpha)[..., 0]
 
 
 class ReconstructedFamily(DualFamilyBase):
@@ -479,19 +492,24 @@ class ReconstructedFamily(DualFamilyBase):
 
     def _killing(self, points):
         """Killing tensors K[b, s] = h_s h_1^{-1} over a (B, n) batch and
-        their tangents dK_s = dh_s h_1^{-1} - K_s dh_1 h_1^{-1}."""
+        their tangents dK_s = dh_s h_1^{-1} - K_s dh_1 h_1^{-1}, once per
+        distinct pair of h and dh rows."""
         jets = [H.coeff_jets(points) for H in self.hams]
-        H = np.stack([v for v, _ in jets], axis=1)
-        dH = np.stack([d for _, d in jets], axis=1)
-        K, h1_inv = _killing_values(H, points)
-        return K, np.einsum("bsijm,bjk->bsikm", dH, h1_inv) - np.einsum(
-            "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv)
+        return on_distinct_rows(_killing_jets, (
+            np.stack([v for v, _ in jets], axis=1),
+            np.stack([d for _, d in jets], axis=1)), points)
 
     def killing_values(self, points):
         return self._killing(_batch(points, self.dimension))[0]
 
     def jet_data(self, points):
         return self._dual_jets(points, self._killing)
+
+
+def _killing_jets(H, dH, points):
+    K, h1_inv = _killing_values(H, points)
+    return K, np.einsum("bsijm,bjk->bsikm", dH, h1_inv) - np.einsum(
+        "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv)
 
 
 def _killing_span_checks(G, P, covector, seed, tol):

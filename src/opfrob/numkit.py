@@ -2,13 +2,14 @@
 
 Matrices are small (n <= ~16).  The float checks work on stacks (K, r, c)
 over a whole sample batch: ``batch_solve`` runs one elimination with
-partial pivoting on every system of a stack at once, and ``mat_rank`` one
-row reduction, each with the arithmetic of a lone call.  ``mat_solve`` and
-``mat_inv`` eliminate one matrix by hand, also over object arrays whose
-entries are any scalar supporting the arithmetic dunders (truncated power
-series, jets); they serve the lone-point pipeline over such scalars.
-``Jet`` carries a value and its partials; with array values it evaluates
-expressions over a whole batch of points.
+partial pivoting on every system of a stack at once, ``mat_rank`` one row
+reduction and ``sqrt_near_identity`` one square-root iteration, each with
+the arithmetic of a lone call.  ``mat_solve`` and ``mat_inv`` eliminate
+one matrix by hand, also over object arrays whose entries are any scalar
+supporting the arithmetic dunders (truncated power series, jets); they
+serve the lone-point pipeline over such scalars.  ``Jet`` carries a value
+and its partials; with array values it evaluates expressions over a whole
+batch of points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError, SqrtConvergenceError
+from .errors import OpfrobError, SingularMatrixError, SqrtConvergenceError
 
 __all__ = [
     "Jet",
@@ -30,6 +31,8 @@ __all__ = [
     "mat_inv",
     "batch_solve",
     "mat_rank",
+    "distinct_rows",
+    "on_distinct_rows",
     "sqrt_near_identity",
     "max_abs",
     "batch_max_abs",
@@ -346,6 +349,37 @@ def mat_rank(A, tol: float = 1e-9):
     return int(rank[0]) if not batch else rank.reshape(batch)
 
 
+def distinct_rows(*stacks):
+    """(first, which) for (B, ...) stacks keyed together row by row by their
+    bytes (so -0.0 and 0.0 differ): first[k] is where the k-th distinct row
+    first occurs, in first-occurrence order, and which[b] the k of row b."""
+    keys = list(zip(*([row.tobytes() for row in S.reshape(
+        len(S), math.prod(S.shape[1:]))] for S in stacks)))
+    firsts = {key: b for b, key in reversed(list(enumerate(keys)))}
+    first = np.array(sorted(firsts.values()), dtype=int)
+    return first, np.searchsorted(first, [firsts[key] for key in keys])
+
+
+def on_distinct_rows(fn, stacks, points, *args):
+    """fn(*stacks, points, *args) run on the distinct rows of the (B, ...)
+    stacks only, each at its first point, and gathered back: a tuple of
+    arrays, or an object of arrays and Nones.  An OpfrobError's ``index``
+    goes back to its row's first point, the first failing point."""
+    first, which = distinct_rows(*stacks)
+    if len(first) == len(which):        # all rows differ: copy nothing
+        return fn(*stacks, points, *args)
+    try:
+        out = fn(*(S[first] for S in stacks), np.asarray(points)[first],
+                 *args)
+    except OpfrobError as exc:
+        exc.index = int(first[exc.index])
+        raise
+    if isinstance(out, tuple):
+        return tuple(x[which] for x in out)
+    return type(out)(**{k: v if v is None else v[which]
+                        for k, v in vars(out).items()})
+
+
 def sqrt_near_identity(S, tol: float = 1e-10, max_steps: int = 60) -> np.ndarray:
     """Principal matrix square root by the coupled (Denman-Beavers) Newton
     iteration Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2.
@@ -353,28 +387,41 @@ def sqrt_near_identity(S, tol: float = 1e-10, max_steps: int = 60) -> np.ndarray
     Converges for spectra in the open right half-plane, including
     non-diagonalisable S, with R -> Id as S -> Id.  Raises
     SqrtConvergenceError when the iteration fails, which signals a violated
-    spectrum precondition.
+    spectrum precondition.  A stack (..., n, n) runs one iteration, each
+    matrix stopping at its own step, so each root is a lone call's bit for
+    bit; if any fails, lone calls find the first, whose flat position is
+    the error's ``index``.
     """
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if S.shape != (n, n):
+    n = S.shape[-1]
+    if S.ndim < 2 or S.shape[-2] != n:
         raise ValueError("matrix must be square")
-    norm_s = max(max_abs(S), 1.0)
-    Y = S.copy()
-    Z = np.eye(n)
-    eye = np.eye(n)
+    T = S.reshape(-1, n, n)
+    limit = tol * np.maximum(batch_max_abs(T), 1.0)
+    roots, lane = np.empty_like(T), np.arange(len(T))
+    Y, Z = T.copy(), np.broadcast_to(np.eye(n), T.shape)
+    why = (f"no convergence in {max_steps} steps; spectrum likely not in "
+           "the open right half-plane")
     for _ in range(max_steps):
         try:
-            Zi = np.linalg.solve(Z, eye)
-            Yi = np.linalg.solve(Y, eye)
+            Zi, Yi = np.linalg.inv(Z), np.linalg.inv(Y)
         except np.linalg.LinAlgError as exc:
-            raise SqrtConvergenceError(f"iteration hit a singular factor: {exc}")
+            why = f"iteration hit a singular factor: {exc}"
+            break
         Y, Z = 0.5 * (Y + Zi), 0.5 * (Z + Yi)
         if not np.all(np.isfinite(Y)):
-            raise SqrtConvergenceError("iteration diverged to non-finite values")
-        if max_abs(Y @ Y - S) <= tol * norm_s:
-            return Y
-    raise SqrtConvergenceError(
-        f"no convergence in {max_steps} steps; spectrum likely not in the "
-        "open right half-plane"
-    )
+            why = "iteration diverged to non-finite values"
+            break
+        done = batch_max_abs(Y @ Y - T[lane]) <= limit[lane]
+        roots[lane[done]] = Y[done]
+        lane, Y, Z = lane[~done], Y[~done], Z[~done]
+        if not len(lane):
+            return roots.reshape(S.shape)
+    if S.ndim == 2:
+        raise SqrtConvergenceError(why)
+    for k, M in enumerate(T):
+        try:
+            sqrt_near_identity(M, tol, max_steps)
+        except SqrtConvergenceError as exc:
+            exc.index = k
+            raise

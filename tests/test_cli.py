@@ -88,6 +88,21 @@ class TestExitCodes:
         assert err == (f"input error: --hj-points must be at least 1, "
                        f"got {hj_points}\n")
 
+    def test_inadmissible_c_names_the_first_point(self, tmp_path, capsys):
+        # with the basis reversed, c = (1, 0, 0, -1) puts N - Id (N
+        # nilpotent) under the square root at every point, and its
+        # iteration meets a singular factor
+        path = tmp_path / "e52.json"
+        run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+        doc = json.loads(path.read_text())
+        doc["basis"].reverse()
+        path.write_text(json.dumps(doc))
+        first = sample_points(4, SampleConfig(seed=42, count=50))[0]
+        assert run_opfrob("hj", "e52.json", "--c", "1,0,0,-1",
+                          cwd=tmp_path) == (
+            1, "", f"verification error: dW at {list(map(float, first))}: "
+            "iteration hit a singular factor: Singular matrix\n")
+
 
 def _run_doc(doc, command, tmp_path, capsys):
     """(exit code, stdout, stderr) of ``command`` on a system document."""

@@ -329,6 +329,18 @@ class TestPrinterRoundTrip:
             if agreements >= 50:
                 trees += 1
 
+    def test_a_deep_chain_prints_in_a_one_line_error(self):
+        # 1,500 levels: far beyond the recursion limit of a recursive printer
+        e = Var(2)
+        for _ in range(1500):
+            e = e * 0.5 + Var(1)
+        text = "(" * 1499 + "u2*0.5 + u1" + ")*0.5 + u1" * 1499
+        assert str(e) == text
+        with pytest.raises(ValueError) as exc:
+            OperatorField([[e]])
+        assert str(exc.value) == \
+            f"entry {text} refers to u2 but the field dimension is 1"
+
 
 # ---------------------------------------------------------------------------
 # interned grids and their compiled programs

@@ -325,8 +325,9 @@ class TestHamiltonJacobi:
 
     def test_inadmissible_c_raises(self):
         system, pts = self._system()
-        with pytest.raises(SqrtConvergenceError):
-            system.hj_differential([pts[0]], [1.0, 0.0, 0.0, -1.0])
+        with pytest.raises(SqrtConvergenceError, match=r"^dW at \[") as exc:
+            system.hj_differential(pts[:3], [1.0, 0.0, 0.0, -1.0])
+        assert exc.value.index == 0
 
     def test_raw_helper(self):
         mats = [np.eye(2)]

@@ -164,6 +164,36 @@ class TestSqrt:
         with pytest.raises(SqrtConvergenceError):
             sqrt_near_identity(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_roots_are_the_lone_roots(self):
+        # Id converges in one step, diag(100, 0.01, 1) in seven; each
+        # matrix leaves the stacked iteration at its own step
+        rng = np.random.default_rng(4)
+        S = [np.eye(3), np.diag([100.0, 0.01, 1.0]), np.eye(3) + np.diag(
+            [1.0, 1.0], 1)]
+        for scale in (0.01, 0.1, 0.3):
+            R = np.eye(3) + rng.uniform(-scale, scale, (3, 3))
+            S.append(R @ R)
+        S = np.stack(S)
+        roots = sqrt_near_identity(S)
+        for k in range(len(S)):
+            assert roots[k].tobytes() == sqrt_near_identity(S[k]).tobytes()
+        stacked = sqrt_near_identity(S.reshape(2, 3, 3, 3))
+        assert stacked.tobytes() == roots.tobytes()
+        assert sqrt_near_identity(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_stack_names_its_first_failing_matrix(self):
+        # -Id fails at the second step and the singular matrix at the
+        # first, but -Id comes first in the stack
+        S = np.stack([np.eye(2), 4.0 * np.eye(2), -np.eye(2), np.eye(2),
+                      np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(SqrtConvergenceError,
+                           match="singular factor") as exc:
+            sqrt_near_identity(S)
+        assert exc.value.index == 2
+        with pytest.raises(SqrtConvergenceError) as exc:
+            sqrt_near_identity(S[[0, 4, 2]])
+        assert exc.value.index == 1
+
 
 class TestJetMatrixProducts:
     def test_product_rule_against_fd(self):

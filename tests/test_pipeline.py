@@ -30,11 +30,14 @@ from opfrob.frobalg import (
     find_generic_covector,
     find_generic_vector,
     frobenius_dual,
+    point_data,
     structure_constants_at,
+    tangent_dual,
+    tangent_structure_constants,
     well_conditioned_xi,
 )
 from opfrob.integ import QuadraticHamiltonian, generate_system, inverse_verify
-from opfrob.numkit import batch_solve, mat_inv, mat_solve
+from opfrob.numkit import batch_solve, distinct_rows, mat_inv, mat_solve
 from opfrob.opfields import dualize_family
 from opfrob.sampling import SampleConfig, sample_points
 
@@ -169,6 +172,74 @@ def test_a_degenerate_form_is_named_at_its_point():
         diag_pair().point_data(P, [1.0, 0.0])
     assert "Frobenius form is degenerate" in str(exc.value)
     assert exc.value.index == 2
+
+
+class TestDistinctRows:
+    """The float pipeline runs once per distinct basis of a batch and
+    gathers the results back to every point."""
+
+    @staticmethod
+    def interleaved():
+        # bases A, B, A, C, B at five points, then A's values with C's
+        # partials: the tangent functions key on both together
+        basis, P, covector = CASES["power-basis"]()
+        V, dV = basis.batch_jet_arrays(P[:3])
+        V, dV = V[[0, 1, 0, 2, 1, 0]], dV[[0, 1, 0, 2, 1, 2]]
+        return V, dV, P[:6], covector
+
+    def test_rows_are_keyed_by_their_bytes_in_first_occurrence_order(self):
+        V = np.array([[1.0], [0.0], [1.0], [-0.0], [0.0]])
+        first, which = distinct_rows(V)
+        assert first.tolist() == [0, 1, 3]
+        assert which.tolist() == [0, 1, 0, 2, 1]
+        first, which = distinct_rows(V, np.arange(5.0))
+        assert first.tolist() == which.tolist() == [0, 1, 2, 3, 4]
+
+    def test_each_row_is_its_lone_result_bit_for_bit(self):
+        V, dV, P, covector = self.interleaved()
+        data = point_data(V[:5], P[:5], covector, SEED)
+        tangent = tangent_structure_constants(V, dV, P, SEED)
+        dual = tangent_dual(V, dV, covector, P, SEED)
+        for b in range(len(P)):
+            lone = [V[b:b + 1], dV[b:b + 1], P[b:b + 1]]
+            if b < 5:
+                one = point_data(V[b:b + 1], P[b:b + 1], covector, SEED)
+                for name, value in vars(one).items():
+                    assert getattr(data, name)[b].tobytes() == \
+                        value[0].tobytes(), name
+            for got, want in (
+                    (tangent, tangent_structure_constants(*lone, SEED)),
+                    (dual, tangent_dual(*lone[:2], covector, lone[2],
+                                        SEED))):
+                for g, w in zip(got, want):
+                    assert g[b].tobytes() == w[0].tobytes()
+
+    @pytest.mark.parametrize("layout, first", [("HFHF", 1), ("HHFHF", 2)])
+    def test_the_first_failing_point_is_named(self, layout, first):
+        # with the covector (1, 0) the form diag(1, -u1 u2) is degenerate at
+        # F = (0, 0.5); its basis sorts after that at H = (-0.6, 0.2), and
+        # in "HHFHF" its row among the distinct ones is not its point
+        P = np.array([{"H": [-0.6, 0.2], "F": [0.0, 0.5]}[c] for c in layout])
+        V, dV = diag_pair().batch_jet_arrays(P)
+        assert tuple(V[first].ravel()) > tuple(V[0].ravel())
+        for call in (lambda: point_data(V, P, [1.0, 0.0]),
+                     lambda: tangent_dual(V, dV, [1.0, 0.0], P)):
+            with pytest.raises(SingularMatrixError,
+                               match=r"at \[0\.0, 0\.5\]") as exc:
+                call()
+            assert exc.value.index == first
+
+    def test_a_batch_of_no_point_passes_through(self):
+        V, dV, _, covector = self.interleaved()
+        P = np.empty((0, 3))
+        assert [len(x) for x in distinct_rows(V[:0], dV[:0])] == [0, 0]
+        data = point_data(V[:0], P, covector)
+        assert data.dual.shape == (0, 3, 3, 3)
+        assert data.closure_residual.shape == (0,)
+        a, da = tangent_structure_constants(V[:0], dV[:0], P)
+        assert a.shape == (0, 3, 3, 3) and da.shape == (0, 3, 3, 3, 3)
+        M, dM = tangent_dual(V[:0], dV[:0], covector, P)
+        assert M.shape == (0, 3, 3, 3) and dM.shape == (0, 3, 3, 3, 3)
 
 
 class TestGenericityHonesty:
