@@ -536,12 +536,15 @@ class OperatorBasis:
     def eval_generic(self, point):
         return [f.eval_generic(point) for f in self.fields]
 
+    def jet_data(self, points):
+        """(values (B, n, n), partials (B, n, n, n)) of each field."""
+        return [f.batch_jet_arrays(points) for f in self.fields]
+
     def batch_jet_arrays(self, points):
         """Values (B, n, n, n) and partials (B, n, n, n, n) of the fields
         over a (B, n) batch; [b, i] is field i at points[b]."""
-        jets = [f.batch_jet_arrays(points) for f in self.fields]
-        return (np.stack([v for v, _ in jets], axis=1),
-                np.stack([d for _, d in jets], axis=1))
+        values, partials = zip(*self.jet_data(points))
+        return np.stack(values, axis=1), np.stack(partials, axis=1)
 
     def values(self, points):
         """The (B, n) batch ``points`` as a float array and the field

@@ -488,7 +488,6 @@ class ReconstructedFamily(DualFamilyBase):
         self.dimension = self.hams[0].dimension
         self.tol = tol
         self.seed = seed
-        self._batch = (None, None)   # (points' bytes, jet_data of them)
 
     def _killing(self, points):
         """Killing tensors K[b, s] = h_s h_1^{-1} over a (B, n) batch and

@@ -25,13 +25,11 @@ here rather than assumed.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from .errors import (
-    NonCommutingError,
-    OneFormNotClosedError,
-    OpfrobError,
-)
+from .errors import NonCommutingError, OneFormNotClosedError, OpfrobError
 from .fields import OneFormField
 from .frobalg import (
     OperatorBasis,
@@ -81,62 +79,65 @@ def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
     return t1 - t2 - t3 + t4
 
 
-def _pair_jets(L, M, P, tol):
-    """Batched values and partials of L and M at the (B, n) points P;
-    raises NonCommutingError when the values fail to commute (the bracket
-    is only a tensor for commuting pairs)."""
-    Lval, Lder = L.batch_jet_arrays(P)
-    if L is M:
-        return Lval, Lder, Lval, Lder
-    Mval, Mder = M.batch_jet_arrays(P)
-    comm = np.einsum("bij,bjk->bik", Lval, Mval) \
-        - np.einsum("bij,bjk->bik", Mval, Lval)
-    comm_scale = 1.0 + batch_max_abs(Lval) * batch_max_abs(Mval)
-    comm_res = batch_max_abs(comm) / comm_scale
-    b = int(np.argmax(comm_res))
-    if comm_res[b] > tol:
+def bracket_residuals(jets, pairs, points, tol, symmetric_part_only):
+    """Bracket table (len(pairs), B): residual of <F_i, F_j> (or of its part
+    symmetric in the lower indices) over 1 + s_i s_j, s_i = max |values| +
+    max |partials|, for each pair at each of the (B, n) points, from each
+    field's batched (values, partials) ``jets[i]``; (i, i) is a torsion.
+    Raises NonCommutingError at the first point where a pair's values fail
+    to commute (the bracket is only a tensor for commuting pairs)."""
+    P = np.asarray(points, dtype=float)
+    comm = np.asarray([
+        batch_max_abs(np.einsum("bij,bjk->bik", jets[i][0], jets[j][0])
+                      - np.einsum("bij,bjk->bik", jets[j][0], jets[i][0]))
+        / (1.0 + batch_max_abs(jets[i][0]) * batch_max_abs(jets[j][0]))
+        for i, j in pairs if i != j])
+    bad = np.flatnonzero(np.any(comm > tol, axis=0))
+    if len(bad):
+        b = int(bad[0])
         raise NonCommutingError(
             f"operators do not commute at {P[b].tolist()} "
-            f"(residual {comm_res[b]:.3e})"
-        )
-    return Lval, Lder, Mval, Mder
+            f"(residual {np.max(comm[:, b]):.3e})", index=b)
+    scales = [batch_max_abs(v) + batch_max_abs(d) for v, d in jets]
+    out = np.empty((len(pairs), len(P)))
+    for k, (i, j) in enumerate(pairs):
+        T = bracket_from_jets(*jets[i], *jets[j])
+        if symmetric_part_only:
+            T = T + T.swapaxes(-1, -2)
+        out[k] = batch_max_abs(T) / (1.0 + scales[i] * scales[j])
+    return out
+
+
+def _pair(L, M, points):
+    """The (B, n) batch and the jets [L, M] there, sharing L's if M is L."""
+    P = np.asarray(points, dtype=float).reshape(-1, L.dimension)
+    jets = L.batch_jet_arrays(P)
+    return P, [jets, jets if M is L else M.batch_jet_arrays(P)]
 
 
 def bracket(L, M, point, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate <L, M> at a point; raises NonCommutingError when the values
     fail to commute."""
-    P = np.asarray([point], dtype=float)
-    return bracket_from_jets(*_pair_jets(L, M, P, tol))[0]
-
-
-def bracket_residuals(L, M, points, tol, symmetric_part_only):
-    """Scale-normalized residual of <L, M> (or of its part symmetric in the
-    lower indices) at each of the points, from one vectorized pass."""
-    if len(points) == 0:
-        return np.zeros(0)
-    P = np.asarray(points, dtype=float)
-    Lval, Lder, Mval, Mder = _pair_jets(L, M, P, tol)
-    T = bracket_from_jets(Lval, Lder, Mval, Mder)
-    if symmetric_part_only:
-        T = T + T.swapaxes(-1, -2)
-    scale_L = batch_max_abs(Lval) + batch_max_abs(Lder)
-    scale_M = scale_L if L is M else batch_max_abs(Mval) + batch_max_abs(Mder)
-    return batch_max_abs(T) / (1.0 + scale_L * scale_M)
+    P, jets = _pair(L, M, [point])
+    bracket_residuals(jets, [(0, 1)], P, tol, False)   # the commutation check
+    return bracket_from_jets(*jets[0], *jets[1])[0]
 
 
 def is_symmetry(L, M, points, tol: float = DEFAULT_TOL,
                 name: str = "symmetry") -> CheckResult:
     """Pass when the symmetric part of <L, M> vanishes at every point
     (residual scale-normalized by the field magnitudes)."""
-    res = bracket_residuals(L, M, points, tol, symmetric_part_only=True)
-    return reduce_check(name, res, points, tol)
+    P, jets = _pair(L, M, points)
+    return reduce_check(name, bracket_residuals(jets, [(0, 1)], P, tol, True),
+                        P, tol)
 
 
 def is_strong_symmetry(L, M, points, tol: float = DEFAULT_TOL,
                        name: str = "strong_symmetry") -> CheckResult:
     """Pass when the entire bracket tensor vanishes at every point."""
-    res = bracket_residuals(L, M, points, tol, symmetric_part_only=False)
-    return reduce_check(name, res, points, tol)
+    P, jets = _pair(L, M, points)
+    return reduce_check(name, bracket_residuals(jets, [(0, 1)], P, tol, False),
+                        P, tol)
 
 
 def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
@@ -210,15 +211,11 @@ class DualFamilyBase:
     (frobalg.tangent_dual) on them; values come from the same pipeline."""
 
     def _dual_jets(self, points, basis_jets):
-        """List of (values (B, n, n), partials (B, n, n, n)) per dual field
-        over a (B, n) batch; the last batch is kept, and is read-only."""
+        """(values (B, n, n), partials (B, n, n, n)) of each dual field."""
         P = np.asarray(points, dtype=float)
-        if self._batch[0] != P.tobytes():
-            M, dM = tangent_dual(*basis_jets(P), self.covector, P, self.seed,
-                                 self.tol)
-            self._batch = (P.tobytes(), [(M[:, j], dM[:, j])
-                                         for j in range(self.dimension)])
-        return self._batch[1]
+        M, dM = tangent_dual(*basis_jets(P), self.covector, P, self.seed,
+                             self.tol)
+        return [(M[:, j], dM[:, j]) for j in range(self.dimension)]
 
     def eval(self, u):
         return [M[0].copy() for M, _ in self.jet_data([u])]
@@ -242,7 +239,6 @@ class DualFamily(DualFamilyBase):
         self.dimension = basis.dimension
         self.tol = tol
         self.seed = seed
-        self._batch = (None, None)   # (points' bytes, jet_data of them)
 
     def jet_data(self, points):
         return self._dual_jets(points, self.basis.batch_jet_arrays)
@@ -271,26 +267,28 @@ def dualize_family(
     """
     report = VerificationReport(title="dualize_family", seed=seed)
     n = basis.dimension
+    P = np.asarray(points, dtype=float).reshape(-1, n)
+    pairs = list(combinations(range(n), 2))
 
-    def mutual_symmetries(name, F):
-        return reduce_check(name, [
-            bracket_residuals(F[i], F[j], points, tol, symmetric_part_only=True)
-            for i in range(n) for j in range(i + 1, n)], points, tol)
+    def mutual_symmetries(name, family):
+        try:
+            return reduce_check(name, bracket_residuals(
+                family.jet_data(P), pairs, P, tol, symmetric_part_only=True),
+                P, tol)
+        except OpfrobError as exc:
+            return failed_check(name, exc, P, tol)
 
     if check_inputs:
-        report.add(mutual_symmetries("input_mutual_symmetries", basis.fields))
+        report.add(mutual_symmetries("input_mutual_symmetries", basis))
         # stops at the first point without a generic vector and covector
-        P, V = basis.values(points)
+        _, V = basis.values(P)
         generic, detail = genericity_residuals(V, P, seed, tol)
         bad = np.flatnonzero(generic)
         reached = bad[0] + 1 if len(bad) else len(P)
         report.add(reduce_check("genericity_A1_A2", generic[:reached],
                                 P[:reached], 0.0, detail=detail))
     family = DualFamily(basis, covector, tol=tol, seed=seed)
-    try:
-        report.add(mutual_symmetries("dual_mutual_symmetries", family.fields))
-    except OpfrobError as exc:
-        report.add(failed_check("dual_mutual_symmetries", exc, points, tol))
+    report.add(mutual_symmetries("dual_mutual_symmetries", family))
     return family, report
 
 

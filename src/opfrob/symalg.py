@@ -28,7 +28,7 @@ from .frobalg import (
 )
 from .numkit import batch_max_abs, max_abs
 from .opfields import bracket_residuals
-from .report import CheckResult, VerificationReport, reduce_check
+from .report import VerificationReport, failed_check, reduce_check
 
 __all__ = [
     "FlatBasis",
@@ -147,8 +147,10 @@ def sym_membership(
     generic vector, then validated as a full matrix identity), followed by
     strong-symmetry checks against every basis field."""
     report = VerificationReport(title="sym_membership", seed=seed)
-    P, V = basis.values(points)
-    cand = candidate.batch_jet_arrays(P)[0]
+    P = np.asarray(points, dtype=float).reshape(-1, basis.dimension)
+    jets = [candidate.batch_jet_arrays(P), *basis.jet_data(P)]
+    cand = jets[0][0]
+    V = np.stack([v for v, _ in jets[1:]], axis=1)
     data = point_data(V, P, seed=seed, tol=tol)
     g = (data.columns_inv @ (cand @ data.xi[:, :, None]))[..., 0]
     recon = np.einsum("bi,birc->brc", g, V)
@@ -157,13 +159,10 @@ def sym_membership(
 
     if report.passed:
         name = "strong_symmetry_vs_basis"
+        pairs = [(0, i) for i in range(1, len(jets))]
         try:
-            report.add(reduce_check(name, [
-                bracket_residuals(candidate, K, P, tol,
-                                  symmetric_part_only=False)
-                for K in basis.fields], P, tol))
+            report.add(reduce_check(name, bracket_residuals(
+                jets, pairs, P, tol, symmetric_part_only=False), P, tol))
         except OpfrobError as exc:
-            report.add(CheckResult(
-                name=name, passed=False, residual=float("inf"), tolerance=tol,
-                samples=len(P), detail=str(exc)))
+            report.add(failed_check(name, exc, P, tol))
     return report

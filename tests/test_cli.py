@@ -104,6 +104,25 @@ class TestExitCodes:
             "iteration hit a singular factor: Singular matrix\n")
 
 
+def test_dualize_reports_a_non_commuting_basis(tmp_path, capsys):
+    doc = {"schema": 1, "dimension": 2, "covector": [1, 0],
+           "fields": {"K2": [["0", "1"], ["0", "0"]],
+                      "K3": [["1", "0"], ["0", "0"]]},
+           "basis": ["K2", "K3"]}
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(["dualize", str(f), "--json"], capsys)
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "input_mutual_symmetries", "genericity_A1_A2",
+        "dual_mutual_symmetries"]
+    first = checks[0]
+    assert not first["passed"] and first["samples"] == 1
+    assert first["detail"] == (f"operators do not commute at "
+                               f"{first['worst_point']} (residual 5.000e-01)")
+
+
 def _run_doc(doc, command, tmp_path, capsys):
     """(exit code, stdout, stderr) of ``command`` on a system document."""
     f = tmp_path / "sys.json"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from opfrob.fixtures import (
     demo4_matrices,
     demo4_tilde_basis,
     nonsymmetric_pair_fields,
+    run_builtin,
 )
 from opfrob.frobalg import OperatorBasis
 from opfrob.opfields import (
     DualFamily,
     bracket,
+    bracket_residuals,
     conservation_law_check,
     dualize_family,
     is_strong_symmetry,
@@ -71,6 +75,27 @@ class TestBracket:
         assert np.max(np.abs(T)) == 0.0
         with pytest.raises(NonCommutingError):
             bracket(A, B, [0.3, 0.4])
+
+    def test_non_commuting_error_names_the_first_point(self):
+        # [diag(u1, 0), E12] = u1 E12 with residual |u1| / (1 + |u1|):
+        # zero at the first point, largest at the last
+        L = diag_field("u1", "0")
+        N = OperatorField.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NonCommutingError) as err:
+            is_symmetry(L, N, [[0.0, 0.3], [0.1, 0.2], [2.0, 0.5]])
+        assert err.value.index == 1
+        assert str(err.value) == ("operators do not commute at [0.1, 0.2] "
+                                  "(residual 9.091e-02)")
+
+    def test_bracket_table_names_the_first_point_of_any_pair(self):
+        N = OperatorField.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        P = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]])
+        jets = [f.batch_jet_arrays(P) for f in
+                (N, diag_field("u1", "0"), diag_field("0", "u2"))]
+        with pytest.raises(NonCommutingError) as err:
+            bracket_residuals(jets, [(0, 1), (0, 2)], P, 1e-9, False)
+        assert err.value.index == 1
+        assert "at [0.0, 0.5] " in str(err.value)
 
     def test_hand_value_diag_u2_u1(self):
         L = diag_field("u2", "u1")
@@ -153,6 +178,23 @@ class TestSymmetryChecks:
                   nijenhuis_torsion_report(K2, [])):
             assert not c.passed and c.samples == 0
             assert c.detail == "no point evaluated"
+
+
+def test_example52_analytic_evaluates_each_field_once(monkeypatch):
+    """The four torsions and six pairwise brackets of the analytic example52
+    builtin come from one bracket table."""
+    calls = Counter()
+    clean = OperatorField.batch_jet_arrays
+
+    def counted(self, points):
+        calls[id(self)] += 1
+        return clean(self, points)
+
+    monkeypatch.setattr(OperatorField, "batch_jet_arrays", counted)
+    report = run_builtin("example52", SampleConfig(seed=42, count=10),
+                         "analytic")
+    assert report.passed
+    assert sorted(calls.values()) == [1, 1, 1, 1]
 
 
 class TestConservationLaws:

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from opfrob.errors import OpfrobError
 from opfrob.fields import OperatorField
+from opfrob.frobalg import OperatorBasis
 from opfrob.fixtures import demo4_flat_basis, demo4_matrices, emit_builtin
 from opfrob.opfields import conservation_law_check, is_strong_symmetry
 from opfrob.fields import OneFormField
@@ -149,6 +151,34 @@ class TestMembership:
         M = analytic_symmetry(flat, [[], [0, 1], [], []])
         rep = sym_membership(basis, M, sample_points(4, CFG))
         assert rep.passed
+
+    def test_candidate_and_basis_are_evaluated_once(self, monkeypatch):
+        calls = Counter()
+        clean = OperatorField.batch_jet_arrays
+
+        def counted(self, points):
+            calls[id(self)] += 1
+            return clean(self, points)
+
+        flat = demo4_flat_basis()
+        basis = flat.operator_basis()
+        M = analytic_symmetry(flat, [[], [0, 1], [], []])
+        monkeypatch.setattr(OperatorField, "batch_jet_arrays", counted)
+        assert sym_membership(basis, M, sample_points(4, CFG)).passed
+        assert calls == {id(f): 1 for f in (M, *basis.fields)}
+
+    def test_non_commuting_basis_counts_the_points_reached(self):
+        # A = diag(1, -1) and B = [[0, 1], [1, 0]] anticommute; the
+        # candidate A decomposes exactly but fails to commute with B at
+        # the first point
+        A, B = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        pts = sample_points(2, CFG)
+        rep = sym_membership(OperatorBasis.from_matrices([A, B]),
+                             OperatorField.constant(A), pts)
+        decomposition, strong = rep.checks
+        assert decomposition.passed and not strong.passed
+        assert strong.samples == 1 and strong.worst_point == list(pts[0])
+        assert strong.detail.startswith("operators do not commute at ")
 
     def test_padded_diag_fails(self):
         flat = demo4_flat_basis()
