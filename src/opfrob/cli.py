@@ -282,25 +282,23 @@ def cmd_symcheck(args) -> VerificationReport:
         raise InputError(f"{sf.path}: {exc}")
     points = sample_points(sf.dimension, cfg)
     report = VerificationReport(title="symcheck", seed=cfg.seed)
-    if sf.polynomials is not None:
-        candidate = analytic_symmetry(flat, sf.polynomials)
-        sub = sym_membership(basis, candidate, points, tol=tol,
-                             seed=cfg.seed)
-        for c in sub.checks:
-            c.name = f"analytic_candidate.{c.name}"
-            report.add(c)
+    candidates = []
+    if sf.polynomials:      # None, or one list per coordinate
+        candidates.append(("analytic_candidate",
+                           analytic_symmetry(flat, sf.polynomials)))
     if sf.candidate_name is not None:
         if sf.candidate_name not in sf.fields:
             raise InputError(
                 f"{sf.path}: candidate {sf.candidate_name!r} not defined")
-        sub = sym_membership(basis, sf.fields[sf.candidate_name], points,
-                             tol=tol, seed=cfg.seed)
-        for c in sub.checks:
-            c.name = f"{sf.candidate_name}.{c.name}"
-            report.add(c)
-    if not report.checks:
+        candidates.append((sf.candidate_name, sf.fields[sf.candidate_name]))
+    if not candidates:
         raise InputError(
             f"{sf.path}: symcheck needs polynomials or a candidate field")
+    for label, candidate in candidates:
+        for c in sym_membership(basis, candidate, points, tol=tol,
+                                seed=cfg.seed).checks:
+            c.name = f"{label}.{c.name}"
+            report.add(c)
     return report
 
 
@@ -369,6 +367,8 @@ def cmd_hj(args) -> VerificationReport:
         raise InputError(f"{sf.path}: hj needs a one_form")
     try:
         c = [float(x) for x in args.c.split(",")]
+        if not all(map(_is_number, c)):
+            raise ValueError
     except ValueError:
         raise InputError(f"invalid --c value {args.c!r}")
     if len(c) != sf.dimension:

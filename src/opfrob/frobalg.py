@@ -24,15 +24,13 @@ and add exact first derivatives, carrying each quantity as a pair
 d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R (Giles,
 "An extended collection of matrix derivative results for forward and reverse
 mode AD", 2008).  The lone-point routines (``structure_constants_at``,
-``frobenius_dual``, ``well_conditioned_xi``) are generic over the scalar type
-and serve truncated series and the flat basis.
+``frobenius_dual``, ``well_conditioned_xi``) take one float basis; they
+serve the flat basis, the constant terms of truncated series and the tests.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -42,12 +40,12 @@ from .numkit import (
     batch_max_abs,
     batch_solve,
     distinct_rows,
+    first_singular,
     mat_inv,
     mat_rank,
     mat_solve,
     max_abs,
     on_distinct_rows,
-    value_array,
 )
 from .report import CheckResult, VerificationReport, reduce_check
 
@@ -62,6 +60,7 @@ __all__ = [
     "structure_constants_at",
     "well_conditioned_xi",
     "frobenius_dual",
+    "inverse_form",
     "point_data",
     "checked_solve",
     "checked_inv",
@@ -77,32 +76,20 @@ DEFAULT_TOL = 1e-9
 DEFAULT_GENERIC_SAMPLES = 32
 
 
-def _columns(mats, xi):
-    """[K_1 xi | ... | K_n xi] over the scalars of ``mats``."""
-    cols = [np.asarray(M) @ np.asarray(xi) for M in mats]
-    generic = any(np.asarray(M).dtype == object for M in mats)
-    return np.stack(cols, axis=-1) if not generic else np.array(
-        [[cols[j][i] for j in range(len(mats))] for i in range(len(cols[0]))],
-        dtype=object,
-    )
-
-
 def is_generic_vector(mats, xi, tol: float = DEFAULT_TOL) -> bool:
-    values = [value_array(M) for M in mats]
-    cols = np.column_stack([V @ np.asarray(xi, dtype=float) for V in values])
-    return mat_rank(cols, tol=tol) == len(mats)
+    V = np.asarray(mats, dtype=float)
+    return mat_rank((V @ np.asarray(xi, dtype=float)).T, tol=tol) == len(V)
 
 
 def is_generic_covector(mats, a, tol: float = DEFAULT_TOL) -> bool:
-    values = [value_array(M) for M in mats]
-    rows = np.vstack([np.asarray(a, dtype=float) @ V for V in values])
-    return mat_rank(rows, tol=tol) == len(mats)
+    V = np.asarray(mats, dtype=float)
+    return mat_rank(np.asarray(a, dtype=float) @ V, tol=tol) == len(V)
 
 
 def _first_hit(mats, samples, rng, tol, products):
     """The first of ``samples`` draws v, taken one at a time, whose
     ``products`` (K_j v or v K_j, stacked by j) have full rank, or None."""
-    V = np.stack([value_array(M) for M in mats])
+    V = np.asarray(mats, dtype=float)
     for _ in range(samples):
         v = rng.uniform(-1.0, 1.0, V.shape[-1])
         if mat_rank(products(V, v[None])[0], tol=tol) == len(mats):
@@ -159,7 +146,7 @@ def find_well_conditioned_vector(mats, samples: int, rng,
     All ``samples`` draws are taken and judged at once: one (samples, n)
     draw, one stacked rank and one stacked condition number over the
     full-rank draws with finite columns; ties go to the earliest draw."""
-    V = np.stack([value_array(M) for M in mats])
+    V = np.asarray(mats, dtype=float)
     xis = rng.uniform(-1.0, 1.0, (samples, V.shape[-1]))
     k = int(_best_draw(V, xis, tol))
     return xis[k] if k >= 0 else None
@@ -167,9 +154,9 @@ def find_well_conditioned_vector(mats, samples: int, rng,
 
 def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
                         samples: int = DEFAULT_GENERIC_SAMPLES) -> np.ndarray:
-    """The seeded well-conditioned generic vector of ``mats`` (floats or
-    generic scalars, judged on their values); ``seed`` is an int or a
-    numpy Generator.  Raises GenericityError when every draw fails."""
+    """The seeded well-conditioned generic vector of the float basis
+    ``mats``; ``seed`` is an int or a numpy Generator.  Raises
+    GenericityError when every draw fails."""
     xi = find_well_conditioned_vector(mats, samples,
                                       np.random.default_rng(seed), tol)
     if xi is None:
@@ -178,66 +165,39 @@ def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
 
 
 def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
-    """Structure constants a[i,j,s] with K_i K_j = a[i,j,s] K_s.
-
-    Solved through the generic vector xi and validated against the full
-    matrix identity; returns (a, scaled closure residual).  The residual is
-    scaled by 1 + max entry magnitude so the default tolerance is usable on
-    fields of any size.  One elimination serves all n^2 products: column
-    i*n + j of the right-hand side is K_i K_j xi.
-    """
-    n = len(mats)
-    mats = [np.asarray(M) for M in mats]
-    cols = _columns(mats, xi)
-    scale = 1.0 + max(max_abs(M) for M in mats)
-    prods = [mats[i] @ mats[j] for i in range(n) for j in range(n)]
-    coeffs = mat_solve(cols, np.stack([prod @ np.asarray(xi)
-                                       for prod in prods], axis=-1))
-    a = coeffs.T.reshape(n, n, n).copy()
-    resid = []
-    for k, prod in enumerate(prods):
-        recon = prod.copy()
-        for s in range(n):
-            recon = recon - coeffs[s, k] * mats[s]
-        resid.append(max_abs(recon))
-    return a, float(np.max(resid) / scale)
+    """Structure constants a[i,j,s] with K_i K_j = a[i,j,s] K_s of a float
+    basis, solved through the generic vector xi and validated against the
+    full matrix identity; returns (a, closure residual scaled by 1 + max
+    entry magnitude).  One elimination serves all n^2 products: column
+    i*n + j of the right-hand side is K_i K_j xi."""
+    V, xi = np.asarray(mats, dtype=float), np.asarray(xi, dtype=float)
+    n = len(V)
+    prods = V[:, None] @ V[None]
+    X = mat_solve((V @ xi).T, (prods @ xi).reshape(n * n, n).T)
+    for s in range(n):     # K_i K_j - a_{ij}^s K_s, in place
+        prods -= X[s].reshape(n, n, 1, 1) * V[s]
+    return X.T.reshape(n, n, n).copy(), max_abs(prods) / (1.0 + max_abs(V))
 
 
-def frobenius_form(a, covector):
-    """b_{ij} = a_{ij}^k a_k over generic scalars."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    covector = np.asarray(covector, dtype=float)
-    if a.dtype != object:
-        return np.einsum("ijk,k->ij", a, covector)
-    b = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            s = a[i, j, 0] * covector[0]
-            for k in range(1, n):
-                s = s + a[i, j, k] * covector[k]
-            b[i, j] = s
-    return b
+def inverse_form(b, covector, inv=mat_inv):
+    """``inv(b)`` of a Frobenius form b; raises SingularMatrixError naming
+    the covector when b is degenerate."""
+    try:
+        return inv(b)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"Frobenius form is degenerate for covector "
+            f"{np.asarray(covector, dtype=float).tolist()}: {exc}") from None
 
 
 def frobenius_dual(a, covector, mats):
     """Form b_{ij} = a_{ij}^k a_k, its inverse and the dual basis
-    M^j = b^{ji} K_i over the scalars of ``a`` and ``mats``.
-
-    Raises SingularMatrixError when the form is degenerate."""
-    b = frobenius_form(a, covector)
-    try:
-        binv = mat_inv(b)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"Frobenius form is degenerate for covector "
-            f"{np.asarray(covector, dtype=float).tolist()}: {exc}"
-        )
-    mats = [np.asarray(M) for M in mats]
-    dual = [reduce(operator.add, (binv[j, i] * mats[i]
-                                  for i in range(len(mats))))
-            for j in range(len(mats))]
-    return b, binv, dual
+    M^j = b^{ji} K_i of a float basis; SingularMatrixError if b is
+    degenerate."""
+    b = np.asarray(a, dtype=float) @ np.asarray(covector, dtype=float)
+    binv = inverse_form(b, covector)
+    return b, binv, list(np.einsum("ji,irc->jrc", binv,
+                                   np.asarray(mats, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +214,11 @@ def checked_solve(A, R, points, what: str, tol: float = 1e-12) -> np.ndarray:
     """X with A[b] X[b] = R[b] for the (B, m, m) stack A taken at points[b],
     by ``batch_solve``.  Raises SingularMatrixError at the first point whose
     matrix is not finite or has its smallest singular value at or below
-    ``tol`` times its largest entry magnitude (``mat_solve``'s relative
-    pivot threshold)."""
-    finite = np.isfinite(A).all(axis=(-2, -1))
-    smin = np.linalg.svd(np.where(finite[:, None, None], A, 0.0),
-                         compute_uv=False)[:, -1]
-    limit = tol * np.maximum(np.max(np.abs(A), axis=(-2, -1), initial=0.0),
-                             1e-300)
-    bad = np.flatnonzero(~(finite & (smin > limit)))
-    if len(bad):
-        b = bad[0]
-        raise SingularMatrixError(
-            f"{what} at {_at(points[b])}: " + (
-                f"smallest singular value {smin[b]:.3e} not above "
-                f"{limit[b]:.3e}" if finite[b] else "entries not finite"),
-            index=int(b))
+    ``tol`` times its largest entry magnitude (``numkit.first_singular``,
+    the test of ``mat_solve``)."""
+    b, why = first_singular(A, tol)
+    if why:
+        raise SingularMatrixError(f"{what} at {_at(points[b])}: {why}", index=b)
     return batch_solve(A, R)
 
 

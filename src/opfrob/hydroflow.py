@@ -10,7 +10,8 @@ to rounding; for non-symmetric pairs it is order one already at degree 2.
 
 Series are dense float arrays over a graded monomial index, built on first
 use for each (nvars, order) and cached (dense truncated Taylor arithmetic,
-Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Matrices of series
+are coefficient stacks (..., r, c, size) with a truncated matmul and inverse.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ExprEvalError, OpfrobError
-from .numkit import mat_rank
+from .numkit import mat_inv, mat_rank
 
 __all__ = ["MultiSeries", "JetSolution", "taylor_flow",
            "flow_compatibility_residual"]
@@ -75,6 +76,24 @@ class _Layout:
         return np.add.reduceat(a[..., self.left] * b[..., self.right],
                                self.starts, axis=-1)
 
+    def matmul(self, A, B):
+        """Truncated products of matrices of series, (..., r, k, size) @
+        (..., k, c, size)."""
+        prods = np.moveaxis(A[..., self.left], -1, -3) \
+            @ np.moveaxis(B[..., self.right], -1, -3)
+        return np.add.reduceat(np.moveaxis(prods, -3, -1), self.starts,
+                               axis=-1)
+
+    def inv(self, A):
+        """Inverse of one matrix of series (m, m, size) by Newton steps
+        X <- X (2 Id - A X) = 2 X - X A X from ``mat_inv`` of its constant
+        term; each step doubles the degree reached."""
+        X = np.zeros_like(A)
+        X[..., 0] = mat_inv(A[..., 0])
+        for _ in range(self.order.bit_length()):
+            X = 2.0 * X - self.matmul(X, self.matmul(A, X))
+        return X
+
     def diff(self, c, var):
         """d/d(variable var) of coefficient arrays (..., size)."""
         src, dst, exps = self.diffs[var]
@@ -125,6 +144,17 @@ class MultiSeries:
 
     def copy(self):
         return self._like(self.c.copy())
+
+    def dense(self, entries) -> np.ndarray:
+        """Coefficients (*shape, size) of an array of series and numbers."""
+        E = np.asarray(entries)
+        return np.array([self._coeffs_of(x if isinstance(x, MultiSeries)
+                                         else float(x)) for x in E.flat]
+                        ).reshape(E.shape + (self.layout.size,))
+
+    def grid(self, C):
+        """Nested lists of series over the coefficients C (..., size)."""
+        return [self.grid(c) for c in C] if C.ndim > 1 else self._like(C)
 
     def constant_term(self) -> float:
         return float(self.c[0])

@@ -273,8 +273,8 @@ class IntegrableSystem:
 
     @staticmethod
     def _chart_inverse(J, P):
-        return checked_inv(J, P, "the pullback rows M^{i*} alpha are "
-                           "dependent")
+        return on_distinct_rows(checked_inv, (J,), P, "the pullback rows "
+                                "M^{i*} alpha are dependent")
 
     def chart_rows(self, points) -> np.ndarray:
         """Chart Jacobians J[b, i, m] = (M^{i*} alpha)_m at points[b]."""
@@ -469,8 +469,9 @@ def hj_differential(mats, alpha_value, c) -> np.ndarray:
     batch; its failure to converge signals an inadmissible c.
     """
     c, mats = np.asarray(c, dtype=float), np.asarray(mats, dtype=float)
-    R = sqrt_near_identity(sum(c[i] * mats[..., i, :, :]
-                               for i in range(mats.shape[-3])))
+    with np.errstate(over="ignore", invalid="ignore"):  # sqrt then fails
+        R = sqrt_near_identity(sum(c[i] * mats[..., i, :, :]
+                                   for i in range(mats.shape[-3])))
     alpha = np.asarray(alpha_value, dtype=float)[..., None]
     return (R.swapaxes(-1, -2) @ alpha)[..., 0]
 

@@ -4,12 +4,10 @@ Matrices are small (n <= ~16).  The float checks work on stacks (K, r, c)
 over a whole sample batch: ``batch_solve`` runs one elimination with
 partial pivoting on every system of a stack at once, ``mat_rank`` one row
 reduction and ``sqrt_near_identity`` one square-root iteration, each with
-the arithmetic of a lone call.  ``mat_solve`` and ``mat_inv`` eliminate
-one matrix by hand, also over object arrays whose entries are any scalar
-supporting the arithmetic dunders (truncated power series, jets); they
-serve the lone-point pipeline over such scalars.  ``Jet`` carries a value
-and its partials; with array values it evaluates expressions over a whole
-batch of points.
+the arithmetic of a lone call.  ``mat_solve`` and ``mat_inv`` are that
+elimination on one float matrix, after the regularity test of
+``first_singular``.  ``Jet`` carries a value and its partials; with array
+values it evaluates expressions over a whole batch of points.
 """
 
 from __future__ import annotations
@@ -23,10 +21,9 @@ from .errors import OpfrobError, SingularMatrixError, SqrtConvergenceError
 __all__ = [
     "Jet",
     "jet_point",
-    "value_array",
     "split_jet_matrix",
     "split_jet_vector",
-    "magnitude",
+    "first_singular",
     "mat_solve",
     "mat_inv",
     "batch_solve",
@@ -151,29 +148,6 @@ def jet_point(u) -> list:
     return [Jet(float(u[i]), eye[i]) for i in range(n)]
 
 
-def _value(x):
-    """Value part of one supported scalar: jets expose .value, truncated
-    series their constant term, numbers pass through."""
-    if isinstance(x, Jet):
-        return x.value
-    ct = getattr(x, "constant_term", None)
-    if ct is not None:
-        return ct()
-    return float(x)
-
-
-def value_array(A) -> np.ndarray:
-    """Float value parts of an array of any shape over any supported
-    scalar."""
-    A = np.asarray(A)
-    if A.dtype != object:
-        return np.asarray(A, dtype=float)
-    out = np.empty(A.shape)
-    for idx, x in np.ndenumerate(A):
-        out[idx] = _value(x)
-    return out
-
-
 def split_jet_matrix(arr, n: int):
     """Array (any shape) of jets/numbers -> (values, partials) with the
     partials carrying one extra trailing axis of length n."""
@@ -193,19 +167,8 @@ def split_jet_matrix(arr, n: int):
 split_jet_vector = split_jet_matrix
 
 
-def magnitude(x) -> float:
-    """Pivot size of a generic scalar: the absolute value of its value
-    part."""
-    return abs(float(_value(x)))
-
-
 def max_abs(A) -> float:
-    A = np.asarray(A)
-    if A.dtype == object:
-        return max((magnitude(x) for x in A.ravel()), default=0.0)
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(A)))
+    return float(np.max(np.abs(np.asarray(A, dtype=float)), initial=0.0))
 
 
 def batch_max_abs(X) -> np.ndarray:
@@ -213,81 +176,46 @@ def batch_max_abs(X) -> np.ndarray:
     return np.max(np.abs(X), axis=tuple(range(1, X.ndim)), initial=0.0)
 
 
-def _is_generic(*arrays) -> bool:
-    return any(np.asarray(A).dtype == object for A in arrays)
+def first_singular(A, tol: float = 1e-12):
+    """(k, why) for the first matrix A[k] of the (K, m, m) stack that is not
+    finite or whose smallest singular value is at or below ``tol`` times
+    its largest entry magnitude, or (None, "") when every one is regular."""
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    smin = np.linalg.svd(np.where(finite[:, None, None], A, 0.0),
+                         compute_uv=False)[:, -1]
+    limit = tol * np.maximum(np.max(np.abs(A), axis=(-2, -1), initial=0.0),
+                             1e-300)
+    bad = np.flatnonzero(~(finite & (smin > limit)))
+    if not len(bad):
+        return None, ""
+    k = int(bad[0])
+    return k, (f"smallest singular value {smin[k]:.3e} not above "
+               f"{limit[k]:.3e}" if finite[k] else "entries not finite")
 
 
-def mat_solve(A, B, tol: float = 1e-12):
-    """Solve A X = B by elimination with partial pivoting.
-
-    Works over floats and over generic scalars (jets, series); pivots are
-    chosen by ``magnitude``.  Raises SingularMatrixError when the best pivot
-    falls below ``tol`` times the largest initial entry magnitude.
-    """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    n = A.shape[0]
-    if A.shape != (n, n):
+def mat_solve(A, B, tol: float = 1e-12) -> np.ndarray:
+    """X with A X = B for one float matrix A and a vector or matrix B, by
+    ``batch_solve``, or SingularMatrixError if ``first_singular`` rejects A."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    vector = B.ndim == 1
-    rows = [list(A[i]) for i in range(n)]
-    rhs = [[B[i]] if vector else list(B[i]) for i in range(n)]
-    m = len(rhs[0])
-
-    scale = max(max_abs(A), 1e-300)
-    threshold = tol * scale
-
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: magnitude(rows[r][col]))
-        if magnitude(rows[piv][col]) <= threshold:
-            raise SingularMatrixError(
-                f"pivot {magnitude(rows[piv][col]):.3e} below "
-                f"{threshold:.3e} at column {col}"
-            )
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        d = rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] / d
-            for c in range(col + 1, n):
-                rows[r][c] = rows[r][c] - f * rows[col][c]
-            rows[r][col] = 0
-            for c in range(m):
-                rhs[r][c] = rhs[r][c] - f * rhs[col][c]
-
-    out = [[None] * m for _ in range(n)]
-    for c in range(m):
-        for r in range(n - 1, -1, -1):
-            s = rhs[r][c]
-            for k in range(r + 1, n):
-                s = s - rows[r][k] * out[k][c]
-            out[r][c] = s / rows[r][r]
-
-    generic = _is_generic(A, B)
-    dtype = object if generic else float
-    if vector:
-        X = np.array([out[r][0] for r in range(n)], dtype=dtype)
-    else:
-        X = np.array(out, dtype=dtype)
-    if not generic and not np.all(np.isfinite(X.astype(float))):
-        raise SingularMatrixError("non-finite entries in solution")
-    return X
+    why = first_singular(A[None], tol)[1]
+    if why:
+        raise SingularMatrixError(why)
+    X = batch_solve(A[None], (B[:, None] if B.ndim == 1 else B)[None])[0]
+    return X.reshape(B.shape)
 
 
-def mat_inv(A, tol: float = 1e-12):
-    A = np.asarray(A)
-    n = A.shape[0]
-    eye = np.eye(n) if A.dtype != object else np.asarray(np.eye(n), dtype=object)
-    return mat_solve(A, eye, tol=tol)
+def mat_inv(A, tol: float = 1e-12) -> np.ndarray:
+    return mat_solve(A, np.eye(len(A)), tol)
 
 
 def batch_solve(A, B) -> np.ndarray:
     """X[k] with A[k] X[k] = B[k] for a float stack A (K, n, n) and B
-    (K, n, m), by the elimination of ``mat_solve`` run on every matrix at
+    (K, n, m), by elimination with partial pivoting run on every matrix at
     once: each X[k] equals a lone ``mat_solve(A[k], B[k])`` bit for bit.
     There is no pivot threshold; callers check regularity first
-    (``frobalg.checked_solve``)."""
+    (``first_singular``)."""
     A = np.array(A, dtype=float)
     X = np.array(B, dtype=float)
     lanes, n = np.arange(len(A)), A.shape[-1]
@@ -362,8 +290,8 @@ def distinct_rows(*stacks):
 
 def on_distinct_rows(fn, stacks, points, *args):
     """fn(*stacks, points, *args) run on the distinct rows of the (B, ...)
-    stacks only, each at its first point, and gathered back: a tuple of
-    arrays, or an object of arrays and Nones.  An OpfrobError's ``index``
+    stacks only, each at its first point, and gathered back: an array, a
+    tuple of arrays, or an object of arrays and Nones.  An OpfrobError's ``index``
     goes back to its row's first point, the first failing point."""
     first, which = distinct_rows(*stacks)
     if len(first) == len(which):        # all rows differ: copy nothing
@@ -374,6 +302,8 @@ def on_distinct_rows(fn, stacks, points, *args):
     except OpfrobError as exc:
         exc.index = int(first[exc.index])
         raise
+    if isinstance(out, np.ndarray):
+        return out[which]
     if isinstance(out, tuple):
         return tuple(x[which] for x in out)
     return type(out)(**{k: v if v is None else v[which]

@@ -20,7 +20,9 @@ Dualization follows the pointwise Frobenius pipeline: given a covector with
 constant components a_k, the dual fields are M^j(x) = b^{ji}(x) K_i(x) for
 b_{ij} = a_{ij}^k a_k, and for a family of mutual symmetries the dual family
 again consists of mutual symmetries; that conclusion is verified numerically
-here rather than assumed.
+here rather than assumed.  Over a sample batch the dual fields come from the
+tangent pipeline; at a point of truncated series (Taylor flows of a dual
+family) from the same construction on dense coefficient stacks.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .errors import NonCommutingError, OneFormNotClosedError, OpfrobError
 from .fields import OneFormField
 from .frobalg import (
     OperatorBasis,
-    frobenius_dual,
     genericity_residuals,
+    inverse_form,
     point_data,
-    structure_constants_at,
+    structure_constants_at,  # kept: bench/test_bench.py traces it here
     tangent_dual,
     well_conditioned_xi,
 )
@@ -230,7 +232,7 @@ class DualFamilyBase:
 
 class DualFamily(DualFamilyBase):
     """Pointwise dual family M^1..M^n of an operator basis; ``eval_generic``
-    runs the pointwise pipeline over other scalars (truncated series)."""
+    runs the pointwise pipeline at a point of truncated series."""
 
     def __init__(self, basis: OperatorBasis, covector, tol: float = DEFAULT_TOL,
                  seed: int = 0):
@@ -244,10 +246,19 @@ class DualFamily(DualFamilyBase):
         return self._dual_jets(points, self.basis.batch_jet_arrays)
 
     def eval_generic(self, point):
-        mats = self.basis.eval_generic(point)
-        xi = well_conditioned_xi(mats, self.seed, self.tol)
-        return frobenius_dual(structure_constants_at(mats, xi)[0],
-                              self.covector, mats)[2]
+        """The dual fields (n x n grids of series) at a point of n truncated
+        series, from the basis coefficients K[i, r, c, :] and xi of their
+        constant terms; the errors are the float pipeline's there."""
+        lay, n = point[0].layout, self.dimension
+        K = point[0].dense(self.basis.eval_generic(point))
+        xi = well_conditioned_xi(K[..., 0], self.seed, self.tol)
+        C = np.einsum("jrcp,c->rjp", K, xi)      # [K_1 xi | .. | K_n xi]
+        R = lay.matmul(K, C)                     # R[i, r, j] = K_i K_j xi
+        X = lay.matmul(lay.inv(C), R.swapaxes(0, 1).reshape(n, n * n, -1))
+        b = np.einsum("sijp,s->ijp", X.reshape(K.shape), self.covector)
+        binv = inverse_form(b, self.covector, lay.inv)
+        return point[0].grid(
+            lay.matmul(binv, K.reshape(n, n * n, -1)).reshape(K.shape))
 
 
 def dualize_family(

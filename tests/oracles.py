@@ -7,10 +7,19 @@ straight loop transcription of the coordinate formula.
 
 The loop references at the end are the other kind of oracle: one draw,
 one matrix or one product at a time, they spell out the arithmetic that
-the library's stacked routines must reproduce bit for bit.
+the library's stacked routines must reproduce bit for bit.  The loop
+solve and loop dual among them run entry by entry over any scalar with the
+arithmetic operators (floats, jets, truncated series), so they also serve
+as references for the jet and series pipelines.
 """
 
+import operator
+from functools import reduce
+
 import numpy as np
+
+from opfrob.errors import SingularMatrixError
+from opfrob.numkit import Jet
 
 FD_STEP = 1e-6
 
@@ -175,3 +184,128 @@ def loop_momentum_nondegeneracy(grids_at, points, n, seed, draws=50):
         if best < worst:
             worst, worst_pt = best, list(map(float, u))
     return worst, worst_pt
+
+
+def value_of(x) -> float:
+    """Value part of one scalar: a jet's value, a truncated series' constant
+    term, a number itself."""
+    if isinstance(x, Jet):
+        return x.value
+    ct = getattr(x, "constant_term", None)
+    return ct() if ct is not None else float(x)
+
+
+def value_array(A) -> np.ndarray:
+    """Float value parts of an array of any shape over any scalar."""
+    A = np.asarray(A)
+    if A.dtype != object:
+        return np.asarray(A, dtype=float)
+    out = np.empty(A.shape)
+    for idx, x in np.ndenumerate(A):
+        out[idx] = value_of(x)
+    return out
+
+
+def loop_solve(A, B, tol=1e-12):
+    """Solve A X = B by elimination with partial pivoting, one entry at a
+    time, over floats or any scalar with the arithmetic operators; pivots
+    are chosen by the magnitude of their value parts.  Raises
+    SingularMatrixError when the best pivot falls below ``tol`` times the
+    largest initial value magnitude."""
+    A, B = np.asarray(A), np.asarray(B)
+    n = A.shape[0]
+    vector = B.ndim == 1
+    rows = [list(A[i]) for i in range(n)]
+    rhs = [[B[i]] if vector else list(B[i]) for i in range(n)]
+    m = len(rhs[0])
+    threshold = tol * max(float(np.max(np.abs(value_array(A)),
+                                       initial=0.0)), 1e-300)
+
+    def size(x):
+        return abs(float(value_of(x)))
+
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: size(rows[r][col]))
+        if size(rows[piv][col]) <= threshold:
+            raise SingularMatrixError(
+                f"pivot {size(rows[piv][col]):.3e} below {threshold:.3e} "
+                f"at column {col}")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        d = rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / d
+            for c in range(col + 1, n):
+                rows[r][c] = rows[r][c] - f * rows[col][c]
+            rows[r][col] = 0
+            for c in range(m):
+                rhs[r][c] = rhs[r][c] - f * rhs[col][c]
+
+    out = [[None] * m for _ in range(n)]
+    for c in range(m):
+        for r in range(n - 1, -1, -1):
+            s = rhs[r][c]
+            for k in range(r + 1, n):
+                s = s - rows[r][k] * out[k][c]
+            out[r][c] = s / rows[r][r]
+
+    generic = object in (A.dtype, B.dtype)
+    X = np.array([row[0] for row in out] if vector else out,
+                 dtype=object if generic else float)
+    if not generic and not np.all(np.isfinite(X)):
+        raise SingularMatrixError("non-finite entries in solution")
+    return X
+
+
+def loop_inv(A, tol=1e-12):
+    A = np.asarray(A)
+    return loop_solve(A, np.asarray(np.eye(len(A)), dtype=A.dtype), tol)
+
+
+def loop_structure_constants(mats, xi):
+    """(a, scaled closure residual) with K_i K_j = a[i,j,s] K_s over any
+    scalar: one ``loop_solve`` of [K_1 xi | .. | K_n xi] against all the
+    K_i K_j xi, then the matrix identity checked on the value parts."""
+    n = len(mats)
+    mats = [np.asarray(M) for M in mats]
+    xi = np.asarray(xi)
+    cols = np.empty((n, n), dtype=mats[0].dtype)
+    for j, M in enumerate(mats):
+        cols[:, j] = M @ xi
+    prods = [mats[i] @ mats[j] for i in range(n) for j in range(n)]
+    coeffs = loop_solve(cols, np.stack([P @ xi for P in prods], axis=-1))
+    a = coeffs.T.reshape(n, n, n).copy()
+    resid = 0.0
+    for k, P in enumerate(prods):
+        recon = P.copy()
+        for s in range(n):
+            recon = recon - coeffs[s, k] * mats[s]
+        resid = max(resid, float(np.max(np.abs(value_array(recon)))))
+    scale = 1.0 + max(float(np.max(np.abs(value_array(M)))) for M in mats)
+    return a, resid / scale
+
+
+def loop_dual(mats, xi, covector):
+    """(a, b, b^{-1}, [M^1 .. M^n]) over any scalar: the structure constants
+    through xi, the form b_{ij} = a_{ij}^k a_k summed term by term, its
+    ``loop_inv`` and M^j = b^{ji} K_i.  Raises SingularMatrixError naming
+    the covector when the form is degenerate."""
+    a, _ = loop_structure_constants(mats, xi)
+    n = len(mats)
+    covector = np.asarray(covector, dtype=float)
+    b = np.empty((n, n), dtype=a.dtype)
+    for i in range(n):
+        for j in range(n):
+            s = a[i, j, 0] * covector[0]
+            for k in range(1, n):
+                s = s + a[i, j, k] * covector[k]
+            b[i, j] = s
+    try:
+        binv = loop_inv(b)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"Frobenius form is degenerate for covector "
+                                  f"{covector.tolist()}: {exc}")
+    mats = [np.asarray(M) for M in mats]
+    dual = [reduce(operator.add, (binv[j, i] * mats[i] for i in range(n)))
+            for j in range(n)]
+    return a, b, binv, dual

@@ -104,6 +104,25 @@ class TestExitCodes:
             "iteration hit a singular factor: Singular matrix\n")
 
 
+    def test_infinite_c_exits_2_without_warnings(self, tmp_path, capsys):
+        run_cli(["builtin", "example52", "--emit", str(tmp_path / "e.json")],
+                capsys)
+        assert run_opfrob("hj", "e.json", "--c", "inf,0,0,0",
+                          cwd=tmp_path) == (
+            2, "", "input error: invalid --c value 'inf,0,0,0'\n")
+
+    def test_overflowing_c_fails_in_one_line(self, tmp_path, capsys):
+        # c_1 M^1 + c_2 M^2 and the square-root iteration overflow; the
+        # failure is reported once, with no numpy warning before it
+        run_cli(["builtin", "example52", "--emit", str(tmp_path / "e.json")],
+                capsys)
+        code, out, err = run_opfrob("hj", "e.json", "--c", "1e308,1e308,0,0",
+                                    cwd=tmp_path)
+        assert (code, out) == (1, "")
+        assert err.startswith("verification error: dW at ")
+        assert err.count("\n") == 1
+
+
 def test_dualize_reports_a_non_commuting_basis(tmp_path, capsys):
     doc = {"schema": 1, "dimension": 2, "covector": [1, 0],
            "fields": {"K2": [["0", "1"], ["0", "0"]],
@@ -265,6 +284,9 @@ class TestInputChecks:
          "polynomials must be 2 lists"),
         ("verify-algebra", {"covector": [0, -10 ** 309]},
          "covector components must be finite"),
+        ("hj --c nan,0", {}, "invalid --c value 'nan,0'"),
+        ("hj --c=-inf,1", {}, "invalid --c value '-inf,1'"),
+        ("hj --c 1,1e400", {}, "invalid --c value '1,1e400'"),
     ])
     def test_malformed_entry_exits_2_with_one_line(self, command, entries,
                                                    message, tmp_path, capsys):

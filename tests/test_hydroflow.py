@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfrob import hydroflow
-from opfrob.errors import ExprEvalError, OpfrobError
+from opfrob.errors import (
+    ExprEvalError,
+    GenericityError,
+    OpfrobError,
+    SingularMatrixError,
+)
 from opfrob.fields import OperatorField
 from opfrob.fixtures import (
     demo4_constant_basis,
+    demo4_tilde_basis,
     nonsymmetric_pair_fields,
 )
-from opfrob.frobalg import OperatorBasis
+from opfrob.frobalg import OperatorBasis, well_conditioned_xi
 from opfrob.hydroflow import (
     MultiSeries,
     flow_compatibility_residual,
@@ -23,6 +29,7 @@ from opfrob.opfields import DualFamily
 from opfrob.sampling import sample_points
 
 from helpers import guarded_config
+from oracles import loop_dual, value_array
 
 
 class TestMultiSeries:
@@ -283,3 +290,57 @@ class TestTaylorFlow:
         sol = taylor_flow([K, OperatorField.identity(2)],
                           [[2.0, 1.0], [0.0, 1.0]], order=3)
         assert flow_compatibility_residual(sol, 0, 1) <= 1e-9
+
+
+def series_point(base, nvars, order, seed):
+    """Truncated series u_i = base_i + a linear and a quadratic part with
+    seeded coefficients in [-0.3, 0.3]."""
+    rng = np.random.default_rng(seed)
+    t = [MultiSeries.variable(v, nvars, order) for v in range(nvars)]
+    return [b + sum(float(c) * x for c, x in zip(rng.uniform(-0.3, 0.3,
+                                                             nvars), t))
+            + float(rng.uniform(-0.3, 0.3)) * t[0] * t[-1] for b in base]
+
+
+def pair_basis():
+    return OperatorBasis([OperatorField.identity(2),
+                          OperatorField.parse([["u1", "0"], ["0", "u2"]], 2)])
+
+
+SERIES_CASES = {
+    # (basis, covector, constant terms, variables, order)
+    "example52": (demo4_tilde_basis, [1.0, 0.0, 0.0, 0.0],
+                  [0.6, -0.3, 0.5, 0.4], 5, 6),
+    "pair": (pair_basis, [1.0, 0.3], [0.7, -0.4], 2, 4),
+}
+
+
+class TestSeriesDual:
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_equals_the_loop_dual(self, case):
+        make, covector, base, nvars, order = SERIES_CASES[case]
+        basis, seed = make(), 3
+        point = series_point(base, nvars, order, seed)
+        got = DualFamily(basis, covector, seed=seed).eval_generic(point)
+        mats = basis.eval_generic(point)
+        xi = well_conditioned_xi(value_array(mats), seed)
+        want = loop_dual(mats, xi, covector)[3]
+        got, want = point[0].dense(got), point[0].dense(want)
+        assert got.shape == want.shape == (len(base),) * 3 + (
+            point[0].layout.size,)
+        assert np.max(np.abs(got - want)) \
+            <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    def test_degenerate_form_names_the_covector(self):
+        # with the covector (1, 0) the form is diag(1, -u1 u2)
+        point = series_point([0.0, 0.5], 2, 3, 1)
+        with pytest.raises(SingularMatrixError,
+                           match=r"Frobenius form is degenerate for covector "
+                                 r"\[1\.0, 0\.0\]"):
+            DualFamily(pair_basis(), [1.0, 0.0]).eval_generic(point)
+
+    def test_non_generic_constant_term(self):
+        # at u1 = u2 the basis values Id, diag(u1, u2) are dependent
+        point = series_point([0.5, 0.5], 2, 3, 1)
+        with pytest.raises(GenericityError):
+            DualFamily(pair_basis(), [1.0, 0.3]).eval_generic(point)

@@ -14,7 +14,8 @@ from opfrob.fixtures import (
     demo4_target_family,
     demo4_tilde_basis,
 )
-from opfrob.frobalg import OperatorBasis
+from opfrob import integ
+from opfrob.frobalg import OperatorBasis, checked_inv
 from opfrob.integ import (
     QuadraticHamiltonian,
     _momentum_nondegeneracy,
@@ -328,6 +329,29 @@ class TestHamiltonJacobi:
         with pytest.raises(SqrtConvergenceError, match=r"^dW at \[") as exc:
             system.hj_differential(pts[:3], [1.0, 0.0, 0.0, -1.0])
         assert exc.value.index == 0
+
+    def test_constant_chart_is_inverted_once(self, monkeypatch):
+        # a constant system has one chart Jacobian at every point: its frame
+        # is inverted once and equals, byte for byte, the frame from
+        # inverting the Jacobian at each point
+        system, pts = self._system()
+        assert system.is_constant
+        P = np.asarray(pts, dtype=float)
+        _, V = system.basis.values(P)
+        J = system.chart_rows(P)
+        Jinv = checked_inv(J, P, "singular")
+        want = (J[:, None] @ V @ Jinv[:, None],
+                (system.alpha.batch_jet_arrays(P)[0][:, None] @ Jinv)[:, 0])
+        rows = []
+
+        def counted(A, *args):
+            rows.append(len(A))
+            return checked_inv(A, *args)
+
+        monkeypatch.setattr(integ, "checked_inv", counted)
+        got = system.chart_frame_basis(P)
+        assert rows == [1]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_raw_helper(self):
         mats = [np.eye(2)]

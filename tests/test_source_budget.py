@@ -1,4 +1,4 @@
-"""Token budget of the package modules.
+"""Token budget of the package modules, and where object arrays may live.
 
 A module imported without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``,
 as the benchmark runs) is compiled from source, and CPython's parser keeps
@@ -8,8 +8,15 @@ analytic52 ``peak_rss_mb`` by about 0.2 MiB.  So ``cli.py`` stays at or
 under 4,096 tokens and no module goes past 8,192.  Tokens are counted by
 ``tokenize``, leaving out comments, non-logical newlines and the encoding
 marker.
+
+The numerics run on float arrays; truncated series too are dense float
+coefficient stacks.  Arrays of Python objects (jets, series) are built only
+by the per-point jet helpers that the benchmark's tracer still binds: the
+grids of ``fields.py`` and ``numkit.split_jet_matrix``.  An ``object``
+dtype anywhere else fails the check below.
 """
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -21,6 +28,8 @@ MODULES = sorted(Path(opfrob.__file__).parent.glob("*.py"))
 LIMITS = {"cli.py": 4096}
 LIMIT = 8192
 SKIPPED = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+# module -> the one function that may build object arrays (None: any)
+OBJECT_ARRAYS = {"fields.py": None, "numkit.py": "split_jet_matrix"}
 
 
 def tokens(path) -> int:
@@ -32,3 +41,34 @@ def tokens(path) -> int:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_stays_within_its_token_budget(path):
     assert tokens(path) <= LIMITS.get(path.name, LIMIT)
+
+
+def object_dtypes(path):
+    """(line, enclosing function) of each place where the name ``object``
+    is passed or assigned as a value, a dtype in effect: an argument as in
+    ``np.asarray(x, dtype=object)`` or ``np.fromiter(it, object)``, a branch
+    as in ``object if generic else float``, or an assigned value.
+    Comparisons (``A.dtype == object``), annotations and ``object.__new__``
+    are not dtypes."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "object" \
+                    and isinstance(node, (ast.Call, ast.keyword, ast.IfExp,
+                                          ast.Assign)) \
+                    and child is not getattr(node, "func", None):
+                found.append((child.lineno, func))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_object_arrays_only_in_the_jet_helpers(path):
+    allowed = OBJECT_ARRAYS.get(path.name, "")
+    if allowed is not None:
+        assert [(line, func) for line, func in object_dtypes(path)
+                if func != allowed] == []

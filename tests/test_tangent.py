@@ -1,8 +1,8 @@
 """The batched tangent pipeline (frobalg.tangent_structure_constants and
 tangent_dual, and the families built on them) against independent
 references: finite differences of the pointwise float pipeline for the
-partials, the per-point Jet pipeline over object arrays for values and
-partials, and the per-point seeded search for xi."""
+partials, the per-point loop pipeline over jets (oracles.loop_dual) for
+values and partials, and the per-point seeded search for xi."""
 
 import numpy as np
 import pytest
@@ -20,9 +20,7 @@ from opfrob.fixtures import (
 from opfrob.frobalg import (
     OperatorBasis,
     batch_well_conditioned_xi,
-    frobenius_dual,
     point_data,
-    structure_constants_at,
     tangent_structure_constants,
     well_conditioned_xi,
 )
@@ -32,12 +30,18 @@ from opfrob.integ import (
     ReconstructedFamily,
     verify_commuting_family,
 )
-from opfrob.numkit import mat_inv, split_jet_matrix
+from opfrob.numkit import split_jet_matrix
 from opfrob.opfields import DualFamily, dualize_family
 from opfrob.sampling import SampleConfig, sample_points
 
 from helpers import admissible_covector, guarded_config, random_power_basis
-from oracles import fd_matrix_derivatives
+from oracles import (
+    fd_matrix_derivatives,
+    loop_dual,
+    loop_inv,
+    loop_structure_constants,
+    value_array,
+)
 
 SEED = 3
 VALUE_RTOL = 1e-12
@@ -73,14 +77,13 @@ CASES = {"example52": example52, "power-basis": power_basis}
 
 
 def jet_pipeline_duals(mats, covector):
-    """Per-point reference: the Jet pipeline over object arrays."""
-    xi = well_conditioned_xi(mats, SEED)
-    a, _ = structure_constants_at(mats, xi)
-    return frobenius_dual(a, covector, mats)[2]
+    """Per-point reference: the loop pipeline over jets."""
+    xi = well_conditioned_xi(value_array(mats), SEED)
+    return loop_dual(mats, xi, covector)[3]
 
 
 def killing_of(grids):
-    h1_inv = mat_inv(grids[0])
+    h1_inv = loop_inv(grids[0])
     return [np.asarray(g) @ h1_inv for g in grids]
 
 
@@ -137,8 +140,8 @@ def test_structure_jets_tangents(case):
     n = basis.dimension
     for b, u in enumerate(P):
         jets = basis.eval_jet(u)
-        a_obj, _ = structure_constants_at(jets, well_conditioned_xi(jets,
-                                                                    SEED))
+        a_obj, _ = loop_structure_constants(
+            jets, well_conditioned_xi(value_array(jets), SEED))
         val, du = split_jet_matrix(a_obj, n)
         J = system.chart_rows([u])[0]
         assert_close(a_val[b], val, VALUE_RTOL)
