@@ -14,13 +14,14 @@ bilinear form b_{ij} = a_{ij}^k a_k; when b is invertible the dual basis is
 M^j = b^{ji} K_i and the coordinates of Id in the basis are the identity
 coordinates.
 
-The float checks run one pipeline over a whole (B, n) sample batch:
-``point_data`` takes the basis values as a (B, n, n, n) stack and returns every
-quantity as a (B, ...) array, solving each distinct basis once
-(``numkit.on_distinct_rows``) by one elimination (``numkit.batch_solve``) per
-system.  ``tangent_structure_constants`` and ``tangent_dual`` reuse its solve
-and add exact first derivatives, carrying each quantity as a pair
-(value[B, ...], tangent[B, ..., n]) by the forward-mode matrix rules
+The float checks run one pipeline over a whole (B, n) sample batch.  The
+seeded xi of a basis is its best-conditioned of 32 draws: one stacked SVD
+condition number over all draws, then a rank test of each basis's winner (of
+all its draws only when the winner fails).  ``point_data`` takes the basis
+values as a (B, n, n, n) stack and returns every quantity as a (B, ...)
+array, solving each distinct basis once (``numkit.on_distinct_rows``) by one
+elimination (``numkit.batch_solve``).  Given the partials of the basis it
+adds exact first derivatives from that same solve, by the forward-mode rules
 d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R (Giles,
 "An extended collection of matrix derivative results for forward and reverse
 mode AD", 2008).  The lone-point routines (``structure_constants_at``,
@@ -68,8 +69,6 @@ __all__ = [
     "batch_generic_search",
     "genericity_residuals",
     "commutator_norms",
-    "tangent_structure_constants",
-    "tangent_dual",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -123,17 +122,25 @@ def find_generic_covector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
 
 def _best_draw(V, xis, tol):
     """Per basis of V (..., n, n, n), the index of the full-rank, finite and
-    best-conditioned draw in xis (the earliest on ties), or -1."""
+    best-conditioned draw in xis (the earliest on ties), or -1: one stacked
+    condition number over the finite draws, then a rank test of each
+    basis's best draw, and of all its draws only when that one fails."""
     if not len(xis):
         return np.full(V.shape[:-3], -1)
-    cols = _draw_columns(V, xis)
-    ok = (mat_rank(cols, tol=tol) == V.shape[-1]) \
-        & np.isfinite(cols).all(axis=(-2, -1))
+    cols = _draw_columns(V, xis).reshape(-1, len(xis), *V.shape[-2:])
+    ok = np.isfinite(cols).all(axis=(-2, -1))
     conds = np.full(ok.shape, np.inf)
     conds[ok] = np.linalg.cond(cols[ok])
+    rows = np.arange(len(conds))
     best = np.argmin(conds, axis=-1)
-    found = np.take_along_axis(conds, best[..., None], -1)[..., 0] < np.inf
-    return np.where(found, best, -1)
+    test = rows[np.isfinite(conds[rows, best])]
+    miss = test[mat_rank(cols[test, best[test]], tol=tol) < V.shape[-1]]
+    if len(miss):
+        conds[miss] = np.where(mat_rank(cols[miss], tol=tol) == V.shape[-1],
+                               conds[miss], np.inf)
+        best[miss] = np.argmin(conds[miss], axis=-1)
+    return np.where(np.isfinite(conds[rows, best]), best,
+                    -1).reshape(V.shape[:-3])
 
 
 def find_well_conditioned_vector(mats, samples: int, rng,
@@ -164,16 +171,16 @@ def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
     return xi
 
 
-def structure_constants_at(mats, xi, tol: float = DEFAULT_TOL):
+def structure_constants_at(mats, xi, solve=mat_solve):
     """Structure constants a[i,j,s] with K_i K_j = a[i,j,s] K_s of a float
     basis, solved through the generic vector xi and validated against the
     full matrix identity; returns (a, closure residual scaled by 1 + max
-    entry magnitude).  One elimination serves all n^2 products: column
-    i*n + j of the right-hand side is K_i K_j xi."""
+    entry magnitude).  One elimination ``solve`` serves all n^2 products:
+    column i*n + j of the right-hand side is K_i K_j xi."""
     V, xi = np.asarray(mats, dtype=float), np.asarray(xi, dtype=float)
     n = len(V)
     prods = V[:, None] @ V[None]
-    X = mat_solve((V @ xi).T, (prods @ xi).reshape(n * n, n).T)
+    X = solve((V @ xi).T, (prods @ xi).reshape(n * n, n).T)
     for s in range(n):     # K_i K_j - a_{ij}^s K_s, in place
         prods -= X[s].reshape(n, n, 1, 1) * V[s]
     return X.T.reshape(n, n, n).copy(), max_abs(prods) / (1.0 + max_abs(V))
@@ -329,6 +336,8 @@ class FrobeniusPointData:
     identity_coords: np.ndarray | None = None   # (B, n)
     duality_residual: np.ndarray | None = None  # <a ; M^i K_j> - delta^i_j
     identity_residual: np.ndarray | None = None  # |beta^s K_s - Id|
+    structure_tangent: np.ndarray | None = None  # d_m a_{ij}^s, no covector
+    dual_tangent: np.ndarray | None = None   # (B, n, n, n, n) d_m M^j
 
 
 def _solve_structure(V, points, seed, tol):
@@ -356,7 +365,7 @@ def _form(a, covector, points):
 
 
 def point_data(V, points, covector=None, seed: int = 0,
-               tol: float = DEFAULT_TOL) -> FrobeniusPointData:
+               tol: float = DEFAULT_TOL, dV=None) -> FrobeniusPointData:
     """The Frobenius data of the basis values V[b, i] = K_i at points[b]
     (a (B, n, n, n) stack) over the whole batch.
 
@@ -365,13 +374,15 @@ def point_data(V, points, covector=None, seed: int = 0,
     is scaled by 1 + max |K|, so the default tolerance suits fields of any
     size.  With a covector come the form, its inverse, the dual basis, the
     pairing <a ; M^i K_j> - delta^i_j and the coordinates beta of Id, both
-    through the decomposition in K.  Raises GenericityError or
-    SingularMatrixError at the first failing point.
+    through the decomposition in K.  With the partials dV[b, i, :, :, m]
+    come, from the same solve, the tangents d/du^m of the structure
+    constants, or with a covector those of the dual basis.  Raises
+    GenericityError or SingularMatrixError at the first failing point.
     """
-    return on_distinct_rows(_point_data, (V,), points, covector, seed, tol)
+    return on_distinct_rows(_point_data, (V, dV), points, covector, seed, tol)
 
 
-def _point_data(V, points, covector, seed, tol):
+def _point_data(V, dV, points, covector, seed, tol):
     B, n = V.shape[:2]
     xi, C, recon, X, Cinv = _solve_structure(V, points, seed, tol)
     a = X.reshape(B, n, n, n).transpose(0, 2, 3, 1)
@@ -384,7 +395,16 @@ def _point_data(V, points, covector, seed, tol):
         xi=xi, columns_inv=Cinv, structure=a, closure_residual=closure,
         associativity_residual=batch_max_abs(assoc),
         symmetry_residual=batch_max_abs(a - a.swapaxes(1, 2)))
+    if dV is not None:      # dX = C^{-1}(dR - dC X), xi contracted first
+        dC = np.einsum("bircm,bc->brim", dV, xi)
+        dR = np.einsum("bircm,bcj->brijm", dV, C)
+        dR += np.einsum("birc,bcjm->brijm", V, dC)   # d(K_i K_j xi)
+        dR = dR.reshape(B, n, n * n, n)
+        dR -= np.einsum("brsm,bsk->brkm", dC, X)
+        da = (Cinv @ dR.reshape(B, n, n ** 3)).reshape(
+            B, n, n, n, n).transpose(0, 2, 3, 1, 4)
     if covector is None:
+        data.structure_tangent = None if dV is None else da
         return data
     cov = np.asarray(covector, dtype=float)
     b, binv = _form(a, cov, points)
@@ -398,50 +418,12 @@ def _point_data(V, points, covector, seed, tol):
         - np.eye(n))
     data.identity_residual = batch_max_abs(
         np.einsum("bs,bsrc->brc", beta, V) - np.eye(n))
+    if dV is not None:      # d(b^{-1}) = -b^{-1} db b^{-1}
+        dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,
+                           np.einsum("bijsm,s->bijm", da, cov), binv)
+        data.dual_tangent = np.einsum("bjim,birc->bjrcm", dbinv, V) \
+            + np.einsum("bji,bircm->bjrcm", binv, dV)
     return data
-
-
-def tangent_structure_constants(V, dV, points, seed: int = 0,
-                                tol: float = DEFAULT_TOL):
-    """Structure constants a[b,i,j,s] (K_i K_j = a_{ij}^s K_s) at points[b]
-    and their tangents da[b,i,j,s,m] = d a_{ij}^s / du^m, from the basis
-    values V[b, i] = K_i and partials dV[b, i, :, :, m].  The values are
-    ``point_data``'s solve C X = R; the tangents are
-    dX = C^{-1}(dR - dC X), with xi contracted first, dR = dK_i (K_j xi) +
-    K_i (dK_j xi), so no (B, n, n, n, n, n) product tangent is built."""
-    return on_distinct_rows(_tangent_structure, (V, dV), points, seed, tol)
-
-
-def _tangent_structure(V, dV, points, seed, tol):
-    B, n = V.shape[:2]
-    xi, C, _, X, Cinv = _solve_structure(V, points, seed, tol)
-    dC = np.einsum("bircm,bc->brim", dV, xi)
-    dR = np.einsum("bircm,bcj->brijm", dV, C)
-    dR += np.einsum("birc,bcjm->brijm", V, dC)
-    dR = dR.reshape(B, n, n * n, n)
-    dR -= np.einsum("brsm,bsk->brkm", dC, X)
-    dX = Cinv @ dR.reshape(B, n, n ** 3)
-    return (X.reshape(B, n, n, n).transpose(0, 2, 3, 1),
-            dX.reshape(B, n, n, n, n).transpose(0, 2, 3, 1, 4))
-
-
-def tangent_dual(V, dV, covector, points, seed: int = 0,
-                 tol: float = DEFAULT_TOL):
-    """Dual basis M^j = b^{ji} K_i of b_{ij} = a_{ij}^s a_s and its tangent,
-    (M[b, j], dM[b, j, :, :, m]), by d(b^{-1}) = -b^{-1} db b^{-1}; raises
-    SingularMatrixError at the first point where the form is degenerate."""
-    return on_distinct_rows(_tangent_dual, (V, dV), points, covector, seed, tol)
-
-
-def _tangent_dual(V, dV, points, covector, seed, tol):
-    a, da = _tangent_structure(V, dV, points, seed, tol)
-    covector = np.asarray(covector, dtype=float)
-    _, binv = _form(a, covector, points)
-    dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,
-                       np.einsum("bijsm,s->bijm", da, covector), binv)
-    return (np.einsum("bji,birc->bjrc", binv, V),
-            np.einsum("bjim,birc->bjrcm", dbinv, V)
-            + np.einsum("bji,bircm->bjrcm", binv, dV))
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,9 @@ from .frobalg import (
     checked_inv,
     commutator_norms,
     point_data,
-    tangent_structure_constants,
 )
 from .numkit import (batch_max_abs, mat_rank, max_abs, on_distinct_rows,
-                     sqrt_near_identity)
+                     sqrt_near_identity, take_rows)
 from .opfields import (
     DualFamilyBase,
     bracket_from_jets,
@@ -117,11 +116,10 @@ class QuadraticHamiltonian:
         return float(p @ self.coeff(u) @ p)
 
 
-def _phase_jets(H, P, p):
-    """F, dF/dp and dF/du of the quadratic form H at the phase points
-    (P[b], p[b]) of two (B, n) batches; momentum derivatives are exact
-    (2 h^{ik} p_k), position derivatives come from the coefficient jets."""
-    A, dA = H.coeff_jets(P)
+def _phase_jets(A, dA, p):
+    """F, dF/dp and dF/du of a quadratic form at the phase points with
+    momenta p[b], from its coefficient jets (A, dA) there; momentum
+    derivatives are exact (2 h^{ik} p_k), position ones come from dA."""
     return (np.einsum("bi,bij,bj->b", p, A, p),
             2.0 * np.einsum("bij,bj->bi", A, p),
             np.einsum("bi,bijk,bj->bk", p, dA, p))
@@ -139,7 +137,7 @@ def poisson_bracket(F, G, u, p):
     of two (B, n) batches u and p as a (B,) array."""
     P, pv = (np.asarray(x, dtype=float).reshape(-1, F.dimension)
              for x in (u, p))
-    out = _bracket_of(_phase_jets(F, P, pv), _phase_jets(G, P, pv))
+    out = _bracket_of(*(_phase_jets(*H.coeff_jets(P), pv) for H in (F, G)))
     return float(out[0]) if np.ndim(u) == 1 else out
 
 
@@ -149,14 +147,17 @@ def verify_commuting_family(
     p_points,
     tol: float = 1e-8,
     name: str = "pairwise_poisson_brackets",
+    jets=None,
 ) -> CheckResult:
     """Max scale-normalized |{F_i, F_j}| over the phase sample; the residual
     is divided by 1 + |F_i||F_j| so rational Hamiltonians near their
-    singular loci stay comparable."""
+    singular loci stay comparable.  ``jets`` are the Hamiltonians'
+    ``coeff_jets`` at u_points when the caller already has them."""
     m, n = len(hams), hams[0].dimension
     P = np.asarray(u_points, dtype=float).reshape(-1, n)
     p = np.asarray(p_points, dtype=float).reshape(-1, n)
-    jets = [_phase_jets(H, P, p) for H in hams]
+    jets = [_phase_jets(A, dA, p)
+            for A, dA in jets or (H.coeff_jets(P) for H in hams)]
     residuals = [np.abs(_bracket_of(jets[i], jets[j]))
                  / (1.0 + np.abs(jets[i][0]) * np.abs(jets[j][0]))
                  for i in range(m) for j in range(i + 1, m)]
@@ -240,7 +241,7 @@ class IntegrableSystem:
         self.tol = tol
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
-        self._batch = (None, None)   # (points' bytes, structure jets there)
+        self._batch = (b"", None, None, None)  # points, V, data, a_chart
         self.hamiltonians = None
         if self.is_constant:
             # the grids are symmetric only up to rounding in a general frame
@@ -250,26 +251,45 @@ class IntegrableSystem:
 
     # -- pointwise data ------------------------------------------------------
 
+    def batch_data(self, points, tangents=False):
+        """(V, Frobenius data) over a (B, n) batch, with the basis values V and
+        structure tangents if asked.  The last batch with tangents is kept
+        (points copied, arrays read-only) and serves any batch beginning it."""
+        P = _batch(points, self.dimension)
+        key, V, data, _ = self._batch
+        if V is None or not key.startswith(P.tobytes()):
+            V, dV = self.basis.batch_jet_arrays(P) if tangents else \
+                (self.basis.values(P)[1], None)
+            data = point_data(V, P, seed=self.seed, tol=self.tol, dV=dV)
+            if not tangents:
+                return None, data
+            for x in (V, *vars(data).values()):
+                if x is not None:
+                    x.setflags(write=False)
+            self._batch = (P.tobytes(), V, data, None)
+        return V[:len(P)], take_rows(data, slice(len(P)))
+
     def coefficient_grids(self, points) -> np.ndarray:
         """G[b, s, i, j] = a^{ij}_s, the coefficient grid of F_s, at
         points[b]."""
-        P, V = self.basis.values(points)
-        return point_data(V, P, seed=self.seed,
-                          tol=self.tol).structure.transpose(0, 3, 1, 2)
+        a = self.batch_data(points)[1].structure    # a kept one is copied
+        return (a if a.flags.writeable else a.copy("K")).transpose(0, 3, 1, 2)
 
     def structure_jets_at(self, points):
         """Structure constants and their chart-frame derivatives over a
         (B, n) batch: (a_val[b,i,j,s], a_chart[b,i,j,s,k]) with
-        d/d(chart^k); the last batch is kept, and is read-only."""
-        P = np.asarray(points, dtype=float)
-        if self._batch[0] != P.tobytes():
-            V, dV = self.basis.batch_jet_arrays(P)
-            a, da = tangent_structure_constants(V, dV, P, self.seed, self.tol)
+        d/d(chart^k); kept with the batch of ``batch_data``, read-only."""
+        P = _batch(points, self.dimension)
+        V, data = self.batch_data(P, tangents=True)
+        a_chart = self._batch[3]
+        if a_chart is None or len(a_chart) < len(P):
             Jinv = self._chart_inverse(
                 _pullback_rows(self.alpha.batch_jet_arrays(P)[0], V), P)
-            self._batch = (P.tobytes(),
-                           (a, np.einsum("bijsm,bmk->bijsk", da, Jinv)))
-        return self._batch[1]
+            a_chart = np.einsum("bijsm,bmk->bijsk", data.structure_tangent,
+                                Jinv)
+            a_chart.setflags(write=False)
+            self._batch = self._batch[:3] + (a_chart,)
+        return data.structure, a_chart[:len(P)]
 
     @staticmethod
     def _chart_inverse(J, P):
@@ -386,7 +406,7 @@ def generate_system(
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
-    data = point_data(V, P, seed=seed, tol=tol)
+    _, data = system.batch_data(P, tangents=not system.is_constant)
     report.add(reduce_check("span_closure", data.closure_residual, P, tol))
 
     rng = np.random.default_rng(seed + 1)
@@ -490,44 +510,54 @@ class ReconstructedFamily(DualFamilyBase):
         self.tol = tol
         self.seed = seed
 
-    def _killing(self, points):
-        """Killing tensors K[b, s] = h_s h_1^{-1} over a (B, n) batch and
-        their tangents dK_s = dh_s h_1^{-1} - K_s dh_1 h_1^{-1}, once per
-        distinct pair of h and dh rows."""
-        jets = [H.coeff_jets(points) for H in self.hams]
-        return on_distinct_rows(_killing_jets, (
-            np.stack([v for v, _ in jets], axis=1),
-            np.stack([d for _, d in jets], axis=1)), points)
+    def _killing(self, points, jets=None):
+        """K[b, s] = h_s h_1^{-1}, dK_s = dh_s h_1^{-1} - K_s dh_1 h_1^{-1} and
+        h_1^{-1} over a (B, n) batch, from its coeff_jets ``jets`` if given."""
+        jets = jets or [H.coeff_jets(points) for H in self.hams]
+        return on_distinct_rows(_killing_jets, tuple(
+            np.stack(x, axis=1) for x in zip(*jets)), points)
 
     def killing_values(self, points):
         return self._killing(_batch(points, self.dimension))[0]
 
-    def jet_data(self, points):
-        return self._dual_jets(points, self._killing)
+    def jet_data(self, points, data=None):
+        """Dual jets over a (B, n) batch, or from its solved ``data``."""
+        if data is None:
+            P = _batch(points, self.dimension)
+            K, dK, _ = self._killing(P)
+            data = point_data(K, P, self.covector, self.seed, self.tol, dV=dK)
+        return self._dual_jets(data)
 
 
 def _killing_jets(H, dH, points):
     K, h1_inv = _killing_values(H, points)
     return K, np.einsum("bsijm,bjk->bsikm", dH, h1_inv) - np.einsum(
-        "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv)
+        "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv), h1_inv
 
 
-def _killing_span_checks(G, P, covector, seed, tol):
-    """The hypotheses on the Killing tensors K_s = h_s h_1^{-1} of the grids
-    G[b, s] at P[b]: pairwise commutation, self-adjointness w.r.t.
-    h_1^{-1}, and the Frobenius certificates of their span.  The Frobenius
-    checks stop at the first point where h_1 is singular, no generic vector
-    is found or the point data fail; the Killing checks also cover that
-    point when its Killing tensors exist."""
+def _hypothesis_checks(family, P, p_draws, tol):
+    """The hypotheses, from one evaluation of the coefficient jets at P:
+    Poisson commutation, momentum nondegeneracy, and for the Killing tensors
+    K_s = h_s h_1^{-1} commutation, self-adjointness w.r.t. h_1^{-1} and the
+    Frobenius certificates of their span; returns (checks, the span's Frobenius
+    data with dual tangents).  The Frobenius checks stop at the first point
+    where h_1 is singular, no generic vector is found or the point data fail;
+    the Killing checks also cover that point when its Killing tensors exist."""
+    jets = [H.coeff_jets(P) for H in family.hams]
+    checks = [verify_commuting_family(family.hams, P, p_draws, tol, jets=jets),
+              _momentum_nondegeneracy(np.stack([A for A, _ in jets], axis=1),
+                                      P, seed=family.seed + 2)]
     fail_detail = ""
     try:
-        K, h1_inv = _killing_values(G, P)
+        K, dK, h1_inv = family._killing(P, jets)
         killed = stop = len(P)
     except SingularMatrixError as exc:
         killed = stop = exc.index
         fail_detail = str(exc)
-        K, h1_inv = _killing_values(G[:stop], P[:stop])
-    xi, a_cov = batch_generic_search(K, seed, DEFAULT_TOL)
+        K, dK, h1_inv = family._killing(
+            P[:stop], [(A[:stop], dA[:stop]) for A, dA in jets])
+    del jets    # free the coefficient jets before the Frobenius data
+    xi, a_cov = batch_generic_search(K, family.seed, DEFAULT_TOL)
     missed = np.flatnonzero(np.isnan(xi[:, 0]))
     if len(missed):
         stop = missed[0]
@@ -535,10 +565,12 @@ def _killing_span_checks(G, P, covector, seed, tol):
     covector_ok = not np.isnan(a_cov[:stop, 0]).any()
     while True:
         try:
-            data = point_data(K[:stop], P[:stop], covector, seed=seed)
+            data = point_data(K[:stop], P[:stop], family.covector,
+                              family.seed, family.tol, dV=dK[:stop])
             break
         except (GenericityError, SingularMatrixError) as exc:
             stop, fail_detail = exc.index, str(exc)
+    del dK      # and the Killing tangents before the Killing checks
     reached = min(stop + 1, killed)
 
     comm = reduce_check("killing_pairwise_commutation",
@@ -555,7 +587,7 @@ def _killing_span_checks(G, P, covector, seed, tol):
     duality = reduce_check("form_duality", data.duality_residual, P[:stop],
                            tol, detail="<a ; Mbar^i K_j> = delta")
     duality.passed = duality.passed and not fail_detail
-    return [comm, adj, span, duality]
+    return checks + [comm, adj, span, duality], data
 
 
 def inverse_verify(
@@ -581,15 +613,12 @@ def inverse_verify(
     report = VerificationReport(title="inverse_verify", seed=seed)
     rng = np.random.default_rng(seed + 1)
     p_draws = rng.uniform(-1.0, 1.0, (len(P), n))
-    report.add(verify_commuting_family(hams, P, p_draws, tol=tol))
-    G = np.stack([H.coeff_jets(P)[0] for H in hams], axis=1)
-    report.add(_momentum_nondegeneracy(G, P, seed=seed + 2))
-    report.checks.extend(_killing_span_checks(G, P, covector, seed, tol))
+    family = ReconstructedFamily(hams, covector, tol=DEFAULT_TOL, seed=seed)
+    checks, data = _hypothesis_checks(family, P, p_draws, tol)
+    report.checks.extend(checks)
     if not report.passed:
         return report, None
-
-    family = ReconstructedFamily(hams, covector, tol=DEFAULT_TOL, seed=seed)
-    jets = family.jet_data(P)
+    jets = family.jet_data(P, data)
     scales = [1.0 + (batch_max_abs(v) + batch_max_abs(d)) for v, d in jets]
     torsion = np.max([
         batch_max_abs(bracket_from_jets(v, d, v, d)) / s ** 2

@@ -30,6 +30,7 @@ __all__ = [
     "mat_rank",
     "distinct_rows",
     "on_distinct_rows",
+    "take_rows",
     "sqrt_near_identity",
     "max_abs",
     "batch_max_abs",
@@ -291,22 +292,27 @@ def distinct_rows(*stacks):
 def on_distinct_rows(fn, stacks, points, *args):
     """fn(*stacks, points, *args) run on the distinct rows of the (B, ...)
     stacks only, each at its first point, and gathered back: an array, a
-    tuple of arrays, or an object of arrays and Nones.  An OpfrobError's ``index``
-    goes back to its row's first point, the first failing point."""
-    first, which = distinct_rows(*stacks)
+    tuple of arrays, or an object of arrays and Nones (a None stack stays
+    None).  An OpfrobError's ``index`` is its row's first point."""
+    first, which = distinct_rows(*(S for S in stacks if S is not None))
     if len(first) == len(which):        # all rows differ: copy nothing
         return fn(*stacks, points, *args)
     try:
-        out = fn(*(S[first] for S in stacks), np.asarray(points)[first],
-                 *args)
+        out = fn(*(S if S is None else S[first] for S in stacks),
+                 np.asarray(points)[first], *args)
     except OpfrobError as exc:
         exc.index = int(first[exc.index])
         raise
+    return take_rows(out, which)
+
+
+def take_rows(out, rows):
+    """``rows`` (indices or a slice) of an array, a tuple or an object."""
     if isinstance(out, np.ndarray):
-        return out[which]
+        return out[rows]
     if isinstance(out, tuple):
-        return tuple(x[which] for x in out)
-    return type(out)(**{k: v if v is None else v[which]
+        return tuple(x[rows] for x in out)
+    return type(out)(**{k: v if v is None else v[rows]
                         for k, v in vars(out).items()})
 
 

@@ -39,7 +39,6 @@ from .frobalg import (
     inverse_form,
     point_data,
     structure_constants_at,  # kept: bench/test_bench.py traces it here
-    tangent_dual,
     well_conditioned_xi,
 )
 from .numkit import batch_max_abs
@@ -208,16 +207,14 @@ class FamilyFieldView:
 
 class DualFamilyBase:
     """A family M^j = b^{ji} K_i dual to n operators K_i w.r.t. the fixed
-    ``covector``.  A subclass's ``jet_data`` hands the jets of its K_i over
-    a batch to ``_dual_jets``, which runs the tangent pipeline
-    (frobalg.tangent_dual) on them; values come from the same pipeline."""
+    ``covector``.  A subclass's ``jet_data`` runs ``point_data`` with the
+    partials of its K_i over a batch and hands the result to
+    ``_dual_jets``; values and tangents come from the same solve."""
 
-    def _dual_jets(self, points, basis_jets):
+    def _dual_jets(self, data):
         """(values (B, n, n), partials (B, n, n, n)) of each dual field."""
-        P = np.asarray(points, dtype=float)
-        M, dM = tangent_dual(*basis_jets(P), self.covector, P, self.seed,
-                             self.tol)
-        return [(M[:, j], dM[:, j]) for j in range(self.dimension)]
+        return [(data.dual[:, j], data.dual_tangent[:, j])
+                for j in range(self.dimension)]
 
     def eval(self, u):
         return [M[0].copy() for M, _ in self.jet_data([u])]
@@ -243,7 +240,10 @@ class DualFamily(DualFamilyBase):
         self.seed = seed
 
     def jet_data(self, points):
-        return self._dual_jets(points, self.basis.batch_jet_arrays)
+        P = np.asarray(points, dtype=float)
+        V, dV = self.basis.batch_jet_arrays(P)
+        return self._dual_jets(point_data(V, P, self.covector, self.seed,
+                                          self.tol, dV=dV))
 
     def eval_generic(self, point):
         """The dual fields (n x n grids of series) at a point of n truncated

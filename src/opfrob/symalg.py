@@ -26,7 +26,7 @@ from .frobalg import (
     point_data,
     structure_constants_at,
 )
-from .numkit import batch_max_abs, max_abs
+from .numkit import batch_max_abs, batch_solve, max_abs
 from .opfields import bracket_residuals
 from .report import VerificationReport, failed_check, reduce_check
 
@@ -78,8 +78,11 @@ class FlatBasis:
                                  np.random.default_rng(0), tol) is None:
             raise OpfrobError("no generic covector found for the flat basis")
 
-        self.structure, closure = structure_constants_at(self.matrices, self.xi)
-        if closure > tol:
+        # [M^1 xi | .. | M^n xi] is Id to within tol: no SVD regularity test
+        self.structure, closure = structure_constants_at(
+            self.matrices, self.xi,
+            solve=lambda A, R: batch_solve(A[None], R[None])[0])
+        if not closure <= tol:
             raise OpfrobError(
                 f"flat span is not multiplicatively closed (residual {closure:.3e})"
             )

@@ -77,13 +77,19 @@ def admissible_covector(basis, points, rng, tries=20):
     return best
 
 
+def opfrob_env():
+    """The environment in which a child Python process imports the package
+    under test, installed or not."""
+    src = str(Path(opfrob.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_opfrob(*args, cwd=None):
     """(exit code, stdout, stderr) of ``python -m opfrob ARGS`` run in a
     fresh process on the package under test, so the streams hold what a
     terminal would show: warnings and tracebacks included."""
-    src = str(Path(opfrob.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "opfrob", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=opfrob_env())
     return proc.returncode, proc.stdout, proc.stderr

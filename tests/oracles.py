@@ -133,16 +133,16 @@ def loop_mat_rank(A, tol=1e-9):
 
 
 def loop_well_conditioned_vector(mats, samples, rng, tol=1e-9):
-    """One draw at a time: the full-rank draw whose column matrix
-    [K_1 xi | .. | K_n xi] has the smallest condition number, the earliest
-    on ties."""
+    """One draw at a time: the full-rank draw with finite columns whose
+    column matrix [K_1 xi | .. | K_n xi] has the smallest condition number,
+    the earliest on ties."""
     values = [np.asarray(M, dtype=float) for M in mats]
     n = values[0].shape[0]
     best, best_cond = None, np.inf
     for _ in range(samples):
         xi = rng.uniform(-1.0, 1.0, n)
         cols = np.column_stack([V @ xi for V in values])
-        if loop_mat_rank(cols, tol=tol) < n:
+        if not np.isfinite(cols).all() or loop_mat_rank(cols, tol=tol) < n:
             continue
         c = np.linalg.cond(cols)
         if c < best_cond:

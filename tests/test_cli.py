@@ -14,7 +14,7 @@ from opfrob.sampling import (
     sample_points,
 )
 
-from helpers import run_opfrob
+from helpers import opfrob_env, run_opfrob
 
 
 def run_cli(args, capsys):
@@ -470,7 +470,8 @@ class TestDependentPullbacks:
         path.write_text(json.dumps(doc))
         return subprocess.run(
             [sys.executable, "-m", "opfrob", command, str(path),
-             "--samples", "5", *extra], capture_output=True, text=True)
+             "--samples", "5", *extra], capture_output=True, text=True,
+            env=opfrob_env())
 
     def test_generate_reports_the_singular_chart(self, tmp_path):
         proc = self.run("generate", tmp_path)
@@ -531,12 +532,13 @@ class TestDeterminism:
 class TestConsoleScript:
     def test_package_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "opfrob", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=opfrob_env())
         assert proc.returncode == 0
         assert "verify-algebra" in proc.stdout
 
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opfrob.cli", "builtin", "example32"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=opfrob_env())
         assert proc.returncode == 0

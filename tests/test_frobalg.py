@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opfrob import frobalg
 from opfrob.errors import GenericityError, SingularMatrixError
 from opfrob.fields import OperatorField
 from opfrob.fixtures import (
@@ -13,6 +14,7 @@ from opfrob.frobalg import (
     OperatorBasis,
     algebra_report,
     batch_generic_search,
+    batch_well_conditioned_xi,
     find_generic_covector,
     find_generic_vector,
     find_well_conditioned_vector,
@@ -22,7 +24,7 @@ from opfrob.frobalg import (
     structure_constants_at,
     well_conditioned_xi,
 )
-from opfrob.numkit import split_jet_matrix
+from opfrob.numkit import mat_rank, split_jet_matrix
 from opfrob.sampling import SampleConfig, sample_points
 
 from helpers import (
@@ -342,6 +344,104 @@ class TestBatchedSearchAndSolve:
                                             rng).tolist() == first.tolist()
         assert find_well_conditioned_vector([np.zeros((1, 1))], 32,
                                             rng) is None
+
+    @staticmethod
+    def mixed_stack(n, seed):
+        """A (24, n, n, n) stack of bases: random ones, rank-deficient ones
+        (K_2 = 2 K_1, or all zero), ones with a NaN or an infinite entry,
+        ones so large that some draws overflow and others do not, ones
+        whose draws tie exactly (K_j = e_j e_1^T gives the columns
+        xi_1 Id, of condition number 1), and nearly scalar ones
+        (K_j = c_j Id + eps R_j), whose best-conditioned draw can fail a
+        coarse rank test that a later draw passes; each kind drawn twice,
+        the random basis also repeated and the nearly scalar one at four
+        eps."""
+        rng = np.random.default_rng(seed)
+        ties = np.zeros((n, n, n))
+        ties[np.arange(n), np.arange(n), 0] = 1.0
+        kinds = []
+        for _ in range(2):
+            random = rng.standard_normal((n, n, n))
+            deficient = random.copy()
+            deficient[-1] = 2.0 * deficient[0]
+            nan, inf = random.copy(), random.copy()
+            nan[0, 0, -1], inf[-1, -1, 0] = np.nan, -np.inf
+            huge = np.clip(rng.standard_normal((n, n, n)), -1.0, 1.0) * 1e308
+            near = [np.eye(n) * rng.uniform(-1.0, 1.0, (n, 1, 1))
+                    + eps * rng.standard_normal((n, n, n))
+                    for eps in (0.03, 0.1, 0.2, 0.3)]
+            kinds += [random, random, deficient, np.zeros((n, n, n)), nan,
+                      inf, huge, ties * rng.uniform(0.5, 2.0), *near]
+        return np.array(kinds)
+
+    @staticmethod
+    def ranked_draws(mats, samples, seed, tol):
+        """How many draws the search must rank: none without a draw of
+        finite condition number, else the best-conditioned one (the
+        earliest on ties), and all of them when that one is not of full
+        rank."""
+        xis = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                  (samples, len(mats)))
+        cols = [np.column_stack([V @ xi for V in mats]) for xi in xis]
+        with np.errstate(all="ignore"):
+            conds = [np.linalg.cond(c) if np.isfinite(c).all() else np.inf
+                     for c in cols]
+        order = sorted((c, k) for k, c in enumerate(conds) if c < np.inf)
+        if not order:
+            return 0
+        full = loop_mat_rank(cols[order[0][1]], tol=tol) == len(mats)
+        return 1 if full else 1 + samples
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.3])
+    def test_xi_search_ranks_only_each_basis_best_draw(self, tol,
+                                                       monkeypatch):
+        # at the coarse tolerances the best-conditioned draw often fails
+        # the rank test, and then all the basis's draws are ranked
+        ranked = []
+
+        def counted(A, tol):
+            ranked.append(len(np.reshape(A, (-1, *np.shape(A)[-2:]))))
+            return mat_rank(A, tol=tol)
+
+        monkeypatch.setattr(frobalg, "mat_rank", counted)
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for seed in range(2):
+                V = self.mixed_stack(n, seed)
+                P = np.arange(len(V) * 2.0).reshape(-1, 2)
+                with np.errstate(all="ignore"):
+                    want = [loop_well_conditioned_vector(
+                        list(mats), 32, np.random.default_rng(seed), tol)
+                        for mats in V]
+                    need = [self.ranked_draws(list(mats), 32, seed, tol)
+                            for mats in V]
+                for b, mats in enumerate(V):
+                    ranked.clear()
+                    with np.errstate(all="ignore"):
+                        got = find_well_conditioned_vector(
+                            list(mats), 32, np.random.default_rng(seed), tol)
+                    assert (got is None) == (want[b] is None)
+                    if got is not None:
+                        assert got.tobytes() == want[b].tobytes()
+                    assert sum(ranked) == need[b] and len(ranked) <= 2
+                    seen.add((need[b], got is None))
+                ok = [b for b, w in enumerate(want) if w is not None]
+                ranked.clear()
+                with np.errstate(all="ignore"):
+                    xi = batch_well_conditioned_xi(V[ok], P[ok], seed, tol)
+                assert xi.tobytes() == np.array([want[b]
+                                                 for b in ok]).tobytes()
+                assert sum(ranked) == sum(need[b] for b in ok)
+                assert len(ranked) <= 2
+                miss = min(set(range(len(V))) - set(ok))
+                with pytest.raises(GenericityError) as exc, \
+                        np.errstate(all="ignore"):
+                    batch_well_conditioned_xi(V, P, seed, tol)
+                assert exc.value.index == miss
+        # no finite draw; the best draw of full rank; all draws ranked,
+        # with a full-rank one among them (at the coarse tolerances) or none
+        assert seen == {(0, True), (1, False), (33, True)} | (
+            {(33, False)} if tol > 1e-3 else set())
 
     def test_nan_values_give_genericity_error(self):
         mats = [np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])]

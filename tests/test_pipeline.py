@@ -8,10 +8,12 @@ import io
 import json
 import sys
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
+from opfrob import frobalg
 from opfrob.cli import main
 from opfrob.errors import SingularMatrixError
 from opfrob.fields import OneFormField, OperatorField
@@ -32,8 +34,6 @@ from opfrob.frobalg import (
     frobenius_dual,
     point_data,
     structure_constants_at,
-    tangent_dual,
-    tangent_structure_constants,
     well_conditioned_xi,
 )
 from opfrob.integ import QuadraticHamiltonian, generate_system, inverse_verify
@@ -198,22 +198,29 @@ class TestDistinctRows:
 
     def test_each_row_is_its_lone_result_bit_for_bit(self):
         V, dV, P, covector = self.interleaved()
-        data = point_data(V[:5], P[:5], covector, SEED)
-        tangent = tangent_structure_constants(V, dV, P, SEED)
-        dual = tangent_dual(V, dV, covector, P, SEED)
-        for b in range(len(P)):
-            lone = [V[b:b + 1], dV[b:b + 1], P[b:b + 1]]
-            if b < 5:
-                one = point_data(V[b:b + 1], P[b:b + 1], covector, SEED)
+        for cov, partials in product((None, covector), (None, dV)):
+            data = point_data(V, P, cov, SEED, dV=partials)
+            for b in range(len(P)):
+                one = point_data(V[b:b + 1], P[b:b + 1], cov, SEED,
+                                 dV=None if partials is None
+                                 else partials[b:b + 1])
                 for name, value in vars(one).items():
-                    assert getattr(data, name)[b].tobytes() == \
-                        value[0].tobytes(), name
-            for got, want in (
-                    (tangent, tangent_structure_constants(*lone, SEED)),
-                    (dual, tangent_dual(*lone[:2], covector, lone[2],
-                                        SEED))):
-                for g, w in zip(got, want):
-                    assert g[b].tobytes() == w[0].tobytes()
+                    got = getattr(data, name)
+                    assert (got is None) == (value is None), name
+                    if value is not None:
+                        assert got[b].tobytes() == value[0].tobytes(), name
+
+    def test_the_tangents_add_nothing_to_the_values(self):
+        V, dV, P, covector = self.interleaved()
+        plain = point_data(V, P, covector, SEED)
+        data = point_data(V, P, covector, SEED, dV=dV)
+        for name, value in vars(plain).items():
+            if value is not None:
+                assert getattr(data, name).tobytes() == value.tobytes(), name
+        assert plain.structure_tangent is plain.dual_tangent is None
+        # with a covector only the dual tangents are kept
+        assert data.structure_tangent is None
+        assert point_data(V, P, None, SEED, dV=dV).dual_tangent is None
 
     @pytest.mark.parametrize("layout, first", [("HFHF", 1), ("HHFHF", 2)])
     def test_the_first_failing_point_is_named(self, layout, first):
@@ -224,7 +231,7 @@ class TestDistinctRows:
         V, dV = diag_pair().batch_jet_arrays(P)
         assert tuple(V[first].ravel()) > tuple(V[0].ravel())
         for call in (lambda: point_data(V, P, [1.0, 0.0]),
-                     lambda: tangent_dual(V, dV, [1.0, 0.0], P)):
+                     lambda: point_data(V, P, [1.0, 0.0], dV=dV)):
             with pytest.raises(SingularMatrixError,
                                match=r"at \[0\.0, 0\.5\]") as exc:
                 call()
@@ -237,10 +244,11 @@ class TestDistinctRows:
         data = point_data(V[:0], P, covector)
         assert data.dual.shape == (0, 3, 3, 3)
         assert data.closure_residual.shape == (0,)
-        a, da = tangent_structure_constants(V[:0], dV[:0], P)
-        assert a.shape == (0, 3, 3, 3) and da.shape == (0, 3, 3, 3, 3)
-        M, dM = tangent_dual(V[:0], dV[:0], covector, P)
-        assert M.shape == (0, 3, 3, 3) and dM.shape == (0, 3, 3, 3, 3)
+        assert point_data(V[:0], P, dV=dV[:0]).structure_tangent.shape \
+            == (0, 3, 3, 3, 3)
+        data = point_data(V[:0], P, covector, dV=dV[:0])
+        assert data.dual.shape == data.dual_tangent.shape[:-1] \
+            == (0, 3, 3, 3)
 
 
 class TestGenericityHonesty:
@@ -368,3 +376,45 @@ def test_per_point_float_work_does_not_grow_with_the_samples(
         seen.append((codes, dict(counts)))
     capsys.readouterr()
     assert seen[0] == seen[1]
+
+
+def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
+    """``generate``, ``hj``, ``inverse`` and the analytic builtin each solve
+    one stack of bases (the basis, or the Killing tensors) and run the xi
+    search once for it; ``hj``'s points begin the batch that its
+    ``generate`` solved.  ``inverse_verify`` evaluates each Hamiltonian's
+    coefficient jets once.  Nothing is kept from one command to the next:
+    ``verify-algebra`` and ``dualize`` solve the same stack, and both
+    search."""
+    searched, evaluated = [], Counter()
+    search = frobalg.batch_well_conditioned_xi
+    coeff_jets = QuadraticHamiltonian.coeff_jets
+
+    def counted_search(V, points, *args):
+        searched.append(hash((V.tobytes(), np.asarray(points).tobytes())))
+        return search(V, points, *args)
+
+    def counted_jets(self, points):
+        evaluated[id(self)] += 1
+        return coeff_jets(self, points)
+
+    monkeypatch.setattr(frobalg, "batch_well_conditioned_xi", counted_search)
+    monkeypatch.setattr(QuadraticHamiltonian, "coeff_jets", counted_jets)
+    path = str(tmp_path / "e52.json")
+    main(["builtin", "example52", "--variant", "analytic", "--emit", path])
+    seen = {}
+    for argv in (["generate", path], ["hj", path, "--c", "1,0.1,0.1,0.1"],
+                 ["inverse", path],
+                 ["builtin", "example52", "--variant", "analytic"],
+                 ["verify-algebra", path], ["dualize", path]):
+        searched.clear()
+        evaluated.clear()
+        assert main([*argv, "--samples", "10"]) == 0
+        seen[argv[0]] = list(searched), sorted(evaluated.values())
+    capsys.readouterr()
+    for command in ("generate", "hj", "inverse", "builtin"):
+        assert len(seen[command][0]) == 1, command
+    # the builtin's own bracket check evaluates the jets once more
+    assert seen["inverse"][1] == [1] * 4
+    assert seen["builtin"][1] == [2] * 4
+    assert seen["verify-algebra"][0] == seen["dualize"][0] != []

@@ -38,6 +38,13 @@ class TestFlatBasis:
         with pytest.raises(OpfrobError, match="normalized flat form"):
             FlatBasis(demo4_matrices(), xi=np.array([0.0, 0.0, 0.0, 1.0]))
 
+    def test_a_normalization_within_tol_is_accepted(self):
+        # M xi = 1 + 8e-10 passes the normalization at tol 1e-9; reading a
+        # off M M xi would leave that error in the closure residual
+        flat = FlatBasis([np.array([[2.0]])], xi=np.array([0.5000000004]))
+        assert flat.structure.shape == (1, 1, 1)
+        assert abs(flat.structure[0, 0, 0] - 2.0) < 1e-15
+
     def test_noncommuting_rejected(self):
         # normalization M^i e1 = e_i holds but M^2, M^3 do not commute
         M1 = np.eye(3)

@@ -1,5 +1,5 @@
-"""The batched tangent pipeline (frobalg.tangent_structure_constants and
-tangent_dual, and the families built on them) against independent
+"""The batched tangent pipeline (frobalg.point_data with partials, and the
+families built on it) against independent
 references: finite differences of the pointwise float pipeline for the
 partials, the per-point loop pipeline over jets (oracles.loop_dual) for
 values and partials, and the per-point seeded search for xi."""
@@ -21,7 +21,6 @@ from opfrob.frobalg import (
     OperatorBasis,
     batch_well_conditioned_xi,
     point_data,
-    tangent_structure_constants,
     well_conditioned_xi,
 )
 from opfrob.integ import (
@@ -154,6 +153,25 @@ def test_structure_jets_tangents(case):
             assert_close(got_du[:, :, s], fd, FD_RTOL)
 
 
+def test_the_kept_batch_follows_its_points_and_stays_unchanged():
+    basis, _, alpha, chart, _, P = example52()
+    system = IntegrableSystem(basis, alpha, chart, seed=SEED)
+    a_val, a_chart = system.structure_jets_at(P)
+    for kept in (a_val, a_chart):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+    grids = system.coefficient_grids(P)     # served from the kept batch
+    grids[...] = 0.0
+    assert system.coefficient_grids(P).tobytes() == \
+        a_val.transpose(0, 3, 1, 2).tobytes()
+    P[0] = P[1]     # the caller changes its points in place
+    fresh = IntegrableSystem(basis, alpha, chart, seed=SEED)
+    assert system.coefficient_grids(P[:2]).tobytes() == \
+        fresh.coefficient_grids(P[:2]).tobytes()
+    assert system.structure_jets_at(P)[1].tobytes() == \
+        fresh.structure_jets_at(P)[1].tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batched_xi_is_the_per_point_xi(case):
     basis, _, _, _, _, P = CASES[case]()
@@ -167,7 +185,9 @@ def test_batched_xi_is_the_per_point_xi(case):
 def test_structure_constants_of_equal_bases_are_equal():
     basis = OperatorBasis.from_matrices([np.eye(2), [[1.0, 2.0], [0.0, 3.0]]])
     P = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
-    a, da = tangent_structure_constants(*basis.batch_jet_arrays(P), P)
+    V, dV = basis.batch_jet_arrays(P)
+    data = point_data(V, P, dV=dV)
+    a, da = data.structure, data.structure_tangent
     assert a[0].tobytes() == a[1].tobytes() == a[2].tobytes()
     assert not np.any(da)
 
