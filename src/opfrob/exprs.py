@@ -27,6 +27,8 @@ deeper.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -51,14 +53,30 @@ __all__ = [
 
 def _operator(op: str, reflected: bool = False):
     """The dunder building ``self op other`` (``other op self`` when
-    reflected); a number operand becomes a Const."""
+    reflected), folded: Const op Const is what Program.run computes unless
+    that raises or is not finite; p + 0, 0 + p, p - 0, 1*p and p*1 are p;
+    0*p and p*0 are the 0 unless p divides, so a pole still raises."""
 
     def build(self, other):
         if isinstance(other, (int, float)):
             other = Const(other)
         elif not isinstance(other, Expression):
             return NotImplemented
-        return BinOp(op, other, self) if reflected else BinOp(op, self, other)
+        a, b = (other, self) if reflected else (self, other)
+        x = a.value if type(a) is Const else None
+        y = b.value if type(b) is Const else None
+        if x is not None and y is not None:
+            with contextlib.suppress(ArithmeticError):  # raised when run
+                v = _BINARY[op](x, y)
+                if math.isfinite(v):
+                    return Const(v)
+        elif y == 0 and op in "+-" or y == 1 and op == "*":
+            return a
+        elif x == 0 and op == "+" or x == 1 and op == "*":
+            return b
+        elif op == "*" and 0 in (x, y) and not (b if x == 0 else a).divides:
+            return a if x == 0 else b
+        return BinOp(op, a, b)
     return build
 
 
@@ -66,6 +84,7 @@ def _operator(op: str, reflected: bool = False):
 class Expression:
     """Base node; subclasses form the tree."""
 
+    divides = False     # whether the tree holds a division; O(1) to read
     __add__, __radd__ = _operator("+"), _operator("+", True)
     __sub__, __rsub__ = _operator("-"), _operator("-", True)
     __mul__, __rmul__ = _operator("*"), _operator("*", True)
@@ -102,6 +121,9 @@ class Var(Expression):
 class Neg(Expression):
     arg: Expression
 
+    def __post_init__(self):
+        object.__setattr__(self, "divides", self.arg.divides)
+
 
 @dataclass(frozen=True)
 class BinOp(Expression):
@@ -109,11 +131,18 @@ class BinOp(Expression):
     lhs: Expression
     rhs: Expression
 
+    def __post_init__(self):
+        object.__setattr__(self, "divides", self.op == "/" or
+                           self.lhs.divides or self.rhs.divides)
+
 
 @dataclass(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: int  # >= 0; negatives are stored as divisions
+
+    def __post_init__(self):
+        object.__setattr__(self, "divides", self.base.divides)
 
 
 def literal(v) -> Const:
@@ -122,14 +151,10 @@ def literal(v) -> Const:
 
 
 def linear_form(coeffs) -> Expression:
-    """sum_m coeffs[m] u(m+1) over the nonzero coefficients, left to right
-    and a unit coefficient left out; Const(0) when all vanish."""
-    e = None
-    for m, c in enumerate(map(float, coeffs)):
-        if c != 0.0:
-            term = Var(m + 1) if c == 1.0 else literal(c) * Var(m + 1)
-            e = term if e is None else e + term
-    return Const(0) if e is None else e
+    """sum_m coeffs[m] u(m+1), left to right, folded: no zero term or unit
+    coefficient, and Const(0) when all vanish."""
+    return sum((literal(float(c)) * Var(m + 1) for m, c in enumerate(coeffs)),
+               Const(0))
 
 
 # ---------------------------------------------------------------------------

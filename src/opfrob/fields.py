@@ -55,24 +55,27 @@ def grid_floats(program, u) -> np.ndarray:
     return np.array([_float(v, e) for v, e in zip(values, program.roots)])
 
 
-def grid_jets(program, shape, points):
+def grid_jets(program, shape, points, partials=True):
     """Jets of the program's roots (row-major in ``shape``) over a (B, n)
-    batch of points: values (B, *shape) and partials (B, *shape, n).  The
-    checks judge non-finite values, so numpy does not warn of them here."""
+    batch of points: values (B, *shape) and partials (B, *shape, n), or
+    None without ``partials``: then it runs on the batch's float columns,
+    the float operations of the jets' values.  The checks judge non-finite
+    values, so numpy does not warn of them here."""
     points = np.asarray(points, dtype=float)
     B, n = points.shape
     coords = [Jet(points[:, i], np.broadcast_to(np.eye(n)[i], (B, n)).copy())
-              for i in range(n)]
+              if partials else points[:, i] for i in range(n)]
     with np.errstate(all="ignore"):
         outs = program.run(coords)
     vals = np.empty((B, len(outs)))
-    ders = np.zeros((B, len(outs), n))
+    ders = np.zeros((B, len(outs), n)) if partials else None
     for k, (out, e) in enumerate(zip(outs, program.roots)):
         if isinstance(out, Jet):
             vals[:, k], ders[:, k] = out.value, out.partials
         else:
-            vals[:, k] = _float(out, e)
-    return vals.reshape((B,) + shape), ders.reshape((B,) + shape + (n,))
+            vals[:, k] = out if isinstance(out, np.ndarray) else _float(out, e)
+    return vals.reshape((B,) + shape), \
+        ders.reshape((B,) + shape + (n,)) if partials else None
 
 
 def expression_add(A, B):
@@ -137,15 +140,15 @@ class OperatorField:
     def eval_jet(self, u) -> np.ndarray:
         return self.eval_generic(jet_point(u))
 
-    def batch_jet_arrays(self, points):
+    def batch_jet_arrays(self, points, partials=True):
         """Vectorized jets over a (B, n) batch of points: values (B, n, n)
-        and partials (B, n, n, n) in one run of the field's program."""
+        and partials (B, n, n, n), or None if not ``partials``, in one run."""
         points = np.asarray(points, dtype=float)
         B, n = points.shape
         if self._constant_value is not None:
             vals = np.broadcast_to(self._constant_value, (B, n, n)).copy()
-            return vals, np.zeros((B, n, n, n))
-        return grid_jets(self.program, (n, n), points)
+            return vals, np.zeros((B, n, n, n)) if partials else None
+        return grid_jets(self.program, (n, n), points, partials)
 
     def jet_arrays(self, u):
         """Values (n,n) and partials (n,n,n) with der[i,j,s] = d(entry ij)/du^s

@@ -468,21 +468,22 @@ class OperatorBasis:
     def eval_generic(self, point):
         return [f.eval_generic(point) for f in self.fields]
 
-    def jet_data(self, points):
-        """(values (B, n, n), partials (B, n, n, n)) of each field."""
-        return [f.batch_jet_arrays(points) for f in self.fields]
+    def jet_data(self, points, partials=True):
+        """(values (B, n, n), partials (B, n, n, n) or None) of each field."""
+        return [f.batch_jet_arrays(points, partials) for f in self.fields]
 
-    def batch_jet_arrays(self, points):
+    def batch_jet_arrays(self, points, partials=True):
         """Values (B, n, n, n) and partials (B, n, n, n, n) of the fields
-        over a (B, n) batch; [b, i] is field i at points[b]."""
-        values, partials = zip(*self.jet_data(points))
-        return np.stack(values, axis=1), np.stack(partials, axis=1)
+        over a (B, n) batch; [b, i] is field i at points[b].  Without
+        ``partials`` the partials are None, and not computed."""
+        V, dV = zip(*self.jet_data(points, partials))
+        return np.stack(V, axis=1), np.stack(dV, axis=1) if partials else None
 
     def values(self, points):
         """The (B, n) batch ``points`` as a float array and the field
         values (B, n, n, n) there."""
         P = np.asarray(points, dtype=float).reshape(-1, self.dimension)
-        return P, self.batch_jet_arrays(P)[0]
+        return P, self.batch_jet_arrays(P, partials=False)[0]
 
     def validate(self, points, tol: float = DEFAULT_TOL) -> VerificationReport:
         """Pairwise algebraic commutativity and linear independence at the

@@ -251,15 +251,15 @@ class IntegrableSystem:
 
     # -- pointwise data ------------------------------------------------------
 
-    def batch_data(self, points, tangents=False):
-        """(V, Frobenius data) over a (B, n) batch, with the basis values V and
-        structure tangents if asked.  The last batch with tangents is kept
-        (points copied, arrays read-only) and serves any batch beginning it."""
+    def batch_data(self, points, tangents=False, jets=None):
+        """(V, Frobenius data) over a (B, n) batch, with the basis values V
+        (``jets`` = (V, dV) when given) and structure tangents if asked.  The
+        last batch with tangents is kept (points copied, arrays read-only)
+        and serves any batch beginning it."""
         P = _batch(points, self.dimension)
         key, V, data, _ = self._batch
         if V is None or not key.startswith(P.tobytes()):
-            V, dV = self.basis.batch_jet_arrays(P) if tangents else \
-                (self.basis.values(P)[1], None)
+            V, dV = jets or self.basis.batch_jet_arrays(P, tangents)
             data = point_data(V, P, seed=self.seed, tol=self.tol, dV=dV)
             if not tangents:
                 return None, data
@@ -367,14 +367,16 @@ def generate_system(
     n = basis.dimension
     report = VerificationReport(title="generate_system", seed=seed)
     bracket_tol = tol if bracket_tol is None else bracket_tol
-    P, V = basis.values(points)
+    P = _batch(points, n)
+    tangents = not (basis.is_constant and alpha.is_constant)
+    jets = basis.batch_jet_arrays(P, tangents)   # (V, dV), evaluated once
 
     report.add(reduce_check(
         "alpha_common_conservation_law",
         [conservation_law_residuals(f, alpha, P, tol)
          for f in basis.fields], P, tol))
 
-    pullbacks = _pullback_rows(alpha.batch_jet_arrays(P)[0], V)
+    pullbacks = _pullback_rows(alpha.batch_jet_arrays(P)[0], jets[0])
     min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
@@ -406,7 +408,7 @@ def generate_system(
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
-    _, data = system.batch_data(P, tangents=not system.is_constant)
+    _, data = system.batch_data(P, tangents, jets)
     report.add(reduce_check("span_closure", data.closure_residual, P, tol))
 
     rng = np.random.default_rng(seed + 1)
@@ -466,8 +468,8 @@ def killing_tensors(system: IntegrableSystem, points, tol: float = DEFAULT_TOL):
         P, G = P[:exc.index], G[:exc.index]
         K, _ = _killing_values(G, P)
     mats, _ = system.chart_frame_basis(P)
-    adj = np.max(_asymmetry(mats[:, :, None] @ G[:, None]), axis=(1, 2),
-                 initial=0.0)
+    adj = np.max([_asymmetry(M[:, None] @ G) for M in mats.swapaxes(0, 1)],
+                 axis=(0, 2), initial=0.0)
     recon = np.einsum("bis,bsrc->birc", G[:, 0], K)
     dual = np.max(np.max(np.abs(mats - recon), axis=(-2, -1), initial=0.0)
                   / (1.0 + np.max(np.abs(mats), axis=(-2, -1), initial=0.0)),

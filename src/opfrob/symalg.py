@@ -15,6 +15,8 @@ followed by strong-symmetry checks.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import OpfrobError
@@ -101,19 +103,10 @@ def canonical_symmetry_U(flat: FlatBasis) -> OperatorField:
 def _matrix_polynomial(coeffs, U) -> list:
     """Horner evaluation of a scalar polynomial at the matrix grid U."""
     n = len(U)
-    deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0:
-        deg -= 1
-
-    def scaled_identity(c):     # one Const c shared by the n^2 entries
-        return [[c * Const(int(i == j)) for j in range(n)] for i in range(n)]
-
-    acc = scaled_identity(literal(coeffs[deg]))
-    for k in range(deg - 1, -1, -1):
-        acc = expression_matmul(acc, U)
-        if coeffs[k] != 0:
-            acc = expression_add(acc, scaled_identity(literal(coeffs[k])))
-    return acc
+    scaled_identities = [[[literal(c * (i == j)) for j in range(n)]
+                          for i in range(n)] for c in reversed(coeffs)]
+    return reduce(lambda acc, cI: expression_add(expression_matmul(acc, U),
+                                                 cI), scaled_identities)
 
 
 def analytic_symmetry(flat: FlatBasis, polynomials) -> OperatorField:
@@ -126,16 +119,12 @@ def analytic_symmetry(flat: FlatBasis, polynomials) -> OperatorField:
     if len(polynomials) != n:
         raise ValueError(f"need {n} polynomials, got {len(polynomials)}")
     U = canonical_symmetry_U(flat).entries
-    out = None
-    for i, coeffs in enumerate(polynomials):
-        coeffs = list(coeffs)
-        if not coeffs or all(c == 0 for c in coeffs):
-            continue
-        M = OperatorField.constant(flat.matrices[i]).entries
-        term = expression_matmul(_matrix_polynomial(coeffs, U), M)
-        out = term if out is None else expression_add(out, term)
-    return OperatorField.constant(np.zeros((n, n))) if out is None \
-        else OperatorField(out)
+    out = [[Const(0)] * n for _ in range(n)]
+    for coeffs, M in zip(polynomials, flat.matrices):
+        if any(c != 0 for c in coeffs):
+            out = expression_add(out, expression_matmul(_matrix_polynomial(
+                coeffs, U), [[literal(v) for v in row] for row in M.tolist()]))
+    return OperatorField(out)
 
 
 def sym_membership(

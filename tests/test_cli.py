@@ -362,7 +362,7 @@ EMITTED_SHA256 = {
     "example52":
         "a4b228af6993ffb9eef22dd8f83abc4ee9a21bb7b34aa905898f33e3018cf13a",
     "example52 analytic":
-        "c9b20b1259706ae9795c2c6252f0745ffc3afdba88d82e7c9e48214584f4bfb1",
+        "d85c227c55405f04a2d974edb748cbc6fb24192905ff3824645f3e63c57f6adb",
     "nonsymmetric-pair":
         "4c2d4e25bdc296f9b126c2fe1d38dcdf5032d65ac27ace523d238d346ce80220",
     "not-closed":

@@ -1,11 +1,13 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opfrob import exprs
 from opfrob.errors import ExprEvalError, ExprSyntaxError
-from opfrob.exprs import (MAX_DEPTH, BinOp, Const, Expression, Neg, Pow, Var,
-                          eval_expr, parse_expr, parse_grid)
+from opfrob.exprs import (MAX_DEPTH, BinOp, Const, Expression, Neg, Pow,
+                          Program, Var, eval_expr, parse_expr, parse_grid)
 from opfrob.fields import OperatorField
 from opfrob.fixtures import emit_builtin
 from opfrob.hydroflow import MultiSeries
@@ -342,6 +344,86 @@ class TestPrinterRoundTrip:
             f"entry {text} refers to u2 but the field dimension is 1"
 
 
+class TestFolding:
+    """The arithmetic dunders, through which every library builder goes,
+    fold constants and identities; the parser keeps the text as written."""
+
+    OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+    @pytest.mark.parametrize("a,op,b", [
+        (1, "*", 0), (1, "/", 3), (2, "-", 5), (0.5, "+", 1), (3, "/", 4.0),
+        (2 ** 70, "*", 3), (1e-300, "*", 1e-300)])
+    def test_constants_fold_to_the_value_and_type_a_run_gives(self, a, op,
+                                                              b):
+        folded = self.OPS[op](Const(a), Const(b))
+        want, = Program([BinOp(op, Const(a), Const(b))]).run([])
+        assert type(folded) is Const
+        assert (type(folded.value), folded.value) == (type(want), want)
+
+    def test_an_exact_zero_stays_an_int(self):
+        assert repr(Const(1) * Const(0)) == "Const(value=0)"
+        assert repr(Const(1) / Const(3)) == f"Const(value={1 / 3!r})"
+
+    @pytest.mark.parametrize("a,op,b,want", [
+        (1, "/", 0, "ExprEvalError: division by zero evaluating 0"),
+        (10 ** 400, "*", 1.0,
+         f"ExprEvalError: overflow evaluating {10 ** 400}*1.0"),
+        (1e308, "*", 10, float("inf")),
+        (10 ** 200, "*", 10 ** 200, 10 ** 400)],
+        ids=["zero-divisor", "int-beyond-float", "inf", "big-int"])
+    def test_constants_that_raise_or_overflow_stay_nodes(self, a, op, b,
+                                                         want):
+        """A zero divisor or an int beyond the float range still raises
+        where the node is evaluated; an infinite result has no literal to
+        print, and an int beyond the float range stays as written."""
+        e = self.OPS[op](Const(a), Const(b))
+        assert e == BinOp(op, Const(a), Const(b))
+        assert parse_expr(str(e), 1) == e
+        assert _outcome(lambda: eval_expr(e, [])) == want
+
+    def test_a_product_with_a_pole_is_kept(self):
+        u1, u2 = Var(1), Var(2)
+        for e in (0 * (1 / u1), (1 / u1) * 0, 0 * -(u2 / u1),
+                  Const(0) * (u2 / u1) ** 2, 0 * (u1 ** -1)):
+            assert type(e) is BinOp and e.divides
+            assert eval_expr(e, [2.0, 1.0]) == 0.0
+            with pytest.raises(ExprEvalError, match="division by zero"):
+                eval_expr(e, [0.0, 1.0])
+
+    def test_zero_and_unit_terms_fold(self):
+        u1, u2 = Var(1), Var(2)
+        assert 0 * u1 == u1 * 0 == Const(0) * (u1 * u2 + 1) == Const(0)
+        for e in (u1 * 1, 1 * u1, u1 + 0, 0 + u1, u1 - 0, u1 * 1.0,
+                  u1 + Const(0.0), Const(1) * Const(0) + u1):
+            assert e is u1
+        # not identities: the node stays
+        for e in (u1 / 1, 0 - u1, 0 / u1, u1 - u1, u1 ** 1):
+            assert type(e) in (BinOp, Pow)
+        assert str(2 * (u1 * 1 + 0 * u2) + 3 * 4) == "2*u1 + 12"
+
+    def test_parsed_text_is_not_folded(self):
+        for text in ("1*0*u2 + u1*1", "u1 + 0", "0*u1 - 0", "2*3 + u1/1"):
+            e = parse_expr(text, 4)
+            assert str(e) == text
+        e = parse_expr("1*0*u2 + u1*1", 4)
+        assert e.lhs.lhs == BinOp("*", Const(1), Const(0))
+        assert not e.divides and parse_expr("u1 + 1/u2", 2).divides
+
+    def test_a_deep_build_folds_in_constant_time_per_node(self):
+        """10,000 levels, far past the recursion limit: the division flag
+        is read from the operands, never found by walking the tree."""
+        e, u1, u2 = Var(1), Var(1), Var(2)
+        for _ in range(5000):
+            e = e * u2 + 1
+            assert 0 * e == Const(0)
+        q = 1 + e / u1
+        for _ in range(5000):
+            q = q * u2 + 1
+        assert not e.divides and q.divides
+        assert type(0 * q) is BinOp
+
+
 # ---------------------------------------------------------------------------
 # interned grids and their compiled programs
 # ---------------------------------------------------------------------------
@@ -417,6 +499,15 @@ class TestInternedGrids:
         a = parse_grid([["u1 + 1"]], 1)[0][0]
         b = parse_grid([["u1 + 1"]], 1)[0][0]
         assert a is not b and str(a) == str(b)
+
+    def test_emitted_analytic_grids_are_folded(self):
+        """The library builds example52's analytic fields folded: 514
+        instructions and 15,728 characters before folding."""
+        fields = emit_builtin("example52", "analytic")["fields"]
+        grids = [OperatorField.parse(g, 4) for g in fields.values()]
+        assert sum(len(f.program.code) for f in grids) <= 40
+        assert sum(len(t) for g in fields.values() for r in g for t in r) \
+            < 1000
 
     def test_emitted_analytic_m4_is_small(self):
         grid = emit_builtin("example52", "analytic")["fields"]["M4"]
@@ -572,6 +663,9 @@ def test_grid_evaluation_is_bit_equal_to_per_entry_trees(entries, seed):
     if not field.is_constant:
         _same(_outcome(lambda: field.batch_jet_arrays(P)),
               _outcome(batch_reference))
+        # values alone: a run over the float columns, the same bits
+        _same(_outcome(lambda: field.batch_jet_arrays(P, False)[0]),
+              _outcome(lambda: batch_reference()[0]))
 
     series = [MultiSeries.constant(x, 2, 3) + MultiSeries.variable(i % 2, 2, 3)
               for i, x in enumerate(u)]

@@ -136,6 +136,20 @@ class TestRoundTrip:
         assert report.passed, report.render()
 
 
+class TestSize:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_analytic_bases_compile_small(self, n):
+        """The analytic bases are built folded: on the diagonal type each
+        field K_i = (1 + c_i u_i) E_ii takes 3 instructions (16,960 in all
+        at n = 8 unfolded), and no type needs more than 5 n^2."""
+        def size(blocks):
+            return sum(len(f.program.code)
+                       for f in analytic_basis(tuple(blocks)).fields)
+        assert size([1] * n) <= 3 * n
+        for blocks in ([n], [n // 2] * 2, [n - 3, 2, 1]):
+            assert size(blocks) <= 5 * n * n
+
+
 class TestMetamorphic:
     @by_type
     def test_conjugation_keeps_the_structure_constants(self, blocks):

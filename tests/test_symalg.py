@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from opfrob.errors import OpfrobError
+from opfrob.exprs import BinOp, Const, Expression
 from opfrob.fields import OperatorField
 from opfrob.frobalg import OperatorBasis
-from opfrob.fixtures import demo4_flat_basis, demo4_matrices, emit_builtin
+from opfrob.fixtures import (demo4_flat_basis, demo4_matrices,
+                             demo4_polynomial_tuples, emit_builtin,
+                             segre_algebra)
 from opfrob.opfields import conservation_law_check, is_strong_symmetry
 from opfrob.fields import OneFormField
 from opfrob.sampling import SampleConfig, sample_points
@@ -144,6 +147,44 @@ class TestAnalyticSymmetry:
         assert np.allclose(np.diag(v), v[0, 0])
 
 
+def unfolded_arithmetic(monkeypatch):
+    """Make the Expression dunders build every BinOp, unfolded."""
+    def raw(op, reflected):
+        def build(self, other):
+            other = Const(other) if isinstance(other, (int, float)) else other
+            return BinOp(op, other, self) if reflected else \
+                BinOp(op, self, other)
+        return build
+    for op, name in zip("+-*/", ("add", "sub", "mul", "truediv")):
+        monkeypatch.setattr(Expression, f"__{name}__", raw(op, False))
+        monkeypatch.setattr(Expression, f"__r{name}__", raw(op, True))
+
+
+@pytest.mark.parametrize("blocks", [None, (2, 1), (3,), (1, 1, 1, 1)])
+def test_folded_fields_evaluate_as_unfolded_ones(blocks, monkeypatch):
+    """Folding drops only exact zero and unit terms, so the folded fields
+    give the unfolded ones' values and partials at sampled points (equal
+    as floats: a dropped zero term can only change the sign of a zero)."""
+    if blocks is None:
+        flat, tuples = demo4_flat_basis(), demo4_polynomial_tuples()
+    else:
+        matrices, _, unit = segre_algebra(list(blocks))
+        flat, n = FlatBasis(matrices, unit), len(matrices)
+        tuples = [[[1, 0.25 * i, 0, -2][:2 + i % 3] if j == i else []
+                   for j in range(n)] for i in range(n)]
+    folded = [analytic_symmetry(flat, t) for t in tuples]
+    with monkeypatch.context() as m:
+        unfolded_arithmetic(m)
+        unfolded = [analytic_symmetry(flat, t) for t in tuples]
+    P = sample_points(flat.dimension, SampleConfig(seed=5, count=50))
+    for f, g in zip(folded, unfolded):
+        assert len(f.program.code) < len(g.program.code)
+        for a, b in zip(f.batch_jet_arrays(P), g.batch_jet_arrays(P)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(f.batch_jet_arrays(P, False)[0],
+                              g.batch_jet_arrays(P)[0])
+
+
 class TestMembership:
     def test_identity_member(self):
         flat = demo4_flat_basis()
@@ -163,9 +204,9 @@ class TestMembership:
         calls = Counter()
         clean = OperatorField.batch_jet_arrays
 
-        def counted(self, points):
+        def counted(self, points, *partials):
             calls[id(self)] += 1
-            return clean(self, points)
+            return clean(self, points, *partials)
 
         flat = demo4_flat_basis()
         basis = flat.operator_basis()
