@@ -16,7 +16,7 @@ import numpy as np
 
 from .exprs import parse_expr
 from .fields import OneFormField, OperatorField
-from .frobalg import OperatorBasis, algebra_report
+from .frobalg import OperatorBasis, algebra_report, stacked_jets
 from .integ import (
     QuadraticHamiltonian,
     generate_system,
@@ -322,8 +322,8 @@ def _run_demo4_analytic(b: Builtin, config: SampleConfig) -> VerificationReport:
                                        name="rational_poisson_brackets"))
 
     pairs = [(i, i) for i in range(4)] + list(combinations(range(4), 2))
-    table = bracket_residuals([f.batch_jet_arrays(points) for f in b.fields],
-                              pairs, points, 1e-9, symmetric_part_only=False)
+    table = bracket_residuals(*stacked_jets(b.fields, points), pairs, points,
+                              1e-9, symmetric_part_only=False)
     for i, res in enumerate(table[:4]):
         report.add(reduce_check(f"torsion_field_{i + 1}", res, points, 1e-9))
     report.add(reduce_check("pairwise_strong_symmetries", table[4:], points,

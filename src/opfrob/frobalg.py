@@ -17,16 +17,16 @@ coordinates.
 The float checks run one pipeline over a whole (B, n) sample batch.  The
 seeded xi of a basis is its best-conditioned of 32 draws: one stacked SVD
 condition number over all draws, then a rank test of each basis's winner (of
-all its draws only when the winner fails).  ``point_data`` takes the basis
-values as a (B, n, n, n) stack and returns every quantity as a (B, ...)
+all its draws only when the winner fails).  A command evaluates its basis
+once (``stacked_jets``) into V (B, n, n, n) and dV (B, n, n, n, n), which
+every check reads.  ``point_data`` returns every quantity as a (B, ...)
 array, solving each distinct basis once (``numkit.on_distinct_rows``) by one
-elimination (``numkit.batch_solve``).  Given the partials of the basis it
-adds exact first derivatives from that same solve, by the forward-mode rules
+elimination (``numkit.batch_solve``); with dV it adds exact first
+derivatives from that same solve, by the forward-mode rules
 d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R (Giles,
 "An extended collection of matrix derivative results for forward and reverse
 mode AD", 2008).  The lone-point routines (``structure_constants_at``,
-``frobenius_dual``, ``well_conditioned_xi``) take one float basis; they
-serve the flat basis, the constant terms of truncated series and the tests.
+``frobenius_dual``, ``well_conditioned_xi``) serve flat bases, series, tests.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ __all__ = [
     "batch_generic_search",
     "genericity_residuals",
     "commutator_norms",
+    "stacked_jets",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -311,10 +312,9 @@ def genericity_residuals(V, points, seed: int = 0, tol: float = DEFAULT_TOL):
     return residuals, f"no generic {missing} at {_at(points[bad[0]])}"
 
 
-def commutator_norms(V) -> np.ndarray:
-    """max |V_i V_j - V_j V_i| for each pair i < j of the (B, m, n, n)
-    stack, shape (B, m(m-1)/2)."""
-    i, j = np.triu_indices(V.shape[1], 1)
+def commutator_norms(V, i, j) -> np.ndarray:
+    """max |V_i V_j - V_j V_i| over the (B, m, n, n) stack for each pair
+    (i[k], j[k]) of the index arrays, shape (B, len(i))."""
     return np.max(np.abs(V[:, i] @ V[:, j] - V[:, j] @ V[:, i]),
                   axis=(-2, -1), initial=0.0)
 
@@ -431,6 +431,19 @@ def _point_data(V, dV, points, covector, seed, tol):
 # ---------------------------------------------------------------------------
 
 
+def stacked_jets(fields, points, partials=True):
+    """Values (B, m, n, n) and partials (B, m, n, n, n) (or None) of m fields
+    over a (B, n) batch, filled field by field; [b, i] is fields[i] there."""
+    B, n = np.shape(points)
+    V = np.empty((B, len(fields), n, n))
+    dV = np.empty(V.shape + (n,)) if partials else None
+    for k, f in enumerate(fields):
+        V[:, k], d = f.batch_jet_arrays(points, partials)
+        if partials:
+            dV[:, k] = d
+    return V, dV
+
+
 class OperatorBasis:
     """n commuting operator fields K_1..K_n treated as a pointwise algebra;
     its checks evaluate the fields once over a whole sample batch."""
@@ -468,16 +481,11 @@ class OperatorBasis:
     def eval_generic(self, point):
         return [f.eval_generic(point) for f in self.fields]
 
-    def jet_data(self, points, partials=True):
-        """(values (B, n, n), partials (B, n, n, n) or None) of each field."""
-        return [f.batch_jet_arrays(points, partials) for f in self.fields]
-
     def batch_jet_arrays(self, points, partials=True):
         """Values (B, n, n, n) and partials (B, n, n, n, n) of the fields
         over a (B, n) batch; [b, i] is field i at points[b].  Without
         ``partials`` the partials are None, and not computed."""
-        V, dV = zip(*self.jet_data(points, partials))
-        return np.stack(V, axis=1), np.stack(dV, axis=1) if partials else None
+        return stacked_jets(self.fields, points, partials)
 
     def values(self, points):
         """The (B, n) batch ``points`` as a float array and the field
@@ -505,8 +513,8 @@ def _validation_checks(P, V, tol):
     B, n = V.shape[:2]
     norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
     i, j = np.triu_indices(n, 1)
-    comm = np.max(commutator_norms(V) / (1.0 + norms[:, i] * norms[:, j]),
-                  axis=1, initial=0.0)
+    comm = np.max(commutator_norms(V, i, j)
+                  / (1.0 + norms[:, i] * norms[:, j]), axis=1, initial=0.0)
     min_rank = int(np.min(mat_rank(V.reshape(B, n, n * n), tol=tol),
                           initial=n))
     return [reduce_check("pairwise_commutativity", comm, P, tol),

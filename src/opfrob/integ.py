@@ -44,7 +44,7 @@ from .numkit import (batch_max_abs, mat_rank, max_abs, on_distinct_rows,
                      sqrt_near_identity, take_rows)
 from .opfields import (
     DualFamilyBase,
-    bracket_from_jets,
+    bracket_residuals,
     conservation_law_residuals,
 )
 from .report import CheckResult, VerificationReport, failed_check, reduce_check
@@ -161,15 +161,9 @@ def verify_commuting_family(
     residuals = [np.abs(_bracket_of(jets[i], jets[j]))
                  / (1.0 + np.abs(jets[i][0]) * np.abs(jets[j][0]))
                  for i in range(m) for j in range(i + 1, m)]
-    return reduce_check(name, _worst_per_point(residuals, len(P)),
-                        np.hstack([P, p]), tol)
-
-
-def _worst_per_point(residuals, samples) -> np.ndarray:
-    """Per point, the largest of a list of (samples,) residual arrays, 0
-    for an empty list; a NaN wins."""
-    return np.max(np.reshape(residuals, (len(residuals), samples)), axis=0,
-                  initial=0.0)
+    # per point the worst pair (a NaN wins), 0 without pairs
+    return reduce_check(name, np.max(np.reshape(residuals, (
+        len(residuals), len(P))), axis=0, initial=0.0), np.hstack([P, p]), tol)
 
 
 def _momentum_nondegeneracy(G, points, seed, draws=50, threshold=1e-9,
@@ -369,14 +363,13 @@ def generate_system(
     bracket_tol = tol if bracket_tol is None else bracket_tol
     P = _batch(points, n)
     tangents = not (basis.is_constant and alpha.is_constant)
-    jets = basis.batch_jet_arrays(P, tangents)   # (V, dV), evaluated once
+    V, dV = basis.batch_jet_arrays(P, tangents)   # once; dV None if constant
+    dM = np.broadcast_to(0.0, V.shape + (n,)) if dV is None else dV
+    report.add(reduce_check("alpha_common_conservation_law", [
+        conservation_law_residuals(V[:, k], dM[:, k], alpha, P, tol)
+        for k in range(n)], P, tol))
 
-    report.add(reduce_check(
-        "alpha_common_conservation_law",
-        [conservation_law_residuals(f, alpha, P, tol)
-         for f in basis.fields], P, tol))
-
-    pullbacks = _pullback_rows(alpha.batch_jet_arrays(P)[0], jets[0])
+    pullbacks = _pullback_rows(alpha.batch_jet_arrays(P)[0], V)
     min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
@@ -408,7 +401,7 @@ def generate_system(
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
-    _, data = system.batch_data(P, tangents, jets)
+    _, data = system.batch_data(P, tangents, (V, dV))
     report.add(reduce_check("span_closure", data.closure_residual, P, tol))
 
     rng = np.random.default_rng(seed + 1)
@@ -427,8 +420,8 @@ def generate_system(
 def _commutation_residuals(K) -> np.ndarray:
     """Worst commutator of the Killing tensors K (B, m, n, n) at each point,
     relative to 1 + the largest squared entry."""
-    return np.max(commutator_norms(K), axis=1, initial=0.0) \
-        / (1.0 + batch_max_abs(K) ** 2)
+    return np.max(commutator_norms(K, *np.triu_indices(K.shape[1], 1)),
+                  axis=1, initial=0.0) / (1.0 + batch_max_abs(K) ** 2)
 
 
 def _asymmetry(A) -> np.ndarray:
@@ -501,9 +494,9 @@ def hj_differential(mats, alpha_value, c) -> np.ndarray:
 class ReconstructedFamily(DualFamilyBase):
     """Operators Mbar^i = bbar^{is} K_s rebuilt pointwise from quadratic
     Hamiltonians and a covector (bbar_{ij} = a_{ij}^s a_s in the K-basis).
-    ``jet_data`` carries values and exact first derivatives over a whole
-    batch through the tangent pipeline: h grids -> Killing tensors ->
-    structure constants -> form inverse."""
+    ``jet_data`` stacks values and exact first derivatives over a whole
+    batch from the tangent pipeline: h grids -> Killing tensors -> structure
+    constants -> form inverse; one bracket table certifies them."""
 
     def __init__(self, hams, covector, tol: float = DEFAULT_TOL, seed: int = 0):
         self.hams = list(hams)
@@ -523,12 +516,12 @@ class ReconstructedFamily(DualFamilyBase):
         return self._killing(_batch(points, self.dimension))[0]
 
     def jet_data(self, points, data=None):
-        """Dual jets over a (B, n) batch, or from its solved ``data``."""
+        """Stacked jets over a (B, n) batch, or from its solved ``data``."""
         if data is None:
             P = _batch(points, self.dimension)
             K, dK, _ = self._killing(P)
             data = point_data(K, P, self.covector, self.seed, self.tol, dV=dK)
-        return self._dual_jets(data)
+        return data.dual, data.dual_tangent
 
 
 def _killing_jets(H, dH, points):
@@ -620,17 +613,14 @@ def inverse_verify(
     report.checks.extend(checks)
     if not report.passed:
         return report, None
-    jets = family.jet_data(P, data)
-    scales = [1.0 + (batch_max_abs(v) + batch_max_abs(d)) for v, d in jets]
-    torsion = np.max([
-        batch_max_abs(bracket_from_jets(v, d, v, d)) / s ** 2
-        for (v, d), s in zip(jets, scales)], axis=0)
-    strong = _worst_per_point([
-        batch_max_abs(bracket_from_jets(*jets[i], *jets[j]))
-        / (scales[i] * scales[j])
-        for i in range(n) for j in range(i + 1, n)], len(P))
-    report.add(reduce_check("reconstructed_nijenhuis_torsion", torsion,
-                            P, tol))
-    report.add(reduce_check("reconstructed_strong_symmetries", strong,
-                            P, tol))
+    names = ("reconstructed_nijenhuis_torsion",
+             "reconstructed_strong_symmetries")
+    pairs = [(i, i) for i in range(n)] + list(zip(*np.triu_indices(n, 1)))
+    try:
+        table = bracket_residuals(*family.jet_data(P, data), pairs, P, tol,
+                                  symmetric_part_only=False)
+        report.checks += [reduce_check(name, rows, P, tol) for name, rows
+                          in zip(names, (table[:n], table[n:]))]
+    except OpfrobError as exc:     # the values fail to commute
+        report.checks += [failed_check(name, exc, P, tol) for name in names]
     return report, family

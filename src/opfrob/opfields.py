@@ -10,11 +10,12 @@ a (1,2)-tensor precisely when L M = M L.  In coordinates,
     T^i_jk = L^s_j d_s M^i_k - M^s_k d_s L^i_j - L^i_r d_j M^r_k
              + M^i_s d_k L^s_j,
 
-with all partials supplied exactly by jet evaluation.  L and M are
-symmetries of each other when the part of T symmetric in (j,k) vanishes,
-strong symmetries when all of T vanishes; with L = M the bracket is the
-Nijenhuis torsion.  A closed 1-form alpha is a conservation law of M when
-the pullback M^* alpha is closed again.
+with all partials read from a family's stacked jets, evaluated once per
+command (``bracket_residuals``).  L and M are symmetries of each other when
+the part of T symmetric in (j,k) vanishes, strong symmetries when all of T
+vanishes; with L = M the bracket is the Nijenhuis torsion.  A closed 1-form
+alpha is a conservation law of M when the pullback M^* alpha is closed
+again.
 
 Dualization follows the pointwise Frobenius pipeline: given a covector with
 constant components a_k, the dual fields are M^j(x) = b^{ji}(x) K_i(x) for
@@ -35,9 +36,11 @@ from .errors import NonCommutingError, OneFormNotClosedError, OpfrobError
 from .fields import OneFormField
 from .frobalg import (
     OperatorBasis,
+    commutator_norms,
     genericity_residuals,
     inverse_form,
     point_data,
+    stacked_jets,
     structure_constants_at,  # kept: bench/test_bench.py traces it here
     well_conditioned_xi,
 )
@@ -80,65 +83,64 @@ def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
     return t1 - t2 - t3 + t4
 
 
-def bracket_residuals(jets, pairs, points, tol, symmetric_part_only):
+def bracket_residuals(V, dV, pairs, points, tol, symmetric_part_only):
     """Bracket table (len(pairs), B): residual of <F_i, F_j> (or of its part
     symmetric in the lower indices) over 1 + s_i s_j, s_i = max |values| +
-    max |partials|, for each pair at each of the (B, n) points, from each
-    field's batched (values, partials) ``jets[i]``; (i, i) is a torsion.
-    Raises NonCommutingError at the first point where a pair's values fail
-    to commute (the bracket is only a tensor for commuting pairs)."""
+    max |partials|, for each pair at each of the (B, n) points, from the
+    fields' values V (B, m, n, n) and partials dV (B, m, n, n, n); (i, i)
+    is a torsion.  Raises NonCommutingError at the first point where a
+    pair's values fail to commute (a bracket is a tensor only if they do)."""
     P = np.asarray(points, dtype=float)
-    comm = np.asarray([
-        batch_max_abs(np.einsum("bij,bjk->bik", jets[i][0], jets[j][0])
-                      - np.einsum("bij,bjk->bik", jets[j][0], jets[i][0]))
-        / (1.0 + batch_max_abs(jets[i][0]) * batch_max_abs(jets[j][0]))
-        for i, j in pairs if i != j])
-    bad = np.flatnonzero(np.any(comm > tol, axis=0))
+    i, j = np.array([p for p in pairs if p[0] != p[1]], int).reshape(-1, 2).T
+    norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
+    comm = commutator_norms(V, i, j) / (1.0 + norms[:, i] * norms[:, j])
+    bad = np.flatnonzero(np.any(comm > tol, axis=1))
     if len(bad):
         b = int(bad[0])
         raise NonCommutingError(
             f"operators do not commute at {P[b].tolist()} "
-            f"(residual {np.max(comm[:, b]):.3e})", index=b)
-    scales = [batch_max_abs(v) + batch_max_abs(d) for v, d in jets]
+            f"(residual {np.max(comm[b]):.3e})", index=b)
+    # each slice taken once: a pair (i, i) passes the same arrays twice
+    fields = [(V[:, k], dV[:, k]) for k in range(V.shape[1])]
+    scales = [batch_max_abs(v) + batch_max_abs(d) for v, d in fields]
     out = np.empty((len(pairs), len(P)))
     for k, (i, j) in enumerate(pairs):
-        T = bracket_from_jets(*jets[i], *jets[j])
+        T = bracket_from_jets(*fields[i], *fields[j])
         if symmetric_part_only:
             T = T + T.swapaxes(-1, -2)
         out[k] = batch_max_abs(T) / (1.0 + scales[i] * scales[j])
     return out
 
 
-def _pair(L, M, points):
-    """The (B, n) batch and the jets [L, M] there, sharing L's if M is L."""
+def _pair(L, M, points, tol, symmetric_part_only):
+    """The batch, the stacked jets of L and M (L if M is L) and their table."""
     P = np.asarray(points, dtype=float).reshape(-1, L.dimension)
-    jets = L.batch_jet_arrays(P)
-    return P, [jets, jets if M is L else M.batch_jet_arrays(P)]
+    V, dV = stacked_jets([L] if M is L else [L, M], P)
+    return P, V, dV, bracket_residuals(V, dV, [(0, V.shape[1] - 1)], P, tol,
+                                       symmetric_part_only)
 
 
 def bracket(L, M, point, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate <L, M> at a point; raises NonCommutingError when the values
     fail to commute."""
-    P, jets = _pair(L, M, [point])
-    bracket_residuals(jets, [(0, 1)], P, tol, False)   # the commutation check
-    return bracket_from_jets(*jets[0], *jets[1])[0]
+    _, V, dV, _ = _pair(L, M, [point], tol, False)
+    jets = [(V[0, k], dV[0, k]) for k in range(V.shape[1])]
+    return bracket_from_jets(*jets[0], *jets[-1])
 
 
 def is_symmetry(L, M, points, tol: float = DEFAULT_TOL,
                 name: str = "symmetry") -> CheckResult:
     """Pass when the symmetric part of <L, M> vanishes at every point
     (residual scale-normalized by the field magnitudes)."""
-    P, jets = _pair(L, M, points)
-    return reduce_check(name, bracket_residuals(jets, [(0, 1)], P, tol, True),
-                        P, tol)
+    P, _, _, table = _pair(L, M, points, tol, True)
+    return reduce_check(name, table, P, tol)
 
 
 def is_strong_symmetry(L, M, points, tol: float = DEFAULT_TOL,
                        name: str = "strong_symmetry") -> CheckResult:
     """Pass when the entire bracket tensor vanishes at every point."""
-    P, jets = _pair(L, M, points)
-    return reduce_check(name, bracket_residuals(jets, [(0, 1)], P, tol, False),
-                        P, tol)
+    P, _, _, table = _pair(L, M, points, tol, False)
+    return reduce_check(name, table, P, tol)
 
 
 def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
@@ -147,10 +149,10 @@ def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
     return is_strong_symmetry(M, M, points, tol=tol, name=name)
 
 
-def conservation_law_residuals(M, alpha: OneFormField, points,
+def conservation_law_residuals(Mval, Mder, alpha: OneFormField, points,
                                tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Scale-normalized curl of M^* alpha at each of the points, from one
-    vectorized pass.
+    """Scale-normalized curl of M^* alpha at each of the points, from the
+    values Mval (B, n, n) and partials Mder (B, n, n, n) of M there.
 
     Raises OneFormNotClosedError when alpha itself fails to be closed: that
     is an input defect, distinct from a failed check.
@@ -163,7 +165,6 @@ def conservation_law_residuals(M, alpha: OneFormField, points,
         raise OneFormNotClosedError(
             f"alpha is not closed at {P[bad[0]].tolist()} "
             f"(curl residual {curl[bad[0]]:.3e})")
-    Mval, Mder = M.batch_jet_arrays(P)
     # beta_j = alpha_i M^i_j ; d_k beta_j from the product rule
     bder = np.einsum("bik,bij->bjk", ader, Mval) \
         + np.einsum("bi,bijk->bjk", aval, Mder)
@@ -177,8 +178,9 @@ def conservation_law_check(M, alpha: OneFormField, points,
                            name: str = "conservation_law") -> CheckResult:
     """Pass when M^* alpha is closed at every point; raises
     OneFormNotClosedError when alpha is not closed."""
-    return reduce_check(name, conservation_law_residuals(M, alpha, points, tol),
-                        points, tol)
+    P = np.asarray(points, dtype=float).reshape(-1, alpha.dimension)
+    return reduce_check(name, conservation_law_residuals(
+        *M.batch_jet_arrays(P), alpha, P, tol), P, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def conservation_law_check(M, alpha: OneFormField, points,
 
 class FamilyFieldView:
     """Member ``index`` of a pointwise family (anything with ``dimension``,
-    ``eval`` and a batched ``jet_data``) as an operator field."""
+    ``eval`` and a stacked ``jet_data``) as an operator field."""
 
     def __init__(self, family, index):
         self.family = family
@@ -198,8 +200,9 @@ class FamilyFieldView:
     def eval(self, u):
         return self.family.eval(u)[self.index]
 
-    def batch_jet_arrays(self, points):
-        return self.family.jet_data(points)[self.index]
+    def batch_jet_arrays(self, points, partials=True):
+        V, dV = self.family.jet_data(points)
+        return V[:, self.index], dV[:, self.index] if partials else None
 
     def eval_generic(self, point):
         return self.family.eval_generic(point)[self.index]
@@ -208,16 +211,11 @@ class FamilyFieldView:
 class DualFamilyBase:
     """A family M^j = b^{ji} K_i dual to n operators K_i w.r.t. the fixed
     ``covector``.  A subclass's ``jet_data`` runs ``point_data`` with the
-    partials of its K_i over a batch and hands the result to
-    ``_dual_jets``; values and tangents come from the same solve."""
-
-    def _dual_jets(self, data):
-        """(values (B, n, n), partials (B, n, n, n)) of each dual field."""
-        return [(data.dual[:, j], data.dual_tangent[:, j])
-                for j in range(self.dimension)]
+    partials of its K_i over a batch and returns its stack (``dual``,
+    ``dual_tangent``): values and tangents from the same solve."""
 
     def eval(self, u):
-        return [M[0].copy() for M, _ in self.jet_data([u])]
+        return list(self.jet_data([u])[0][0])
 
     def field(self, i: int) -> FamilyFieldView:
         return FamilyFieldView(self, i)
@@ -239,11 +237,12 @@ class DualFamily(DualFamilyBase):
         self.tol = tol
         self.seed = seed
 
-    def jet_data(self, points):
+    def jet_data(self, points, jets=None):
+        """Stacked dual jets over a batch, from its basis jets if given."""
         P = np.asarray(points, dtype=float)
-        V, dV = self.basis.batch_jet_arrays(P)
-        return self._dual_jets(point_data(V, P, self.covector, self.seed,
-                                          self.tol, dV=dV))
+        V, dV = jets or self.basis.batch_jet_arrays(P)
+        data = point_data(V, P, self.covector, self.seed, self.tol, dV=dV)
+        return data.dual, data.dual_tangent
 
     def eval_generic(self, point):
         """The dual fields (n x n grids of series) at a point of n truncated
@@ -280,26 +279,27 @@ def dualize_family(
     n = basis.dimension
     P = np.asarray(points, dtype=float).reshape(-1, n)
     pairs = list(combinations(range(n), 2))
+    family = DualFamily(basis, covector, tol=tol, seed=seed)
 
-    def mutual_symmetries(name, family):
+    def symmetries(name, jets):
         try:
             return reduce_check(name, bracket_residuals(
-                family.jet_data(P), pairs, P, tol, symmetric_part_only=True),
-                P, tol)
+                *jets(), pairs, P, tol, symmetric_part_only=True), P, tol)
         except OpfrobError as exc:
             return failed_check(name, exc, P, tol)
 
+    stack = [basis.batch_jet_arrays(P) if check_inputs else None]
     if check_inputs:
-        report.add(mutual_symmetries("input_mutual_symmetries", basis))
+        report.add(symmetries("input_mutual_symmetries", lambda: stack[0]))
         # stops at the first point without a generic vector and covector
-        _, V = basis.values(P)
-        generic, detail = genericity_residuals(V, P, seed, tol)
+        generic, detail = genericity_residuals(stack[0][0], P, seed, tol)
         bad = np.flatnonzero(generic)
         reached = bad[0] + 1 if len(bad) else len(P)
         report.add(reduce_check("genericity_A1_A2", generic[:reached],
                                 P[:reached], 0.0, detail=detail))
-    family = DualFamily(basis, covector, tol=tol, seed=seed)
-    report.add(mutual_symmetries("dual_mutual_symmetries", family))
+    # the basis jets, evaluated once, are freed once the dual jets exist
+    report.add(symmetries("dual_mutual_symmetries",
+                          lambda: family.jet_data(P, stack.pop())))
     return family, report
 
 

@@ -24,8 +24,10 @@ from .exprs import Const, linear_form, literal
 from .fields import OperatorField, expression_add, expression_matmul
 from .frobalg import (
     OperatorBasis,
+    commutator_norms,
     find_generic_covector,
     point_data,
+    stacked_jets,
     structure_constants_at,
 )
 from .numkit import batch_max_abs, batch_solve, max_abs
@@ -67,12 +69,11 @@ class FlatBasis:
                     f"e_{i + 1}; supply the basis in the coordinates with "
                     "d/du^i = M^i xi"
                 )
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm = self.matrices[i] @ self.matrices[j] \
-                    - self.matrices[j] @ self.matrices[i]
-                if max_abs(comm) > tol:
-                    raise OpfrobError(f"M^{i+1}, M^{j+1} do not commute")
+        i, j = np.triu_indices(n, 1)
+        fails = commutator_norms(np.stack(self.matrices)[None], i, j)[0] > tol
+        if fails.any():
+            k = np.argmax(fails)    # the first failing pair
+            raise OpfrobError(f"M^{i[k] + 1}, M^{j[k] + 1} do not commute")
         combo = sum(self.xi[i] * self.matrices[i] for i in range(n))
         if max_abs(combo - eye) > tol:
             raise OpfrobError("xi^i M^i does not reproduce the identity")
@@ -140,21 +141,21 @@ def sym_membership(
     strong-symmetry checks against every basis field."""
     report = VerificationReport(title="sym_membership", seed=seed)
     P = np.asarray(points, dtype=float).reshape(-1, basis.dimension)
-    jets = [candidate.batch_jet_arrays(P), *basis.jet_data(P)]
-    cand = jets[0][0]
-    V = np.stack([v for v, _ in jets[1:]], axis=1)
-    data = point_data(V, P, seed=seed, tol=tol)
-    g = (data.columns_inv @ (cand @ data.xi[:, :, None]))[..., 0]
-    recon = np.einsum("bi,birc->brc", g, V)
-    report.add(reduce_check("decomposition_in_span", batch_max_abs(
-        cand - recon) / (1.0 + batch_max_abs(cand)), P, tol))
+    V, dV = stacked_jets([candidate, *basis.fields], P)
+    cand = V[:, 0]
+    data = point_data(V[:, 1:], P, seed=seed, tol=tol)
+    with np.errstate(all="ignore"):     # an overflow fails the check
+        g = (data.columns_inv @ (cand @ data.xi[:, :, None]))[..., 0]
+        recon = np.einsum("bi,birc->brc", g, V[:, 1:])
+        report.add(reduce_check("decomposition_in_span", batch_max_abs(
+            cand - recon) / (1.0 + batch_max_abs(cand)), P, tol))
 
     if report.passed:
         name = "strong_symmetry_vs_basis"
-        pairs = [(0, i) for i in range(1, len(jets))]
+        pairs = [(0, i) for i in range(1, V.shape[1])]
         try:
             report.add(reduce_check(name, bracket_residuals(
-                jets, pairs, P, tol, symmetric_part_only=False), P, tol))
+                V, dV, pairs, P, tol, symmetric_part_only=False), P, tol))
         except OpfrobError as exc:
             report.add(failed_check(name, exc, P, tol))
     return report

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -140,6 +141,23 @@ def test_dualize_reports_a_non_commuting_basis(tmp_path, capsys):
     assert not first["passed"] and first["samples"] == 1
     assert first["detail"] == (f"operators do not commute at "
                                f"{first['worst_point']} (residual 5.000e-01)")
+
+
+def test_overflowing_symcheck_candidate_fails_without_warnings(tmp_path,
+                                                               capsys):
+    # the candidate's decomposition overflows: a FAIL, and numpy stays quiet
+    path = tmp_path / "c52.json"
+    run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    doc["polynomials"] = [[1e308, 1, 1e308], [], [0, 1e308], []]
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["symcheck", str(path), "--json"], capsys)
+    assert (code, err) == (1, "")
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "analytic_candidate.decomposition_in_span"
+    assert not check["passed"] and check["samples"] == 50
 
 
 def _run_doc(doc, command, tmp_path, capsys):

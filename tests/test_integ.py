@@ -377,6 +377,36 @@ class TestInverseVerify:
         assert not by_name["pairwise_poisson_brackets"].passed
         assert family is None
 
+    @pytest.mark.parametrize("bump", [np.nan, 1e-3])
+    def test_bad_partials_fail_the_rebuilt_operator_checks(self, bump,
+                                                           monkeypatch):
+        """A NaN or a finite 1e-3 error in one partial of the second rebuilt
+        operator at one point fails its torsion and its strong symmetries
+        there (the first is Id here, whose torsion ignores its partials)."""
+        hams = demo4_rational_hamiltonians()
+        pts = sample_points(4, GUARDED)
+        clean = integ.ReconstructedFamily.jet_data
+
+        def poisoned(self, points, *args):
+            V, dV = clean(self, points, *args)
+            dV = dV.copy()
+            dV[np.all(points == pts[3], axis=1), 1, 0, 0, 1] += bump
+            return V, dV
+
+        monkeypatch.setattr(integ.ReconstructedFamily, "jet_data", poisoned)
+        report, _ = inverse_verify(hams, [1.0, 0.0, 0.0, 0.0], pts, tol=1e-8)
+        by_name = {c.name: c for c in report.checks}
+        for name in ("reconstructed_nijenhuis_torsion",
+                     "reconstructed_strong_symmetries"):
+            c = by_name[name]
+            assert not c.passed and c.samples == len(pts), name
+            assert c.worst_point == list(pts[3]), name
+            assert np.isnan(c.residual) if np.isnan(bump) \
+                else c.residual > 1e-6, name
+        assert [c.name for c in report.checks if not c.passed] == [
+            "reconstructed_nijenhuis_torsion",
+            "reconstructed_strong_symmetries"]
+
     def test_one_dimensional_trivial(self):
         H = QuadraticHamiltonian.constant(np.array([[1.0]]))
         pts = sample_points(1, CFG)

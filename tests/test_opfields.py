@@ -13,7 +13,7 @@ from opfrob.fixtures import (
     nonsymmetric_pair_fields,
     run_builtin,
 )
-from opfrob.frobalg import OperatorBasis
+from opfrob.frobalg import OperatorBasis, stacked_jets
 from opfrob.opfields import (
     DualFamily,
     bracket,
@@ -90,10 +90,10 @@ class TestBracket:
     def test_bracket_table_names_the_first_point_of_any_pair(self):
         N = OperatorField.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
         P = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]])
-        jets = [f.batch_jet_arrays(P) for f in
-                (N, diag_field("u1", "0"), diag_field("0", "u2"))]
+        V, dV = stacked_jets(
+            [N, diag_field("u1", "0"), diag_field("0", "u2")], P)
         with pytest.raises(NonCommutingError) as err:
-            bracket_residuals(jets, [(0, 1), (0, 2)], P, 1e-9, False)
+            bracket_residuals(V, dV, [(0, 1), (0, 2)], P, 1e-9, False)
         assert err.value.index == 1
         assert "at [0.0, 0.5] " in str(err.value)
 
@@ -186,9 +186,9 @@ def test_example52_analytic_evaluates_each_field_once(monkeypatch):
     calls = Counter()
     clean = OperatorField.batch_jet_arrays
 
-    def counted(self, points):
+    def counted(self, points, *args):
         calls[id(self)] += 1
-        return clean(self, points)
+        return clean(self, points, *args)
 
     monkeypatch.setattr(OperatorField, "batch_jet_arrays", counted)
     report = run_builtin("example52", SampleConfig(seed=42, count=10),
@@ -281,15 +281,13 @@ class TestDualizeFamily:
 
     @staticmethod
     def _poisoned(jets, points, bad_point):
-        """The batched jets with a NaN partial of the first field at every
+        """The stacked jets with a NaN partial of the first field at every
         row of ``points`` equal to ``bad_point``."""
-        jets = list(jets)
+        val, der = jets
         bad = np.all(np.asarray(points) == bad_point, axis=1)
-        val, der = jets[0]
         der = der.copy()
-        der[bad, 0, 0, 0] = np.nan
-        jets[0] = (val, der)
-        return jets
+        der[bad, 0, 0, 0, 0] = np.nan
+        return val, der
 
     @classmethod
     def _poison_dual_partials(cls, monkeypatch, bad_point):
@@ -297,8 +295,9 @@ class TestDualizeFamily:
         ``bad_point``."""
         clean = DualFamily.jet_data
 
-        def poisoned(self, points):
-            return cls._poisoned(clean(self, points), points, bad_point)
+        def poisoned(self, points, *args):
+            return cls._poisoned(clean(self, points, *args), points,
+                                 bad_point)
 
         monkeypatch.setattr(DualFamily, "jet_data", poisoned)
 

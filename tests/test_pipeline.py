@@ -385,10 +385,12 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
     ``generate`` solved.  ``inverse_verify`` evaluates each Hamiltonian's
     coefficient jets once.  Nothing is kept from one command to the next:
     ``verify-algebra`` and ``dualize`` solve the same stack, and both
-    search."""
-    searched, evaluated = [], Counter()
+    search.  ``generate``, ``dualize`` and ``verify-algebra`` evaluate each
+    basis field once."""
+    searched, evaluated, fields = [], Counter(), Counter()
     search = frobalg.batch_well_conditioned_xi
     coeff_jets = QuadraticHamiltonian.coeff_jets
+    field_jets = OperatorField.batch_jet_arrays
 
     def counted_search(V, points, *args):
         searched.append(hash((V.tobytes(), np.asarray(points).tobytes())))
@@ -398,8 +400,13 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
         evaluated[id(self)] += 1
         return coeff_jets(self, points)
 
+    def counted_field(self, *args):
+        fields[id(self)] += 1
+        return field_jets(self, *args)
+
     monkeypatch.setattr(frobalg, "batch_well_conditioned_xi", counted_search)
     monkeypatch.setattr(QuadraticHamiltonian, "coeff_jets", counted_jets)
+    monkeypatch.setattr(OperatorField, "batch_jet_arrays", counted_field)
     path = str(tmp_path / "e52.json")
     main(["builtin", "example52", "--variant", "analytic", "--emit", path])
     seen = {}
@@ -409,8 +416,10 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
                  ["verify-algebra", path], ["dualize", path]):
         searched.clear()
         evaluated.clear()
+        fields.clear()
         assert main([*argv, "--samples", "10"]) == 0
-        seen[argv[0]] = list(searched), sorted(evaluated.values())
+        seen[argv[0]] = (list(searched), sorted(evaluated.values()),
+                         sorted(fields.values()))
     capsys.readouterr()
     for command in ("generate", "hj", "inverse", "builtin"):
         assert len(seen[command][0]) == 1, command
@@ -418,3 +427,5 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
     assert seen["inverse"][1] == [1] * 4
     assert seen["builtin"][1] == [2] * 4
     assert seen["verify-algebra"][0] == seen["dualize"][0] != []
+    for command in ("generate", "dualize", "verify-algebra"):
+        assert seen[command][2] == [1] * 4, command

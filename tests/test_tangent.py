@@ -96,14 +96,15 @@ def check_family(family, per_point_jets, per_point_values, P):
     Jet pipeline, and its partials against finite differences of the
     pointwise float pipeline."""
     n = family.dimension
-    jets = family.jet_data(P)
+    V, dV = family.jet_data(P)
+    assert V.shape == (len(P), n, n, n) and dV.shape == V.shape + (n,)
     for b, u in enumerate(P):
         for j, M in enumerate(per_point_jets(u)):
             val, der = split_jet_matrix(M, n)
-            assert_close(jets[j][0][b], val, VALUE_RTOL)
-            assert_close(jets[j][1][b], der, VALUE_RTOL)
+            assert_close(V[b, j], val, VALUE_RTOL)
+            assert_close(dV[b, j], der, VALUE_RTOL)
             fd = fd_matrix_derivatives(lambda v: per_point_values(v)[j], u)
-            assert_close(jets[j][1][b], fd, FD_RTOL)
+            assert_close(dV[b, j], fd, FD_RTOL)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -220,5 +221,5 @@ def test_batches_of_no_point():
     assert not c.passed and c.detail == "no point evaluated"
     for family in (DualFamily(basis, covector),
                    ReconstructedFamily(hams, covector)):
-        for val, der in family.jet_data(none):
-            assert val.shape == (0, 4, 4) and der.shape == (0, 4, 4, 4)
+        val, der = family.jet_data(none)
+        assert val.shape == (0, 4, 4, 4) and der.shape == (0, 4, 4, 4, 4)
