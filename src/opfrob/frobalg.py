@@ -389,26 +389,48 @@ def _point_data(V, dV, points, covector, seed, tol):
     for s in range(n):     # K_i K_j - a_{ij}^s K_s, in place
         recon -= X[:, s].reshape(B, n, n, 1, 1) * V[:, None, None, s]
     closure = batch_max_abs(recon) / (1.0 + batch_max_abs(V))
-    assoc = np.einsum("bijm,bmkl->bijkl", a, a, out=recon)
-    assoc -= np.einsum("bjkm,biml->bijkl", a, a)
+    # a_{ij}^m a_{mk}^l - a_{jk}^m a_{im}^l; X^T is a over [(i, j), m]
+    assoc = np.matmul(X.swapaxes(1, 2), a.reshape(B, n, n * n),
+                      out=recon.reshape(B, n * n, n * n))
+    assoc -= (X.swapaxes(1, 2)[:, None] @ a).reshape(assoc.shape)
     data = FrobeniusPointData(
         xi=xi, columns_inv=Cinv, structure=a, closure_residual=closure,
         associativity_residual=batch_max_abs(assoc),
         symmetry_residual=batch_max_abs(a - a.swapaxes(1, 2)))
-    if dV is not None:      # dX = C^{-1}(dR - dC X), xi contracted first
-        dC = np.einsum("bircm,bc->brim", dV, xi)
-        dR = np.einsum("bircm,bcj->brijm", dV, C)
-        dR += np.einsum("birc,bcjm->brijm", V, dC)   # d(K_i K_j xi)
-        dR = dR.reshape(B, n, n * n, n)
-        dR -= np.einsum("brsm,bsk->brkm", dC, X)
-        da = (Cinv @ dR.reshape(B, n, n ** 3)).reshape(
-            B, n, n, n, n).transpose(0, 2, 3, 1, 4)
+    del recon, assoc    # the (B, n^4) products, before the tangents
+    if dV is not None:
+        data.structure_tangent = _structure_tangent(V, dV, xi, C, X, Cinv)
     if covector is None:
-        data.structure_tangent = None if dV is None else da
         return data
-    cov = np.asarray(covector, dtype=float)
-    b, binv = _form(a, cov, points)
-    M = np.einsum("bji,birc->bjrc", binv, V)
+    return _with_form(V, dV, data, points, np.asarray(covector, dtype=float))
+
+
+def _structure_tangent(V, dV, xi, C, X, Cinv):
+    """d_m a_{ij}^s from dX = C^{-1}(dR - dC X), xi contracted first, by
+    products of the (c, m) matrices dV[b, i, r]; dR is laid out
+    [i, r, j, m], and dC[b, j, r, m] = d_m (K_j xi)_r."""
+    B, n = V.shape[:2]
+    dC = (xi[:, None, None, None, :] @ dV)[..., 0, :]
+    dR = C.swapaxes(1, 2)[:, None, None] @ dV      # d_m K_i . K_j xi
+    dR += (V @ dC.transpose(0, 2, 1, 3).reshape(B, 1, n, n * n)).reshape(
+        dR.shape)                                  # + K_i d_m(K_j xi)
+    # - dC_m X_i over [(r, m), j], X_i the (s, j) matrix a_{ij}^s
+    dR -= (dC.transpose(0, 2, 3, 1).reshape(B, 1, n * n, n)
+           @ X.reshape(B, n, n, n).swapaxes(1, 2)).reshape(
+               dR.shape).swapaxes(-1, -2)
+    return (Cinv[:, None] @ dR.reshape(B, n, n, n * n)).reshape(
+        dR.shape).transpose(0, 1, 3, 2, 4)
+
+
+def _with_form(V, dV, data, points, cov):
+    """``data`` with the form of ``cov``, the dual basis, its pairing and the
+    identity coordinates; with dV the dual tangents replace the structure
+    tangents."""
+    B, n = V.shape[:2]
+    xi, Cinv = data.xi, data.columns_inv
+    b, binv = _form(data.structure, cov, points)
+    M = (binv @ V.reshape(B, n, n * n)).reshape(V.shape)
+    C = (V @ xi[:, None, :, None])[..., 0].swapaxes(1, 2)
     MC = (M @ C[:, None]).transpose(0, 2, 1, 3).reshape(B, n, n * n)
     Y = Cinv @ np.concatenate([MC, xi[:, :, None]], axis=2)
     beta = Y[:, :, -1]
@@ -419,10 +441,14 @@ def _point_data(V, dV, points, covector, seed, tol):
     data.identity_residual = batch_max_abs(
         np.einsum("bs,bsrc->brc", beta, V) - np.eye(n))
     if dV is not None:      # d(b^{-1}) = -b^{-1} db b^{-1}
-        dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,
-                           np.einsum("bijsm,s->bijm", da, cov), binv)
-        data.dual_tangent = np.einsum("bjim,birc->bjrcm", dbinv, V) \
-            + np.einsum("bji,bircm->bjrcm", binv, dV)
+        da = data.structure_tangent.transpose(0, 1, 3, 2, 4)   # [i, s, j, m]
+        db = cov @ da.reshape(B, n, n, n * n)                  # [i, (j, m)]
+        # b^{-1} db b^{-1} over [(j, m), i]
+        Q = (binv @ db).reshape(B, n, n, n).swapaxes(-1, -2) @ binv[:, None]
+        dM = (binv @ dV.reshape(B, n, n ** 3)).reshape(dV.shape)
+        dM -= (Q.reshape(B, n * n, n) @ V.reshape(B, n, n * n)).reshape(
+            dV.shape).transpose(0, 1, 3, 4, 2)
+        data.structure_tangent, data.dual_tangent = None, dM
     return data
 
 
@@ -545,12 +571,14 @@ def algebra_report(
                             detail=detail))
     # the checks below count only the points where (A1) and (A2) hold
     P, V = P[generic == 0], V[generic == 0]
+    data = point_data(V, P, None, seed, tol)
     form_detail = ""
-    try:
-        data = point_data(V, P, covector, seed, tol)
-    except SingularMatrixError as exc:
-        form_detail = str(exc)
-        data = point_data(V, P, None, seed, tol)
+    if covector is not None:    # a degenerate form keeps the structure data
+        try:
+            data = on_distinct_rows(_with_form, (V, None, data), P,
+                                    np.asarray(covector, dtype=float))
+        except SingularMatrixError as exc:
+            form_detail = str(exc)
     for name, res in (("span_closure", data.closure_residual),
                       ("structure_symmetry", data.symmetry_residual),
                       ("associativity", data.associativity_residual)):

@@ -120,9 +120,11 @@ def _phase_jets(A, dA, p):
     """F, dF/dp and dF/du of a quadratic form at the phase points with
     momenta p[b], from its coefficient jets (A, dA) there; momentum
     derivatives are exact (2 h^{ik} p_k), position ones come from dA."""
-    return (np.einsum("bi,bij,bj->b", p, A, p),
-            2.0 * np.einsum("bij,bj->bi", A, p),
-            np.einsum("bi,bijk,bj->bk", p, dA, p))
+    B, n = p.shape
+    Ap = (A @ p[:, :, None])[..., 0]
+    # p_i p_j d_k h^{ij}: i contracted by a product over [i, (j, k)], then j
+    pdA = (p[:, None] @ dA.reshape(B, n, n * n)).reshape(B, n, n)
+    return (p * Ap).sum(axis=1), 2.0 * Ap, (p[:, :, None] * pdA).sum(axis=1)
 
 
 def _bracket_of(f, g):
@@ -279,8 +281,7 @@ class IntegrableSystem:
         if a_chart is None or len(a_chart) < len(P):
             Jinv = self._chart_inverse(
                 _pullback_rows(self.alpha.batch_jet_arrays(P)[0], V), P)
-            a_chart = np.einsum("bijsm,bmk->bijsk", data.structure_tangent,
-                                Jinv)
+            a_chart = data.structure_tangent @ Jinv[:, None, None]
             a_chart.setflags(write=False)
             self._batch = self._batch[:3] + (a_chart,)
         return data.structure, a_chart[:len(P)]
@@ -364,12 +365,13 @@ def generate_system(
     P = _batch(points, n)
     tangents = not (basis.is_constant and alpha.is_constant)
     V, dV = basis.batch_jet_arrays(P, tangents)   # once; dV None if constant
-    dM = np.broadcast_to(0.0, V.shape + (n,)) if dV is None else dV
-    report.add(reduce_check("alpha_common_conservation_law", [
-        conservation_law_residuals(V[:, k], dM[:, k], alpha, P, tol)
-        for k in range(n)], P, tol))
+    a, da = alpha.batch_jet_arrays(P)
+    report.add(reduce_check("alpha_common_conservation_law",
+                            conservation_law_residuals(V, dV, a, da, P, tol),
+                            P, tol))
 
-    pullbacks = _pullback_rows(alpha.batch_jet_arrays(P)[0], V)
+    pullbacks = _pullback_rows(a, V)
+    del a, da   # not held through the Poisson and momentum checks
     min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
@@ -526,8 +528,13 @@ class ReconstructedFamily(DualFamilyBase):
 
 def _killing_jets(H, dH, points):
     K, h1_inv = _killing_values(H, points)
-    return K, np.einsum("bsijm,bjk->bsikm", dH, h1_inv) - np.einsum(
-        "bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv), h1_inv
+    B, n = len(H), H.shape[-1]
+    # dh_s h_1^{-1}: row i of it is h_1^{-T} dh_si over [k, m], dh_si being
+    # the (j, m) matrix dH[b, s, i]
+    dK = h1_inv.swapaxes(1, 2)[:, None, None] @ dH
+    # - K_s dh_1 h_1^{-1}, with dh_1 h_1^{-1} = dK[:, 0] over [j, (k, m)]
+    dK -= (K @ dK[:, :1].reshape(B, 1, n, n * n)).reshape(dK.shape)
+    return K, dK, h1_inv
 
 
 def _hypothesis_checks(family, P, p_draws, tol):

@@ -293,12 +293,15 @@ def on_distinct_rows(fn, stacks, points, *args):
     """fn(*stacks, points, *args) run on the distinct rows of the (B, ...)
     stacks only, each at its first point, and gathered back: an array, a
     tuple of arrays, or an object of arrays and Nones (a None stack stays
-    None).  An OpfrobError's ``index`` is its row's first point."""
-    first, which = distinct_rows(*(S for S in stacks if S is not None))
+    None).  Rows are keyed by the array stacks; an object of (B, ...)
+    arrays among the stacks, which those rows determine, follows them.  An
+    OpfrobError's ``index`` is its row's first point."""
+    first, which = distinct_rows(*(S for S in stacks
+                                   if isinstance(S, np.ndarray)))
     if len(first) == len(which):        # all rows differ: copy nothing
         return fn(*stacks, points, *args)
     try:
-        out = fn(*(S if S is None else S[first] for S in stacks),
+        out = fn(*(S if S is None else take_rows(S, first) for S in stacks),
                  np.asarray(points)[first], *args)
     except OpfrobError as exc:
         exc.index = int(first[exc.index])

@@ -66,21 +66,26 @@ DEFAULT_TOL = 1e-9
 
 def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
     """Coordinate components T^i_jk of <L, M> from values and partials, at
-    one point or over a leading batch axis.
+    one point or over a leading batch axis, by batched matrix products over
+    the partials flattened to (n^2, n) or (n, n^2): four, or two for a
+    torsion.
 
     When both arguments are literally the same arrays (the torsion case)
-    the result is assembled in explicitly antisymmetrized form, so
+    the first and third terms, which come out in [i, k, j] order, are the
+    fourth and the second, so T = w - w^T for w = t4 - t2, and
     T^i_jk = -T^i_kj holds exactly, not just to rounding.
     """
+    shape, n = Lder.shape, Lval.shape[-1]
+    rows, cols = shape[:-3] + (n * n, n), shape[:-3] + (n, n * n)
+    # M^i_s d_k L^s_j - M^s_k d_s L^i_j, in [i, j, k] order
+    w = (Mval @ Lder.reshape(cols)).reshape(shape) \
+        - (Lder.reshape(rows) @ Mval).reshape(shape)
     if Lval is Mval and Lder is Mder:
-        t1 = np.einsum("...sj,...iks->...ijk", Mval, Mder)
-        t3 = np.einsum("...ir,...rkj->...ijk", Mval, Mder)
-        return (t1 - t1.swapaxes(-1, -2)) - (t3 - t3.swapaxes(-1, -2))
-    t1 = np.einsum("...sj,...iks->...ijk", Lval, Mder)
-    t2 = np.einsum("...sk,...ijs->...ijk", Mval, Lder)
-    t3 = np.einsum("...ir,...rkj->...ijk", Lval, Mder)
-    t4 = np.einsum("...is,...sjk->...ijk", Mval, Lder)
-    return t1 - t2 - t3 + t4
+        return w - w.swapaxes(-1, -2)
+    # L^s_j d_s M^i_k - L^i_r d_j M^r_k, in [i, k, j] order
+    v = (Mder.reshape(rows) @ Lval).reshape(shape) \
+        - (Lval @ Mder.reshape(cols)).reshape(shape)
+    return v.swapaxes(-1, -2) + w
 
 
 def bracket_residuals(V, dV, pairs, points, tol, symmetric_part_only):
@@ -149,28 +154,36 @@ def nijenhuis_torsion_report(M, points, tol: float = DEFAULT_TOL,
     return is_strong_symmetry(M, M, points, tol=tol, name=name)
 
 
-def conservation_law_residuals(Mval, Mder, alpha: OneFormField, points,
+def conservation_law_residuals(V, dV, a, da, points,
                                tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Scale-normalized curl of M^* alpha at each of the points, from the
-    values Mval (B, n, n) and partials Mder (B, n, n, n) of M there.
+    """Scale-normalized curl of M^* alpha for each field M of a stack at
+    each of the points, (m, B), from the values V (B, m, n, n) and partials
+    dV (B, m, n, n, n) of the fields (None for constant fields) and the
+    values a (B, n) and partials da (B, n, n) of alpha there,
+    da[b, i, j] = d alpha_i/du^j.
 
     Raises OneFormNotClosedError when alpha itself fails to be closed: that
     is an input defect, distinct from a failed check.
     """
-    P = np.asarray(points, dtype=float).reshape(-1, alpha.dimension)
-    aval, ader = alpha.batch_jet_arrays(P)   # ader[b, i, j] = d alpha_i/du^j
-    curl = batch_max_abs(ader - ader.swapaxes(1, 2))
-    bad = np.flatnonzero(curl > tol * (1.0 + batch_max_abs(ader)))
+    P = np.asarray(points, dtype=float).reshape(-1, a.shape[-1])
+    curl = batch_max_abs(da - da.swapaxes(1, 2))
+    bad = np.flatnonzero(curl > tol * (1.0 + batch_max_abs(da)))
     if len(bad):
         raise OneFormNotClosedError(
             f"alpha is not closed at {P[bad[0]].tolist()} "
             f"(curl residual {curl[bad[0]]:.3e})")
-    # beta_j = alpha_i M^i_j ; d_k beta_j from the product rule
-    bder = np.einsum("bik,bij->bjk", ader, Mval) \
-        + np.einsum("bi,bijk->bjk", aval, Mder)
-    scale = 1.0 + (batch_max_abs(aval) + batch_max_abs(ader)) \
-        * (batch_max_abs(Mval) + batch_max_abs(Mder))
-    return batch_max_abs(bder - bder.swapaxes(1, 2)) / scale
+    # beta_j = alpha_i M^i_j ; d_k beta_j from the product rule, all fields
+    B, m, n = V.shape[:3]
+    bder = V.swapaxes(-1, -2) @ da[:, None]
+    norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
+    if dV is not None:
+        bder += (a[:, None, None] @ dV.reshape(B, m, n, n * n)).reshape(
+            V.shape)
+        norms += np.max(np.abs(dV), axis=(-3, -2, -1), initial=0.0)
+    curl = bder - bder.swapaxes(-1, -2)
+    scale = 1.0 + (batch_max_abs(a) + batch_max_abs(da))[:, None] * norms
+    return (np.max(np.abs(curl, out=curl), axis=(-2, -1), initial=0.0)
+            / scale).T
 
 
 def conservation_law_check(M, alpha: OneFormField, points,
@@ -179,8 +192,9 @@ def conservation_law_check(M, alpha: OneFormField, points,
     """Pass when M^* alpha is closed at every point; raises
     OneFormNotClosedError when alpha is not closed."""
     P = np.asarray(points, dtype=float).reshape(-1, alpha.dimension)
+    V, dV = M.batch_jet_arrays(P)
     return reduce_check(name, conservation_law_residuals(
-        *M.batch_jet_arrays(P), alpha, P, tol), P, tol)
+        V[:, None], dV[:, None], *alpha.batch_jet_arrays(P), P, tol), P, tol)
 
 
 # ---------------------------------------------------------------------------

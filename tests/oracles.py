@@ -5,12 +5,16 @@ come from central finite differences, structure constants from a dense
 least-squares over vectorized matrices, and the bracket tensor from a
 straight loop transcription of the coordinate formula.
 
-The loop references at the end are the other kind of oracle: one draw,
-one matrix or one product at a time, they spell out the arithmetic that
-the library's stacked routines must reproduce bit for bit.  The loop
-solve and loop dual among them run entry by entry over any scalar with the
-arithmetic operators (floats, jets, truncated series), so they also serve
-as references for the jet and series pipelines.
+The loop references are the other kind of oracle: one draw, one matrix
+or one product at a time, they spell out the arithmetic that the library's
+stacked routines must reproduce bit for bit.  The loop solve and loop dual
+among them run entry by entry over any scalar with the arithmetic
+operators (floats, jets, truncated series), so they also serve as
+references for the jet and series pipelines.
+
+The einsum references at the end write each batched tensor contraction of
+the certificate paths in index notation; the library runs them as batched
+matrix products, which sum in another order, so they agree to rounding.
 """
 
 import operator
@@ -309,3 +313,78 @@ def loop_dual(mats, xi, covector):
     dual = [reduce(operator.add, (binv[j, i] * mats[i] for i in range(n)))
             for j in range(n)]
     return a, b, binv, dual
+
+
+# ---------------------------------------------------------------------------
+# einsum references for the batched contractions
+# ---------------------------------------------------------------------------
+
+
+def einsum_bracket(Lval, Lder, Mval, Mder):
+    """T^i_jk = L^s_j d_s M^i_k - M^s_k d_s L^i_j - L^i_r d_j M^r_k
+    + M^i_s d_k L^s_j over a leading batch axis."""
+    return (np.einsum("...sj,...iks->...ijk", Lval, Mder)
+            - np.einsum("...sk,...ijs->...ijk", Mval, Lder)
+            - np.einsum("...ir,...rkj->...ijk", Lval, Mder)
+            + np.einsum("...is,...sjk->...ijk", Mval, Lder))
+
+
+def einsum_pullback_derivative(Mval, Mder, aval, ader):
+    """d_k (alpha_i M^i_j) = d_k alpha_i M^i_j + alpha_i d_k M^i_j for one
+    field over a batch, (B, j, k)."""
+    return np.einsum("bik,bij->bjk", ader, Mval) \
+        + np.einsum("bi,bijk->bjk", aval, Mder)
+
+
+def einsum_associativity(a):
+    """a_{ij}^m a_{mk}^l - a_{jk}^m a_{im}^l, (B, i, j, k, l)."""
+    return np.einsum("bijm,bmkl->bijkl", a, a) \
+        - np.einsum("bjkm,biml->bijkl", a, a)
+
+
+def einsum_structure_tangent(V, dV, xi, a, Cinv):
+    """d_m a_{ij}^s, (B, i, j, s, m), from dX = C^{-1}(dR - dC X) with
+    C = [K_1 xi | .. | K_n xi] and X[s, i*n + j] = a_{ij}^s."""
+    B, n = V.shape[:2]
+    C = np.einsum("birc,bc->bri", V, xi)
+    X = a.transpose(0, 3, 1, 2).reshape(B, n, n * n)
+    dC = np.einsum("bircm,bc->brim", dV, xi)
+    dR = np.einsum("bircm,bcj->brijm", dV, C)
+    dR += np.einsum("birc,bcjm->brijm", V, dC)
+    dR = dR.reshape(B, n, n * n, n)
+    dR -= np.einsum("brsm,bsk->brkm", dC, X)
+    return np.einsum("bsr,brkm->bskm", Cinv, dR).reshape(
+        B, n, n, n, n).transpose(0, 2, 3, 1, 4)
+
+
+def einsum_dual(binv, V):
+    """M^j = b^{ji} K_i, (B, j, r, c)."""
+    return np.einsum("bji,birc->bjrc", binv, V)
+
+
+def einsum_dual_tangent(V, dV, binv, da, covector):
+    """d_m M^j = d_m b^{ji} K_i + b^{ji} d_m K_i with
+    d(b^{-1}) = -b^{-1} db b^{-1}, db_{ij} = d a_{ij}^s a_s."""
+    dbinv = -np.einsum("bij,bjkm,bkl->bilm", binv,
+                       np.einsum("bijsm,s->bijm", da, covector), binv)
+    return np.einsum("bjim,birc->bjrcm", dbinv, V) \
+        + np.einsum("bji,bircm->bjrcm", binv, dV)
+
+
+def einsum_killing_tangent(K, dH, h1_inv):
+    """dK_s = dh_s h_1^{-1} - K_s dh_1 h_1^{-1}, (B, s, i, k, m)."""
+    return np.einsum("bsijm,bjk->bsikm", dH, h1_inv) \
+        - np.einsum("bsij,bjkm,bkl->bsilm", K, dH[:, 0], h1_inv)
+
+
+def einsum_phase_jets(A, dA, p):
+    """F = h^{ij} p_i p_j, dF/dp_i = 2 h^{ik} p_k and dF/du^k =
+    d_k h^{ij} p_i p_j over a batch."""
+    return (np.einsum("bi,bij,bj->b", p, A, p),
+            2.0 * np.einsum("bij,bj->bi", A, p),
+            np.einsum("bi,bijk,bj->bk", p, dA, p))
+
+
+def einsum_chart_tangent(da, Jinv):
+    """d a_{ij}^s / d(chart^k) = d_m a_{ij}^s (J^{-1})^m_k."""
+    return np.einsum("bijsm,bmk->bijsk", da, Jinv)

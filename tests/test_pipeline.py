@@ -175,6 +175,32 @@ def test_a_degenerate_form_is_named_at_its_point():
     assert exc.value.index == 2
 
 
+def test_a_degenerate_form_keeps_the_structure_of_one_search(monkeypatch):
+    """``verify-algebra`` with that covector searches and solves once: the
+    structure checks read the one solve's data, and the form check the
+    error ``point_data`` raises with the covector."""
+    P = np.array([[0.3, 0.7], [-0.6, 0.2], [0.0, 0.5], [0.4, -0.9]])
+    calls, search = [], frobalg.batch_well_conditioned_xi
+    monkeypatch.setattr(frobalg, "batch_well_conditioned_xi",
+                        lambda *args: calls.append(1) or search(*args))
+    report = algebra_report(diag_pair(), P, [1.0, 0.0], seed=SEED)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    _, V = diag_pair().values(P)
+    with pytest.raises(SingularMatrixError) as exc:
+        point_data(V, P, [1.0, 0.0], SEED)
+    data = point_data(V, P, None, SEED)
+    checks = {c.name: c for c in report.checks}
+    assert list(checks)[-1] == "form_nondegenerate"
+    assert not checks["form_nondegenerate"].passed
+    assert checks["form_nondegenerate"].detail == str(exc.value)
+    for name, res in (("span_closure", data.closure_residual),
+                      ("structure_symmetry", data.symmetry_residual),
+                      ("associativity", data.associativity_residual)):
+        assert checks[name].passed
+        assert checks[name].residual == np.max(res)
+
+
 class TestDistinctRows:
     """The float pipeline runs once per distinct basis of a batch and
     gathers the results back to every point."""
@@ -386,11 +412,14 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
     coefficient jets once.  Nothing is kept from one command to the next:
     ``verify-algebra`` and ``dualize`` solve the same stack, and both
     search.  ``generate``, ``dualize`` and ``verify-algebra`` evaluate each
-    basis field once."""
-    searched, evaluated, fields = [], Counter(), Counter()
+    basis field once; ``generate`` evaluates each 1-form (alpha, the chart)
+    at most twice: alpha for its conservation law and pullback rows, and
+    again for the chart frame of the Poisson brackets."""
+    searched, evaluated, fields, forms = [], Counter(), Counter(), Counter()
     search = frobalg.batch_well_conditioned_xi
     coeff_jets = QuadraticHamiltonian.coeff_jets
     field_jets = OperatorField.batch_jet_arrays
+    form_jets = OneFormField.batch_jet_arrays
 
     def counted_search(V, points, *args):
         searched.append(hash((V.tobytes(), np.asarray(points).tobytes())))
@@ -404,9 +433,14 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
         fields[id(self)] += 1
         return field_jets(self, *args)
 
+    def counted_form(self, *args):
+        forms[id(self)] += 1
+        return form_jets(self, *args)
+
     monkeypatch.setattr(frobalg, "batch_well_conditioned_xi", counted_search)
     monkeypatch.setattr(QuadraticHamiltonian, "coeff_jets", counted_jets)
     monkeypatch.setattr(OperatorField, "batch_jet_arrays", counted_field)
+    monkeypatch.setattr(OneFormField, "batch_jet_arrays", counted_form)
     path = str(tmp_path / "e52.json")
     main(["builtin", "example52", "--variant", "analytic", "--emit", path])
     seen = {}
@@ -414,12 +448,11 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
                  ["inverse", path],
                  ["builtin", "example52", "--variant", "analytic"],
                  ["verify-algebra", path], ["dualize", path]):
-        searched.clear()
-        evaluated.clear()
-        fields.clear()
+        for counter in (searched, evaluated, fields, forms):
+            counter.clear()
         assert main([*argv, "--samples", "10"]) == 0
         seen[argv[0]] = (list(searched), sorted(evaluated.values()),
-                         sorted(fields.values()))
+                         sorted(fields.values()), sorted(forms.values()))
     capsys.readouterr()
     for command in ("generate", "hj", "inverse", "builtin"):
         assert len(seen[command][0]) == 1, command
@@ -429,3 +462,4 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
     assert seen["verify-algebra"][0] == seen["dualize"][0] != []
     for command in ("generate", "dualize", "verify-algebra"):
         assert seen[command][2] == [1] * 4, command
+    assert seen["generate"][3] and max(seen["generate"][3]) <= 2

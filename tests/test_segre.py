@@ -1,10 +1,11 @@
 """Regular representations of Segre type (``fixtures.segre_algebra``) at
-n in {2, 3, 5, 6, 8}: the generator itself, the round trips of the
+n in {2, 3, 5, 6, 8, 12}: the generator itself, the round trips of the
 constant and analytic bases through the commands' library calls, and
 metamorphic checks (conjugation, the dual of the dual, seed independence).
 
-n = 2 has only the two Segre types [2] and [1 1]; every larger n runs
-[n], [1 .. 1] and a mixed type.
+n = 2 has only the two Segre types [2] and [1 1]; n from 3 to 8 runs
+[n], [1 .. 1] and a mixed type; n = 12 runs two mixed types, [4 3 2 1 1 1]
+and [6 6].
 """
 
 from functools import lru_cache
@@ -29,7 +30,8 @@ TYPES = [[2], [1, 1],
          [3], [1, 1, 1], [2, 1],
          [5], [1] * 5, [2, 3],
          [6], [1] * 6, [3, 2, 1],
-         [8], [1] * 8, [4, 4]]
+         [8], [1] * 8, [4, 4],
+         [4, 3, 2, 1, 1, 1], [6, 6]]
 by_type = pytest.mark.parametrize(
     "blocks", TYPES, ids=lambda b: "-".join(map(str, b)))
 
