@@ -40,8 +40,8 @@ from .frobalg import (
     commutator_norms,
     point_data,
 )
-from .numkit import (batch_max_abs, mat_rank, max_abs, on_distinct_rows,
-                     sqrt_near_identity, take_rows)
+from .numkit import (batch_max_abs, hadamard_ratio, mat_rank, max_abs,
+                     on_distinct_rows, sqrt_near_identity, take_rows)
 from .opfields import (
     DualFamilyBase,
     bracket_residuals,
@@ -108,8 +108,7 @@ class QuadraticHamiltonian:
         """(A, dA) over a (B, n) batch of points, with A[b] = h at points[b]
         and dA[b, i, j, s] = d h^{ij} / du^s there."""
         n = self.dimension
-        return grid_jets(self.program, (n, n),
-                         np.asarray(points, dtype=float).reshape(-1, n))
+        return grid_jets(self.program, (n, n), _batch(points, n))
 
     def value(self, u, p) -> float:
         p = np.asarray(p, dtype=float)
@@ -137,8 +136,7 @@ def poisson_bracket(F, G, u, p):
     """Canonical bracket {F, G} of two quadratic forms sharing one
     canonical chart, at the phase point (u, p) as a float, or at every row
     of two (B, n) batches u and p as a (B,) array."""
-    P, pv = (np.asarray(x, dtype=float).reshape(-1, F.dimension)
-             for x in (u, p))
+    P, pv = (_batch(x, F.dimension) for x in (u, p))
     out = _bracket_of(*(_phase_jets(*H.coeff_jets(P), pv) for H in (F, G)))
     return float(out[0]) if np.ndim(u) == 1 else out
 
@@ -156,8 +154,7 @@ def verify_commuting_family(
     singular loci stay comparable.  ``jets`` are the Hamiltonians'
     ``coeff_jets`` at u_points when the caller already has them."""
     m, n = len(hams), hams[0].dimension
-    P = np.asarray(u_points, dtype=float).reshape(-1, n)
-    p = np.asarray(p_points, dtype=float).reshape(-1, n)
+    P, p = _batch(u_points, n), _batch(p_points, n)
     jets = [_phase_jets(A, dA, p)
             for A, dA in jets or (H.coeff_jets(P) for H in hams)]
     residuals = [np.abs(_bracket_of(jets[i], jets[j]))
@@ -174,20 +171,18 @@ def _momentum_nondegeneracy(G, points, seed, draws=50, threshold=1e-9,
     must give a relative determinant above the threshold (relative to the
     Hadamard bound of the matrix 2 a^{ij}_s p_i).  G[b, s] is the grid of
     F_s at points[b]; the draws for points[b] are rows b*draws.. of one
-    (B*draws, n) draw."""
+    (B*draws, n) draw, taken in chunks of points no larger than G."""
     B, n = len(points), G.shape[-1]
-    p = np.random.default_rng(seed).uniform(-1.0, 1.0, (B, draws, n))
-    G2 = np.ascontiguousarray(2.0 * G)
-    best = np.zeros(B)
-    for d in range(draws):
-        # D[b] stacks the rows 2 A_s p_d, each rounded as (2 A_s) @ p_d
-        D = (G2 @ p[:, None, d, :, None])[..., 0]
-        bound = np.prod(np.linalg.norm(D, axis=2), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(np.linalg.det(D)) / bound
-        # draws with a zero bound are skipped and NaN ratios ignored
-        best = np.maximum(best, np.where(
-            (bound != 0.0) & ~np.isnan(ratio), ratio, 0.0))
+    rng = np.random.default_rng(seed)
+    c = max(1, B * n // (2 * draws))
+    best = np.empty(B)
+    for s in range(0, B, c):
+        G2 = (2.0 * G[s:s + c]).reshape(-1, n * n, n)
+        p = rng.uniform(-1.0, 1.0, (len(G2), draws, n))
+        # D[b, d] stacks the rows 2 A_s p_d, one product (2 A) @ p^T a point
+        D = (G2 @ p.swapaxes(1, 2)).reshape(-1, n, n, draws).transpose(
+            0, 3, 1, 2)
+        best[s:s + c] = np.max(hadamard_ratio(D), axis=1)
     k = int(np.argmin(best)) if B else None
     return CheckResult(
         name=name, passed=bool(B > 0 and best[k] > threshold),
@@ -237,7 +232,7 @@ class IntegrableSystem:
         self.tol = tol
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
-        self._batch = (b"", None, None, None)  # points, V, data, a_chart
+        self._batch = (b"",) + (None,) * 4  # points, V, data, alpha, a_chart
         self.hamiltonians = None
         if self.is_constant:
             # the grids are symmetric only up to rounding in a general frame
@@ -249,20 +244,23 @@ class IntegrableSystem:
 
     def batch_data(self, points, tangents=False, jets=None):
         """(V, Frobenius data) over a (B, n) batch, with the basis values V
-        (``jets`` = (V, dV) when given) and structure tangents if asked.  The
-        last batch with tangents is kept (points copied, arrays read-only)
-        and serves any batch beginning it."""
+        (``jets`` = (V, dV, alpha's values) when given) and structure
+        tangents if asked.  The last batch with tangents is kept, with alpha's
+        values (points copied, arrays read-only), for any batch beginning it."""
         P = _batch(points, self.dimension)
-        key, V, data, _ = self._batch
+        key, V, data = self._batch[:3]
         if V is None or not key.startswith(P.tobytes()):
-            V, dV = jets or self.basis.batch_jet_arrays(P, tangents)
+            V, dV, a = jets or (*self.basis.batch_jet_arrays(P, tangents),
+                                None)
             data = point_data(V, P, seed=self.seed, tol=self.tol, dV=dV)
             if not tangents:
                 return None, data
-            for x in (V, *vars(data).values()):
+            if a is None:
+                a = self.alpha.batch_jet_arrays(P)[0]
+            for x in (V, a, *vars(data).values()):
                 if x is not None:
                     x.setflags(write=False)
-            self._batch = (P.tobytes(), V, data, None)
+            self._batch = (P.tobytes(), V, data, a, None)
         return V[:len(P)], take_rows(data, slice(len(P)))
 
     def coefficient_grids(self, points) -> np.ndarray:
@@ -277,13 +275,13 @@ class IntegrableSystem:
         d/d(chart^k); kept with the batch of ``batch_data``, read-only."""
         P = _batch(points, self.dimension)
         V, data = self.batch_data(P, tangents=True)
-        a_chart = self._batch[3]
+        a_chart = self._batch[4]
         if a_chart is None or len(a_chart) < len(P):
             Jinv = self._chart_inverse(
-                _pullback_rows(self.alpha.batch_jet_arrays(P)[0], V), P)
+                _pullback_rows(self._batch[3][:len(P)], V), P)
             a_chart = data.structure_tangent @ Jinv[:, None, None]
             a_chart.setflags(write=False)
-            self._batch = self._batch[:3] + (a_chart,)
+            self._batch = self._batch[:4] + (a_chart,)
         return data.structure, a_chart[:len(P)]
 
     @staticmethod
@@ -298,9 +296,14 @@ class IntegrableSystem:
 
     def chart_frame_basis(self, points):
         """Basis values J M^i J^{-1} (B, n, n, n) and alpha J^{-1} (B, n)
-        pushed to the chart frame at points[b]."""
-        P, V = self.basis.values(points)
-        aval = self.alpha.batch_jet_arrays(P)[0]
+        pushed to the chart frame at points[b]; read from the kept batch
+        when it begins with the points."""
+        P = _batch(points, self.dimension)
+        key, V, _, aval, _ = self._batch
+        if V is None or not key.startswith(P.tobytes()):
+            P, V = self.basis.values(P)
+            aval = self.alpha.batch_jet_arrays(P)[0]
+        V, aval = V[:len(P)], aval[:len(P)]
         J = _pullback_rows(aval, V)
         Jinv = self._chart_inverse(J, P)
         return J[:, None] @ V @ Jinv[:, None], \
@@ -371,7 +374,7 @@ def generate_system(
                             P, tol))
 
     pullbacks = _pullback_rows(a, V)
-    del a, da   # not held through the Poisson and momentum checks
+    del da      # not held through the Poisson and momentum checks
     min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
@@ -403,7 +406,7 @@ def generate_system(
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
 
-    _, data = system.batch_data(P, tangents, (V, dV))
+    _, data = system.batch_data(P, tangents, (V, dV, a))
     report.add(reduce_check("span_closure", data.closure_residual, P, tol))
 
     rng = np.random.default_rng(seed + 1)

@@ -34,6 +34,7 @@ __all__ = [
     "sqrt_near_identity",
     "max_abs",
     "batch_max_abs",
+    "hadamard_ratio",
 ]
 
 
@@ -175,6 +176,16 @@ def max_abs(A) -> float:
 def batch_max_abs(X) -> np.ndarray:
     """max |X[b]| for every index b of the leading axis."""
     return np.max(np.abs(X), axis=tuple(range(1, X.ndim)), initial=0.0)
+
+
+def hadamard_ratio(D) -> np.ndarray:
+    """|det D| / (product of D's row norms) for each matrix of the stack
+    D (..., n, n), at most 1 (Hadamard); 0 where the bound is 0 or the
+    ratio NaN."""
+    bound = np.prod(np.sqrt(np.add.reduce(D * D, -1)), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(np.linalg.det(D)) / bound
+    return np.where((bound != 0.0) & ~np.isnan(ratio), ratio, 0.0)
 
 
 def first_singular(A, tol: float = 1e-12):

@@ -7,6 +7,7 @@ Rationale for guards: rational fields have singular loci; a guard pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,19 +40,33 @@ def guards_ok(point, guards) -> bool:
 
 def sample_points(n: int, config: SampleConfig) -> np.ndarray:
     """Draw ``config.count`` points from [-box, box]^n, rejecting guarded
-    draws.  Deterministic for a fixed config."""
+    draws.  Deterministic for a fixed config; drawn in blocks, each guard
+    run once on a block's columns, and the points kept are those that a
+    loop over the draws keeps."""
     rng = np.random.default_rng(config.seed)
-    points = np.empty((config.count, n))
-    kept = 0
     budget = MAX_DRAW_FACTOR * config.count
     guards = [(Program([e]), floor) for e, floor in config.guards]
-    for _ in range(budget):
-        p = rng.uniform(-config.box, config.box, n)
-        if guards_ok(p, guards):
-            points[kept] = p
-            kept += 1
-            if kept == config.count:
-                return points
+    points, drawn = np.empty((0, n)), 0
+    while drawn < budget:
+        need = config.count - len(points)
+        block = rng.uniform(-config.box, config.box,
+                            (min(2 * need, budget - drawn), n))
+        drawn += len(block)
+        try:
+            ok = np.ones(len(block), dtype=bool)
+            with np.errstate(all="ignore"):
+                for program, floor in guards:
+                    value = np.abs(program.run(list(block.T))[0])
+                    if not np.isfinite(value).all():
+                        raise ArithmeticError
+                    ok &= value >= floor
+            block = block[ok]
+        except Exception:   # then draw by draw: raised if a loop meets it
+            rows = (p for p in block if guards_ok(p, guards))
+            block = np.array([*islice(rows, need)]).reshape(-1, n)
+        points = np.concatenate([points, block[:need]])
+        if len(points) == config.count:
+            return points
     raise OpfrobError(
         f"guard rejection exhausted {budget} draws; guards too tight"
     )

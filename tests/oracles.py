@@ -22,8 +22,10 @@ from functools import reduce
 
 import numpy as np
 
-from opfrob.errors import SingularMatrixError
+from opfrob.errors import OpfrobError, SingularMatrixError
+from opfrob.exprs import Program
 from opfrob.numkit import Jet
+from opfrob.sampling import MAX_DRAW_FACTOR, guards_ok
 
 FD_STEP = 1e-6
 
@@ -170,17 +172,23 @@ def pairwise_structure_constants(mats, xi, solve):
     return a
 
 
-def loop_momentum_nondegeneracy(grids_at, points, n, seed, draws=50):
+def loop_momentum_nondegeneracy(grids_at, points, n, seed, draws=50,
+                                per_draw=False):
     """(worst over points of the best relative determinant over draws,
-    the point attaining it), one momentum draw at a time."""
+    the point attaining it), one point and one momentum draw at a time.
+    Each point's matrices D_d, whose rows are 2 A_s p_d, come from one
+    product (2A) @ [p_1 .. p_draws] of its grids; ``per_draw`` forms
+    each row as 2 A_s @ p_d instead, the same values up to rounding."""
     worst, worst_pt = np.inf, None
     rng = np.random.default_rng(seed)
     for u in points:
-        grids = grids_at(u)
+        grids = np.array(grids_at(u), dtype=float)
+        ps = rng.uniform(-1.0, 1.0, (draws, n))
+        prods = (2.0 * grids).reshape(n * n, n) @ ps.T
         best = 0.0
-        for _ in range(draws):
-            p = rng.uniform(-1.0, 1.0, n)
-            D = np.stack([2.0 * A @ p for A in grids])
+        for d, p in enumerate(ps):
+            D = np.stack([2.0 * A @ p for A in grids]) if per_draw \
+                else prods[:, d].reshape(n, n)
             bound = float(np.prod(np.linalg.norm(D, axis=1)))
             if bound == 0.0:
                 continue
@@ -188,6 +196,27 @@ def loop_momentum_nondegeneracy(grids_at, points, n, seed, draws=50):
         if best < worst:
             worst, worst_pt = best, list(map(float, u))
     return worst, worst_pt
+
+
+def loop_sample_points(n, config):
+    """``sample_points`` one draw at a time: each draw of the config's
+    stream is judged by ``guards_ok`` until ``count`` points are kept or
+    the budget of draws is spent."""
+    rng = np.random.default_rng(config.seed)
+    points = np.empty((config.count, n))
+    kept = 0
+    budget = MAX_DRAW_FACTOR * config.count
+    guards = [(Program([e]), floor) for e, floor in config.guards]
+    for _ in range(budget):
+        p = rng.uniform(-config.box, config.box, n)
+        if guards_ok(p, guards):
+            points[kept] = p
+            kept += 1
+            if kept == config.count:
+                return points
+    raise OpfrobError(
+        f"guard rejection exhausted {budget} draws; guards too tight"
+    )
 
 
 def value_of(x) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,25 +262,33 @@ class TestKillingTensors:
         assert not any(c.passed for c in checks)
 
 
+def _momentum_case(seed, n=None, count=4):
+    """(n, points, symmetric grids), n drawn when None; at seeds 1 mod 3
+    every bound is 0 (the draws are skipped), at seeds 2 mod 3 the second
+    point's grids are NaN (NaN ratios are ignored)."""
+    rng = np.random.default_rng(seed)
+    n = n or int(rng.integers(2, 6))
+    points = [tuple(rng.uniform(-1.0, 1.0, n)) for _ in range(count)]
+    grids = {}
+    for k, u in enumerate(points):
+        g = rng.standard_normal((n, n, n))
+        g = g + g.transpose(0, 2, 1)
+        if seed % 3 == 1:
+            g[0] = 0.0
+        elif seed % 3 == 2 and k == 1:
+            g[1] = np.nan
+        grids[u] = list(g)
+    return n, points, grids
+
+
 class TestMomentumNondegeneracy:
-    """One stacked draw over all points reproduces the one-momentum
-    loop."""
+    """The draws stacked a chunk of points at a time reproduce the
+    one-momentum loop."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matches_the_draw_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        points = [tuple(rng.uniform(-1.0, 1.0, n)) for _ in range(4)]
-        grids = {}
-        for k, u in enumerate(points):
-            g = rng.standard_normal((n, n, n))
-            g = g + g.transpose(0, 2, 1)
-            if seed % 3 == 1:
-                g[0] = 0.0            # every bound is 0: the draws are skipped
-            elif seed % 3 == 2 and k == 1:
-                g[1] = np.nan         # NaN ratios are ignored
-            grids[u] = list(g)
+        n, points, grids = _momentum_case(seed)
         got = _momentum_nondegeneracy(np.array([grids[u] for u in points]),
                                       np.array(points), seed)
         worst, worst_pt = loop_momentum_nondegeneracy(grids.get, points, n,
@@ -287,6 +297,41 @@ class TestMomentumNondegeneracy:
             worst).tobytes()
         assert got.worst_point == worst_pt
         assert got.passed == (worst > 1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_the_per_row_products(self, n, seed):
+        """Against rows formed one gemv each, 2 A_s @ p: equal up to
+        rounding, with the same zero-bound and NaN rules.  30 points are
+        1 to 2 points a chunk."""
+        _, points, grids = _momentum_case(seed, n, count=30)
+        got = _momentum_nondegeneracy(np.array([grids[u] for u in points]),
+                                      np.array(points), seed)
+        worst, worst_pt = loop_momentum_nondegeneracy(
+            grids.get, points, n, seed, per_draw=True)
+        assert got.residual == pytest.approx(worst, rel=1e-12, abs=0.0)
+        # bit for bit the point-by-point products, over chunks of points
+        assert got.residual == loop_momentum_nondegeneracy(
+            grids.get, points, n, seed)[0]
+        assert got.worst_point == worst_pt
+        # skipped or NaN draws leave the point's best at 0
+        assert got.passed == (seed % 3 == 0) == (worst > 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("B", [50, 200, 800])
+    def test_memory_stays_within_three_grid_stacks(self, B, n):
+        rng = np.random.default_rng(B + n)
+        G = rng.standard_normal((B, n, n, n))
+        G = G + G.swapaxes(2, 3)
+        P = rng.uniform(-1.0, 1.0, (B, n))
+        tracemalloc.start()
+        try:
+            _momentum_nondegeneracy(G, P, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * G.nbytes
 
 
 class TestHamiltonJacobi:

@@ -6,6 +6,7 @@ from opfrob.exprs import eval_expr, parse_expr
 from opfrob.fixtures import demo4_matrices
 from opfrob.numkit import (
     Jet,
+    hadamard_ratio,
     jet_point,
     mat_rank,
     mat_solve,
@@ -130,6 +131,25 @@ class TestStackedRank:
         assert mat_rank(np.ones((2, 3, 4, 5))).tolist() == [[1] * 3] * 2
         assert mat_rank(np.zeros((0, 3, 3))).shape == (0,)
         assert mat_rank(np.zeros((0, 3))) == 0
+
+
+class TestHadamardRatio:
+    def test_against_one_matrix_at_a_time(self):
+        D = np.random.default_rng(3).standard_normal((5, 7, 4, 4))
+        D[0, 1] = np.diag([2.0, -3.0, 0.5, 1.0])    # orthogonal rows: 1
+        D[1, 2, 3] = 0.0                            # a zero row: bound 0
+        D[2, 0, 1, 2] = np.nan                      # a NaN ratio
+        got = hadamard_ratio(D)
+        assert got.shape == (5, 7)
+        assert got[0, 1] == pytest.approx(1.0, rel=1e-15)
+        assert got[1, 2] == 0.0 and got[2, 0] == 0.0
+        for idx in np.ndindex(5, 7):
+            M = D[idx]
+            bound = np.prod(np.linalg.norm(M, axis=1))
+            with np.errstate(invalid="ignore"):
+                want = abs(np.linalg.det(M)) / bound if bound else 0.0
+            assert got[idx] == (0.0 if np.isnan(want) else want)
+            assert 0.0 <= got[idx] <= 1.0 + 1e-15
 
 
 class TestSqrt:

@@ -411,10 +411,10 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
     ``generate`` solved.  ``inverse_verify`` evaluates each Hamiltonian's
     coefficient jets once.  Nothing is kept from one command to the next:
     ``verify-algebra`` and ``dualize`` solve the same stack, and both
-    search.  ``generate``, ``dualize`` and ``verify-algebra`` evaluate each
-    basis field once; ``generate`` evaluates each 1-form (alpha, the chart)
-    at most twice: alpha for its conservation law and pullback rows, and
-    again for the chart frame of the Poisson brackets."""
+    search.  ``generate``, ``hj``, ``dualize`` and ``verify-algebra``
+    evaluate each basis field once, and ``generate`` and ``hj`` each 1-form
+    (alpha, the chart) once: the system keeps alpha's values with the batch
+    it solved, for the chart frame of the Poisson brackets and of dW."""
     searched, evaluated, fields, forms = [], Counter(), Counter(), Counter()
     search = frobalg.batch_well_conditioned_xi
     coeff_jets = QuadraticHamiltonian.coeff_jets
@@ -460,6 +460,7 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
     assert seen["inverse"][1] == [1] * 4
     assert seen["builtin"][1] == [2] * 4
     assert seen["verify-algebra"][0] == seen["dualize"][0] != []
-    for command in ("generate", "dualize", "verify-algebra"):
+    for command in ("generate", "hj", "dualize", "verify-algebra"):
         assert seen[command][2] == [1] * 4, command
-    assert seen["generate"][3] and max(seen["generate"][3]) <= 2
+    for command in ("generate", "hj"):
+        assert seen[command][3] == [1, 1], command
