@@ -58,9 +58,11 @@ class _Layout:
             [a.ravel() for a in np.broadcast_arrays(blk[d][:, None], blk[e])]
             for d in range(order + 1) for e in range(order + 1 - d)]))
         target = self.index(self.codes[left] + self.codes[right])
+        counts = np.bincount(target, minlength=self.size)
         by_target = np.argsort(target, kind="stable")
+        del target                  # before the gathers, for a lower peak
         self.left, self.right = left[by_target], right[by_target]
-        self.starts = np.searchsorted(target[by_target], np.arange(self.size))
+        self.starts = np.cumsum(counts) - counts
         # d/d(variable v): coefficient src times its exponent lands at dst
         srcs = [np.flatnonzero(self.exps[:, v]) for v in range(nvars)]
         self.diffs = [(s, self.index(self.codes[s] - self.radix[v]),
@@ -71,10 +73,25 @@ class _Layout:
         """Positions of the monomials with these codes."""
         return self._sorter[np.searchsorted(self._sorted, codes)]
 
-    def mul(self, a, b):
-        """Truncated product of coefficient arrays: one gather, one sum."""
-        return np.add.reduceat(a[..., self.left] * b[..., self.right],
-                               self.starts, axis=-1)
+    def pairs_at(self, at):
+        """The product pairs of the sorted coefficients ``at`` as (take,
+        starts): ``take`` picks their segments of the whole table in order,
+        a slice when ``at`` is a run, so ``mul`` sums each alike.  An empty
+        ``at`` gives products with no coefficient."""
+        ends = np.append(self.starts[1:], len(self.left))
+        lens = ends[at] - self.starts[at]
+        starts = np.cumsum(lens) - lens
+        if len(at) and at[-1] - at[0] == len(at) - 1:
+            return slice(self.starts[at[0]], ends[at[-1]]), starts
+        return np.arange(lens.sum()) + np.repeat(self.starts[at] - starts,
+                                                 lens), starts
+
+    def mul(self, a, b, pairs=None):
+        """Truncated product of coefficient arrays: one gather, one sum;
+        with ``pairs`` from ``pairs_at(at)``, its coefficients ``at``."""
+        take, starts = pairs or (slice(None), self.starts)
+        return np.add.reduceat(a[..., self.left[take]]
+                               * b[..., self.right[take]], starts, axis=-1)
 
     def matmul(self, A, B):
         """Truncated products of matrices of series, (..., r, k, size) @
@@ -266,13 +283,26 @@ class JetSolution:
 
     @cached_property
     def rhs(self) -> np.ndarray:
-        """Every flow's right-hand side K_j(u) u_x, (m, n, size), once."""
-        return _flow_rhs(self.fields, self.series)
+        """Every flow's right-hand side K_j(u) u_x, (m, n, size), once, at
+        the degrees below ``order``.  Degree ``order`` holds zeros: the jet
+        does not determine it, as u_x there needs u at degree order + 1."""
+        lay = self.series[0].layout
+        at = np.flatnonzero(lay.deg < self.order)   # a prefix: deg ascends
+        low = _flow_rhs(self.fields, self.series, at, lay.pairs_at(at))
+        return np.pad(low, [(0, 0), (0, 0), (0, lay.size - len(at))])
 
 
-def _flow_rhs(fields, u) -> np.ndarray:
-    ux = [s.diff(0) for s in u]
-    return np.array([[sum(k * v for k, v in zip(row, ux)).c
+def _flow_rhs(fields, u, at, pairs) -> np.ndarray:
+    """K_j(u) u_x of every flow at the coefficients ``at``, (m, n, len(at)):
+    entries times u_x as ``MultiSeries`` multiplies, over ``pairs``."""
+    lay, zeros = u[0].layout, np.zeros(len(at))
+    ux = [lay.diff(s.c, 0) for s in u]
+
+    def term(k, v):
+        return lay.mul(k.c, v, pairs) if isinstance(k, MultiSeries) else \
+            v[at] * float(k) if k != 0 else zeros
+
+    return np.array([[sum((term(k, v) for k, v in zip(row, ux)), zeros)
                       for row in f.eval_generic(list(u))] for f in fields])
 
 
@@ -312,15 +342,19 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
 
     # order-by-order fill, routed by the minimal flow index: the monomial
     # with t-part beta comes from flow j = the first with beta_j > 0, at
-    # beta_j lowered by one, divided by beta_j
+    # beta_j lowered by one, divided by beta_j; a level's sources, one level
+    # lower, get their pair tables before the fill starts
     T = lay.exps[:, 1:]
     dst = np.flatnonzero(T.sum(axis=1))
     flow = np.argmax(T[dst] > 0, axis=1)
     src = lay.index(lay.codes[dst] - lay.radix[1 + flow])
     div, level = T[dst, flow].astype(float), T[dst].sum(axis=1)
-    for t_degree in range(1, order + 1):
-        k = level == t_degree
-        U[:, dst[k]] = _flow_rhs(fields, u)[flow[k], :, src[k]].T / div[k]
+    levels = [level == d for d in range(1, order + 1)]
+    sources = [np.unique(src[k], return_inverse=True) for k in levels]
+    tables = [lay.pairs_at(at) for at, _ in sources]
+    for k, (at, pos), pairs in zip(levels, sources, tables):
+        rhs = _flow_rhs(fields, u, at, pairs)
+        U[:, dst[k]] = rhs[flow[k], :, pos].T / div[k]
     return JetSolution(dimension=n, nflows=m, order=order, x0=x0, series=u,
                        fields=list(fields), generic_warning=warning)
 

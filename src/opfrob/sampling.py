@@ -30,11 +30,14 @@ class SampleConfig:
 
 def guards_ok(point, guards) -> bool:
     """Whether every (guard, floor) pair has |guard| >= floor at ``point``,
-    the guards taken in order; a guard is an Expression or its Program."""
-    for guard, floor in guards:
-        program = guard if isinstance(guard, Program) else Program([guard])
-        if abs(program.run(list(point))[0]) < floor:
-            return False
+    the guards taken in order; a guard is an Expression or its Program.
+    numpy stays quiet: an overflow gives inf, an invalid operation NaN."""
+    with np.errstate(all="ignore"):
+        for guard, floor in guards:
+            program = guard if isinstance(guard, Program) \
+                else Program([guard])
+            if abs(program.run(list(point))[0]) < floor:
+                return False
     return True
 
 

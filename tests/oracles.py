@@ -12,6 +12,10 @@ among them run entry by entry over any scalar with the arithmetic
 operators (floats, jets, truncated series), so they also serve as
 references for the jet and series pipelines.
 
+The whole-product flow fill computes every Taylor coefficient of each
+flow's right-hand side at every step; the library's level fill computes
+only the coefficients that a step reads, and must match it bit for bit.
+
 The einsum references at the end write each batched tensor contraction of
 the certificate paths in index notation; the library runs them as batched
 matrix products, which sum in another order, so they agree to rounding.
@@ -24,6 +28,7 @@ import numpy as np
 
 from opfrob.errors import OpfrobError, SingularMatrixError
 from opfrob.exprs import Program
+from opfrob.hydroflow import MultiSeries
 from opfrob.numkit import Jet
 from opfrob.sampling import MAX_DRAW_FACTOR, guards_ok
 
@@ -342,6 +347,47 @@ def loop_dual(mats, xi, covector):
     dual = [reduce(operator.add, (binv[j, i] * mats[i] for i in range(n)))
             for j in range(n)]
     return a, b, binv, dual
+
+
+def full_flow_rhs(fields, u):
+    """K_j(u) u_x of every flow at every coefficient, (m, n, size): each
+    entry of K_j(u) times u_x as a whole truncated series product, and each
+    row summed from 0 in order."""
+    ux = [s.diff(0) for s in u]
+    return np.array([[sum(k * v for k, v in zip(row, ux)).c
+                      for row in f.eval_generic(list(u))] for f in fields])
+
+
+def full_taylor_flow(fields, initial_curve, order, x0=0.0):
+    """The coefficients (n, size) of ``taylor_flow``'s jet, filled t-level
+    by t-level from ``full_flow_rhs`` over every coefficient, each level
+    routed through the first flow along its t-multi-index."""
+    xvar = MultiSeries.variable(0, 1 + len(fields), order)
+    lay = xvar.layout
+    U = np.zeros((len(initial_curve), lay.size))
+    for row, coeffs in zip(U, initial_curve):
+        for c in reversed([float(c) for c in coeffs]):
+            row[:] = (xvar._like(row) * (xvar + x0) + c).c
+    u = [xvar._like(row) for row in U]
+    T = lay.exps[:, 1:]
+    dst = np.flatnonzero(T.sum(axis=1))
+    flow = np.argmax(T[dst] > 0, axis=1)
+    src = lay.index(lay.codes[dst] - lay.radix[1 + flow])
+    div, level = T[dst, flow].astype(float), T[dst].sum(axis=1)
+    for t_degree in range(1, order + 1):
+        k = level == t_degree
+        U[:, dst[k]] = full_flow_rhs(fields, u)[flow[k], :, src[k]].T / div[k]
+    return U
+
+
+def full_jet_rhs(fields, U, order):
+    """``JetSolution.rhs`` of the coefficients U (n, size): every flow's
+    ``full_flow_rhs`` with degree ``order``, which the jet does not
+    determine, set to zero."""
+    xvar = MultiSeries.variable(0, 1 + len(fields), order)
+    rhs = full_flow_rhs(fields, [xvar._like(row) for row in U])
+    rhs[..., xvar.layout.deg == order] = 0.0
+    return rhs
 
 
 # ---------------------------------------------------------------------------

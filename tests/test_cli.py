@@ -160,6 +160,25 @@ def test_overflowing_symcheck_candidate_fails_without_warnings(tmp_path,
     assert not check["passed"] and check["samples"] == 50
 
 
+def test_overflowing_sampling_guard_is_quiet(tmp_path, capsys):
+    # u1^400 overflows to inf at most draws of a box of 1000: those draws
+    # pass the guard, and neither a terminal nor this suite (where numpy's
+    # warnings are errors) sees a warning
+    path = tmp_path / "e32.json"
+    run_cli(["builtin", "example32", "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    doc["sampling"].update(box=1000, guards=[{"expr": "u1^400",
+                                              "min": 0.001}])
+    path.write_text(json.dumps(doc))
+    argv = ["verify-algebra", str(path), "--json"]
+    code, out, err = run_opfrob(*argv)
+    assert (code, err) == (0, "")
+    assert run_cli(argv, capsys) == (code, out, err)
+    checks = json.loads(out)["checks"]
+    assert all(c["passed"] for c in checks)
+    assert {c["samples"] for c in checks if "samples" in c} == {50}
+
+
 def _run_doc(doc, command, tmp_path, capsys):
     """(exit code, stdout, stderr) of ``command`` on a system document."""
     f = tmp_path / "sys.json"

@@ -1,12 +1,16 @@
 import importlib
 import math
+import sys
 import tracemalloc
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfrob import hydroflow
+from opfrob.cli import load_system_file
 from opfrob.errors import (
     ExprEvalError,
     GenericityError,
@@ -29,7 +33,11 @@ from opfrob.opfields import DualFamily
 from opfrob.sampling import sample_points
 
 from helpers import guarded_config
-from oracles import loop_dual, value_array
+from oracles import full_jet_rhs, full_taylor_flow, loop_dual, value_array
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 class TestMultiSeries:
@@ -193,6 +201,8 @@ class TestLayout:
                            np.diff(np.append(lay.starts, len(lay.left))))
         assert np.array_equal(lay.exps[lay.left] + lay.exps[lay.right],
                               lay.exps[target])
+        # a coefficient sums its pairs by ascending left factor
+        assert np.all(np.diff(lay.left)[target[1:] == target[:-1]] > 0)
 
     def test_no_layout_is_built_at_import(self):
         saved = dict(vars(hydroflow))
@@ -344,3 +354,153 @@ class TestSeriesDual:
         point = series_point([0.5, 0.5], 2, 3, 1)
         with pytest.raises(GenericityError):
             DualFamily(pair_basis(), [1.0, 0.3]).eval_generic(point)
+
+
+# ---------------------------------------------------------------------------
+# the level fill against the whole-product fill, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def flow_series(tmp_path_factory):
+    """The benchmark's flow-series input at a seed: (fields, initial curve,
+    order), the analytic example52 fields at order 6."""
+    @lru_cache(maxsize=None)
+    def load(seed):
+        workdir = tmp_path_factory.mktemp(f"flow-series-{seed}")
+        workloads.prepare("flow-series", seed, workdir)
+        sf = load_system_file(str(workdir / "flow-series.json"))
+        return sf.basis_fields(), sf.initial_curve, sf.flow_order
+    return load
+
+
+def division_fields():
+    return [OperatorField.parse([["u1/(2+u2)", "u2"],
+                                 ["1", "u1^2/(3-u1)"]], 2),
+            OperatorField.parse([["u2", "1/(1+u1^2)"], ["0", "u1*u2"]], 2)]
+
+
+FILL_CASES = {
+    # (fields, initial curve, order, x0)
+    "rational": (lambda: [OperatorField.parse([["1/u1", "0"], ["0", "1"]], 2),
+                          OperatorField.identity(2)],
+                 [[2.0, 1.0], [0.0, 1.0]], 3, 0.0),
+    "nonsymmetric-pair": (nonsymmetric_pair_fields, [[0, 1], [1, 1]], 4, 0.0),
+    "dual-family": (lambda: DualFamily(pair_basis(), [1.0, 0.0]).fields,
+                    [[1.0, 0.25], [2.0, 0.5]], 4, 0.0),
+    "two-of-four-flows": (lambda: demo4_tilde_basis().fields[:2],
+                          [[0.6, 0.2], [-0.3, 0.5], [0.5, -0.1], [0.4, 0.3]],
+                          5, 0.0),
+    "x0-shift": (nonsymmetric_pair_fields, [[0.2, 1.0, 0.5], [1.0, 1.0]], 4,
+                 0.7),
+}
+
+
+def assert_fill_is_the_oracle(fields, curve, order, x0=0.0):
+    """Every coefficient of the jet, and ``rhs`` (degrees below ``order``,
+    zeros at ``order``), equal the whole-product fill's bit for bit."""
+    sol = taylor_flow(fields, curve, order, x0=x0)
+    U = full_taylor_flow(fields, curve, order, x0)
+    assert np.stack([s.c for s in sol.series]).tobytes() == U.tobytes()
+    rhs = full_jet_rhs(fields, U, order)
+    assert sol.rhs.shape == rhs.shape
+    assert sol.rhs.tobytes() == rhs.tobytes()
+
+
+class TestLevelFill:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_flow_series(self, flow_series, seed):
+        assert_fill_is_the_oracle(*flow_series(seed))
+
+    @pytest.mark.parametrize("case", sorted(FILL_CASES))
+    def test_fields(self, case):
+        make, curve, order, x0 = FILL_CASES[case]
+        assert_fill_is_the_oracle(make(), curve, order, x0)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_orders(self, order):
+        assert_fill_is_the_oracle(division_fields(),
+                                  [[0.5, 1.0, 0.25], [0.3, -0.7]], order)
+
+    def test_a_nan_coefficient_reaches_rhs_as_in_the_oracle(self):
+        fields, curve = nonsymmetric_pair_fields(), [[0, 1], [1, 1]]
+        sol = taylor_flow(fields, curve, 3)
+        U = full_taylor_flow(fields, curve, 3)
+        sol.series[0].c[1] = U[0, 1] = np.nan
+        assert sol.rhs.tobytes() == full_jet_rhs(fields, U, 3).tobytes()
+        assert np.isnan(flow_compatibility_residual(sol, 0, 1))
+
+    def test_products_gather_only_the_pairs_read(self, flow_series,
+                                                 monkeypatch):
+        """Over the whole fill, an entry's products gather at most the pairs
+        of the coefficients below ``order`` (the whole-product fill took
+        every pair at each of the six levels), and ``rhs`` those pairs."""
+        fields, curve, order = flow_series(42)
+        lay = hydroflow._layout(1 + len(fields), order)
+        # the degrees below order lead the index, and their pairs the table
+        below = lay.starts[np.count_nonzero(lay.deg < order)]
+        gathered, mul = [], hydroflow._Layout.mul
+
+        def counted(self, a, b, pairs=None):
+            if pairs is not None:       # (take, starts)
+                gathered.append((id(pairs), len(self.left[pairs[0]])))
+            return mul(self, a, b, pairs)
+
+        monkeypatch.setattr(hydroflow._Layout, "mul", counted)
+        sol = taylor_flow(fields, curve, order)
+        tables = dict(gathered)
+        assert len(tables) == order
+        assert sum(tables.values()) <= below < len(lay.left)
+        gathered.clear()
+        sol.rhs
+        assert gathered and {n for _, n in gathered} == {below}
+
+    def test_peak_memory_within_the_oracle(self, flow_series):
+        """The pair tables, all built before the fill, keep the traced peak
+        of fill and ``rhs`` within that of the whole-product fill."""
+        fields, curve, order = flow_series(42)
+        taylor_flow(fields, curve, order).rhs      # the layout, cached
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        level = peak(lambda: taylor_flow(fields, curve, order).rhs)
+        whole = peak(lambda: full_jet_rhs(
+            fields, full_taylor_flow(fields, curve, order), order))
+        assert level <= whole
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 6), (3, 4), (5, 6)])
+def test_pair_tables_give_the_whole_products_coefficients(nvars, order):
+    """``mul`` over ``pairs_at(at)`` is the whole product at ``at``, bit
+    for bit, NaN and inf included; an empty ``at`` gives no coefficient."""
+    lay = hydroflow._layout(nvars, order)
+    rng = np.random.default_rng(nvars)
+    a, b = rng.uniform(-2.0, 2.0, (2, 3, lay.size))
+    a[0, rng.integers(lay.size, size=2)] = np.nan
+    a[1, rng.integers(lay.size, size=2)] = np.inf
+    b[1:, rng.integers(lay.size, size=2)] = -np.inf
+    tlevel = lay.exps[:, 1:].sum(axis=1)
+    targets = [[lay.size // 2],                               # one
+               np.flatnonzero(tlevel == min(1, nvars - 1)),   # a t-level
+               np.flatnonzero(lay.deg < order),               # below order
+               np.arange(1, lay.size, 2),
+               np.arange(lay.size)]
+    with np.errstate(invalid="ignore"):     # inf - inf
+        whole = [lay.mul(a, b), lay.mul(a[0], b[2])]
+        for at in targets:
+            at = np.asarray(at)
+            pairs = lay.pairs_at(at)
+            assert lay.mul(a, b, pairs).tobytes() \
+                == whole[0][..., at].tobytes()
+            assert lay.mul(a[0], b[2], pairs).tobytes() \
+                == whole[1][at].tobytes()
+    assert np.isnan(whole[0]).any() and np.isinf(whole[0]).any()
+    empty = lay.pairs_at(np.array([], dtype=np.intp))
+    assert len(lay.left[empty[0]]) == len(empty[1]) == 0
+    assert lay.mul(a, b, empty).shape == (3, 0)
