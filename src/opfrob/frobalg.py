@@ -26,7 +26,7 @@ derivatives from that same solve, by the forward-mode rules
 d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R (Giles,
 "An extended collection of matrix derivative results for forward and reverse
 mode AD", 2008).  The lone-point routines (``structure_constants_at``,
-``frobenius_dual``, ``well_conditioned_xi``) serve flat bases, series, tests.
+``well_conditioned_xi``, ``inverse_form``) serve flat bases, series, tests.
 """
 
 from __future__ import annotations
@@ -54,13 +54,10 @@ __all__ = [
     "OperatorBasis",
     "FrobeniusPointData",
     "algebra_report",
-    "is_generic_vector",
-    "is_generic_covector",
     "find_generic_vector",
     "find_generic_covector",
     "structure_constants_at",
     "well_conditioned_xi",
-    "frobenius_dual",
     "inverse_form",
     "point_data",
     "checked_solve",
@@ -74,16 +71,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GENERIC_SAMPLES = 32
-
-
-def is_generic_vector(mats, xi, tol: float = DEFAULT_TOL) -> bool:
-    V = np.asarray(mats, dtype=float)
-    return mat_rank((V @ np.asarray(xi, dtype=float)).T, tol=tol) == len(V)
-
-
-def is_generic_covector(mats, a, tol: float = DEFAULT_TOL) -> bool:
-    V = np.asarray(mats, dtype=float)
-    return mat_rank(np.asarray(a, dtype=float) @ V, tol=tol) == len(V)
 
 
 def _first_hit(mats, samples, rng, tol, products):
@@ -196,16 +183,6 @@ def inverse_form(b, covector, inv=mat_inv):
         raise SingularMatrixError(
             f"Frobenius form is degenerate for covector "
             f"{np.asarray(covector, dtype=float).tolist()}: {exc}") from None
-
-
-def frobenius_dual(a, covector, mats):
-    """Form b_{ij} = a_{ij}^k a_k, its inverse and the dual basis
-    M^j = b^{ji} K_i of a float basis; SingularMatrixError if b is
-    degenerate."""
-    b = np.asarray(a, dtype=float) @ np.asarray(covector, dtype=float)
-    binv = inverse_form(b, covector)
-    return b, binv, list(np.einsum("ji,irc->jrc", binv,
-                                   np.asarray(mats, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

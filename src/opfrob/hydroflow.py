@@ -12,6 +12,17 @@ Series are dense float arrays over a graded monomial index, built on first
 use for each (nvars, order) and cached (dense truncated Taylor arithmetic,
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Matrices of series
 are coefficient stacks (..., r, c, size) with a truncated matmul and inverse.
+
+A series may carry a truncation at a lower set S of coefficients, one
+closed under divisors: its products then sum only the pairs of S's
+coefficients, each in the whole product's order, and hold zeros off S.
+Truncation at S is a ring homomorphism, so every coefficient in S is that
+of the whole computation bit for bit.  Level d of the fill reads the
+fields only at t-level d - 1 below the order, so each level runs the
+fields' programs truncated at the t-levels up to d - 1 below the order
+(the pairs of the six levels of a five-variable order-6 jet: 7,098, where
+whole products take 6 x 8,008), and ``JetSolution.rhs`` at the degrees
+below the order.
 """
 
 from __future__ import annotations
@@ -74,24 +85,23 @@ class _Layout:
         return self._sorter[np.searchsorted(self._sorted, codes)]
 
     def pairs_at(self, at):
-        """The product pairs of the sorted coefficients ``at`` as (take,
-        starts): ``take`` picks their segments of the whole table in order,
-        a slice when ``at`` is a run, so ``mul`` sums each alike.  An empty
+        """The product pairs of the distinct coefficients ``at``, in any
+        order, as (at, left, right, starts): each coefficient's segment of
+        the whole table, gathered, so ``mul`` sums it alike.  An empty
         ``at`` gives products with no coefficient."""
         ends = np.append(self.starts[1:], len(self.left))
         lens = ends[at] - self.starts[at]
         starts = np.cumsum(lens) - lens
-        if len(at) and at[-1] - at[0] == len(at) - 1:
-            return slice(self.starts[at[0]], ends[at[-1]]), starts
-        return np.arange(lens.sum()) + np.repeat(self.starts[at] - starts,
-                                                 lens), starts
+        take = np.arange(lens.sum()) + np.repeat(self.starts[at] - starts,
+                                                 lens)
+        return at, self.left[take], self.right[take], starts
 
     def mul(self, a, b, pairs=None):
         """Truncated product of coefficient arrays: one gather, one sum;
         with ``pairs`` from ``pairs_at(at)``, its coefficients ``at``."""
-        take, starts = pairs or (slice(None), self.starts)
-        return np.add.reduceat(a[..., self.left[take]]
-                               * b[..., self.right[take]], starts, axis=-1)
+        _, left, right, starts = pairs or (None, self.left, self.right,
+                                           self.starts)
+        return np.add.reduceat(a[..., left] * b[..., right], starts, axis=-1)
 
     def matmul(self, A, B):
         """Truncated products of matrices of series, (..., r, k, size) @
@@ -124,13 +134,20 @@ _layout = lru_cache(maxsize=None)(_Layout)
 
 class MultiSeries:
     """Multivariate power series truncated at a total degree: the float
-    coefficients ``c`` over the graded monomial index ``layout``."""
+    coefficients ``c`` over the graded monomial index ``layout``.
 
-    __slots__ = ("layout", "c")
+    ``trunc`` (see ``truncated``), when not None, is a table
+    ``layout.pairs_at(S)`` of a set S of coefficients closed under
+    divisors: products then form only the coefficients in S and hold zeros
+    off S.  Truncation at such an S is a ring homomorphism, so every result
+    equals at S that of the whole series, bit for bit."""
+
+    __slots__ = ("layout", "c", "trunc")
 
     def __init__(self, nvars, order):
         self.layout = _layout(nvars, order)
         self.c = np.zeros(self.layout.size)
+        self.trunc = None
 
     @classmethod
     def constant(cls, value, nvars, order):
@@ -151,7 +168,14 @@ class MultiSeries:
 
     def _like(self, c):
         s = object.__new__(MultiSeries)
-        s.layout, s.c = self.layout, c
+        s.layout, s.c, s.trunc = self.layout, c, self.trunc
+        return s
+
+    def truncated(self, pairs) -> "MultiSeries":
+        """A view of these coefficients truncated at the table ``pairs``
+        (None: the whole layout); series of one computation share it."""
+        s = self._like(self.c)
+        s.trunc = pairs
         return s
 
     def _scalar(self, value):
@@ -193,6 +217,8 @@ class MultiSeries:
             return None
         if other.layout is not self.layout:
             raise ValueError("series shape mismatch")
+        if other.trunc is not self.trunc:
+            raise ValueError("series truncated at different sets")
         return other.c
 
     def __add__(self, other):
@@ -216,8 +242,13 @@ class MultiSeries:
             return self._like(self.c * float(other) if other != 0
                               else np.zeros_like(self.c))
         c = self._coeffs_of(other)
-        return NotImplemented if c is None else \
-            self._like(self.layout.mul(self.c, c))
+        if c is None:
+            return NotImplemented
+        if self.trunc is None:
+            return self._like(self.layout.mul(self.c, c))
+        out = np.zeros_like(self.c)
+        out[self.trunc[0]] = self.layout.mul(self.c, c, self.trunc)
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -288,14 +319,22 @@ class JetSolution:
         does not determine it, as u_x there needs u at degree order + 1."""
         lay = self.series[0].layout
         at = np.flatnonzero(lay.deg < self.order)   # a prefix: deg ascends
-        low = _flow_rhs(self.fields, self.series, at, lay.pairs_at(at))
+        pairs = lay.pairs_at(at)
+        low = _flow_rhs(self.fields, [s.truncated(pairs) for s in self.series],
+                        len(at))
         return np.pad(low, [(0, 0), (0, 0), (0, lay.size - len(at))])
 
 
-def _flow_rhs(fields, u, at, pairs) -> np.ndarray:
-    """K_j(u) u_x of every flow at the coefficients ``at``, (m, n, len(at)):
-    entries times u_x as ``MultiSeries`` multiplies, over ``pairs``."""
-    lay, zeros = u[0].layout, np.zeros(len(at))
+def _flow_rhs(fields, u, count) -> np.ndarray:
+    """K_j(u) u_x of every flow at the first ``count`` coefficients of the
+    truncation that the series u share, (m, n, count): the fields' programs
+    run in that truncated ring, and their entries times u_x as
+    ``MultiSeries`` multiplies, over those coefficients' pairs alone."""
+    lay, zeros = u[0].layout, np.zeros(count)
+    at, left, right, starts = u[0].trunc
+    end = np.append(starts, len(left))[count]
+    at = at[:count]
+    pairs = at, left[:end], right[:end], starts[:count]
     ux = [lay.diff(s.c, 0) for s in u]
 
     def term(k, v):
@@ -342,18 +381,23 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
 
     # order-by-order fill, routed by the minimal flow index: the monomial
     # with t-part beta comes from flow j = the first with beta_j > 0, at
-    # beta_j lowered by one, divided by beta_j; a level's sources, one level
-    # lower, get their pair tables before the fill starts
+    # beta_j lowered by one, divided by beta_j.  Level d reads K(u) at its
+    # sources, all of t-level d - 1 below order, so its programs run
+    # truncated at the t-levels up to d - 1 below order, a set closed under
+    # divisors; its pair table, sources first, is built before the fill
     T = lay.exps[:, 1:]
-    dst = np.flatnonzero(T.sum(axis=1))
+    tlevel = T.sum(axis=1)
+    dst = np.flatnonzero(tlevel)
     flow = np.argmax(T[dst] > 0, axis=1)
     src = lay.index(lay.codes[dst] - lay.radix[1 + flow])
-    div, level = T[dst, flow].astype(float), T[dst].sum(axis=1)
+    div, level = T[dst, flow].astype(float), tlevel[dst]
     levels = [level == d for d in range(1, order + 1)]
     sources = [np.unique(src[k], return_inverse=True) for k in levels]
-    tables = [lay.pairs_at(at) for at, _ in sources]
+    below = lay.deg < order
+    tables = [lay.pairs_at(np.append(at, np.flatnonzero(below & (tlevel < d))))
+              for d, (at, _) in enumerate(sources)]
     for k, (at, pos), pairs in zip(levels, sources, tables):
-        rhs = _flow_rhs(fields, u, at, pairs)
+        rhs = _flow_rhs(fields, [s.truncated(pairs) for s in u], len(at))
         U[:, dst[k]] = rhs[flow[k], :, pos].T / div[k]
     return JetSolution(dimension=n, nflows=m, order=order, x0=x0, series=u,
                        fields=list(fields), generic_warning=warning)

@@ -28,8 +28,9 @@ import numpy as np
 
 from opfrob.errors import OpfrobError, SingularMatrixError
 from opfrob.exprs import Program
+from opfrob.frobalg import DEFAULT_TOL, inverse_form
 from opfrob.hydroflow import MultiSeries
-from opfrob.numkit import Jet
+from opfrob.numkit import Jet, mat_rank
 from opfrob.sampling import MAX_DRAW_FACTOR, guards_ok
 
 FD_STEP = 1e-6
@@ -321,6 +322,28 @@ def loop_structure_constants(mats, xi):
         resid = max(resid, float(np.max(np.abs(value_array(recon)))))
     scale = 1.0 + max(float(np.max(np.abs(value_array(M)))) for M in mats)
     return a, resid / scale
+
+
+def is_generic_vector(mats, xi, tol=DEFAULT_TOL) -> bool:
+    """(A1) at one point: K_1 xi, .., K_n xi linearly independent."""
+    V = np.asarray(mats, dtype=float)
+    return mat_rank((V @ np.asarray(xi, dtype=float)).T, tol=tol) == len(V)
+
+
+def is_generic_covector(mats, a, tol=DEFAULT_TOL) -> bool:
+    """(A2) at one point: K_1^T a, .., K_n^T a linearly independent."""
+    V = np.asarray(mats, dtype=float)
+    return mat_rank(np.asarray(a, dtype=float) @ V, tol=tol) == len(V)
+
+
+def frobenius_dual(a, covector, mats):
+    """Form b_{ij} = a_{ij}^k a_k, its inverse and the dual basis
+    M^j = b^{ji} K_i of a float basis; SingularMatrixError if b is
+    degenerate."""
+    b = np.asarray(a, dtype=float) @ np.asarray(covector, dtype=float)
+    binv = inverse_form(b, covector)
+    return b, binv, list(np.einsum("ji,irc->jrc", binv,
+                                   np.asarray(mats, dtype=float)))
 
 
 def loop_dual(mats, xi, covector):

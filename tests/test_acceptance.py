@@ -23,11 +23,7 @@ from opfrob.fixtures import (
     nonsymmetric_pair_fields,
     segre_algebra,
 )
-from opfrob.frobalg import (
-    is_generic_vector,
-    point_data,
-    structure_constants_at,
-)
+from opfrob.frobalg import point_data, structure_constants_at
 from opfrob.hydroflow import flow_compatibility_residual, taylor_flow
 from opfrob.integ import (
     generate_system,
@@ -47,7 +43,11 @@ from helpers import (
     guarded_config,
     random_power_basis,
 )
-from oracles import central_gradient, lstsq_structure_constants
+from oracles import (
+    central_gradient,
+    is_generic_vector,
+    lstsq_structure_constants,
+)
 
 SEED = 42
 

@@ -18,8 +18,6 @@ from opfrob.frobalg import (
     find_generic_covector,
     find_generic_vector,
     find_well_conditioned_vector,
-    is_generic_covector,
-    is_generic_vector,
     point_data,
     structure_constants_at,
     well_conditioned_xi,
@@ -34,6 +32,8 @@ from helpers import (
     random_power_basis,
 )
 from oracles import (
+    is_generic_covector,
+    is_generic_vector,
     loop_mat_rank,
     loop_solve,
     loop_structure_constants,

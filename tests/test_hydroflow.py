@@ -1,5 +1,6 @@
 import importlib
 import math
+import operator
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -432,28 +433,41 @@ class TestLevelFill:
 
     def test_products_gather_only_the_pairs_read(self, flow_series,
                                                  monkeypatch):
-        """Over the whole fill, an entry's products gather at most the pairs
-        of the coefficients below ``order`` (the whole-product fill took
-        every pair at each of the six levels), and ``rhs`` those pairs."""
+        """Every product of the fill and of ``rhs``, the fields' series
+        products included, gathers from its step's table, except the
+        initial curve's Horner products, which are whole (8,008 pairs).
+        Level d's table holds the pairs of the t-levels below d at degrees
+        below ``order``: 7,098 over the six levels, where whole products
+        take 6 x 8,008.  Its series products gather all of it, the entries times
+        u_x the sources' part.  ``rhs`` gathers the 3,003 of the degrees
+        below ``order`` in every product."""
         fields, curve, order = flow_series(42)
         lay = hydroflow._layout(1 + len(fields), order)
-        # the degrees below order lead the index, and their pairs the table
-        below = lay.starts[np.count_nonzero(lay.deg < order)]
         gathered, mul = [], hydroflow._Layout.mul
 
         def counted(self, a, b, pairs=None):
-            if pairs is not None:       # (take, starts)
-                gathered.append((id(pairs), len(self.left[pairs[0]])))
+            gathered.append(None if pairs is None else pairs[1])   # left
             return mul(self, a, b, pairs)
 
         monkeypatch.setattr(hydroflow._Layout, "mul", counted)
         sol = taylor_flow(fields, curve, order)
-        tables = dict(gathered)
-        assert len(tables) == order
-        assert sum(tables.values()) <= below < len(lay.left)
+        whole = [left is None for left in gathered]
+        assert sum(whole) == sum(map(len, curve)) and not any(
+            whole[sum(whole):])
+        tables = {}     # a level's table of left factors -> pairs gathered
+        for left in gathered[sum(whole):]:
+            table = left if left.base is None else left.base
+            tables.setdefault(id(table), (len(table), set()))[1].add(
+                len(left))
+        sizes = [size for size, _ in tables.values()]
+        assert sizes == [21, 141, 501, 1221, 2211, 3003]
+        assert sum(sizes) == 7098 and len(lay.left) == 8008
+        assert all(max(counts) == size and len(counts) <= 2
+                   for size, counts in tables.values())
         gathered.clear()
         sol.rhs
-        assert gathered and {n for _, n in gathered} == {below}
+        assert gathered and {len(left) for left in gathered} == {3003}
+        assert lay.starts[np.count_nonzero(lay.deg < order)] == 3003
 
     def test_peak_memory_within_the_oracle(self, flow_series):
         """The pair tables, all built before the fill, keep the traced peak
@@ -490,6 +504,7 @@ def test_pair_tables_give_the_whole_products_coefficients(nvars, order):
                np.flatnonzero(tlevel == min(1, nvars - 1)),   # a t-level
                np.flatnonzero(lay.deg < order),               # below order
                np.arange(1, lay.size, 2),
+               rng.permutation(lay.size),                     # any order
                np.arange(lay.size)]
     with np.errstate(invalid="ignore"):     # inf - inf
         whole = [lay.mul(a, b), lay.mul(a[0], b[2])]
@@ -501,6 +516,96 @@ def test_pair_tables_give_the_whole_products_coefficients(nvars, order):
             assert lay.mul(a[0], b[2], pairs).tobytes() \
                 == whole[1][at].tobytes()
     assert np.isnan(whole[0]).any() and np.isinf(whole[0]).any()
-    empty = lay.pairs_at(np.array([], dtype=np.intp))
-    assert len(lay.left[empty[0]]) == len(empty[1]) == 0
-    assert lay.mul(a, b, empty).shape == (3, 0)
+    at, left, right, starts = lay.pairs_at(np.array([], dtype=np.intp))
+    assert len(at) == len(left) == len(right) == len(starts) == 0
+    assert lay.mul(a, b, (at, left, right, starts)).shape == (3, 0)
+
+
+# ---------------------------------------------------------------------------
+# truncation at a lower set, a ring homomorphism
+# ---------------------------------------------------------------------------
+
+TRUNCATIONS = [(nvars, order, level) for nvars, order in [(1, 6), (3, 4),
+                                                          (5, 6)]
+               for level in range(order)]
+
+
+def lower_set(lay, level):
+    """The coefficients of t-level at most ``level`` below the order, the
+    set at which ``taylor_flow``'s level ``level + 1`` runs its programs."""
+    return np.flatnonzero((lay.exps[:, 1:].sum(axis=1) <= level)
+                          & (lay.deg < lay.order))
+
+
+@pytest.mark.parametrize("nvars, order, level", TRUNCATIONS)
+def test_lower_sets_are_closed_under_divisors(nvars, order, level):
+    lay = hydroflow._layout(nvars, order)
+    inside = np.zeros(lay.size, dtype=bool)
+    inside[lower_set(lay, level)] = True
+    divides = (lay.exps[:, None] <= lay.exps[None]).all(axis=-1)
+    assert inside[0] and not (divides[:, inside] & ~inside[:, None]).any()
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, 5e-324]
+
+
+def outcome(op, *args):
+    """The coefficients of op(*args), or None at a zero constant term."""
+    try:
+        return op(*args).c
+    except ExprEvalError:
+        return None
+
+
+@pytest.mark.parametrize("nvars, order, level", TRUNCATIONS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-2, 4),
+       specials=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 461),
+                                   st.sampled_from(SPECIALS)), max_size=4))
+def test_truncation_is_a_ring_homomorphism(nvars, order, level, seed, k,
+                                           specials):
+    """``*``, ``reciprocal`` and ``**`` of series truncated at a lower set
+    S, in any order, are the whole operations at S bit for bit, NaN and inf
+    included, and the results hold zeros off S (a reciprocal, whose last
+    step scales by 1 / c0, where 1 / c0 is finite)."""
+    rng = np.random.default_rng(seed)
+    whole = [MultiSeries(nvars, order) for _ in range(2)]
+    lay = whole[0].layout
+    for s in whole:
+        s.c[:] = rng.uniform(-2.0, 2.0, lay.size)
+    for which, at, value in specials:
+        whole[which].c[at % lay.size] = value
+    S = rng.permutation(lower_set(lay, level))
+    off = np.setdiff1d(np.arange(lay.size), S)
+    pairs = lay.pairs_at(S)
+    a, b = (s.truncated(pairs) for s in whole)
+    ops = [(operator.mul, (b,)), (MultiSeries.reciprocal, ()),
+           (operator.pow, (k,))]
+    with np.errstate(all="ignore"):
+        c0_inv = 1.0 / np.float64(a.c[0])
+        for op, args in ops:
+            want = outcome(op, whole[0], *[whole[1] if x is b else x
+                                           for x in args])
+            got = outcome(op, a, *args)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert got[S].tobytes() == want[S].tobytes()
+            if op is not MultiSeries.reciprocal or np.isfinite(c0_inv):
+                assert np.all(got[off] == 0.0)
+
+
+def test_mixed_truncations_fail_loudly():
+    """Series truncated at different sets, or one of them whole, do not
+    add or multiply, as series of different layouts do not."""
+    x = MultiSeries.variable(0, 3, 4)
+    lay = x.layout
+    a, b = (x.truncated(lay.pairs_at(lower_set(lay, level)))
+            for level in (0, 1))
+    for op in (operator.add, operator.sub, operator.mul):
+        for u, v in ((a, b), (a, x), (x, b)):
+            with pytest.raises(ValueError, match="different sets"):
+                op(u, v)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(x, MultiSeries.variable(0, 3, 3))
+    assert (a * a).trunc is a.trunc and (a + 1.0).trunc is a.trunc

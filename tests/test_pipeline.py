@@ -31,7 +31,6 @@ from opfrob.frobalg import (
     checked_inv,
     find_generic_covector,
     find_generic_vector,
-    frobenius_dual,
     point_data,
     structure_constants_at,
     well_conditioned_xi,
@@ -42,7 +41,7 @@ from opfrob.opfields import dualize_family
 from opfrob.sampling import SampleConfig, sample_points
 
 from helpers import random_power_basis
-from oracles import loop_inv, loop_solve
+from oracles import frobenius_dual, loop_inv, loop_solve
 
 SEED = 42
 
