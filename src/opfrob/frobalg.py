@@ -510,16 +510,21 @@ class OperatorBasis:
         return point_data(V, P, covector, seed, tol)
 
 
-def _validation_checks(P, V, tol):
-    """Pairwise commutativity (each commutator scaled by 1 + the product of
-    the two fields' largest entries) and linear independence."""
+def _commutators_and_ranks(V, P, tol):
     B, n = V.shape[:2]
     norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
     i, j = np.triu_indices(n, 1)
     comm = np.max(commutator_norms(V, i, j)
                   / (1.0 + norms[:, i] * norms[:, j]), axis=1, initial=0.0)
-    min_rank = int(np.min(mat_rank(V.reshape(B, n, n * n), tol=tol),
-                          initial=n))
+    return comm, mat_rank(V.reshape(B, n, n * n), tol=tol)
+
+
+def _validation_checks(P, V, tol):
+    """Pairwise commutativity (each commutator scaled by 1 + the product of
+    the two fields' largest entries) and linear independence."""
+    B, n = V.shape[:2]
+    comm, rank = on_distinct_rows(_commutators_and_ranks, (V,), P, tol)
+    min_rank = int(np.min(rank, initial=n))
     return [reduce_check("pairwise_commutativity", comm, P, tol),
             CheckResult(name="linear_independence",
                         passed=B > 0 and min_rank == n,

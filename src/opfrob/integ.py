@@ -233,10 +233,13 @@ class IntegrableSystem:
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
         self._batch = (b"",) + (None,) * 4  # points, V, data, alpha, a_chart
-        self.hamiltonians = None
-        if self.is_constant:
+        self.hamiltonians = self._constant = None
+        if self.is_constant:    # its one row at the origin serves any point
+            origin = np.zeros((1, self.dimension))
+            self._constant = point_data(basis.values(origin)[1], origin,
+                                        seed=seed, tol=tol)
             # the grids are symmetric only up to rounding in a general frame
-            grids = self.coefficient_grids(np.zeros((1, self.dimension)))[0]
+            grids = self.coefficient_grids(origin)[0]
             self.hamiltonians = [QuadraticHamiltonian.constant((A + A.T) / 2)
                                  for A in grids]
 
@@ -246,8 +249,11 @@ class IntegrableSystem:
         """(V, Frobenius data) over a (B, n) batch, with the basis values V
         (``jets`` = (V, dV, alpha's values) when given) and structure
         tangents if asked.  The last batch with tangents is kept, with alpha's
-        values (points copied, arrays read-only), for any batch beginning it."""
+        values (points copied, arrays read-only), for any batch beginning it;
+        a constant system's data are its row at the origin, at every point."""
         P = _batch(points, self.dimension)
+        if not tangents and self._constant is not None:
+            return None, take_rows(self._constant, np.zeros(len(P), int))
         key, V, data = self._batch[:3]
         if V is None or not key.startswith(P.tobytes()):
             V, dV, a = jets or (*self.basis.batch_jet_arrays(P, tangents),
@@ -326,8 +332,8 @@ class IntegrableSystem:
         substituting p = dW solves F_s(u, p) = c_s.  SqrtConvergenceError
         names the first point where the square root fails."""
         P = _batch(points, self.dimension)
-        try:
-            return hj_differential(*self.chart_frame_basis(P), c)
+        try:     # once for each distinct row
+            return on_distinct_rows(_hj_rows, self.chart_frame_basis(P), P, c)
         except SqrtConvergenceError as exc:
             raise SqrtConvergenceError(
                 f"dW at {list(map(float, P[exc.index]))}: {exc}",
@@ -344,6 +350,10 @@ class IntegrableSystem:
         F = np.einsum("bi,bsij,bj->bs", p, self.coefficient_grids(P), p)
         rhs = np.einsum("bs,bsrc->brc", F, mats)
         return batch_max_abs(lhs - rhs) / (1.0 + batch_max_abs(lhs))
+
+
+def _ranks(A, points, tol):
+    return mat_rank(A, tol=tol)
 
 
 def generate_system(
@@ -375,7 +385,8 @@ def generate_system(
 
     pullbacks = _pullback_rows(a, V)
     del da      # not held through the Poisson and momentum checks
-    min_rank = int(np.min(mat_rank(pullbacks, tol=tol), initial=n))
+    min_rank = int(np.min(on_distinct_rows(_ranks, (pullbacks,), P, tol),
+                          initial=n))
     report.add(CheckResult(
         name="pullback_independence",
         passed=len(P) > 0 and min_rank == n,
@@ -496,6 +507,10 @@ def hj_differential(mats, alpha_value, c) -> np.ndarray:
     return (R.swapaxes(-1, -2) @ alpha)[..., 0]
 
 
+def _hj_rows(mats, alpha_value, points, c):
+    return hj_differential(mats, alpha_value, c)
+
+
 class ReconstructedFamily(DualFamilyBase):
     """Operators Mbar^i = bbar^{is} K_s rebuilt pointwise from quadratic
     Hamiltonians and a covector (bbar_{ij} = a_{ij}^s a_s in the K-basis).
@@ -516,9 +531,6 @@ class ReconstructedFamily(DualFamilyBase):
         jets = jets or [H.coeff_jets(points) for H in self.hams]
         return on_distinct_rows(_killing_jets, tuple(
             np.stack(x, axis=1) for x in zip(*jets)), points)
-
-    def killing_values(self, points):
-        return self._killing(_batch(points, self.dimension))[0]
 
     def jet_data(self, points, data=None):
         """Stacked jets over a (B, n) batch, or from its solved ``data``."""

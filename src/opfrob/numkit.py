@@ -292,9 +292,19 @@ def mat_rank(A, tol: float = 1e-9):
 def distinct_rows(*stacks):
     """(first, which) for (B, ...) stacks keyed together row by row by their
     bytes (so -0.0 and 0.0 differ): first[k] is where the k-th distinct row
-    first occurs, in first-occurrence order, and which[b] the k of row b."""
-    keys = list(zip(*([row.tobytes() for row in S.reshape(
-        len(S), math.prod(S.shape[1:]))] for S in stacks)))
+    first occurs, in first-occurrence order, and which[b] the k of row b.
+    Stacks of equal rows are settled by one comparison with row 0, and
+    the later stacks are keyed only where the first one repeats."""
+    B = len(stacks[0])
+    rows = [np.ascontiguousarray(S.reshape(B, math.prod(S.shape[1:]))).view(
+        np.uint8) for S in stacks]
+    if B and all((R == R[0]).all() for R in rows):
+        return np.zeros(1, dtype=int), np.zeros(B, dtype=int)
+    keys = (R.view(f"V{R.shape[1]}")[:, 0].tolist() for R in rows)
+    head = next(keys)
+    if len(set(head)) == B:
+        return np.arange(B), np.arange(B)
+    keys = list(zip(head, *keys))
     firsts = {key: b for b, key in reversed(list(enumerate(keys)))}
     first = np.array(sorted(firsts.values()), dtype=int)
     return first, np.searchsorted(first, [firsts[key] for key in keys])
@@ -315,7 +325,8 @@ def on_distinct_rows(fn, stacks, points, *args):
         out = fn(*(S if S is None else take_rows(S, first) for S in stacks),
                  np.asarray(points)[first], *args)
     except OpfrobError as exc:
-        exc.index = int(first[exc.index])
+        if exc.index is not None:
+            exc.index = int(first[exc.index])
         raise
     return take_rows(out, which)
 

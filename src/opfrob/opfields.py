@@ -44,7 +44,7 @@ from .frobalg import (
     structure_constants_at,  # kept: bench/test_bench.py traces it here
     well_conditioned_xi,
 )
-from .numkit import batch_max_abs
+from .numkit import batch_max_abs, on_distinct_rows
 from .report import CheckResult, VerificationReport, failed_check, reduce_check
 
 __all__ = [
@@ -94,7 +94,13 @@ def bracket_residuals(V, dV, pairs, points, tol, symmetric_part_only):
     max |partials|, for each pair at each of the (B, n) points, from the
     fields' values V (B, m, n, n) and partials dV (B, m, n, n, n); (i, i)
     is a torsion.  Raises NonCommutingError at the first point where a
-    pair's values fail to commute (a bracket is a tensor only if they do)."""
+    pair's values fail to commute (a bracket is a tensor only if they do).
+    Each distinct row of (V, dV) is computed once."""
+    return on_distinct_rows(_bracket_rows, (V, dV), points, pairs, tol,
+                            symmetric_part_only).T
+
+
+def _bracket_rows(V, dV, points, pairs, tol, symmetric_part_only):
     P = np.asarray(points, dtype=float)
     i, j = np.array([p for p in pairs if p[0] != p[1]], int).reshape(-1, 2).T
     norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
@@ -114,7 +120,7 @@ def bracket_residuals(V, dV, pairs, points, tol, symmetric_part_only):
         if symmetric_part_only:
             T = T + T.swapaxes(-1, -2)
         out[k] = batch_max_abs(T) / (1.0 + scales[i] * scales[j])
-    return out
+    return out.T
 
 
 def _pair(L, M, points, tol, symmetric_part_only):

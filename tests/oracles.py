@@ -21,6 +21,7 @@ the certificate paths in index notation; the library runs them as batched
 matrix products, which sum in another order, so they agree to rounding.
 """
 
+import math
 import operator
 from functools import reduce
 
@@ -142,6 +143,24 @@ def loop_mat_rank(A, tol=1e-9):
         A[rank + 1:] -= np.outer(A[rank + 1:, col] / A[rank, col], A[rank])
         rank += 1
     return rank
+
+
+def dict_distinct_rows(*stacks):
+    """Reference of ``numkit.distinct_rows``: (first, which) from a dict of
+    every row's bytes, all stacks keyed together, in first-occurrence
+    order."""
+    keys = list(zip(*([row.tobytes() for row in S.reshape(
+        len(S), math.prod(S.shape[1:]))] for S in stacks)))
+    firsts = {key: b for b, key in reversed(list(enumerate(keys)))}
+    first = np.array(sorted(firsts.values()), dtype=int)
+    return first, np.searchsorted(first, [firsts[key] for key in keys])
+
+
+def killing_values(family, points):
+    """K[b, s] = h_s h_1^{-1} of a ``ReconstructedFamily`` at each of the
+    points, from its stacked Killing jets."""
+    P = np.asarray(points, dtype=float).reshape(-1, family.dimension)
+    return family._killing(P)[0]
 
 
 def loop_well_conditioned_vector(mats, samples, rng, tol=1e-9):

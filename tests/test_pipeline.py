@@ -13,11 +13,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from opfrob import frobalg
+from opfrob import frobalg, integ, opfields
 from opfrob.cli import main
-from opfrob.errors import SingularMatrixError
+from opfrob.errors import (NonCommutingError, OpfrobError, SingularMatrixError,
+                           SqrtConvergenceError)
 from opfrob.fields import OneFormField, OperatorField
 from opfrob.fixtures import (
+    demo4_chart_strings,
+    demo4_constant_basis,
     demo4_matrices,
     demo4_one_form,
     demo4_rational_guards,
@@ -36,12 +39,13 @@ from opfrob.frobalg import (
     well_conditioned_xi,
 )
 from opfrob.integ import QuadraticHamiltonian, generate_system, inverse_verify
-from opfrob.numkit import batch_solve, distinct_rows
-from opfrob.opfields import dualize_family
+from opfrob.numkit import (batch_solve, distinct_rows, on_distinct_rows,
+                           sqrt_near_identity)
+from opfrob.opfields import bracket_residuals, dualize_family
 from opfrob.sampling import SampleConfig, sample_points
 
 from helpers import random_power_basis
-from oracles import frobenius_dual, loop_inv, loop_solve
+from oracles import dict_distinct_rows, frobenius_dual, loop_inv, loop_solve
 
 SEED = 42
 
@@ -276,6 +280,156 @@ class TestDistinctRows:
             == (0, 3, 3, 3)
 
 
+def nans(*payloads):
+    """Quiet NaNs with the given payloads, one per row."""
+    bits = np.array(payloads, dtype=np.uint64) | np.uint64(0x7FF8 << 48)
+    return bits.view(float).reshape(-1, 1)
+
+
+# (B, ...) stacks with their rows in every relation the keys must tell apart
+STACKS = {
+    "all-equal": lambda: (np.broadcast_to(np.arange(6.0).reshape(2, 3),
+                                          (5, 2, 3)).copy(),),
+    "all-distinct": lambda: (np.arange(30.0).reshape(5, 2, 3),),
+    "repeats": lambda: (np.arange(12.0).reshape(4, 3)[
+        [2, 0, 2, 3, 0, 0, 1, 3]],),
+    "strided": lambda: (np.arange(40.0).reshape(5, 8)[[0, 1, 0, 2, 1], ::2],),
+    "signed-zeros": lambda: (np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+                                       [-0.0, 1.0]]),),
+    "nan-payloads": lambda: (nans(1, 2, 1, 2, 2),),
+    "no-row": lambda: (np.empty((0, 2, 3)), np.empty((0, 4))),
+    "one-row": lambda: (np.ones((1, 2, 2)), np.zeros((1, 3))),
+    "values-equal-partials-not": lambda: (
+        np.ones((4, 2, 2)), np.array([[0.0], [1.0], [0.0], [2.0]])),
+    "values-repeat-partials-not": lambda: (
+        np.array([[1.0], [2.0], [1.0], [2.0]]),
+        np.array([[0.0], [0.0], [5.0], [0.0]])),
+    "values-differ-partials-equal": lambda: (
+        np.arange(4.0).reshape(4, 1), np.zeros((4, 3))),
+}
+
+
+class TestDistinctStages:
+    """The stages that read only the basis run once per distinct row of a
+    batch: each result equals the call on the whole stack bit for bit, and
+    an error names the first occurrence of its row."""
+
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_distinct_rows_is_the_dict_reference(self, case):
+        stacks = STACKS[case]()
+        for got, want in zip(distinct_rows(*stacks),
+                             dict_distinct_rows(*stacks)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    @staticmethod
+    def whole(monkeypatch):
+        """Make every routed stage run on the whole stack."""
+        def plain(fn, stacks, points, *args):
+            return fn(*stacks, points, *args)
+        for module in (frobalg, integ, opfields):
+            monkeypatch.setattr(module, "on_distinct_rows", plain)
+
+    @staticmethod
+    def repeated():
+        """Analytic example52 at seven points, four of them repeats."""
+        return analytic_points(4)[[0, 1, 0, 2, 1, 3, 0]]
+
+    def test_bracket_tables(self, monkeypatch):
+        P = self.repeated()
+        V, dV = demo4_tilde_basis().batch_jet_arrays(P)
+        pairs = [(0, 0), (0, 1), (1, 3), (2, 2), (2, 3)]
+        got = [bracket_residuals(V, dV, pairs, P, 1e-9, sym).tobytes()
+               for sym in (True, False)]
+        self.whole(monkeypatch)
+        assert got == [bracket_residuals(V, dV, pairs, P, 1e-9,
+                                         sym).tobytes()
+                       for sym in (True, False)]
+
+    @pytest.mark.parametrize("basis", [demo4_tilde_basis, diag_pair])
+    def test_validation_and_pullback_rank(self, basis, monkeypatch):
+        P = self.repeated()[:, :basis().dimension]
+        reports = [lambda: basis().validate(P)]
+        if basis is demo4_tilde_basis:
+            reports.append(lambda: generate_system(
+                basis(), demo4_one_form(), P, chart=demo4_chart_strings(),
+                seed=SEED)[1])
+        def checks():     # every field, residuals compared exactly
+            return [[vars(c) for c in r().checks] for r in reports]
+        got = checks()
+        self.whole(monkeypatch)
+        assert got == checks()
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_hj_differentials(self, constant, monkeypatch):
+        P = self.repeated()
+        system = generate_system(
+            demo4_constant_basis() if constant else demo4_tilde_basis(),
+            demo4_one_form(), P, chart=None if constant
+            else demo4_chart_strings(), seed=SEED)[0]
+        c = [1.0, 0.1, 0.1, 0.1]
+        got = system.hj_differential(P, c).tobytes()
+        self.whole(monkeypatch)
+        assert got == system.hj_differential(P, c).tobytes()
+
+    def test_a_constant_system_serves_its_origin_row(self):
+        P = self.repeated()
+        basis = demo4_constant_basis()
+        system = generate_system(basis, demo4_one_form(), P, seed=SEED)[0]
+        got = system.batch_data(P)[1]
+        want = frobalg._point_data(basis.values(P)[1], None, P, None, SEED,
+                                   frobalg.DEFAULT_TOL)
+        for name, value in vars(want).items():
+            assert (value is None) == (getattr(got, name) is None), name
+            if value is not None:
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    def test_a_non_commuting_row_is_named_at_its_first_point(self):
+        # commuting rows A, a non-commuting row N: A A N A N
+        A = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+        N = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        N[0] = np.array([[1.0, 0.0], [0.0, 2.0]])
+        V = np.stack([A, A, N, A, N])
+        P = np.arange(10.0).reshape(5, 2)
+        dV = np.zeros(V.shape + (2,))
+        with pytest.raises(NonCommutingError, match=r"at \[4\.0, 5\.0\]") \
+                as exc:
+            bracket_residuals(V, dV, [(0, 1)], P, 1e-9, False)
+        assert exc.value.index == 2
+
+    def test_a_failing_square_root_is_named_at_its_first_point(self):
+        system = generate_system(demo4_constant_basis(), demo4_one_form(),
+                                 np.zeros((1, 4)), seed=SEED)[0]
+        # c = e_1 takes the square root of M^1: Id at rows 0, 1, 3 and
+        # -Id, with no principal root, at rows 2 and 4
+        M = np.zeros((5, 4, 4, 4))
+        M[:, 0] = np.eye(4) * np.array([1.0, 1.0, -1.0, 1.0, -1.0])[
+            :, None, None]
+        system.chart_frame_basis = lambda P: (M, np.ones((len(P), 4)))
+        P = np.arange(20.0).reshape(5, 4) / 20.0
+        with pytest.raises(SqrtConvergenceError,
+                           match=r"^dW at \[0\.4, 0\.45, 0\.5, 0\.55\]") \
+                as exc:
+            system.hj_differential(P, [1.0, 0.0, 0.0, 0.0])
+        assert exc.value.index == 2
+        with pytest.raises(SqrtConvergenceError) as exc:
+            on_distinct_rows(lambda S, _: sqrt_near_identity(S),
+                             (M[:, 0],), P)
+        assert exc.value.index == 2
+
+    def test_an_error_without_an_index_passes_through(self):
+        error = OpfrobError("not about a point")
+
+        def fails(V, points):
+            raise error
+
+        V = np.zeros((3, 2, 2))
+        with pytest.raises(OpfrobError) as exc:
+            on_distinct_rows(fails, (V,), np.zeros((3, 2)))
+        assert exc.value is error and exc.value.index is None
+        assert str(exc.value) == "not about a point"
+
+
 class TestGenericityHonesty:
     # the columns xi, diag(u1, u2) xi are dependent on u1 = u2
     P = np.array([[0.3, 0.7], [-0.6, 0.2], [0.5, 0.5], [0.4, -0.9]])
@@ -463,3 +617,31 @@ def test_each_command_solves_each_stack_once(tmp_path, monkeypatch, capsys):
         assert seen[command][2] == [1] * 4, command
     for command in ("generate", "hj"):
         assert seen[command][3] == [1, 1], command
+
+
+def test_a_constant_system_solves_each_basis_once(tmp_path, monkeypatch,
+                                                  capsys):
+    """On the emitted constant example52 file ``generate``, ``hj`` and
+    ``inverse`` each run the xi search once, and the constant builtin twice,
+    once for each of its two bases: a constant system serves every batch
+    from the row it solved at the origin."""
+    searched = []
+    search = frobalg.batch_well_conditioned_xi
+
+    def counted_search(V, points, *args):
+        searched.append(hash((V.tobytes(), np.asarray(points).tobytes())))
+        return search(V, points, *args)
+
+    monkeypatch.setattr(frobalg, "batch_well_conditioned_xi", counted_search)
+    path = str(tmp_path / "e52.json")
+    main(["builtin", "example52", "--emit", path])
+    seen = {}
+    for argv in (["generate", path], ["hj", path, "--c", "1,0.1,0.1,0.1"],
+                 ["inverse", path], ["builtin", "example52"]):
+        searched.clear()
+        assert main([*argv, "--samples", "10"]) == 0
+        seen[argv[0]] = list(searched)
+    capsys.readouterr()
+    assert {command: len(s) for command, s in seen.items()} == {
+        "generate": 1, "hj": 1, "inverse": 1, "builtin": 2}
+    assert len(set(seen["builtin"])) == 2

@@ -36,6 +36,7 @@ from opfrob.sampling import SampleConfig, sample_points
 from helpers import admissible_covector, guarded_config, random_power_basis
 from oracles import (
     fd_matrix_derivatives,
+    killing_values,
     loop_dual,
     loop_inv,
     loop_structure_constants,
@@ -128,7 +129,7 @@ def test_reconstructed_family_tangents(case):
     check_family(
         family,
         lambda u: jet_pipeline_duals(killing_jets(u), covector),
-        lambda u: point_data(family.killing_values([u]), [u], covector,
+        lambda u: point_data(killing_values(family, [u]), [u], covector,
                              seed=SEED).dual[0], P)
 
 
