@@ -1,4 +1,6 @@
-"""Command-line surface: system-file ingestion, subcommands, reports.
+"""The ``opfrob`` command line: subcommands and their reports.  A file
+subcommand reads one system file (``opfrob.sysfile``) that must hold the
+keys the command needs.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 input error.
 """
@@ -14,217 +16,21 @@ import time
 
 import numpy as np
 
-from .errors import OpfrobError
-from .exprs import parse_expr
-from .fields import OneFormField, OperatorField
+from .errors import InputError, OpfrobError
 from .fixtures import builtin_names, emit_builtin, run_builtin
-from .frobalg import OperatorBasis, algebra_report
+from .frobalg import algebra_report
 from .hydroflow import flow_compatibility_residual, taylor_flow
-from .integ import (
-    QuadraticHamiltonian,
-    generate_system,
-    inverse_verify,
-    verify_commuting_family,
-)
+from .integ import generate_system, inverse_verify, verify_commuting_family
 from .opfields import dualize_family
 from .report import CheckResult, VerificationReport, reduce_check
-from .sampling import (
-    DEFAULT_GUARD,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    SampleConfig,
-    sample_points,
-)
+from .sampling import sample_points
 from .symalg import FlatBasis, analytic_symmetry, sym_membership
+from .sysfile import load_system_file, options_config
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
-
-
-class InputError(Exception):
-    """Bad system file, schema, or expression input (exit code 2)."""
-
-
-# ---------------------------------------------------------------------------
-# system files
-# ---------------------------------------------------------------------------
-
-
-class SystemFile:
-    """Parsed JSON system document (schema 1)."""
-
-    def __init__(self, doc: dict, path: str = "<doc>"):
-        if not isinstance(doc, dict):
-            raise InputError(f"{path}: top level must be an object")
-        if doc.get("schema") != 1:
-            raise InputError(f"{path}: missing or unsupported schema version")
-        self.dimension = n = _integer(doc.get("dimension"),
-                                      f"{path}: dimension", 1)
-        self.doc = doc
-        self.path = path
-
-        raw_fields = doc.get("fields", {})
-        if not isinstance(raw_fields, dict):
-            raise InputError(f"{path}: 'fields' must map names to grids")
-        self.fields = {}
-        name = None
-        try:
-            for name, grid in raw_fields.items():
-                self.fields[name] = OperatorField.parse(grid, n)
-        except (OpfrobError, ValueError, TypeError) as exc:
-            raise InputError(f"{path}: field {name!r}: {exc}")
-
-        self.basis_names = doc.get("basis")
-        if self.basis_names is not None and not (
-                isinstance(self.basis_names, list)
-                and all(isinstance(b, str) for b in self.basis_names)):
-            raise InputError(f"{path}: basis must be a list of field names")
-        self.covector = self._vector(doc, "covector")
-        self.xi = self._vector(doc, "xi")
-        self.candidate_name = doc.get("candidate")
-        if not isinstance(self.candidate_name, (str, type(None))):
-            raise InputError(f"{path}: candidate must be a field name")
-        self.chart = doc.get("chart")
-        if self.chart is not None:
-            if not (isinstance(self.chart, list) and len(self.chart) == n
-                    and all(isinstance(c, str) for c in self.chart)):
-                raise InputError(
-                    f"{path}: chart must be a list of {n} expressions")
-            try:
-                self.chart = [parse_expr(c, n) for c in self.chart]
-            except OpfrobError as exc:
-                raise InputError(f"{path}: chart: {exc}")
-        self.initial_curve = self._number_rows(doc, "initial_curve")
-        self.flow_order = _integer(doc.get("flow_order", 4),
-                                   f"{path}: flow_order", 1)
-        self.polynomials = self._number_rows(doc, "polynomials")
-
-        try:
-            self.one_form = (OneFormField.parse(doc["one_form"], n)
-                             if "one_form" in doc else None)
-        except (OpfrobError, ValueError, TypeError) as exc:
-            raise InputError(f"{path}: one_form: {exc}")
-
-        self.hamiltonians = None
-        if "hamiltonians" in doc:
-            try:
-                self.hamiltonians = [QuadraticHamiltonian.parse(g, n)
-                                     for g in doc["hamiltonians"]]
-            except (OpfrobError, ValueError, TypeError) as exc:
-                raise InputError(f"{path}: hamiltonians: {exc}")
-
-    def _vector(self, doc, key):
-        """``doc[key]`` as floats (None when absent), checked to be one
-        finite real number per coordinate; a bool or a numeric string is
-        not a number."""
-        if key not in doc:
-            return None
-        v = doc[key]
-        if not (isinstance(v, list)
-                and all(type(x) in (int, float) for x in v)):
-            raise InputError(f"{self.path}: {key} must be a number list")
-        if len(v) != self.dimension:
-            raise InputError(
-                f"{self.path}: {key} needs {self.dimension} components")
-        if not all(map(_is_number, v)):
-            raise InputError(f"{self.path}: {key} components must be finite")
-        return [float(x) for x in v]
-
-    def _number_rows(self, doc, key):
-        """``doc[key]`` (None when absent), checked to be one list of
-        finite numbers per coordinate."""
-        rows = doc.get(key)
-        if rows is not None and not (
-                isinstance(rows, list) and len(rows) == self.dimension
-                and all(isinstance(r, list) and all(map(_is_number, r))
-                        for r in rows)):
-            raise InputError(f"{self.path}: {key} must be {self.dimension} "
-                             "lists of finite numbers")
-        return rows
-
-    def basis_fields(self) -> list:
-        if not self.basis_names:
-            raise InputError(f"{self.path}: no basis listed")
-        missing = [b for b in self.basis_names if b not in self.fields]
-        if missing:
-            raise InputError(f"{self.path}: basis names not defined: {missing}")
-        return [self.fields[b] for b in self.basis_names]
-
-    def basis(self) -> OperatorBasis:
-        fields = self.basis_fields()
-        try:
-            return OperatorBasis(fields)
-        except (OpfrobError, ValueError) as exc:
-            raise InputError(f"{self.path}: {exc}")
-
-    def sample_config(self, args) -> SampleConfig:
-        s = self.doc.get("sampling", {})
-        if not isinstance(s, dict):
-            raise InputError(f"{self.path}: sampling must be an object")
-        seed = _seed(args, s.get("seed", DEFAULT_SEED),
-                     f"{self.path}: sampling seed")
-        count = _sample_count(args, s.get("samples", DEFAULT_SAMPLES))
-        box = s.get("box", 1.0)
-        if not (_is_number(box) and box > 0):
-            raise InputError(f"{self.path}: sampling box must be a positive "
-                             f"number, got {box!r}")
-        guard_floor = args.guard or DEFAULT_GUARD
-        guards = []
-        try:
-            for g in s.get("guards", []):
-                floor = g.get("min", guard_floor)
-                if not (_is_number(floor) and floor > 0):
-                    raise InputError(
-                        f"{self.path}: sampling guards: min must be a "
-                        f"finite number above 0, got {floor!r}")
-                guards.append((parse_expr(g["expr"], self.dimension),
-                               float(floor)))
-        except (OpfrobError, KeyError, TypeError, AttributeError) as exc:
-            raise InputError(f"{self.path}: sampling guards: {exc}")
-        return SampleConfig(seed=seed, count=count, box=float(box),
-                            guards=tuple(guards))
-
-
-def _is_number(x) -> bool:
-    # a finite float, or an integer that converts to one (nan fails too)
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
-def _integer(value, what: str, least: int) -> int:
-    """``value`` if it is an integer of at least ``least``; a float, a
-    string or a bool is an input error, never truncated."""
-    if type(value) is not int or value < least:
-        raise InputError(
-            f"{what} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
-def _seed(args, default, what: str) -> int:
-    """The sampling seed: ``--seed`` if given, else ``default``."""
-    if args.seed is not None:
-        return _integer(args.seed, "--seed", 0)
-    return _integer(default, what, 0)
-
-
-def _sample_count(args, default) -> int:
-    """The number of sample points: ``--samples`` if given, else
-    ``default``; a count below 1 is an input error."""
-    count = args.samples if args.samples is not None else default
-    if type(count) is not int:
-        raise InputError(f"sample count must be an integer, got {count!r}")
-    if count < 1:
-        raise InputError(f"sample count must be at least 1, got {count}")
-    return count
-
-
-def load_system_file(path: str) -> SystemFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}")
-    return SystemFile(doc, path)
+# what a system file must hold for a command that needs the key
+NEEDS = {"covector": "a covector", "one_form": "a one_form",
+         "hamiltonians": "hamiltonians", "initial_curve": "an initial_curve"}
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +50,22 @@ def _check_options(args):
                 f"--{name} must be a finite positive number, got {value!r}")
 
 
+def _system_file(args, *needs, check=None):
+    """The system file of a file subcommand and its sample config: the file
+    must hold each key of ``needs`` (an empty hamiltonians list is none),
+    and ``check(args, sf)`` vets the options before the sampling object."""
+    sf = load_system_file(args.file)
+    for key in needs:
+        if not getattr(sf, key):
+            raise InputError(f"{sf.path}: {args.command} needs {NEEDS[key]}")
+    if check:
+        check(args, sf)
+    return sf, sf.sample_config(args)
+
+
 def cmd_verify_algebra(args) -> VerificationReport:
     tol = args.tol or 1e-9
-    sf = load_system_file(args.file)
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args)
     basis = sf.basis()
     points = sample_points(sf.dimension, cfg)
     return algebra_report(basis, points, covector=sf.covector, tol=tol,
@@ -256,10 +74,7 @@ def cmd_verify_algebra(args) -> VerificationReport:
 
 def cmd_dualize(args) -> VerificationReport:
     tol = args.tol or 1e-9
-    sf = load_system_file(args.file)
-    if sf.covector is None:
-        raise InputError(f"{sf.path}: dualize needs a covector")
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args, "covector")
     points = sample_points(sf.dimension, cfg)
     _, report = dualize_family(sf.basis(), sf.covector, points, tol=tol,
                                seed=cfg.seed)
@@ -268,8 +83,7 @@ def cmd_dualize(args) -> VerificationReport:
 
 def cmd_symcheck(args) -> VerificationReport:
     tol = args.tol or 1e-9
-    sf = load_system_file(args.file)
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args)
     basis = sf.basis()
     if not basis.is_constant:
         raise InputError(f"{sf.path}: symcheck expects a constant flat basis")
@@ -304,10 +118,7 @@ def cmd_symcheck(args) -> VerificationReport:
 
 def cmd_generate(args) -> VerificationReport:
     tol = args.tol or 1e-9
-    sf = load_system_file(args.file)
-    if sf.one_form is None:
-        raise InputError(f"{sf.path}: generate needs a one_form")
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args, "one_form")
     points = sample_points(sf.dimension, cfg)
     system, report = generate_system(
         sf.basis(), sf.one_form, points, chart=sf.chart, tol=tol,
@@ -333,10 +144,7 @@ def cmd_generate(args) -> VerificationReport:
 
 def cmd_poisson_check(args) -> VerificationReport:
     tol = args.tol or 1e-8
-    sf = load_system_file(args.file)
-    if not sf.hamiltonians:
-        raise InputError(f"{sf.path}: poisson-check needs hamiltonians")
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args, "hamiltonians")
     points = sample_points(sf.dimension, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     p_draws = rng.uniform(-cfg.box, cfg.box, (len(points), sf.dimension))
@@ -348,26 +156,21 @@ def cmd_poisson_check(args) -> VerificationReport:
 
 def cmd_inverse(args) -> VerificationReport:
     tol = args.tol or 1e-8
-    sf = load_system_file(args.file)
-    if not sf.hamiltonians:
-        raise InputError(f"{sf.path}: inverse needs hamiltonians")
-    if sf.covector is None:
-        raise InputError(f"{sf.path}: inverse needs a covector")
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args, "hamiltonians", "covector")
     points = sample_points(sf.dimension, cfg)
+    if len(sf.hamiltonians) != sf.dimension:
+        raise InputError(f"{sf.path}: inverse needs {sf.dimension} "
+                         f"hamiltonians, got {len(sf.hamiltonians)}")
     report, _ = inverse_verify(sf.hamiltonians, sf.covector, points,
                                tol=tol, seed=cfg.seed)
     return report
 
 
-def cmd_hj(args) -> VerificationReport:
-    tol = args.tol or 1e-9
-    sf = load_system_file(args.file)
-    if sf.one_form is None:
-        raise InputError(f"{sf.path}: hj needs a one_form")
+def _hj_options(args, sf):
+    """Parse ``--c`` into ``args.c``, and check it and ``--hj-points``."""
     try:
         c = [float(x) for x in args.c.split(",")]
-        if not all(map(_is_number, c)):
+        if not all(map(math.isfinite, c)):
             raise ValueError
     except ValueError:
         raise InputError(f"invalid --c value {args.c!r}")
@@ -376,7 +179,13 @@ def cmd_hj(args) -> VerificationReport:
     if args.hj_points < 1:
         raise InputError(
             f"--hj-points must be at least 1, got {args.hj_points}")
-    cfg = sf.sample_config(args)
+    args.c = c
+
+
+def cmd_hj(args) -> VerificationReport:
+    tol = args.tol or 1e-9
+    sf, cfg = _system_file(args, "one_form", check=_hj_options)
+    c = args.c
     points = sample_points(sf.dimension, cfg)
     system, gen_report = generate_system(
         sf.basis(), sf.one_form, points, chart=sf.chart, tol=tol,
@@ -396,10 +205,7 @@ def cmd_hj(args) -> VerificationReport:
 
 def cmd_flow(args) -> VerificationReport:
     tol = args.tol or 1e-8
-    sf = load_system_file(args.file)
-    if sf.initial_curve is None:
-        raise InputError(f"{sf.path}: flow needs an initial_curve")
-    cfg = sf.sample_config(args)
+    sf, cfg = _system_file(args, "initial_curve")
     fields = sf.basis_fields()
     try:
         sol = taylor_flow(fields, sf.initial_curve, sf.flow_order)
@@ -424,25 +230,21 @@ def cmd_flow(args) -> VerificationReport:
 
 
 def cmd_builtin(args) -> VerificationReport:
-    cfg = SampleConfig(seed=_seed(args, DEFAULT_SEED, "seed"),
-                       count=_sample_count(args, DEFAULT_SAMPLES))
-    if args.emit:
-        try:
-            doc = emit_builtin(args.name, variant=args.variant)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        report = VerificationReport(title=f"builtin {args.name}")
-        report.add(CheckResult(
-            name="emit", passed=True, residual=0.0, tolerance=0.0, samples=0,
-            detail=f"wrote {args.emit}"))
-        return report
+    cfg = options_config(args)
     try:
-        return run_builtin(args.name, cfg, variant=args.variant)
+        if not args.emit:
+            return run_builtin(args.name, cfg, variant=args.variant)
+        doc = emit_builtin(args.name, variant=args.variant)
     except ValueError as exc:
         raise InputError(str(exc))
+    with open(args.emit, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    report = VerificationReport(title=f"builtin {args.name}")
+    report.add(CheckResult(
+        name="emit", passed=True, residual=0.0, tolerance=0.0, samples=0,
+        detail=f"wrote {args.emit}"))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +319,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _check_options(args)
-        report = args.fn(args)
+        with np.errstate(all="ignore"):  # checks judge non-finite values
+            report = args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

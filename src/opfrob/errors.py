@@ -11,6 +11,10 @@ class OpfrobError(Exception):
         self.index = index
 
 
+class InputError(Exception):
+    """Bad file, option or expression input (exit 2; not an OpfrobError)."""
+
+
 class ExprSyntaxError(OpfrobError):
     """Raised when expression text cannot be parsed; carries the byte offset."""
 

@@ -206,14 +206,6 @@ class OneFormField:
     def eval(self, u) -> np.ndarray:
         return grid_floats(self.program, u)
 
-    def eval_generic(self, point):
-        return self.program.run(point)
-
-    def jet_arrays(self, u):
-        """Values (n,) and partials (n,n) with der[i,j] = d(alpha_i)/du^j."""
-        (val,), (der,) = self.batch_jet_arrays([u])
-        return val, der
-
     def batch_jet_arrays(self, points):
         """Vectorized jets over a (B, n) batch: values (B, n), partials
         (B, n, n)."""

@@ -478,9 +478,6 @@ class OperatorBasis:
     def eval(self, u):
         return [f.eval(u) for f in self.fields]
 
-    def eval_jet(self, u):
-        return [f.eval_jet(u) for f in self.fields]
-
     def eval_generic(self, point):
         return [f.eval_generic(point) for f in self.fields]
 

@@ -113,10 +113,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)
         return check

@@ -11,7 +11,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import OpfrobError
+from .errors import InputError, OpfrobError
 from .exprs import Program
 
 DEFAULT_SEED = 42
@@ -46,6 +46,9 @@ def sample_points(n: int, config: SampleConfig) -> np.ndarray:
     draws.  Deterministic for a fixed config; drawn in blocks, each guard
     run once on a block's columns, and the points kept are those that a
     loop over the draws keeps."""
+    if 2.0 * config.box > np.finfo(float).max:
+        raise InputError(f"sampling box {config.box!r} is too large: "
+                         "[-box, box] has no finite width")
     rng = np.random.default_rng(config.seed)
     budget = MAX_DRAW_FACTOR * config.count
     guards = [(Program([e]), floor) for e, floor in config.guards]

@@ -391,6 +391,12 @@ def loop_dual(mats, xi, covector):
     return a, b, binv, dual
 
 
+def basis_jets(basis, u):
+    """The fields of an operator basis at the point ``u`` as (n, n) object
+    grids of first-order jets, one grid per field."""
+    return [f.eval_jet(u) for f in basis.fields]
+
+
 def full_flow_rhs(fields, u):
     """K_j(u) u_x of every flow at every coefficient, (m, n, size): each
     entry of K_j(u) times u_x as a whole truncated series product, and each

@@ -389,6 +389,114 @@ class TestInputChecks:
             (code, "", line + "\n")
 
 
+# the constant algebra R[x]/(x^2) with xi = 1 (a flat basis), and every key
+# that some command requires
+NIL2 = {"schema": 1, "dimension": 2,
+        "fields": {"I": [["1", "0"], ["0", "1"]],
+                   "N": [["0", "0"], ["1", "0"]]},
+        "basis": ["I", "N"], "xi": [1.0, 0.0], "covector": [0.0, 1.0],
+        "one_form": ["0", "1"], "candidate": "N",
+        "hamiltonians": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+        "initial_curve": [[0.5, 1.0], [0.7, 0.3]]}
+EXHAUSTED = {"guards": [{"expr": "1", "min": 2}]}   # rejects every draw
+
+
+class TestRequirements:
+    """A command on a file without a key it needs exits 2 with one line,
+    and the first error of a file with several faults is the command's
+    own first check."""
+
+    @staticmethod
+    def run(command, tmp_path, capsys, drop=(), **entries):
+        doc = {k: v for k, v in dict(NIL2, **entries).items()
+               if k not in drop}
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        cmd, *options = command.split()
+        code, out, err = run_cli([cmd, str(f), "--samples", "3", *options],
+                                 capsys)
+        return code, out, err.replace(str(f), "F")
+
+    @pytest.mark.parametrize("command,drop,entries,message", [
+        ("dualize", ["covector"], {}, "dualize needs a covector"),
+        ("inverse", ["covector"], {}, "inverse needs a covector"),
+        ("generate", ["one_form"], {}, "generate needs a one_form"),
+        ("hj --c 1,1", ["one_form"], {}, "hj needs a one_form"),
+        ("poisson-check", ["hamiltonians"], {},
+         "poisson-check needs hamiltonians"),
+        ("poisson-check", [], {"hamiltonians": []},
+         "poisson-check needs hamiltonians"),
+        ("inverse", ["hamiltonians"], {}, "inverse needs hamiltonians"),
+        ("inverse", ["hamiltonians", "covector"], {},
+         "inverse needs hamiltonians"),
+        ("inverse", ["covector"], {"hamiltonians": []},
+         "inverse needs hamiltonians"),
+        ("flow", ["initial_curve"], {}, "flow needs an initial_curve"),
+        ("symcheck", [], {"fields": DIAG2["fields"], "basis": ["I", "D"]},
+         "symcheck expects a constant flat basis"),
+        ("symcheck", ["xi"], {}, "symcheck needs the designated xi"),
+        ("symcheck", ["candidate"], {},
+         "symcheck needs polynomials or a candidate field"),
+        ("symcheck", [], {"candidate": "M"}, "candidate 'M' not defined"),
+    ])
+    def test_missing_requirement(self, command, drop, entries, message,
+                                 tmp_path, capsys):
+        assert self.run(command, tmp_path, capsys, drop, **entries) == \
+            (2, "", f"input error: F: {message}\n")
+
+    @pytest.mark.parametrize("command,drop,entries,line", [
+        # the keys a command needs come before its options and sampling
+        ("hj --c 1", ["one_form"], {"sampling": 5},
+         "input error: F: hj needs a one_form"),
+        ("dualize", ["covector"], {"sampling": 5},
+         "input error: F: dualize needs a covector"),
+        ("flow", ["initial_curve", "basis"], {"sampling": 5},
+         "input error: F: flow needs an initial_curve"),
+        # hj's options come before the sampling object
+        ("hj --c 1,nan", [], {"sampling": 5},
+         "input error: invalid --c value '1,nan'"),
+        ("hj --c 1,1,1", [], {"sampling": 5},
+         "input error: --c needs 2 components"),
+        ("hj --c 1,1 --hj-points 0", [], {"sampling": 5},
+         "input error: --hj-points must be at least 1, got 0"),
+        ("hj --c 1,1", [], {"sampling": 5},
+         "input error: F: sampling must be an object"),
+        # the sampling object comes before the basis
+        ("verify-algebra", ["basis"], {"sampling": 5},
+         "input error: F: sampling must be an object"),
+        ("symcheck", ["xi"], {"sampling": 5},
+         "input error: F: sampling must be an object"),
+        ("flow", ["basis"], {"sampling": 5},
+         "input error: F: sampling must be an object"),
+        # verify-algebra and symcheck build the basis before sampling, the
+        # others sample first; flow samples no points
+        ("verify-algebra", ["basis"], {"sampling": EXHAUSTED},
+         "input error: F: no basis listed"),
+        ("symcheck", ["xi"], {"sampling": EXHAUSTED},
+         "input error: F: symcheck needs the designated xi"),
+        ("dualize", ["basis"], {"sampling": EXHAUSTED},
+         "verification error: guard rejection exhausted 3000 draws; "
+         "guards too tight"),
+        ("generate", ["basis"], {"sampling": EXHAUSTED},
+         "verification error: guard rejection exhausted 3000 draws; "
+         "guards too tight"),
+        ("hj --c 1,1", ["basis"], {"sampling": EXHAUSTED},
+         "verification error: guard rejection exhausted 3000 draws; "
+         "guards too tight"),
+        ("flow", ["basis"], {"sampling": EXHAUSTED},
+         "input error: F: no basis listed"),
+        # symcheck samples before it looks up the candidate
+        ("symcheck", [], {"candidate": "M", "sampling": EXHAUSTED},
+         "verification error: guard rejection exhausted 3000 draws; "
+         "guards too tight"),
+    ])
+    def test_first_error_of_several(self, command, drop, entries, line,
+                                    tmp_path, capsys):
+        code, out, err = self.run(command, tmp_path, capsys, drop, **entries)
+        assert (code, out, err) == \
+            (1 if line.startswith("verification") else 2, "", line + "\n")
+
+
 EMITTED_SHA256 = {
     "centraliser-diag":
         "27c8c0c5a2fd1205f206924df31bb24e988662d5105a087f6e5d911d0c8f38f9",

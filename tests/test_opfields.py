@@ -403,7 +403,7 @@ class TestSymmetryCoefficients:
         for u in pts:
             duals = family.eval(u)
             dh_val = halpha.eval(u)
-            _, dh_all = hform.jet_arrays(u)   # rows: gradients of h^j
+            _, (dh_all,) = hform.batch_jet_arrays([u])  # rows: grad h^j
             for i in range(2):
                 pullback = dh_val @ duals[i]
                 assert np.max(np.abs(pullback - dh_all[i])) <= 1e-8

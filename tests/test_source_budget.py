@@ -12,9 +12,10 @@ non-logical newlines and the encoding marker.
 
 The numerics run on float arrays; truncated series too are dense float
 coefficient stacks.  Arrays of Python objects (jets, series) are built only
-by the per-point jet helpers that the benchmark's tracer still binds: the
-grids of ``fields.py`` and ``numkit.split_jet_matrix``.  An ``object``
-dtype anywhere else fails the check below.
+by the per-point helpers that the benchmark's tracer and the flow's series
+path still use: the grids of ``OperatorField.eval_generic`` and
+``numkit.split_jet_matrix``.  An ``object`` dtype anywhere else fails the
+check below.
 """
 
 import ast
@@ -29,8 +30,8 @@ MODULES = sorted(Path(opfrob.__file__).parent.glob("*.py"))
 LIMITS = {"cli.py": 4096, "hydroflow.py": 4096}
 LIMIT = 8192
 SKIPPED = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-# module -> the one function that may build object arrays (None: any)
-OBJECT_ARRAYS = {"fields.py": None, "numkit.py": "split_jet_matrix"}
+# module -> the one function that may build object arrays
+OBJECT_ARRAYS = {"fields.py": "eval_generic", "numkit.py": "split_jet_matrix"}
 
 
 def tokens(path) -> int:
@@ -69,7 +70,6 @@ def object_dtypes(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_object_arrays_only_in_the_jet_helpers(path):
-    allowed = OBJECT_ARRAYS.get(path.name, "")
-    if allowed is not None:
-        assert [(line, func) for line, func in object_dtypes(path)
-                if func != allowed] == []
+    allowed = OBJECT_ARRAYS.get(path.name)
+    assert [(line, func) for line, func in object_dtypes(path)
+            if func != allowed] == []
