@@ -15,18 +15,20 @@ M^j = b^{ji} K_i and the coordinates of Id in the basis are the identity
 coordinates.
 
 The float checks run one pipeline over a whole (B, n) sample batch.  The
-seeded xi of a basis is its best-conditioned of 32 draws: one stacked SVD
-condition number over all draws, then a rank test of each basis's winner (of
-all its draws only when the winner fails).  A command evaluates its basis
-once (``stacked_jets``) into V (B, n, n, n) and dV (B, n, n, n, n), which
-every check reads.  ``point_data`` returns every quantity as a (B, ...)
-array, solving each distinct basis once (``numkit.on_distinct_rows``) by one
-elimination (``numkit.batch_solve``); with dV it adds exact first
-derivatives from that same solve, by the forward-mode rules
-d(A^{-1}) = -A^{-1} dA A^{-1} and dX = A^{-1}(dR - dA X) for A X = R (Giles,
-"An extended collection of matrix derivative results for forward and reverse
-mode AD", 2008).  The lone-point routines (``structure_constants_at``,
-``well_conditioned_xi``, ``inverse_form``) serve flat bases, series, tests.
+seeded xi of a basis is its best-conditioned of 32 draws: the SVD condition
+number of only the draws that a certified lower bound cannot rule out (of
+them all for a lone basis), which picks what the SVD of every draw picks,
+then a rank test of each basis's winner (of all its draws only when the
+winner fails).  A command evaluates its basis once (``stacked_jets``) into
+V (B, n, n, n) and dV (B, n, n, n, n), which every check reads.
+``point_data`` returns every quantity as a (B, ...) array, solving each
+distinct basis once (``numkit.on_distinct_rows``) by one elimination
+(``numkit.batch_solve``); with dV it adds exact first derivatives from that
+same solve, by the forward-mode rules d(A^{-1}) = -A^{-1} dA A^{-1} and
+dX = A^{-1}(dR - dA X) for A X = R (Giles, "An extended collection of
+matrix derivative results for forward and reverse mode AD", 2008).  The
+lone-point routines (``structure_constants_at``, ``well_conditioned_xi``,
+``inverse_form``) serve flat bases, series, tests.
 """
 
 from __future__ import annotations
@@ -108,25 +110,114 @@ def find_generic_covector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
     return _first_hit(mats, samples, rng, tol, _draw_rows)
 
 
+# A draw is pruned only when its bound exceeds its basis's cut by this
+# factor, and only where the cut is at most _CUT_MAX: computed singular
+# values are accurate to about n u sigma_max (Golub & Van Loan, 8.6), so
+# there the computed condition numbers err far inside the factor.
+_SLACK = 1.0 + 1e-6
+_CUT_MAX = 1e8
+
+
+def _steering(V, xis):
+    """Vectors v and w, each (N, n, 1), for each column matrix A that
+    ``_draw_columns`` gives, in its order: v from 2 power steps on A^T A
+    started at the largest row of A, w from 2 inverse steps started at the
+    largest column of an unpivoted Gauss-Jordan inverse.  Their work runs
+    in one lane-last copy T[i, j, lane] of the matrices, multiplied out of
+    V and xis before the columns exist, which the inverse overwrites.  They
+    only steer ``_cond_bounds``, so neither the inverse's errors nor T's
+    rounding can make a bound wrong."""
+    n = V.shape[-1]
+    T = np.matmul(V.reshape(-1, n, n, n).transpose(2, 1, 0, 3),
+                  xis.T).reshape(n, n, -1)
+    M = T.transpose(2, 0, 1)        # the same matrices, lane first
+    lanes = np.arange(len(M))
+
+    def largest(parts):     # per lane, argmax over i of sum_k parts[k, i]^2
+        sq = np.square(parts[0])
+        for part in parts[1:]:
+            sq += np.square(part)
+        return np.argmax(sq, axis=0)
+
+    def steered(start, first, then):
+        x = start[:, :, None]
+        for _ in range(2):
+            np.matmul(then, first @ x, out=x)
+        return x
+
+    v = steered(M[lanes, largest(T.swapaxes(0, 1))], M, M.swapaxes(1, 2))
+    for k in range(n):
+        p = 1.0 / T[k, k]
+        T[k, k] = 1.0
+        T[k] *= p
+        for i in range(n):
+            if i != k:
+                f = T[i, k].copy()
+                T[i, k] = 0.0
+                T[i] -= f * T[k]
+    return v, steered(M[lanes, :, largest(T)], M.swapaxes(1, 2), M)
+
+
+def _cond_bounds(A, v, w):
+    """A lower bound on the 2-norm condition number of each matrix of the
+    (N, n, n) stack A, or 0 where it is not finite: |Av|/|v| over |Aw|/|w|
+    for nonzero v and w, (N, n, 1) each, since sigma_max >= |Av|/|v| and
+    sigma_min <= |Aw|/|w| (Golub & Van Loan, Matrix Computations, 4th ed.,
+    8.2)."""
+
+    def ratio(x):           # |Ax|^2 / |x|^2
+        Ax = A @ x
+        return (Ax.swapaxes(1, 2) @ Ax / (x.swapaxes(1, 2) @ x))[:, 0, 0]
+
+    lb = np.sqrt(ratio(v) / ratio(w))
+    return np.where(np.isfinite(lb), lb, 0.0)
+
+
 def _best_draw(V, xis, tol):
     """Per basis of V (..., n, n, n), the index of the full-rank, finite and
-    best-conditioned draw in xis (the earliest on ties), or -1: one stacked
-    condition number over the finite draws, then a rank test of each
-    basis's best draw, and of all its draws only when that one fails."""
+    best-conditioned draw in xis (the earliest on ties), or -1.
+
+    A stack of several bases takes the SVD condition number of each
+    basis's finite draw of lowest ``_cond_bounds`` (its cut), then of only
+    the draws whose bound is at most _SLACK times the cut, or of all its
+    finite draws where the cut exceeds _CUT_MAX; a lone basis takes them
+    all.  A pruned draw's condition number exceeds the cut, so the pick is
+    that of the SVD of every draw.  Then a rank test of each basis's best
+    draw, and of all its draws (taking the pruned ones' SVD) only when that
+    one fails."""
     if not len(xis):
         return np.full(V.shape[:-3], -1)
-    cols = _draw_columns(V, xis).reshape(-1, len(xis), *V.shape[-2:])
-    ok = np.isfinite(cols).all(axis=(-2, -1))
-    conds = np.full(ok.shape, np.inf)
-    conds[ok] = np.linalg.cond(cols[ok])
-    rows = np.arange(len(conds))
-    best = np.argmin(conds, axis=-1)
-    test = rows[np.isfinite(conds[rows, best])]
-    miss = test[mat_rank(cols[test, best[test]], tol=tol) < V.shape[-1]]
-    if len(miss):
-        conds[miss] = np.where(mat_rank(cols[miss], tol=tol) == V.shape[-1],
-                               conds[miss], np.inf)
-        best[miss] = np.argmin(conds[miss], axis=-1)
+    n = V.shape[-1]
+    with np.errstate(all="ignore"):     # non-finite draws are judged below
+        # steered before the columns exist, so that the search holds at
+        # most one (N, n, n) stack besides them
+        vw = _steering(V, xis) if V.size > n ** 3 else None
+        cols = _draw_columns(V, xis).reshape(-1, len(xis), n, n)
+        ok = np.isfinite(cols).all(axis=(-2, -1))
+        conds = np.full(ok.shape, np.inf)
+        rows = np.arange(len(conds))
+        pruned, todo = np.zeros_like(ok), ok.copy()
+        if vw is not None:
+            lb = np.where(ok, _cond_bounds(cols.reshape(-1, n, n),
+                                           *vw).reshape(ok.shape), np.inf)
+            del vw
+            c = np.argmin(lb, axis=-1)
+            head = rows[ok[rows, c]]
+            conds[head, c[head]] = np.linalg.cond(cols[head, c[head]])
+            cut = conds[rows, c, None]
+            pruned = ok & (lb > cut * _SLACK) & (cut <= _CUT_MAX)
+            todo &= ~pruned
+            todo[head, c[head]] = False
+        conds[todo] = np.linalg.cond(cols[todo])
+        best = np.argmin(conds, axis=-1)
+        test = rows[np.isfinite(conds[rows, best])]
+        miss = test[mat_rank(cols[test, best[test]], tol=tol) < n]
+        if len(miss):
+            some, later, draws = conds[miss], pruned[miss], cols[miss]
+            some[later] = np.linalg.cond(draws[later])
+            conds[miss] = np.where(mat_rank(draws, tol=tol) == n, some,
+                                   np.inf)
+            best[miss] = np.argmin(conds[miss], axis=-1)
     return np.where(np.isfinite(conds[rows, best]), best,
                     -1).reshape(V.shape[:-3])
 

@@ -23,6 +23,11 @@ from .sampling import (
     SampleConfig,
 )
 
+# the largest sample count: a batch holds a few (count, n, n, n) stacks and
+# the xi search a (count * 32, n, n) one, so 10^9 points would ask for tens
+# of GiB
+MAX_SAMPLES = 100_000
+
 
 class SystemFile:
     """Parsed JSON system document (schema 1)."""
@@ -182,12 +187,16 @@ def _seed(args, default, what: str) -> int:
 
 
 def _sample_count(args, default) -> int:
-    """The sample count, ``--samples`` if given, else ``default``: >= 1."""
+    """The sample count, ``--samples`` if given, else ``default``: from 1
+    to MAX_SAMPLES."""
     count = args.samples if args.samples is not None else default
     if type(count) is not int:
         raise InputError(f"sample count must be an integer, got {count!r}")
     if count < 1:
         raise InputError(f"sample count must be at least 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise InputError(f"sample count must be at most {MAX_SAMPLES}, "
+                         f"got {count}")
     return count
 
 

@@ -181,6 +181,35 @@ def loop_well_conditioned_vector(mats, samples, rng, tol=1e-9):
     return best
 
 
+def svd_best_draw(V, xis, tol=DEFAULT_TOL):
+    """The ξ search without a screen: per basis of V (..., n, n, n), the
+    index of the full-rank, finite and best-conditioned draw in xis (the
+    earliest on ties), or -1, from one stacked SVD condition number over
+    every finite draw, then a rank test of each basis's best draw, and of
+    all its draws only when that one fails.  ``frobalg._best_draw`` must
+    pick the same draws."""
+    if not len(xis):
+        return np.full(V.shape[:-3], -1)
+    n = V.shape[-1]
+    with np.errstate(all="ignore"):
+        # cols[..., k, :, j] = V_j @ xi_k, the product frobalg draws
+        cols = np.matmul(V[..., None, :, :, :], xis[:, None, :, None])[
+            ..., 0].swapaxes(-1, -2).reshape(-1, len(xis), n, n)
+        ok = np.isfinite(cols).all(axis=(-2, -1))
+        conds = np.full(ok.shape, np.inf)
+        conds[ok] = np.linalg.cond(cols[ok])
+        rows = np.arange(len(conds))
+        best = np.argmin(conds, axis=-1)
+        test = rows[np.isfinite(conds[rows, best])]
+        miss = test[mat_rank(cols[test, best[test]], tol=tol) < n]
+        if len(miss):
+            conds[miss] = np.where(mat_rank(cols[miss], tol=tol) == n,
+                                   conds[miss], np.inf)
+            best[miss] = np.argmin(conds[miss], axis=-1)
+    return np.where(np.isfinite(conds[rows, best]), best,
+                    -1).reshape(V.shape[:-3])
+
+
 def pairwise_structure_constants(mats, xi, solve):
     """a[i,j,:] from one ``solve([K_1 xi | .. | K_n xi], K_i K_j xi)`` per
     ordered pair, over the scalars of ``mats``."""

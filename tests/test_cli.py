@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -14,6 +15,7 @@ from opfrob.sampling import (
     SampleConfig,
     sample_points,
 )
+from opfrob.sysfile import MAX_SAMPLES, load_system_file
 
 from helpers import opfrob_env, run_opfrob
 
@@ -76,6 +78,34 @@ class TestExitCodes:
                                   "-3"], capsys)
         assert (code, out) == (2, "")
         assert err == "input error: sample count must be at least 1, got -3\n"
+
+    @pytest.mark.parametrize("samples", [10 ** 400, 10 ** 9])
+    def test_file_sample_count_above_the_cap_is_input_error(self, samples,
+                                                            tmp_path, capsys):
+        path = tmp_path / "e52.json"
+        run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+        doc = json.loads(path.read_text())
+        doc["sampling"]["samples"] = samples
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify-algebra", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"input error: sample count must be at most 100000, "
+                       f"got {samples}\n")
+
+    def test_samples_option_above_the_cap_is_input_error(self, capsys):
+        code, out, err = run_cli(["builtin", "example32", "--samples",
+                                  "100001"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("input error: sample count must be at most 100000, "
+                       "got 100001\n")
+
+    def test_sample_count_at_the_cap_is_accepted(self, tmp_path, capsys):
+        # the config only; no point is drawn
+        path = tmp_path / "e52.json"
+        run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+        args = argparse.Namespace(seed=None, samples=100_000, guard=None)
+        config = load_system_file(str(path)).sample_config(args)
+        assert config.count == MAX_SAMPLES == 100_000
 
     @pytest.mark.parametrize("hj_points", ["0", "-2"])
     def test_hj_points_below_one_is_input_error(self, hj_points, tmp_path,

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from opfrob import frobalg
+from opfrob.cli import main
 from opfrob.errors import GenericityError, SingularMatrixError
 from opfrob.fields import OperatorField
 from opfrob.fixtures import (
     demo4_constant_basis,
     demo4_matrices,
+    emit_builtin,
     not_closed_matrices,
     segre_algebra,
 )
@@ -41,6 +45,7 @@ from oracles import (
     loop_well_conditioned_vector,
     lstsq_structure_constants,
     pairwise_structure_constants,
+    svd_best_draw,
     value_array,
 )
 
@@ -443,6 +448,115 @@ class TestBatchedSearchAndSolve:
         # with a full-rank one among them (at the coarse tolerances) or none
         assert seen == {(0, True), (1, False), (33, True)} | (
             {(33, False)} if tol > 1e-3 else set())
+
+    @staticmethod
+    def assert_svd_pick(V, xis, tol=1e-9):
+        """The screened search picks the draws of the all-SVD search."""
+        got = frobalg._best_draw(V, xis, tol)
+        assert got.tolist() == svd_best_draw(V, xis, tol).tolist()
+        return got
+
+    @staticmethod
+    def draws(n, seed, samples=32):
+        return np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, n))
+
+    @pytest.mark.parametrize("seed", [42, 7, 0])
+    def test_screen_picks_the_svd_draws_of_the_benchmark_jobs(
+            self, seed, tmp_path, monkeypatch, capsys):
+        # the commands of the analytic52 and constant52 benchmark workloads
+        # (bench/workloads.py), each search recorded
+        searched, search = [], frobalg._best_draw
+
+        def recorded(V, xis, tol):
+            searched.append((V.copy(), xis.copy(), tol))
+            return search(V, xis, tol)
+
+        monkeypatch.setattr(frobalg, "_best_draw", recorded)
+        for variant, options in (("analytic", []),
+                                 ("constant", ["--samples", "200"])):
+            path = tmp_path / f"{variant}52.json"
+            path.write_text(json.dumps(emit_builtin("example52", variant)))
+            options += ["--seed", str(seed), "--json"]
+            for argv in (["verify-algebra"], ["dualize"], ["symcheck"],
+                         ["generate"], ["poisson-check"], ["inverse"],
+                         ["hj", "--c", "1,0.1,0.1,0.1", "--hj-points",
+                          "200"]):
+                if variant == "constant" or argv[0] not in ("symcheck", "hj"):
+                    main(argv[:1] + [str(path)] + argv[1:] + options)
+            main(["builtin", "example52", "--variant", variant] + options)
+        main(["builtin", "not-closed"] + options)
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert [V.shape[0] for V, _, _ in searched] == [50] * 5 + [1] * 9
+        for V, xis, tol in searched:
+            self.assert_svd_pick(V, xis, tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.3])
+    def test_screen_picks_the_svd_draws_of_mixed_stacks(self, tol):
+        for n in range(1, 7):
+            for seed in range(2):
+                self.assert_svd_pick(self.mixed_stack(n, seed),
+                                     self.draws(n, seed), tol)
+
+    @pytest.mark.parametrize("blocks", [[1] * 4, [2, 1, 1], [4], [1] * 8,
+                                        [4, 3, 2, 1, 1, 1], [12], [1] * 16],
+                             ids=lambda b: "-".join(map(str, b)))
+    def test_screen_picks_the_svd_draws_of_segre_frames(self, blocks):
+        # the Segre algebra conjugated by 6 random frames P, P M P^{-1}
+        M = np.array(segre_algebra(blocks)[0])
+        n = len(M)
+        P = np.random.default_rng(n).standard_normal((6, n, n))
+        V = P[:, None] @ M @ np.linalg.inv(P)[:, None]
+        self.assert_svd_pick(V, self.draws(n, len(blocks)))
+
+    def test_screen_keeps_the_first_of_exactly_tied_draws(self):
+        # cols(-xi) = -cols(xi) and cols(2 xi) = 2 cols(xi) exactly, so
+        # draws 3, 5 and 9 share one condition number and 3 must win
+        V = np.random.default_rng(5).standard_normal((40, 4, 4, 4))
+        xis = self.draws(4, 5)
+        xis[5], xis[9] = -xis[3], 2.0 * xis[3]
+        assert (self.assert_svd_pick(V, xis) == 3).any()
+
+    @pytest.mark.parametrize("eps,tol", [(1e-4, 1e-9), (1e-8, 1e-9),
+                                         (1e-12, 1e-9), (0.0, 1e-9),
+                                         (1e-13, 1e-15), (1e-14, 1e-15)])
+    def test_screen_picks_the_svd_draws_of_near_dependent_bases(self, eps,
+                                                                tol):
+        # K_4 = 2 K_1 + eps K_4: no draw has full rank where eps < tol.  At
+        # tol 1e-15 draws of condition number near 1e14 win, whose computed
+        # condition numbers err by more than the screen's slack; only the
+        # cap on the cut keeps the pick there
+        V = np.random.default_rng(6).standard_normal((50, 4, 4, 4))
+        V[:, 3] = 2.0 * V[:, 0] + eps * V[:, 3]
+        picked = self.assert_svd_pick(V, self.draws(4, 6), tol)
+        assert (picked < 0).all() == (eps < tol)
+
+    def test_screen_takes_few_svds_of_a_generic_stack(self, monkeypatch):
+        # at most 2 SVDs per basis on average: the screen must not fall back
+        # to the SVD of every draw
+        V = np.random.default_rng(7).standard_normal((50, 4, 4, 4))
+        taken, cond = [], np.linalg.cond
+
+        def counted(A, p=None):
+            taken.append(len(A))
+            return cond(A, p)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        picked = frobalg._best_draw(V, self.draws(4, 7), 1e-9)
+        monkeypatch.undo()
+        assert picked.tolist() == svd_best_draw(V, self.draws(4, 7)).tolist()
+        assert 0 < sum(taken) <= 2 * len(V)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_xi_search_is_warning_free(self, n):
+        # no outer errstate: under pytest.ini a RuntimeWarning is an error,
+        # and the 1e308 bases overflow in the draws and in the bounds
+        V = self.mixed_stack(n, 0)
+        P = np.arange(len(V) * 2.0).reshape(-1, 2)
+        found = frobalg._best_draw(V, self.draws(n, 0), 1e-9) >= 0
+        batch_well_conditioned_xi(V[found], P[found])
+        with pytest.raises(GenericityError):
+            batch_well_conditioned_xi(V, P)
 
     def test_nan_values_give_genericity_error(self):
         mats = [np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])]

@@ -16,6 +16,12 @@ by the per-point helpers that the benchmark's tracer and the flow's series
 path still use: the grids of ``OperatorField.eval_generic`` and
 ``numkit.split_jet_matrix``.  An ``object`` dtype anywhere else fails the
 check below.
+
+The LAPACK routines that ``src/`` takes from ``numpy.linalg`` stay within
+``cond``, ``svd``, ``det`` and ``inv`` (and the ``LinAlgError`` they
+raise).  Each further routine maps its own LAPACK code pages when first
+called, and those count in ``peak_rss_mb``: a ξ-search screen through ``eigvalsh`` added
+about 200 KiB of ``RssFile`` (``/proc/self/status``) on analytic52.
 """
 
 import ast
@@ -30,6 +36,7 @@ MODULES = sorted(Path(opfrob.__file__).parent.glob("*.py"))
 LIMITS = {"cli.py": 4096, "hydroflow.py": 4096}
 LIMIT = 8192
 SKIPPED = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+LINALG = {"cond", "svd", "det", "inv", "LinAlgError"}
 # module -> the one function that may build object arrays
 OBJECT_ARRAYS = {"fields.py": "eval_generic", "numkit.py": "split_jet_matrix"}
 
@@ -73,3 +80,29 @@ def test_object_arrays_only_in_the_jet_helpers(path):
     allowed = OBJECT_ARRAYS.get(path.name)
     assert [(line, func) for line, func in object_dtypes(path)
             if func != allowed] == []
+
+
+def linalg_names(path):
+    """The names a module takes from ``numpy.linalg``: X of each
+    ``np.linalg.X`` and of ``from numpy.linalg import X``; ``linalg`` for a
+    bare ``np.linalg`` (an alias) or an ``import numpy.linalg``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            up = parent.get(node)
+            names.add(up.attr if isinstance(up, ast.Attribute) else "linalg")
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").startswith("numpy.linalg"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.linalg") for alias in node.names):
+            names.add("linalg")
+    return names
+
+
+def test_src_takes_only_the_known_linalg_routines():
+    used = set().union(*map(linalg_names, MODULES))
+    assert "cond" in used and used <= LINALG
