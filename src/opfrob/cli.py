@@ -212,13 +212,14 @@ def cmd_flow(args) -> VerificationReport:
     except OpfrobError as exc:
         raise InputError(f"{sf.path}: {exc}")
     report = VerificationReport(title="flow", seed=cfg.seed)
+    detail = f"truncation order {sol.order}" + (
+        "" if sol.is_finite() else "; the jet or a K_j(u) u_x is not finite")
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             r = flow_compatibility_residual(sol, i, j)
             report.add(CheckResult(
                 name=f"flow_compatibility_{i + 1}_{j + 1}", passed=r <= tol,
-                residual=r, tolerance=tol, samples=1,
-                detail=f"truncation order {sol.order}",
+                residual=r, tolerance=tol, samples=1, detail=detail,
             ))
     if sol.generic_warning:
         report.add(CheckResult(

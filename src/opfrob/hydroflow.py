@@ -18,17 +18,16 @@ closed under divisors: its products then sum only the pairs of S's
 coefficients, each in the whole product's order, and hold zeros off S.
 Truncation at S is a ring homomorphism, so every coefficient in S is that
 of the whole computation bit for bit.  Level d of the fill reads the
-fields only at t-level d - 1 below the order, so each level runs the
-fields' programs truncated at the t-levels up to d - 1 below the order
-(the pairs of the six levels of a five-variable order-6 jet: 7,098, where
-whole products take 6 x 8,008), and ``JetSolution.rhs`` at the degrees
-below the order.
+fields only at t-level d - 1 below the order, so it runs their programs
+truncated at the t-levels up to d - 1 below the order (7,098 pairs over
+the six levels of a five-variable order-6 jet, where whole products take
+6 x 8,008); the levels' results make ``JetSolution.rhs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
@@ -299,30 +298,26 @@ class MultiSeries:
 @dataclass
 class JetSolution:
     """Taylor coefficients of u(x, t_1..t_m) about (x0, 0) to total degree
-    ``order``; series variables are ordered (x - x0, t_1, .., t_m)."""
+    ``order``; series variables are ordered (x - x0, t_1, .., t_m).
+    ``rhs`` holds every flow's right-hand side K_j(u) u_x, (m, n, size), at
+    the degrees below ``order``.  Degree ``order`` holds zeros: the jet does
+    not determine it, as u_x there needs u at degree order + 1."""
 
     dimension: int
     nflows: int
     order: int
     x0: float
     series: list
-    fields: list = field(default_factory=list, repr=False)
+    rhs: np.ndarray
     generic_warning: bool = False
 
     def coefficient(self, component: int, exponents) -> float:
         return self.series[component].coefficient(exponents)
 
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        """Every flow's right-hand side K_j(u) u_x, (m, n, size), once, at
-        the degrees below ``order``.  Degree ``order`` holds zeros: the jet
-        does not determine it, as u_x there needs u at degree order + 1."""
-        lay = self.series[0].layout
-        at = np.flatnonzero(lay.deg < self.order)   # a prefix: deg ascends
-        pairs = lay.pairs_at(at)
-        low = _flow_rhs(self.fields, [s.truncated(pairs) for s in self.series],
-                        len(at))
-        return np.pad(low, [(0, 0), (0, 0), (0, lay.size - len(at))])
+    def is_finite(self) -> bool:
+        """Whether every coefficient of the jet and of ``rhs`` is finite."""
+        return all(np.isfinite(c).all() for c in [self.rhs] + [
+            s.c for s in self.series])
 
 
 def _flow_rhs(fields, u, count) -> np.ndarray:
@@ -345,6 +340,7 @@ def _flow_rhs(fields, u, count) -> np.ndarray:
                       for row in f.eval_generic(list(u))] for f in fields])
 
 
+@np.errstate(all="ignore")     # a non-finite jet fails its residual
 def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
                 max_order: int = DEFAULT_MAX_ORDER) -> JetSolution:
     """Fill the Taylor jet of the multi-flow solution with initial curve
@@ -359,14 +355,17 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
                           f"cap {max_order}")
     m, n = len(fields), fields[0].dimension
 
-    # initial data: u0_i(x0 + x) by Horner over the series ring, in the rows
-    # of U; the series of u are views of those rows, filled in place below
+    # initial data: u0_i(x0 + x) by Horner at t-level 0, where it lives, in
+    # the rows of U; the series of u are views of those rows, filled below
     xvar = MultiSeries.variable(0, 1 + m, order)
     lay = xvar.layout
+    T = lay.exps[:, 1:]
+    tlevel = T.sum(axis=1)
+    x = xvar.truncated(lay.pairs_at(np.flatnonzero(tlevel == 0)))
     U = np.zeros((len(initial_curve), lay.size))
     for row, coeffs in zip(U, initial_curve):
         for c in reversed([float(c) for c in coeffs]):
-            row[:] = (xvar._like(row) * (xvar + x0) + c).c
+            row[:] = (x._like(row) * (x + x0) + c).c
     u = [xvar._like(row) for row in U]
     if len(u) != n:
         raise OpfrobError(f"initial curve needs {n} components, got {len(u)}")
@@ -381,35 +380,40 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
 
     # order-by-order fill, routed by the minimal flow index: the monomial
     # with t-part beta comes from flow j = the first with beta_j > 0, at
-    # beta_j lowered by one, divided by beta_j.  Level d reads K(u) at its
-    # sources, all of t-level d - 1 below order, so its programs run
-    # truncated at the t-levels up to d - 1 below order, a set closed under
-    # divisors; its pair table, sources first, is built before the fill
-    T = lay.exps[:, 1:]
-    tlevel = T.sum(axis=1)
+    # beta_j lowered by one, divided by beta_j.  Level d reads K(u) u_x at
+    # its sources, all of t-level d - 1 below order (each the source of its
+    # t_1 step), so its programs run truncated at the t-levels up to d - 1
+    # below order, a set closed under divisors, with a pair table of the
+    # sources first.  The levels' sources, all below order, make ``rhs``
     dst = np.flatnonzero(tlevel)
     flow = np.argmax(T[dst] > 0, axis=1)
     src = lay.index(lay.codes[dst] - lay.radix[1 + flow])
     div, level = T[dst, flow].astype(float), tlevel[dst]
-    levels = [level == d for d in range(1, order + 1)]
-    sources = [np.unique(src[k], return_inverse=True) for k in levels]
     below = lay.deg < order
-    tables = [lay.pairs_at(np.append(at, np.flatnonzero(below & (tlevel < d))))
-              for d, (at, _) in enumerate(sources)]
-    for k, (at, pos), pairs in zip(levels, sources, tables):
-        rhs = _flow_rhs(fields, [s.truncated(pairs) for s in u], len(at))
-        U[:, dst[k]] = rhs[flow[k], :, pos].T / div[k]
+    rhs = np.zeros((m, n, np.count_nonzero(below)))   # a prefix: deg ascends
+    for d in range(order):
+        k, at = level == d + 1, np.flatnonzero(below & (tlevel == d))
+        pairs = lay.pairs_at(np.append(at, np.flatnonzero(
+            below & (tlevel < d))))
+        rhs[..., at] = _flow_rhs(fields, [s.truncated(pairs) for s in u],
+                                 len(at))
+        U[:, dst[k]] = rhs[flow[k], :, src[k]].T / div[k]
+    rhs = np.pad(rhs, [(0, 0), (0, 0), (0, lay.size - rhs.shape[-1])])
     return JetSolution(dimension=n, nflows=m, order=order, x0=x0, series=u,
-                       fields=list(fields), generic_warning=warning)
+                       rhs=rhs, generic_warning=warning)
 
 
+@np.errstate(all="ignore")     # an overflow gives an inf residual
 def flow_compatibility_residual(sol: JetSolution, i: int, j: int) -> float:
     """Max coefficient discrepancy between d_{t_i} d_{t_j} u computed via
     the two evolution routes (d_{t_i} of flow j's right-hand side against
     d_{t_j} of flow i's), compared up to total degree order - 2.  Flow
-    indices are 0-based."""
+    indices are 0-based.  NaN when a coefficient of the jet or of ``rhs``
+    is not finite: an overflowed jet can compare equal."""
     if sol.order < 2:
         raise OpfrobError("compatibility needs truncation order >= 2")
+    if not sol.is_finite():
+        return float("nan")
     lay = sol.series[0].layout
     a = lay.diff(sol.rhs[j], 1 + i)   # d/dt_i of flow-j evolution
     b = lay.diff(sol.rhs[i], 1 + j)   # d/dt_j of flow-i evolution

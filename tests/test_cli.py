@@ -209,6 +209,44 @@ def test_overflowing_sampling_guard_is_quiet(tmp_path, capsys):
     assert {c["samples"] for c in checks if "samples" in c} == {50}
 
 
+OVERFLOW_CURVE = [[0.1, 1, 0.3], [0.2, 1, 0.3], [0.3, 1, 0.3],
+                  [0.4, 1, 1e308]]
+
+
+@pytest.mark.parametrize("edit, code", [
+    # the jet overflows to inf, though every coefficient compared is equal
+    ({"M1": (2, "1e308")}, 1),
+    ({"M1": (3, "1e308")}, 1),
+    ({"initial_curve": OVERFLOW_CURVE}, 1),
+    # a 1e308 slope whose jet stays finite
+    ({"initial_curve": [[0.1, 1e308, 0.3]] + OVERFLOW_CURVE[1:3]
+      + [[0.4, 1, 1]]}, 0),
+], ids=["M1-column-2", "M1-column-3", "curve", "finite-jet"])
+def test_an_overflowed_flow_jet_fails(edit, code, tmp_path, capsys):
+    # the constant example52 file (flow_order 4) with one 1e308 entry: in
+    # M1's last row at a 1-based column, or in an initial curve; a NaN
+    # residual fails each pair, and numpy stays quiet
+    path = tmp_path / "c52.json"
+    run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    if "M1" in edit:
+        column, value = edit["M1"]
+        doc["fields"]["M1"][3][column - 1] = value
+    else:
+        doc.update(initial_curve=edit["initial_curve"], flow_order=4)
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(["flow", str(path), "--json"], capsys)
+    assert (got, err) == (code, "")
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 6
+    for check in checks:
+        assert check["passed"] == (code == 0)
+        assert check["detail"] == "truncation order 4" + (
+            "" if code == 0 else "; the jet or a K_j(u) u_x is not finite")
+
+
 def _run_doc(doc, command, tmp_path, capsys):
     """(exit code, stdout, stderr) of ``command`` on a system document."""
     f = tmp_path / "sys.json"

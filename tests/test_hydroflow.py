@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import operator
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfrob import hydroflow
-from opfrob.cli import load_system_file
+from opfrob.cli import load_system_file, main as cli_main
 from opfrob.errors import (
     ExprEvalError,
     GenericityError,
@@ -257,8 +258,17 @@ class TestTaylorFlow:
 
     def test_non_finite_coefficient_fails(self):
         K1, K2 = nonsymmetric_pair_fields()
-        sol = taylor_flow([K1, K2], [[0, 1], [1, 1]], order=3)
-        sol.series[0].c[1] = np.nan
+        sol = taylor_flow([K1, K2], [[0, np.nan], [1, 1]], order=3)
+        assert np.isnan(flow_compatibility_residual(sol, 0, 1))
+
+    def test_overflow_is_quiet_and_fails(self):
+        """A 1e308 curve coefficient overflows the jet to inf: no numpy
+        warning (an error under this suite's settings), and a NaN residual,
+        though every coefficient compared is equal."""
+        fields = demo4_constant_basis().fields
+        curve = [[0.1, 1, 0.3], [0.2, 1, 0.3], [0.3, 1, 0.3], [0.4, 1, 1e308]]
+        sol = taylor_flow(fields, curve, order=4)
+        assert not sol.is_finite() and np.isinf(sol.rhs).any()
         assert np.isnan(flow_compatibility_residual(sol, 0, 1))
 
     def test_dual_family_flows_are_compatible(self):
@@ -424,23 +434,22 @@ class TestLevelFill:
                                   [[0.5, 1.0, 0.25], [0.3, -0.7]], order)
 
     def test_a_nan_coefficient_reaches_rhs_as_in_the_oracle(self):
-        fields, curve = nonsymmetric_pair_fields(), [[0, 1], [1, 1]]
+        fields, curve = nonsymmetric_pair_fields(), [[0, np.nan], [1, 1]]
         sol = taylor_flow(fields, curve, 3)
         U = full_taylor_flow(fields, curve, 3)
-        sol.series[0].c[1] = U[0, 1] = np.nan
+        assert np.isnan(sol.rhs).any()
         assert sol.rhs.tobytes() == full_jet_rhs(fields, U, 3).tobytes()
         assert np.isnan(flow_compatibility_residual(sol, 0, 1))
 
     def test_products_gather_only_the_pairs_read(self, flow_series,
                                                  monkeypatch):
-        """Every product of the fill and of ``rhs``, the fields' series
-        products included, gathers from its step's table, except the
-        initial curve's Horner products, which are whole (8,008 pairs).
-        Level d's table holds the pairs of the t-levels below d at degrees
-        below ``order``: 7,098 over the six levels, where whole products
-        take 6 x 8,008.  Its series products gather all of it, the entries times
-        u_x the sources' part.  ``rhs`` gathers the 3,003 of the degrees
-        below ``order`` in every product."""
+        """No product of ``taylor_flow`` is whole.  The initial curve's
+        Horner products, one per curve coefficient, gather the 28 pairs of
+        t-level 0, where u0(x0 + x) lives.  Level d's table holds the pairs
+        of the t-levels below d at degrees below ``order``: 7,098 over the
+        six levels, where whole products take 6 x 8,008.  Its series
+        products gather all of it, the entries times u_x the sources' part.
+        ``rhs``, filled by the levels, gathers nothing."""
         fields, curve, order = flow_series(42)
         lay = hydroflow._layout(1 + len(fields), order)
         gathered, mul = [], hydroflow._Layout.mul
@@ -451,11 +460,12 @@ class TestLevelFill:
 
         monkeypatch.setattr(hydroflow._Layout, "mul", counted)
         sol = taylor_flow(fields, curve, order)
-        whole = [left is None for left in gathered]
-        assert sum(whole) == sum(map(len, curve)) and not any(
-            whole[sum(whole):])
+        assert all(left is not None for left in gathered)
+        horner = sum(map(len, curve))
+        assert len({id(left) for left in gathered[:horner]}) == 1
+        assert {len(left) for left in gathered[:horner]} == {28}
         tables = {}     # a level's table of left factors -> pairs gathered
-        for left in gathered[sum(whole):]:
+        for left in gathered[horner:]:
             table = left if left.base is None else left.base
             tables.setdefault(id(table), (len(table), set()))[1].add(
                 len(left))
@@ -466,12 +476,12 @@ class TestLevelFill:
                    for size, counts in tables.values())
         gathered.clear()
         sol.rhs
-        assert gathered and {len(left) for left in gathered} == {3003}
-        assert lay.starts[np.count_nonzero(lay.deg < order)] == 3003
+        assert not gathered
 
     def test_peak_memory_within_the_oracle(self, flow_series):
-        """The pair tables, all built before the fill, keep the traced peak
-        of fill and ``rhs`` within that of the whole-product fill."""
+        """The pair tables, each built at its level, keep the traced peak
+        of the fill, ``rhs`` included, within that of the whole-product
+        fill."""
         fields, curve, order = flow_series(42)
         taylor_flow(fields, curve, order).rhs      # the layout, cached
 
@@ -487,6 +497,36 @@ class TestLevelFill:
         whole = peak(lambda: full_jet_rhs(
             fields, full_taylor_flow(fields, curve, order), order))
         assert level <= whole
+
+
+def oracle_residual(fields, curve, order, i, j):
+    """``flow_compatibility_residual`` of the whole-product fill."""
+    rhs = full_jet_rhs(fields, full_taylor_flow(fields, curve, order), order)
+    lay = hydroflow._layout(1 + len(fields), order)
+    gap = lay.diff(rhs[j], 1 + i) - lay.diff(rhs[i], 1 + j)
+    return float(np.max(np.abs(gap)[:, lay.deg <= order - 2], initial=0.0))
+
+
+@pytest.mark.parametrize("seed, job", [(42, "flow"), (7, "flow"),
+                                       (42, "flow-nonsymmetric-pair")])
+def test_flow_command_reports_the_oracle_residuals(seed, job, tmp_path,
+                                                   capsys):
+    """``opfrob flow --json`` on the benchmark's flow-series files reports,
+    for every pair of flows, the residual of the whole-product fill."""
+    (argv,) = [j.argv for j in workloads.prepare(
+        "flow-series", seed, tmp_path).jobs if j.id == job]
+    code = cli_main(argv)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    sf = load_system_file(argv[1])
+    fields = sf.basis_fields()
+    pairs = [(i, j) for i in range(len(fields))
+             for j in range(i + 1, len(fields))]
+    assert code == (0 if job == "flow" else 1)
+    assert [c["name"] for c in checks] == [
+        f"flow_compatibility_{i + 1}_{j + 1}" for i, j in pairs]
+    for check, (i, j) in zip(checks, pairs):
+        assert check["max_residual"] == oracle_residual(
+            fields, sf.initial_curve, sf.flow_order, i, j)
 
 
 @pytest.mark.parametrize("nvars, order", [(1, 6), (3, 4), (5, 6)])
