@@ -39,7 +39,7 @@ from .numkit import mat_inv, mat_rank
 __all__ = ["MultiSeries", "JetSolution", "taylor_flow",
            "flow_compatibility_residual"]
 
-DEFAULT_MAX_ORDER = 6
+MAX_ORDER = 6      # the largest truncation order taylor_flow fills
 
 
 class _Layout:
@@ -341,8 +341,7 @@ def _flow_rhs(fields, u, count) -> np.ndarray:
 
 
 @np.errstate(all="ignore")     # a non-finite jet fails its residual
-def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
-                max_order: int = DEFAULT_MAX_ORDER) -> JetSolution:
+def taylor_flow(fields, initial_curve, order, x0: float = 0.0) -> JetSolution:
     """Fill the Taylor jet of the multi-flow solution with initial curve
     u(x, 0) given by polynomial coefficients (ascending powers of x).
 
@@ -350,9 +349,9 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0,
     jet then lives in 1 + m variables.  A non-generic initial curve (the
     vectors K_i(u0) u0' dependent) only triggers a warning flag.
     """
-    if order > max_order:
+    if order > MAX_ORDER:
         raise OpfrobError(f"truncation order {order} exceeds the configured "
-                          f"cap {max_order}")
+                          f"cap {MAX_ORDER}")
     m, n = len(fields), fields[0].dimension
 
     # initial data: u0_i(x0 + x) by Horner at t-level 0, where it lives, in

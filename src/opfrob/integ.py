@@ -151,15 +151,15 @@ def verify_commuting_family(
 ) -> CheckResult:
     """Max scale-normalized |{F_i, F_j}| over the phase sample; the residual
     is divided by 1 + |F_i||F_j| so rational Hamiltonians near their
-    singular loci stay comparable.  ``jets`` are the Hamiltonians'
-    ``coeff_jets`` at u_points when the caller already has them."""
-    m, n = len(hams), hams[0].dimension
+    singular loci stay comparable.  Given ``jets``, the forms' coeff_jets
+    at u_points, it reads the forms from them and not from ``hams``."""
+    n = hams[0].dimension if jets is None else jets[0][0].shape[-1]
     P, p = _batch(u_points, n), _batch(p_points, n)
     jets = [_phase_jets(A, dA, p)
             for A, dA in jets or (H.coeff_jets(P) for H in hams)]
-    residuals = [np.abs(_bracket_of(jets[i], jets[j]))
-                 / (1.0 + np.abs(jets[i][0]) * np.abs(jets[j][0]))
-                 for i in range(m) for j in range(i + 1, m)]
+    residuals = [np.abs(_bracket_of(f, g))
+                 / (1.0 + np.abs(f[0]) * np.abs(g[0]))
+                 for i, f in enumerate(jets) for g in jets[i + 1:]]
     # per point the worst pair (a NaN wins), 0 without pairs
     return reduce_check(name, np.max(np.reshape(residuals, (
         len(residuals), len(P))), axis=0, initial=0.0), np.hstack([P, p]), tol)
@@ -194,20 +194,6 @@ def _momentum_nondegeneracy(G, points, seed, draws=50, threshold=1e-9,
     )
 
 
-class _SystemForm:
-    """Quadratic form F_s of a generated system, with coefficients and
-    chart-frame derivatives evaluated at original coordinates."""
-
-    def __init__(self, system, s):
-        self.system = system
-        self.s = s
-        self.dimension = system.dimension
-
-    def coeff_jets(self, points):
-        a_val, a_der = self.system.structure_jets_at(points)
-        return a_val[..., self.s], a_der[..., self.s, :]
-
-
 def _batch(points, n) -> np.ndarray:
     return np.asarray(points, dtype=float).reshape(-1, n)
 
@@ -218,10 +204,38 @@ def _pullback_rows(aval, V) -> np.ndarray:
     return (aval[:, None, None, :] @ V)[..., 0, :]
 
 
+def _chart_inverse(J, P):
+    return on_distinct_rows(checked_inv, (J,), P, "the pullback rows "
+                            "M^{i*} alpha are dependent")
+
+
+def _chart_frame(V, aval, P):
+    """Basis values J M^i J^{-1} (B, n, n, n) and alpha J^{-1} (B, n) in the
+    chart frame at the points P, from the basis values V and alpha's values
+    aval there; J holds the pullback rows."""
+    J = _pullback_rows(aval, V)
+    Jinv = _chart_inverse(J, P)
+    return J[:, None] @ V @ Jinv[:, None], (aval[:, None, :] @ Jinv)[:, 0]
+
+
+def _hj(frame, P, c):
+    """dW at the points P from their chart frame, once for each distinct
+    row; SqrtConvergenceError names the first point where the root fails."""
+    try:
+        return on_distinct_rows(lambda M, a, _: hj_differential(M, a, c),
+                                frame, P)
+    except SqrtConvergenceError as exc:
+        raise SqrtConvergenceError(
+            f"dW at {list(map(float, P[exc.index]))}: {exc}",
+            index=exc.index) from None
+
+
 class IntegrableSystem:
     """A generated commuting family: basis, conservation law, chart, and the
     quadratic forms F_s in the chart's canonical coordinates.  Every
-    pointwise quantity is evaluated over a (B, n) batch of points."""
+    pointwise quantity is computed from its (B, n) batch of points alone.
+    ``sample`` holds (points, basis values, alpha values, Frobenius data) of
+    the batch that ``generate_system`` certified, for ``hj_consistency``."""
 
     def __init__(self, basis: OperatorBasis, alpha: OneFormField, chart,
                  tol: float = DEFAULT_TOL, seed: int = 0):
@@ -232,8 +246,7 @@ class IntegrableSystem:
         self.tol = tol
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
-        self._batch = (b"",) + (None,) * 4  # points, V, data, alpha, a_chart
-        self.hamiltonians = self._constant = None
+        self.hamiltonians = self._constant = self.sample = None
         if self.is_constant:    # its one row at the origin serves any point
             origin = np.zeros((1, self.dimension))
             self._constant = point_data(basis.values(origin)[1], origin,
@@ -245,55 +258,29 @@ class IntegrableSystem:
 
     # -- pointwise data ------------------------------------------------------
 
-    def batch_data(self, points, tangents=False, jets=None):
+    def batch_data(self, points, tangents=False):
         """(V, Frobenius data) over a (B, n) batch, with the basis values V
-        (``jets`` = (V, dV, alpha's values) when given) and structure
-        tangents if asked.  The last batch with tangents is kept, with alpha's
-        values (points copied, arrays read-only), for any batch beginning it;
-        a constant system's data are its row at the origin, at every point."""
+        and structure tangents if asked; a constant system's data without
+        tangents are its row at the origin, at every point (V None)."""
         P = _batch(points, self.dimension)
         if not tangents and self._constant is not None:
             return None, take_rows(self._constant, np.zeros(len(P), int))
-        key, V, data = self._batch[:3]
-        if V is None or not key.startswith(P.tobytes()):
-            V, dV, a = jets or (*self.basis.batch_jet_arrays(P, tangents),
-                                None)
-            data = point_data(V, P, seed=self.seed, tol=self.tol, dV=dV)
-            if not tangents:
-                return None, data
-            if a is None:
-                a = self.alpha.batch_jet_arrays(P)[0]
-            for x in (V, a, *vars(data).values()):
-                if x is not None:
-                    x.setflags(write=False)
-            self._batch = (P.tobytes(), V, data, a, None)
-        return V[:len(P)], take_rows(data, slice(len(P)))
+        V, dV = self.basis.batch_jet_arrays(P, tangents)
+        return V, point_data(V, P, seed=self.seed, tol=self.tol, dV=dV)
 
     def coefficient_grids(self, points) -> np.ndarray:
-        """G[b, s, i, j] = a^{ij}_s, the coefficient grid of F_s, at
-        points[b]."""
-        a = self.batch_data(points)[1].structure    # a kept one is copied
-        return (a if a.flags.writeable else a.copy("K")).transpose(0, 3, 1, 2)
+        """G[b, s, i, j] = a^{ij}_s, the grid of F_s, at points[b]."""
+        return self.batch_data(points)[1].structure.transpose(0, 3, 1, 2)
 
     def structure_jets_at(self, points):
         """Structure constants and their chart-frame derivatives over a
         (B, n) batch: (a_val[b,i,j,s], a_chart[b,i,j,s,k]) with
-        d/d(chart^k); kept with the batch of ``batch_data``, read-only."""
+        d/d(chart^k)."""
         P = _batch(points, self.dimension)
         V, data = self.batch_data(P, tangents=True)
-        a_chart = self._batch[4]
-        if a_chart is None or len(a_chart) < len(P):
-            Jinv = self._chart_inverse(
-                _pullback_rows(self._batch[3][:len(P)], V), P)
-            a_chart = data.structure_tangent @ Jinv[:, None, None]
-            a_chart.setflags(write=False)
-            self._batch = self._batch[:4] + (a_chart,)
-        return data.structure, a_chart[:len(P)]
-
-    @staticmethod
-    def _chart_inverse(J, P):
-        return on_distinct_rows(checked_inv, (J,), P, "the pullback rows "
-                                "M^{i*} alpha are dependent")
+        J = _pullback_rows(self.alpha.batch_jet_arrays(P)[0], V)
+        return data.structure, \
+            data.structure_tangent @ _chart_inverse(J, P)[:, None, None]
 
     def chart_rows(self, points) -> np.ndarray:
         """Chart Jacobians J[b, i, m] = (M^{i*} alpha)_m at points[b]."""
@@ -302,23 +289,9 @@ class IntegrableSystem:
 
     def chart_frame_basis(self, points):
         """Basis values J M^i J^{-1} (B, n, n, n) and alpha J^{-1} (B, n)
-        pushed to the chart frame at points[b]; read from the kept batch
-        when it begins with the points."""
-        P = _batch(points, self.dimension)
-        key, V, _, aval, _ = self._batch
-        if V is None or not key.startswith(P.tobytes()):
-            P, V = self.basis.values(P)
-            aval = self.alpha.batch_jet_arrays(P)[0]
-        V, aval = V[:len(P)], aval[:len(P)]
-        J = _pullback_rows(aval, V)
-        Jinv = self._chart_inverse(J, P)
-        return J[:, None] @ V @ Jinv[:, None], \
-            (aval[:, None, :] @ Jinv)[:, 0]
-
-    def forms(self):
-        if self.hamiltonians is not None:
-            return list(self.hamiltonians)
-        return [_SystemForm(self, s) for s in range(self.dimension)]
+        pushed to the chart frame at points[b]."""
+        P, V = self.basis.values(points)
+        return _chart_frame(V, self.alpha.batch_jet_arrays(P)[0], P)
 
     # -- derived objects -----------------------------------------------------
 
@@ -332,12 +305,18 @@ class IntegrableSystem:
         substituting p = dW solves F_s(u, p) = c_s.  SqrtConvergenceError
         names the first point where the square root fails."""
         P = _batch(points, self.dimension)
-        try:     # once for each distinct row
-            return on_distinct_rows(_hj_rows, self.chart_frame_basis(P), P, c)
-        except SqrtConvergenceError as exc:
-            raise SqrtConvergenceError(
-                f"dW at {list(map(float, P[exc.index]))}: {exc}",
-                index=exc.index) from None
+        return _hj(self.chart_frame_basis(P), P, c)
+
+    def hj_consistency(self, count, c):
+        """dW(u, c) and the worst |F_s(u, dW) - c_s| / (1 + |c_s|) over s at
+        the first ``count`` points u of the sample, from its values and
+        data: (points, dW, residuals)."""
+        P, V, aval, data = self.sample
+        P = P[:count]
+        dW = _hj(_chart_frame(V[:count], aval[:count], P), P, c)
+        levels = np.einsum("bi,bsij,bj->bs", dW, data.structure[:count]
+                           .transpose(0, 3, 1, 2), dW)
+        return P, dW, np.max(np.abs(levels - c) / (1.0 + np.abs(c)), axis=1)
 
     def n15_residual(self, points, p) -> np.ndarray:
         """Residual of the matrix identity (p_i M^i)^2 = F_s M^s in the
@@ -350,10 +329,6 @@ class IntegrableSystem:
         F = np.einsum("bi,bsij,bj->bs", p, self.coefficient_grids(P), p)
         rhs = np.einsum("bs,bsrc->brc", F, mats)
         return batch_max_abs(lhs - rhs) / (1.0 + batch_max_abs(lhs))
-
-
-def _ranks(A, points, tol):
-    return mat_rank(A, tol=tol)
 
 
 def generate_system(
@@ -370,7 +345,8 @@ def generate_system(
     Returns (IntegrableSystem, VerificationReport).  For a constant basis
     with constant alpha the chart is the linear map s^i = <M^{i*} alpha, u>
     computed automatically; otherwise chart expressions must be supplied and
-    are validated against ds^i = M^{i*} alpha.
+    are validated against ds^i = M^{i*} alpha.  The batch is evaluated and
+    solved once; its data serve every check and become the system's sample.
     """
     n = basis.dimension
     report = VerificationReport(title="generate_system", seed=seed)
@@ -385,8 +361,8 @@ def generate_system(
 
     pullbacks = _pullback_rows(a, V)
     del da      # not held through the Poisson and momentum checks
-    min_rank = int(np.min(on_distinct_rows(_ranks, (pullbacks,), P, tol),
-                          initial=n))
+    min_rank = int(np.min(on_distinct_rows(
+        lambda A, _: mat_rank(A, tol=tol), (pullbacks,), P), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
         passed=len(P) > 0 and min_rank == n,
@@ -416,15 +392,22 @@ def generate_system(
         grads - pullbacks) / (1.0 + batch_max_abs(pullbacks)), P, tol))
 
     system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
-
-    _, data = system.batch_data(P, tangents, (V, dV, a))
+    data = point_data(V, P, seed=seed, tol=tol, dV=dV) if tangents \
+        else system.batch_data(P)[1]
+    system.sample = (P, V, a, data)
     report.add(reduce_check("span_closure", data.closure_residual, P, tol))
 
     rng = np.random.default_rng(seed + 1)
     p_draws = rng.uniform(-1.0, 1.0, (len(P), n))
+    jets = None     # a constant system's forms are its hamiltonians
     try:
-        report.add(verify_commuting_family(system.forms(), P, p_draws,
-                                           tol=bracket_tol))
+        if tangents:    # the forms' coefficient jets, from one product
+            a_chart = data.structure_tangent @ _chart_inverse(
+                pullbacks, P)[:, None, None]
+            jets = [(data.structure[..., s], a_chart[..., s, :])
+                    for s in range(n)]
+        report.add(verify_commuting_family(system.hamiltonians, P, p_draws,
+                                           tol=bracket_tol, jets=jets))
     except SingularMatrixError as exc:
         report.add(failed_check("pairwise_poisson_brackets", exc, P,
                                 bracket_tol))
@@ -505,10 +488,6 @@ def hj_differential(mats, alpha_value, c) -> np.ndarray:
                                    for i in range(mats.shape[-3])))
     alpha = np.asarray(alpha_value, dtype=float)[..., None]
     return (R.swapaxes(-1, -2) @ alpha)[..., 0]
-
-
-def _hj_rows(mats, alpha_value, points, c):
-    return hj_differential(mats, alpha_value, c)
 
 
 class ReconstructedFamily(DualFamilyBase):

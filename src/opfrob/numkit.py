@@ -332,7 +332,7 @@ def on_distinct_rows(fn, stacks, points, *args):
 
 
 def take_rows(out, rows):
-    """``rows`` (indices or a slice) of an array, a tuple or an object."""
+    """``rows`` (indices) of an array, a tuple or an object."""
     if isinstance(out, np.ndarray):
         return out[rows]
     if isinstance(out, tuple):
@@ -341,7 +341,7 @@ def take_rows(out, rows):
                         for k, v in vars(out).items()})
 
 
-def sqrt_near_identity(S, tol: float = 1e-10, max_steps: int = 60) -> np.ndarray:
+def sqrt_near_identity(S, tol: float = 1e-10) -> np.ndarray:
     """Principal matrix square root by the coupled (Denman-Beavers) Newton
     iteration Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2.
 
@@ -361,9 +361,10 @@ def sqrt_near_identity(S, tol: float = 1e-10, max_steps: int = 60) -> np.ndarray
     limit = tol * np.maximum(batch_max_abs(T), 1.0)
     roots, lane = np.empty_like(T), np.arange(len(T))
     Y, Z = T.copy(), np.broadcast_to(np.eye(n), T.shape)
-    why = (f"no convergence in {max_steps} steps; spectrum likely not in "
+    steps = 60
+    why = (f"no convergence in {steps} steps; spectrum likely not in "
            "the open right half-plane")
-    for _ in range(max_steps):
+    for _ in range(steps):
         try:
             Zi, Yi = np.linalg.inv(Z), np.linalg.inv(Y)
         except np.linalg.LinAlgError as exc:
@@ -382,7 +383,7 @@ def sqrt_near_identity(S, tol: float = 1e-10, max_steps: int = 60) -> np.ndarray
         raise SqrtConvergenceError(why)
     for k, M in enumerate(T):
         try:
-            sqrt_near_identity(M, tol, max_steps)
+            sqrt_near_identity(M, tol)
         except SqrtConvergenceError as exc:
             exc.index = k
             raise

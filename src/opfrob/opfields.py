@@ -113,13 +113,16 @@ def _bracket_rows(V, dV, points, pairs, tol, symmetric_part_only):
             f"(residual {np.max(comm[b]):.3e})", index=b)
     # each slice taken once: a pair (i, i) passes the same arrays twice
     fields = [(V[:, k], dV[:, k]) for k in range(V.shape[1])]
-    scales = [batch_max_abs(v) + batch_max_abs(d) for v, d in fields]
-    out = np.empty((len(pairs), len(P)))
+    with np.errstate(over="ignore"):    # an overflowed scale reads NaN below
+        scales = [batch_max_abs(v) + batch_max_abs(d) for v, d in fields]
+    out = np.full((len(pairs), len(P)), np.nan)
     for k, (i, j) in enumerate(pairs):
         T = bracket_from_jets(*fields[i], *fields[j])
         if symmetric_part_only:
             T = T + T.swapaxes(-1, -2)
-        out[k] = batch_max_abs(T) / (1.0 + scales[i] * scales[j])
+        with np.errstate(over="ignore", invalid="ignore"):     # inf * 0
+            den = 1.0 + scales[i] * scales[j]
+        np.divide(batch_max_abs(T), den, out=out[k], where=np.isfinite(den))
     return out.T
 
 

@@ -1,20 +1,25 @@
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from opfrob.cli import main
 from opfrob.fixtures import builtin_names
+from opfrob.frobalg import stacked_jets
+from opfrob.opfields import bracket_from_jets
 from opfrob.sampling import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     SampleConfig,
     sample_points,
 )
+from opfrob.symalg import FlatBasis, analytic_symmetry
 from opfrob.sysfile import MAX_SAMPLES, load_system_file
 
 from helpers import opfrob_env, run_opfrob
@@ -188,6 +193,42 @@ def test_overflowing_symcheck_candidate_fails_without_warnings(tmp_path,
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "analytic_candidate.decomposition_in_span"
     assert not check["passed"] and check["samples"] == 50
+
+
+@pytest.mark.parametrize("degree", [0, 1], ids=["constant", "linear"])
+def test_a_1e308_symcheck_coefficient(degree, tmp_path, capsys):
+    # 1e308 as a coefficient of polynomial 1.  Linear: the candidate's
+    # bracket scale max |V| + max |dV| overflows, so its strong-symmetry
+    # residual is NaN, a FAIL (it read |T| / inf = 0).  Constant: the
+    # candidate gains 1e308 Id, whose bracket with every field is zero; no
+    # scale overflows and the bracket itself is exactly 0, so that PASS does
+    # not rest on the large denominator.  numpy stays quiet in both.
+    path = tmp_path / "c52.json"
+    run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    doc["polynomials"][0][degree] = 1e308
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["symcheck", str(path), "--json"], capsys)
+    assert (code, err) == (degree, "")
+    span, strong = json.loads(out)["checks"]
+    assert span["passed"] and span["max_residual"] <= 1e-15
+    assert strong["name"] == "analytic_candidate.strong_symmetry_vs_basis"
+    assert strong["passed"] == (degree == 0) and strong["samples"] == 50
+    if degree:
+        assert math.isnan(strong["max_residual"])
+        return
+    assert strong["max_residual"] == 0.0
+    sf = load_system_file(str(path))
+    flat = FlatBasis([f.eval(np.zeros(4)) for f in sf.basis().fields], sf.xi)
+    points = sample_points(4, sf.sample_config(argparse.Namespace(
+        seed=None, samples=None, guard=None)))
+    V, dV = stacked_jets([analytic_symmetry(flat, sf.polynomials),
+                          *sf.basis().fields], points)
+    for k in range(1, 5):
+        T = bracket_from_jets(V[:, 0], dV[:, 0], V[:, k], dV[:, k])
+        assert not np.any(T)
 
 
 def test_overflowing_sampling_guard_is_quiet(tmp_path, capsys):

@@ -16,6 +16,7 @@ from opfrob.fields import OneFormField, OperatorField
 from opfrob.frobalg import OperatorBasis, point_data
 from opfrob.integ import (
     IntegrableSystem,
+    _chart_inverse,
     _killing_jets,
     _phase_jets,
     _pullback_rows,
@@ -128,7 +129,7 @@ class TestContractions:
         P = 0.5 * P[:B]
         a_val, a_chart = system.structure_jets_at(P)
         V, data = system.batch_data(P, tangents=True)
-        Jinv = system._chart_inverse(_pullback_rows(
+        Jinv = _chart_inverse(_pullback_rows(
             system.alpha.batch_jet_arrays(P)[0], V), P)
         assert_close(a_chart, einsum_chart_tangent(data.structure_tangent,
                                                    Jinv))

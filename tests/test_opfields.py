@@ -14,9 +14,11 @@ from opfrob.fixtures import (
     run_builtin,
 )
 from opfrob.frobalg import OperatorBasis, stacked_jets
+from opfrob.numkit import batch_max_abs
 from opfrob.opfields import (
     DualFamily,
     bracket,
+    bracket_from_jets,
     bracket_residuals,
     conservation_law_check,
     dualize_family,
@@ -171,6 +173,33 @@ class TestSymmetryChecks:
     def test_diag_u1_u2_is_nijenhuis(self):
         assert nijenhuis_torsion_report(diag_field("u1", "u2"),
                                         sample_points(2, CFG10)).passed
+
+    @pytest.mark.parametrize("scale", [1.0, 1e307, 1e308])
+    def test_an_overflowed_scale_reads_nan(self, scale):
+        # K1 of the nonsymmetric pair scaled: at 1e308 its scale max |V| +
+        # max |dV| overflows at most points, and the pair reads NaN there, a
+        # FAIL, where |T| / inf read 0; a finite denominator divides as
+        # before, and numpy's warnings are errors in this suite
+        K1, K2 = nonsymmetric_pair_fields()
+        P = np.asarray(sample_points(2, CFG10))
+        V, dV = stacked_jets([K1, K2], P)
+        V[:, 0] *= scale
+        dV[:, 0] *= scale
+        for sym in (True, False):
+            got = bracket_residuals(V, dV, [(0, 1)], P, 1e-9, sym)[0]
+            T = bracket_from_jets(V[:, 0], dV[:, 0], V[:, 1], dV[:, 1])
+            T = T + T.swapaxes(-1, -2) if sym else T
+            with np.errstate(over="ignore"):
+                den = 1.0 + np.prod([batch_max_abs(V[:, k])
+                                     + batch_max_abs(dV[:, k])
+                                     for k in (0, 1)], axis=0)
+            want = np.where(np.isfinite(den), batch_max_abs(T) / den, np.nan)
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(got).any() == (scale == 1e308)
+            assert np.nanmax(got) > 0.1
+        grid = [[f"{scale!r}*u1", "0"], ["0", f"{scale!r}*u2"]]
+        c = is_symmetry(OperatorField.parse(grid, 2), K2, P)
+        assert not c.passed and np.isnan(c.residual) == (scale == 1e308)
 
     def test_no_point_fails_instead_of_raising(self):
         K1, K2 = nonsymmetric_pair_fields()

@@ -160,10 +160,7 @@ def test_the_kept_batch_follows_its_points_and_stays_unchanged():
     basis, _, alpha, chart, _, P = example52()
     system = IntegrableSystem(basis, alpha, chart, seed=SEED)
     a_val, a_chart = system.structure_jets_at(P)
-    for kept in (a_val, a_chart):
-        with pytest.raises(ValueError, match="read-only"):
-            kept[0] = 0.0
-    grids = system.coefficient_grids(P)     # served from the kept batch
+    grids = system.coefficient_grids(P)     # the caller edits a result
     grids[...] = 0.0
     assert system.coefficient_grids(P).tobytes() == \
         a_val.transpose(0, 3, 1, 2).tobytes()
@@ -218,8 +215,10 @@ def test_degenerate_form_is_named_at_its_point():
 def test_batches_of_no_point():
     basis, covector, alpha, chart, hams, _ = example52()
     none = np.empty((0, 4))
-    forms = IntegrableSystem(basis, alpha, chart).forms()
-    c = verify_commuting_family(forms, none, none)
+    a_val, a_chart = IntegrableSystem(basis, alpha,
+                                      chart).structure_jets_at(none)
+    jets = [(a_val[..., s], a_chart[..., s, :]) for s in range(4)]
+    c = verify_commuting_family(None, none, none, jets=jets)
     assert not c.passed and c.detail == "no point evaluated"
     for family in (DualFamily(basis, covector),
                    ReconstructedFamily(hams, covector)):
