@@ -198,9 +198,16 @@ def cmd_hj(args) -> VerificationReport:
     return report
 
 
+def _flow_options(args, sf):
+    """The compatibility residuals compare second derivatives."""
+    if sf.flow_order < 2:
+        raise InputError(f"{sf.path}: flow needs a flow_order of at least 2, "
+                         f"got {sf.flow_order}")
+
+
 def cmd_flow(args) -> VerificationReport:
     tol = args.tol or 1e-8
-    sf, cfg = _system_file(args, "initial_curve")
+    sf, cfg = _system_file(args, "initial_curve", check=_flow_options)
     fields = sf.basis_fields()
     try:
         sol = taylor_flow(fields, sf.initial_curve, sf.flow_order)

@@ -146,8 +146,9 @@ class Pow(Expression):
 
 
 def literal(v) -> Const:
-    """The Const of the number ``v``, an integral float as an exact int."""
-    return Const(int(v) if isinstance(v, float) and v == int(v) else v)
+    """The Const of the number ``v``, an integral float as an exact int
+    (a non-finite float stays a float)."""
+    return Const(int(v) if isinstance(v, float) and v.is_integer() else v)
 
 
 def linear_form(coeffs) -> Expression:

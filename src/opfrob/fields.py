@@ -1,10 +1,11 @@
-"""Operator fields and 1-form fields: grids of expressions on the manifold.
+"""Grids of expressions in u1..un: operator fields, one-forms and (in
+``opfrob.integ``) quadratic forms, the raw data of every verification.
 
-An operator field is an n x n matrix of expressions in u1..un, compiled once
-into a straight-line ``exprs.Program`` and evaluable at a point over floats
-(values), jets (values plus exact first partials), batches of jets or any
-other scalar type with the arithmetic operators.  These are the geometric
-raw data for every verification in the package.
+An :class:`ExpressionGrid` (a row of n entries or an n x n grid) is compiled
+once into a straight-line ``exprs.Program``, which evaluates over floats,
+jets (values and exact first partials), batches of jets or any scalar type
+with the arithmetic operators.  A grid that reads no coordinate is
+evaluated when it is built, and broadcast after that.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .errors import ExprEvalError
 from .exprs import Const, Expression, Program, literal, parse_grid
 from .numkit import Jet, jet_point
 
-__all__ = ["OperatorField", "OneFormField", "expression_add",
-           "expression_matmul"]
+__all__ = ["ExpressionGrid", "OperatorField", "OneFormField",
+           "expression_add", "expression_matmul"]
 
 
 def _as_expression(x) -> Expression:
@@ -28,18 +29,6 @@ def _as_expression(x) -> Expression:
     if isinstance(x, (int, float)):
         return Const(x)
     raise TypeError(f"cannot use {type(x).__name__} as an expression entry")
-
-
-def compile_grid(exprs, dimension: int, entry: str, owner: str) -> Program:
-    """The Program of a grid's expressions (row-major); raise ValueError at
-    the first one that refers to a coordinate beyond ``dimension``."""
-    program = Program(exprs)
-    for e in program.roots if program.max_variable > dimension else ():
-        m = Program([e]).max_variable
-        if m > dimension:
-            raise ValueError(f"{entry} {e} refers to u{m} but the {owner} "
-                             f"dimension is {dimension}")
-    return program
 
 
 def _float(value, e) -> float:
@@ -57,11 +46,10 @@ def grid_floats(program, u) -> np.ndarray:
 
 def grid_jets(program, shape, points, partials=True):
     """Jets of the program's roots (row-major in ``shape``) over a (B, n)
-    batch of points: values (B, *shape) and partials (B, *shape, n), or
+    float array of points: values (B, *shape) and partials (B, *shape, n), or
     None without ``partials``: then it runs on the batch's float columns,
     the float operations of the jets' values.  The checks judge non-finite
     values, so numpy does not warn of them here."""
-    points = np.asarray(points, dtype=float)
     B, n = points.shape
     coords = [Jet(points[:, i], np.broadcast_to(np.eye(n)[i], (B, n)).copy())
               if partials else points[:, i] for i in range(n)]
@@ -91,64 +79,97 @@ def expression_matmul(A, B):
              for j in range(n)] for i in range(n)]
 
 
-class OperatorField:
-    """Square grid of scalar expressions acting as a (1,1)-tensor field."""
+class ExpressionGrid:
+    """A fixed-shape grid of expressions in u1..un: n x n, given as rows,
+    at ``rank`` 2 and a row of n at ``rank`` 1; messages call one entry
+    ``entry`` and the grid ``owner``.  The entries compile into one Program,
+    row-major.  A grid that reads no coordinate is evaluated here, where an
+    entry that fails or is not finite raises, and its values and zero
+    partials are broadcast after that instead of run."""
+
+    rank, entry, owner = 2, "entry", "field"
 
     def __init__(self, entries):
         n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("operator field grid must be square")
-        self.entries = tuple(tuple(_as_expression(e) for e in row) for row in entries)
-        self.dimension = n
-        self._constant_value = None
-        self.program = compile_grid([e for row in self.entries for e in row],
-                                    n, "entry", "field")
-        if self.program.max_variable == 0:
-            value = grid_floats(self.program, []).reshape(n, n)
+        if self.rank == 1:
+            self.entries = flat = tuple(map(_as_expression, entries))
+        elif any(len(row) != n for row in entries):
+            raise ValueError(f"{self.owner} grid must be square")
+        else:
+            self.entries = tuple(tuple(map(_as_expression, row))
+                                 for row in entries)
+            flat = [e for row in self.entries for e in row]
+        self.dimension, self.shape = n, (n,) * self.rank
+        self.program = program = Program(flat)
+        # a coordinate beyond the dimension is named at its first entry
+        for e in flat if program.max_variable > n else ():
+            if (m := Program([e]).max_variable) > n:
+                raise ValueError(f"{self.entry} {e} refers to u{m} but the "
+                                 f"{self.owner} dimension is {n}")
+        self.is_constant = program.max_variable == 0
+        if self.is_constant:
+            value = grid_floats(program, [])
             bad = np.flatnonzero(~np.isfinite(value))
             if len(bad):
-                i, j = divmod(int(bad[0]), n)
-                raise ValueError(f"entry {self.entries[i][j]} is "
-                                 f"{value[i, j]}, not a finite number")
-            self._constant_value = value
+                raise ValueError(f"{self.entry} {flat[bad[0]]} is "
+                                 f"{value[bad[0]]}, not a finite number")
+            self._constant_value = value.reshape(self.shape)
 
     @classmethod
-    def parse(cls, grid, dimension: int) -> "OperatorField":
-        if len(grid) != dimension or any(len(r) != dimension for r in grid):
-            raise ValueError(f"expected a {dimension}x{dimension} grid")
-        return cls(parse_grid(grid, dimension))
+    def parse(cls, texts, dimension: int):
+        """The grid of entry texts (rows of them at rank 2), parsed with one
+        intern table (``exprs.parse_grid``)."""
+        rows = texts if cls.rank == 2 else [texts]
+        if len(texts) != dimension or any(len(r) != dimension for r in rows):
+            raise ValueError(f"expected a {dimension}x{dimension} grid"
+                             if cls.rank == 2
+                             else f"expected {dimension} components")
+        rows = parse_grid(rows, dimension)
+        return cls(rows if cls.rank == 2 else rows[0])
 
     @classmethod
-    def constant(cls, matrix) -> "OperatorField":
-        matrix = np.asarray(matrix, dtype=float)
-        return cls([[literal(v) for v in row] for row in matrix.tolist()])
-
-    @property
-    def is_constant(self) -> bool:
-        return self._constant_value is not None
+    def constant(cls, values):
+        """The grid of the numbers ``values``, an integral one as an exact
+        int (``exprs.literal``)."""
+        v = np.asarray(values, dtype=float).tolist()
+        return cls([list(map(literal, row)) for row in v] if cls.rank == 2
+                   else list(map(literal, v)))
 
     def eval(self, u) -> np.ndarray:
-        if self._constant_value is not None:
+        """Float values at the point ``u``, a new array of the grid's shape."""
+        if self.is_constant:
             return self._constant_value.copy()
-        n = self.dimension
-        return grid_floats(self.program, u).reshape(n, n)
+        return grid_floats(self.program, u).reshape(self.shape)
+
+    def batch_jet_arrays(self, points, partials=True):
+        """Jets over a (B, n) batch in one run: values (B, *shape), partials
+        (B, *shape, n), None without ``partials``, read-only if constant."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        if not self.is_constant:
+            return grid_jets(self.program, self.shape, points, partials)
+        shape = (len(points),) + self.shape
+        vals = np.broadcast_to(self._constant_value, shape).copy()
+        return vals, (np.broadcast_to(0.0, shape + (self.dimension,))
+                      if partials else None)
+
+
+class OperatorField(ExpressionGrid):
+    """Square grid of scalar expressions acting as a (1,1)-tensor field."""
+
+    # eval and batch_jet_arrays are this class's own functions: the
+    # benchmark's tracer wraps them here, and not the one-forms' or forms'
+    def eval(self, u) -> np.ndarray:
+        return super().eval(u)
+
+    def batch_jet_arrays(self, points, partials=True):
+        return super().batch_jet_arrays(points, partials)
 
     def eval_generic(self, point) -> np.ndarray:
-        n = self.dimension
-        return np.fromiter(self.program.run(point), object).reshape(n, n)
+        return np.fromiter(self.program.run(point), object).reshape(
+            self.shape)
 
     def eval_jet(self, u) -> np.ndarray:
         return self.eval_generic(jet_point(u))
-
-    def batch_jet_arrays(self, points, partials=True):
-        """Vectorized jets over a (B, n) batch of points: values (B, n, n)
-        and partials (B, n, n, n), or None if not ``partials``, in one run."""
-        points = np.asarray(points, dtype=float)
-        B, n = points.shape
-        if self._constant_value is not None:
-            vals = np.broadcast_to(self._constant_value, (B, n, n)).copy()
-            return vals, np.zeros((B, n, n, n)) if partials else None
-        return grid_jets(self.program, (n, n), points, partials)
 
     def jet_arrays(self, u):
         """Values (n,n) and partials (n,n,n) with der[i,j,s] = d(entry ij)/du^s
@@ -183,33 +204,7 @@ class OperatorField:
         return "[\n" + "\n".join(rows) + "\n]"
 
 
-class OneFormField:
+class OneFormField(ExpressionGrid):
     """Covector field: n scalar expressions alpha_1..alpha_n."""
 
-    def __init__(self, components):
-        self.components = tuple(_as_expression(c) for c in components)
-        self.dimension = len(self.components)
-        self.program = compile_grid(self.components, self.dimension,
-                                    "component", "form")
-        self.is_constant = self.program.max_variable == 0
-
-    @classmethod
-    def parse(cls, components, dimension: int) -> "OneFormField":
-        if len(components) != dimension:
-            raise ValueError(f"expected {dimension} components")
-        return cls(parse_grid([components], dimension)[0])
-
-    @classmethod
-    def constant(cls, values) -> "OneFormField":
-        return cls([Const(float(v)) for v in values])
-
-    def eval(self, u) -> np.ndarray:
-        return grid_floats(self.program, u)
-
-    def batch_jet_arrays(self, points):
-        """Vectorized jets over a (B, n) batch: values (B, n), partials
-        (B, n, n)."""
-        return grid_jets(self.program, (self.dimension,), points)
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+    rank, entry, owner = 1, "component", "form"

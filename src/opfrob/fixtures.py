@@ -456,5 +456,6 @@ def emit_builtin(name: str, variant: str = "constant") -> dict:
         if getattr(b, key) is not None:
             doc[key] = [float(v) for v in getattr(b, key)]
     if b.hamiltonians is not None:
-        doc["hamiltonians"] = [_grid_strings(H.grid) for H in b.hamiltonians]
+        doc["hamiltonians"] = [_grid_strings(H.entries)
+                               for H in b.hamiltonians]
     return doc

@@ -204,11 +204,6 @@ class MultiSeries:
             return 0.0
         return float(self.c[self.layout.index(key @ self.layout.radix)])
 
-    def max_abs(self, max_degree=None) -> float:
-        c = self.c if max_degree is None else \
-            self.c[self.layout.deg <= max_degree]
-        return float(np.max(np.abs(c), initial=0.0))
-
     def _coeffs_of(self, other):
         if isinstance(other, (int, float)):
             return self._scalar(other).c

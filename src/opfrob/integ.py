@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import (GenericityError, OpfrobError, SingularMatrixError,
                      SqrtConvergenceError)
-from .exprs import (Const, Expression, linear_form, literal, parse_expr,
-                    parse_grid)
-from .fields import OneFormField, compile_grid, grid_floats, grid_jets
+from .exprs import Expression, linear_form, parse_expr
+from .fields import ExpressionGrid, OneFormField
 from .frobalg import (
     OperatorBasis,
     batch_generic_search,
@@ -40,7 +39,7 @@ from .frobalg import (
     commutator_norms,
     point_data,
 )
-from .numkit import (batch_max_abs, hadamard_ratio, mat_rank, max_abs,
+from .numkit import (batch_max_abs, hadamard_ratio, mat_rank,
                      on_distinct_rows, sqrt_near_identity, take_rows)
 from .opfields import (
     DualFamilyBase,
@@ -62,53 +61,31 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+MOMENTUM_DRAWS, MOMENTUM_THRESHOLD = 50, 1e-9   # see _momentum_nondegeneracy
 
 
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(ExpressionGrid):
     """F(u, p) = h^{ij}(u) p_i p_j with a structurally symmetric grid of
     coefficient expressions."""
 
-    def __init__(self, grid):
-        n = len(grid)
-        if any(len(row) != n for row in grid):
-            raise ValueError("coefficient grid must be square")
-        self.grid = [[e if isinstance(e, Expression) else Const(e)
-                      for e in row] for row in grid]
-        self.dimension = n
-        self.program = compile_grid([e for row in self.grid for e in row], n,
-                                    "entry", "form")
-        for i in range(n):
-            for j in range(i + 1, n):
+    owner = "form"
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        for i in range(self.dimension):
+            for j in range(i + 1, self.dimension):
                 # equal parsed texts are one node (exprs.parse_grid)
-                a, b = self.grid[i][j], self.grid[j][i]
+                a, b = self.entries[i][j], self.entries[j][i]
                 if a is not b and str(a) != str(b):
-                    raise ValueError(
-                        f"grid is not structurally symmetric at ({i+1},{j+1}): "
-                        f"{self.grid[i][j]} vs {self.grid[j][i]}"
-                    )
+                    raise ValueError("grid is not structurally symmetric "
+                                     f"at ({i + 1},{j + 1}): {a} vs {b}")
 
-    @classmethod
-    def parse(cls, grid, dimension: int) -> "QuadraticHamiltonian":
-        if len(grid) != dimension or any(len(r) != dimension for r in grid):
-            raise ValueError(f"expected a {dimension}x{dimension} grid")
-        return cls(parse_grid(grid, dimension))
-
-    @classmethod
-    def constant(cls, matrix) -> "QuadraticHamiltonian":
-        matrix = np.asarray(matrix, dtype=float)
-        if max_abs(matrix - matrix.T) > 0:
-            raise ValueError("constant coefficient matrix must be symmetric")
-        return cls([[literal(v) for v in row] for row in matrix.tolist()])
-
-    def coeff(self, u) -> np.ndarray:
-        n = self.dimension
-        return grid_floats(self.program, u).reshape(n, n)
+    coeff = ExpressionGrid.eval
 
     def coeff_jets(self, points):
         """(A, dA) over a (B, n) batch of points, with A[b] = h at points[b]
         and dA[b, i, j, s] = d h^{ij} / du^s there."""
-        n = self.dimension
-        return grid_jets(self.program, (n, n), _batch(points, n))
+        return self.batch_jet_arrays(points)
 
     def value(self, u, p) -> float:
         p = np.asarray(p, dtype=float)
@@ -165,14 +142,13 @@ def verify_commuting_family(
         len(residuals), len(P))), axis=0, initial=0.0), np.hstack([P, p]), tol)
 
 
-def _momentum_nondegeneracy(G, points, seed, draws=50, threshold=1e-9,
-                            name="momentum_nondegeneracy") -> CheckResult:
+def _momentum_nondegeneracy(G, points, seed) -> CheckResult:
     """det(dF/dp) != 0 at generic p: at every base point some seeded draw
-    must give a relative determinant above the threshold (relative to the
-    Hadamard bound of the matrix 2 a^{ij}_s p_i).  G[b, s] is the grid of
-    F_s at points[b]; the draws for points[b] are rows b*draws.. of one
+    must give a relative determinant above MOMENTUM_THRESHOLD (relative to
+    the Hadamard bound of the matrix 2 a^{ij}_s p_i).  G[b, s] is the grid
+    of F_s at points[b]; the draws for points[b] are rows b*draws.. of one
     (B*draws, n) draw, taken in chunks of points no larger than G."""
-    B, n = len(points), G.shape[-1]
+    B, n, draws = len(points), G.shape[-1], MOMENTUM_DRAWS
     rng = np.random.default_rng(seed)
     c = max(1, B * n // (2 * draws))
     best = np.empty(B)
@@ -185,8 +161,10 @@ def _momentum_nondegeneracy(G, points, seed, draws=50, threshold=1e-9,
         best[s:s + c] = np.max(hadamard_ratio(D), axis=1)
     k = int(np.argmin(best)) if B else None
     return CheckResult(
-        name=name, passed=bool(B > 0 and best[k] > threshold),
-        residual=float(best[k]) if B else float("inf"), tolerance=threshold,
+        name="momentum_nondegeneracy",
+        passed=bool(B > 0 and best[k] > MOMENTUM_THRESHOLD),
+        residual=float(best[k]) if B else float("inf"),
+        tolerance=MOMENTUM_THRESHOLD,
         worst_point=None if k is None else list(map(float, points[k])),
         samples=B, seed=seed,
         detail="pass requires residual above tolerance" if B
@@ -253,6 +231,9 @@ class IntegrableSystem:
                                         seed=seed, tol=tol)
             # the grids are symmetric only up to rounding in a general frame
             grids = self.coefficient_grids(origin)[0]
+            if not np.isfinite(grids).all():    # the products overflow
+                raise OpfrobError("the constant structure constants "
+                                  "a^{ij}_s are not finite")
             self.hamiltonians = [QuadraticHamiltonian.constant((A + A.T) / 2)
                                  for A in grids]
 
@@ -372,7 +353,7 @@ def generate_system(
     ))
 
     if chart is None:
-        if not (basis.is_constant and alpha.is_constant):
+        if tangents:
             raise OpfrobError(
                 "chart expressions are required for non-constant data; only "
                 "a constant basis with constant alpha admits the automatic "

@@ -250,7 +250,8 @@ def test_criterion_8_oracle_agreement():
         exprs.extend(e for row in f.entries for e in row
                      if not e.is_constant())
     for H in demo4_rational_hamiltonians():
-        exprs.extend(e for row in H.grid for e in row if not e.is_constant())
+        exprs.extend(e for row in H.entries for e in row
+                     if not e.is_constant())
     cfg = SampleConfig(seed=SEED + 4, count=50,
                        guards=demo4_rational_guards())
     points = sample_points(4, cfg)

@@ -288,6 +288,81 @@ def test_an_overflowed_flow_jet_fails(edit, code, tmp_path, capsys):
             "" if code == 0 else "; the jet or a K_j(u) u_x is not finite")
 
 
+GRID_COMMANDS = {"poisson-check": [], "inverse": [], "generate": [],
+                 "hj": ["--c", "1,0.1,0.1,0.1"]}
+# (variant, key, where the text goes, the message after "<key>: "); the
+# one-form is constant in both example52 files, the Hamiltonians only in
+# the constant one
+CONSTANT_GRID_EDITS = [
+    (variant, "one_form", (k,), text, f"component {message}")
+    for variant in ("constant", "analytic") for k in (0, 3)
+    for text, message in [("1e400", "inf is inf, not a finite number"),
+                          ("1/0", None), ("10^400", None)]
+] + [("constant", "hamiltonians", (0, 1, 2), text, f"entry {message}")
+     for text, message in [("1e400", "inf is inf, not a finite number"),
+                           ("1/0", None), ("10^400", None)]]
+EVAL_ERRORS = {"1/0": "division by zero evaluating 0",
+               "10^400": "overflow evaluating 10^400"}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+@pytest.mark.parametrize(
+    "variant,key,where,text,message", CONSTANT_GRID_EDITS,
+    ids=[f"{v}-{k}{list(w)}-{t}" for v, k, w, t, _ in CONSTANT_GRID_EDITS])
+def test_a_constant_grid_entry_that_fails_is_an_input_error(
+        command, variant, key, where, text, message, tmp_path, capsys):
+    """Every command that loads the file exits 2 with one line, as for a
+    field: before, a one-form entry of 1e400 crashed generate and hj, 1/0
+    and 10^400 gave a verification error there, and the Hamiltonians'
+    entries failed checks or gave verification errors."""
+    path = tmp_path / "c52.json"
+    run_cli(["builtin", "example52", "--variant", variant, "--emit",
+             str(path)], capsys)
+    doc = json.loads(path.read_text())
+    grid = doc[key]
+    for k in where[:-1]:
+        grid = grid[k]
+    grid[where[-1]] = text
+    if key == "hamiltonians":   # and the mirrored entry, so it stays symmetric
+        doc[key][where[0]][where[2]][where[1]] = text
+    path.write_text(json.dumps(doc))
+    message = message if text == "1e400" else EVAL_ERRORS[text]
+    assert run_cli([command, str(path), *GRID_COMMANDS[command]], capsys) \
+        == (2, "", f"input error: {path}: {key}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "hj"])
+def test_overflowing_constant_structure_constants_are_one_line(
+        command, tmp_path, capsys):
+    # finite constant fields whose structure constants overflow: before,
+    # the constant forms built from them crashed with a traceback
+    path = tmp_path / "c52.json"
+    run_cli(["builtin", "example52", "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    doc["fields"] = {k: [[f"1e200*({e})" for e in row] for row in g]
+                     for k, g in doc["fields"].items()}
+    path.write_text(json.dumps(doc))
+    assert run_cli([command, str(path), *GRID_COMMANDS[command]], capsys) \
+        == (1, "", "verification error: the constant structure constants "
+            "a^{ij}_s are not finite\n")
+
+
+@pytest.mark.parametrize("name", ["example52", "nonsymmetric-pair"])
+def test_flow_order_1_is_rejected_before_the_fill(name, tmp_path, capsys,
+                                                  monkeypatch):
+    """The compatibility residuals need order 2; flow_order 1 used to fill
+    the jet and then exit 1 with a verification error."""
+    path = tmp_path / "f.json"
+    run_cli(["builtin", name, "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    doc["flow_order"] = 1
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr("opfrob.cli.taylor_flow", None)     # never filled
+    assert run_cli(["flow", str(path)], capsys) == (
+        2, "", f"input error: {path}: flow needs a flow_order of at least "
+        "2, got 1\n")
+
+
 def _run_doc(doc, command, tmp_path, capsys):
     """(exit code, stdout, stderr) of ``command`` on a system document."""
     f = tmp_path / "sys.json"

@@ -424,6 +424,28 @@ class TestFolding:
         assert type(0 * q) is BinOp
 
 
+class TestLiteral:
+    @pytest.mark.parametrize("v,want", [
+        (2.0, 2), (-0.0, 0), (0.0, 0), (0.5, 0.5), (-3, -3),
+        (1e300, int(1e300)), (np.float64(4.0), 4),
+        (np.float64(0.25), np.float64(0.25))])
+    def test_a_finite_number_keeps_its_const(self, v, want):
+        """An integral float becomes the exact int, -0.0 included."""
+        c = exprs.literal(v)
+        assert (type(c.value), c.value) == (type(want), want)
+
+    @pytest.mark.parametrize("v", [float("inf"), -float("inf"), float("nan"),
+                                   np.float64("nan")])
+    def test_a_non_finite_float_stays_a_float(self, v):
+        c = exprs.literal(v)
+        assert isinstance(c.value, float)
+        assert c.value == v or (np.isnan(v) and np.isnan(c.value))
+
+    def test_a_linear_form_of_non_finite_coefficients(self):
+        e = exprs.linear_form([float("inf"), float("nan"), 1.0, 0.0])
+        assert str(e) == "inf*u1 + nan*u2 + u3"
+
+
 # ---------------------------------------------------------------------------
 # interned grids and their compiled programs
 # ---------------------------------------------------------------------------

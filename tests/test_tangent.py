@@ -125,7 +125,7 @@ def test_reconstructed_family_tangents(case):
     family = ReconstructedFamily(hams, covector, seed=SEED)
 
     def killing_jets(u):
-        return killing_of([OperatorField(H.grid).eval_jet(u) for H in hams])
+        return killing_of([OperatorField(H.entries).eval_jet(u) for H in hams])
 
     check_family(
         family,
