@@ -22,12 +22,14 @@ from .frobalg import algebra_report
 from .hydroflow import flow_compatibility_residual, taylor_flow
 from .integ import generate_system, inverse_verify, verify_commuting_family
 from .opfields import dualize_family
-from .report import CheckResult, VerificationReport, reduce_check
+from .report import DEFAULT_TOL, CheckResult, VerificationReport, reduce_check
 from .sampling import sample_points
 from .symalg import FlatBasis, analytic_symmetry, sym_membership
 from .sysfile import load_system_file, options_config
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+# the residual tolerance of a file command without --tol, DEFAULT_TOL if none
+TOLS = {"poisson-check": 1e-8, "inverse": 1e-8, "flow": 1e-8}
 # what a system file must hold for a command that needs the key
 NEEDS = {"covector": "a covector", "one_form": "a one_form",
          "hamiltonians": "hamiltonians", "initial_curve": "an initial_curve"}
@@ -40,7 +42,7 @@ NEEDS = {"covector": "a covector", "one_form": "a one_form",
 
 def _check_options(args):
     """``--tol`` and ``--guard`` must be finite and positive where given;
-    ``builtin`` takes neither (each fixture sets its own)."""
+    ``builtin`` takes neither; an absent ``--tol`` is the ``TOLS`` default."""
     for name in ("tol", "guard"):
         value = getattr(args, name)
         if value is not None and args.command == "builtin":
@@ -48,6 +50,7 @@ def _check_options(args):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise InputError(
                 f"--{name} must be a finite positive number, got {value!r}")
+    args.tol = args.tol or TOLS.get(args.command, DEFAULT_TOL)
 
 
 def _system_file(args, *needs, check=None):
@@ -64,25 +67,22 @@ def _system_file(args, *needs, check=None):
 
 
 def cmd_verify_algebra(args) -> VerificationReport:
-    tol = args.tol or 1e-9
     sf, cfg = _system_file(args)
     basis = sf.basis()
     points = sample_points(sf.dimension, cfg)
-    return algebra_report(basis, points, covector=sf.covector, tol=tol,
+    return algebra_report(basis, points, covector=sf.covector, tol=args.tol,
                           seed=cfg.seed)
 
 
 def cmd_dualize(args) -> VerificationReport:
-    tol = args.tol or 1e-9
     sf, cfg = _system_file(args, "covector")
     points = sample_points(sf.dimension, cfg)
-    _, report = dualize_family(sf.basis(), sf.covector, points, tol=tol,
+    _, report = dualize_family(sf.basis(), sf.covector, points, tol=args.tol,
                                seed=cfg.seed)
     return report
 
 
 def cmd_symcheck(args) -> VerificationReport:
-    tol = args.tol or 1e-9
     sf, cfg = _system_file(args)
     basis = sf.basis()
     if not basis.is_constant:
@@ -109,7 +109,7 @@ def cmd_symcheck(args) -> VerificationReport:
         raise InputError(
             f"{sf.path}: symcheck needs polynomials or a candidate field")
     for label, candidate in candidates:
-        for c in sym_membership(basis, candidate, points, tol=tol,
+        for c in sym_membership(basis, candidate, points, tol=args.tol,
                                 seed=cfg.seed).checks:
             c.name = f"{label}.{c.name}"
             report.add(c)
@@ -117,11 +117,10 @@ def cmd_symcheck(args) -> VerificationReport:
 
 
 def cmd_generate(args) -> VerificationReport:
-    tol = args.tol or 1e-9
     sf, cfg = _system_file(args, "one_form")
     points = sample_points(sf.dimension, cfg)
     system, report = generate_system(
-        sf.basis(), sf.one_form, points, chart=sf.chart, tol=tol,
+        sf.basis(), sf.one_form, points, chart=sf.chart, tol=args.tol,
         seed=cfg.seed)
     if system.hamiltonians is not None:
         lines = []
@@ -143,26 +142,24 @@ def cmd_generate(args) -> VerificationReport:
 
 
 def cmd_poisson_check(args) -> VerificationReport:
-    tol = args.tol or 1e-8
     sf, cfg = _system_file(args, "hamiltonians")
     points = sample_points(sf.dimension, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     p_draws = rng.uniform(-cfg.box, cfg.box, (len(points), sf.dimension))
     report = VerificationReport(title="poisson-check", seed=cfg.seed)
     report.add(verify_commuting_family(sf.hamiltonians, points, p_draws,
-                                       tol=tol))
+                                       tol=args.tol))
     return report
 
 
 def cmd_inverse(args) -> VerificationReport:
-    tol = args.tol or 1e-8
     sf, cfg = _system_file(args, "hamiltonians", "covector")
     points = sample_points(sf.dimension, cfg)
     if len(sf.hamiltonians) != sf.dimension:
         raise InputError(f"{sf.path}: inverse needs {sf.dimension} "
                          f"hamiltonians, got {len(sf.hamiltonians)}")
     report, _ = inverse_verify(sf.hamiltonians, sf.covector, points,
-                               tol=tol, seed=cfg.seed)
+                               tol=args.tol, seed=cfg.seed)
     return report
 
 
@@ -183,11 +180,10 @@ def _hj_options(args, sf):
 
 
 def cmd_hj(args) -> VerificationReport:
-    tol = args.tol or 1e-9
     sf, cfg = _system_file(args, "one_form", check=_hj_options)
     points = sample_points(sf.dimension, cfg)
     system, gen_report = generate_system(
-        sf.basis(), sf.one_form, points, chart=sf.chart, tol=tol,
+        sf.basis(), sf.one_form, points, chart=sf.chart, tol=args.tol,
         seed=cfg.seed)
     report = VerificationReport(title="hj", seed=cfg.seed)
     report.extend(gen_report)
@@ -206,7 +202,6 @@ def _flow_options(args, sf):
 
 
 def cmd_flow(args) -> VerificationReport:
-    tol = args.tol or 1e-8
     sf, cfg = _system_file(args, "initial_curve", check=_flow_options)
     fields = sf.basis_fields()
     try:
@@ -220,9 +215,9 @@ def cmd_flow(args) -> VerificationReport:
         for j in range(i + 1, len(fields)):
             r = flow_compatibility_residual(sol, i, j)
             report.add(CheckResult(
-                name=f"flow_compatibility_{i + 1}_{j + 1}", passed=r <= tol,
-                residual=r, tolerance=tol, samples=1, detail=detail,
-            ))
+                name=f"flow_compatibility_{i + 1}_{j + 1}",
+                passed=r <= args.tol, residual=r, tolerance=args.tol,
+                samples=1, detail=detail))
     if sol.generic_warning:
         report.add(CheckResult(
             name="generic_initial_curve", passed=False, residual=float("inf"),
@@ -264,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=None,
                         help="number of sample points (default 50)")
     common.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (default per command)")
+                        help="residual tolerance only (default per command)")
     common.add_argument("--guard", type=float, default=None,
                         help="default denominator floor (default 1e-3)")
     common.add_argument("--json", action="store_true", dest="as_json",

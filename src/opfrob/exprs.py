@@ -387,7 +387,8 @@ class Program:
     operands first, left before right.  So every value and the first
     ExprEvalError are those of evaluating each root alone.  A register is
     reused after its last read, so a run holds only the live values.
-    ``max_variable`` is the largest coordinate index read (0 if none).
+    ``max_variable`` is the largest coordinate index read (0 if none), and
+    ``constant[k]`` whether root k reads none.
     """
 
     def __init__(self, roots):
@@ -396,6 +397,7 @@ class Program:
         value = {}              # id(node) -> its register, or ~instruction
         ops = []                # (function, operand, operand, node)
         last = []               # instruction -> the last one reading it
+        fixed = set()           # the instructions that read no coordinate
         self.max_variable = 0
         for root in roots:
             stack = [root]
@@ -433,6 +435,9 @@ class Program:
                     last[~a] = len(ops)
                 if b < 0:
                     last[~b] = len(ops)
+                if fn is not _load and (a >= 0 or ~a in fixed) \
+                        and (b >= 0 or ~b in fixed):
+                    fixed.add(len(ops))
                 value[id(e)] = ~len(ops)
                 last.append(len(ops))
                 ops.append((fn, a, b, e))
@@ -460,6 +465,7 @@ class Program:
             self.code.append((fn, where[i], a, b, e))
         self.registers = registers
         self.outputs = [where[~v] if v < 0 else v for v in outputs]
+        self.constant = [v >= 0 or ~v in fixed for v in outputs]
 
     def run(self, point) -> list:
         """The roots' values at ``point``, a sequence of scalars of one type

@@ -4,12 +4,14 @@
 An :class:`ExpressionGrid` (a row of n entries or an n x n grid) is compiled
 once into a straight-line ``exprs.Program``, which evaluates over floats,
 jets (values and exact first partials), batches of jets or any scalar type
-with the arithmetic operators.  A grid that reads no coordinate is
-evaluated when it is built, and broadcast after that.
+with the arithmetic operators.  Each entry that reads no coordinate is
+evaluated when its grid is built, and a grid that reads none is broadcast
+after that.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import reduce
 
@@ -83,9 +85,9 @@ class ExpressionGrid:
     """A fixed-shape grid of expressions in u1..un: n x n, given as rows,
     at ``rank`` 2 and a row of n at ``rank`` 1; messages call one entry
     ``entry`` and the grid ``owner``.  The entries compile into one Program,
-    row-major.  A grid that reads no coordinate is evaluated here, where an
-    entry that fails or is not finite raises, and its values and zero
-    partials are broadcast after that instead of run."""
+    row-major.  Every entry that reads no coordinate is evaluated here,
+    where one that fails or is not finite raises; a grid that reads none
+    broadcasts its values and zero partials after that instead of run."""
 
     rank, entry, owner = 2, "entry", "field"
 
@@ -109,11 +111,17 @@ class ExpressionGrid:
         self.is_constant = program.max_variable == 0
         if self.is_constant:
             value = grid_floats(program, [])
-            bad = np.flatnonzero(~np.isfinite(value))
-            if len(bad):
-                raise ValueError(f"{self.entry} {flat[bad[0]]} is "
-                                 f"{value[bad[0]]}, not a finite number")
             self._constant_value = value.reshape(self.shape)
+        else:   # each entry that reads no coordinate; a number is not run
+            flat = [e for e, c in zip(flat, program.constant) if c]
+            run = [e for e in flat if type(e) is not Const]
+            ran = iter(grid_floats(Program(run), []) if run else ())
+            value = [_float(e.value, e) if type(e) is Const else next(ran)
+                     for e in flat]
+        for e, v in zip(flat, value):
+            if not math.isfinite(v):
+                raise ValueError(f"{self.entry} {e} is {v}, not a finite "
+                                 "number")
 
     @classmethod
     def parse(cls, texts, dimension: int):

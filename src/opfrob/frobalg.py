@@ -50,7 +50,7 @@ from .numkit import (
     max_abs,
     on_distinct_rows,
 )
-from .report import CheckResult, VerificationReport, reduce_check
+from .report import DEFAULT_TOL, CheckResult, VerificationReport, reduce_check
 
 __all__ = [
     "OperatorBasis",
@@ -71,8 +71,8 @@ __all__ = [
     "stacked_jets",
 ]
 
-DEFAULT_TOL = 1e-9
-DEFAULT_GENERIC_SAMPLES = 32
+# the seeded draws of each (A1)/(A2) and xi search, read at call time
+GENERIC_DRAWS = 32
 
 
 def _first_hit(mats, samples, rng, tol, products):
@@ -100,13 +100,13 @@ def _draw_rows(V, covs):
                      V[..., None, :, :, :])[..., 0, :]
 
 
-def find_generic_vector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
+def find_generic_vector(mats, samples: int, rng, tol=None):
     """Rejection-sample xi in [-1,1]^n; None after exhausting the draws.
     The lone-point reference of ``batch_generic_search``."""
     return _first_hit(mats, samples, rng, tol, _draw_columns)
 
 
-def find_generic_covector(mats, samples: int, rng, tol: float = DEFAULT_TOL):
+def find_generic_covector(mats, samples: int, rng, tol=None):
     return _first_hit(mats, samples, rng, tol, _draw_rows)
 
 
@@ -222,8 +222,7 @@ def _best_draw(V, xis, tol):
                     -1).reshape(V.shape[:-3])
 
 
-def find_well_conditioned_vector(mats, samples: int, rng,
-                                 tol: float = DEFAULT_TOL):
+def find_well_conditioned_vector(mats, samples: int, rng, tol=None):
     """Among the seeded draws, the generic vector whose column matrix
     [K_1 xi | .. | K_n xi] has the smallest condition number; the internal
     pipelines prefer this over the first hit because the accuracy of every
@@ -238,15 +237,15 @@ def find_well_conditioned_vector(mats, samples: int, rng,
     return xis[k] if k >= 0 else None
 
 
-def well_conditioned_xi(mats, seed=0, tol: float = DEFAULT_TOL,
-                        samples: int = DEFAULT_GENERIC_SAMPLES) -> np.ndarray:
+def well_conditioned_xi(mats, seed=0) -> np.ndarray:
     """The seeded well-conditioned generic vector of the float basis
     ``mats``; ``seed`` is an int or a numpy Generator.  Raises
     GenericityError when every draw fails."""
-    xi = find_well_conditioned_vector(mats, samples,
-                                      np.random.default_rng(seed), tol)
+    xi = find_well_conditioned_vector(mats, GENERIC_DRAWS,
+                                      np.random.default_rng(seed))
     if xi is None:
-        raise GenericityError(f"no generic vector found in {samples} draws")
+        raise GenericityError(
+            f"no generic vector found in {GENERIC_DRAWS} draws")
     return xi
 
 
@@ -286,74 +285,72 @@ def _at(point) -> str:
     return str([float(x) for x in point])
 
 
-def checked_solve(A, R, points, what: str, tol: float = 1e-12) -> np.ndarray:
+def checked_solve(A, R, points, what: str) -> np.ndarray:
     """X with A[b] X[b] = R[b] for the (B, m, m) stack A taken at points[b],
     by ``batch_solve``.  Raises SingularMatrixError at the first point whose
     matrix is not finite or has its smallest singular value at or below
-    ``tol`` times its largest entry magnitude (``numkit.first_singular``,
+    SINGULAR_TOL times its largest entry magnitude (``numkit.first_singular``,
     the test of ``mat_solve``)."""
-    b, why = first_singular(A, tol)
+    b, why = first_singular(A)
     if why:
         raise SingularMatrixError(f"{what} at {_at(points[b])}: {why}", index=b)
     return batch_solve(A, R)
 
 
-def checked_inv(A, points, what: str, tol: float = 1e-12) -> np.ndarray:
+def checked_inv(A, points, what: str) -> np.ndarray:
     """Inverses of the (B, m, m) stack A, as ``checked_solve`` with the
     identity (each equal to a lone ``mat_inv`` bit for bit)."""
     return checked_solve(A, np.broadcast_to(np.eye(A.shape[-1]), A.shape),
-                         points, what, tol)
+                         points, what)
 
 
-def batch_well_conditioned_xi(V, points, seed: int = 0,
-                              tol: float = DEFAULT_TOL,
-                              samples: int = DEFAULT_GENERIC_SAMPLES):
+def batch_well_conditioned_xi(V, points, seed: int = 0):
     """``well_conditioned_xi(V[b], seed)`` for each basis of the (B, n, n, n)
     stack, bit for bit: every point re-seeds, so all judge one draw.
     Raises GenericityError at the first point without a generic draw."""
     xis = np.random.default_rng(seed).uniform(-1.0, 1.0,
-                                              (samples, V.shape[-1]))
-    k = _best_draw(V, xis, tol)
+                                              (GENERIC_DRAWS, V.shape[-1]))
+    k = _best_draw(V, xis, None)
     bad = np.flatnonzero(k < 0)
     if len(bad):
-        raise GenericityError(f"no generic vector found in {samples} draws "
+        raise GenericityError(f"no generic vector found in {len(xis)} draws "
                               f"at {_at(points[bad[0]])}", index=int(bad[0]))
     return xis[k]
 
 
-def _full_rank(bases, vectors, covectors, tol):
+def _full_rank(bases, vectors, covectors):
     """Per basis of the (D, n, n, n) stack: whether each vector draw v gives
     independent K_j v, (D, len(vectors)), and each covector draw
     independent v K_j, (D, len(covectors)), by one stacked rank."""
     D, n = len(bases), bases.shape[-1]
     full = mat_rank(np.concatenate([
         _draw_columns(bases, vectors).reshape(-1, n, n),
-        _draw_rows(bases, covectors).reshape(-1, n, n)]), tol=tol) == n
+        _draw_rows(bases, covectors).reshape(-1, n, n)])) == n
     return (full[:D * len(vectors)].reshape(D, len(vectors)),
             full[D * len(vectors):].reshape(D, len(covectors)))
 
 
-def batch_generic_search(V, seed: int = 0, tol: float = DEFAULT_TOL,
-                         samples: int = DEFAULT_GENERIC_SAMPLES):
+def batch_generic_search(V, seed: int = 0):
     """For each basis of the (B, n, n, n) stack, the answers of
     ``find_generic_vector`` and then ``find_generic_covector`` on one
     ``default_rng(seed)``: (xi, a), each (B, n), with a row of NaN where a
-    search found nothing.  All bases see the same 2 * samples draws; the
-    covector draws start just after the vector hit, or after all the
+    search found nothing.  All bases see the same 2 * GENERIC_DRAWS draws;
+    the covector draws start just after the vector hit, or after all the
     vector draws without one.  Equal bases are judged once, all by one
     stacked rank of the first vector and covector draws, which nearly
     always hit; the bases where either misses, by one more over all
     draws."""
+    samples = GENERIC_DRAWS
     draws = np.random.default_rng(seed).uniform(
         -1.0, 1.0, (2 * samples, V.shape[-1]))
     first, which = distinct_rows(V)
     kv = np.zeros(len(first), dtype=int)
     kc = np.ones(len(first), dtype=int)
     found = np.ones((2, len(first)), dtype=bool)
-    vec, cov = _full_rank(V[first], draws[:1], draws[1:2], tol)
+    vec, cov = _full_rank(V[first], draws[:1], draws[1:2])
     rest = np.flatnonzero(~(vec[:, 0] & cov[:, 0]))
     if len(rest):
-        vec, cov = _full_rank(V[first[rest]], draws[:samples], draws, tol)
+        vec, cov = _full_rank(V[first[rest]], draws[:samples], draws)
         found[0, rest] = vec.any(axis=1)
         kv[rest] = np.where(found[0, rest], np.argmax(vec, axis=1),
                             samples - 1)
@@ -365,12 +362,12 @@ def batch_generic_search(V, seed: int = 0, tol: float = DEFAULT_TOL,
                  for f, k in zip(found, (kv, kc)))
 
 
-def genericity_residuals(V, points, seed: int = 0, tol: float = DEFAULT_TOL):
+def genericity_residuals(V, points, seed: int = 0):
     """The (A1)/(A2) certificate over a sample batch: per point 0 where
     ``batch_generic_search`` finds a generic vector and a generic
     covector, inf where it does not; and a detail naming the first failing
     point."""
-    xi, a = batch_generic_search(V, seed, tol)
+    xi, a = batch_generic_search(V, seed)
     has_xi = ~np.isnan(xi[:, 0])
     residuals = np.where(has_xi & ~np.isnan(a[:, 0]), 0.0, np.inf)
     bad = np.flatnonzero(residuals)
@@ -408,13 +405,13 @@ class FrobeniusPointData:
     dual_tangent: np.ndarray | None = None   # (B, n, n, n, n) d_m M^j
 
 
-def _solve_structure(V, points, seed, tol):
+def _solve_structure(V, points, seed):
     """The seeded xi, C = [K_1 xi | .. | K_n xi], the products K_i K_j, and
     from one elimination X[b, s, i*n + j] = a_{ij}^s solving
     C X = [K_i K_j xi] and C^{-1}; X rounds as in the lone-point
     ``structure_constants_at``."""
     B, n = V.shape[:2]
-    xi = batch_well_conditioned_xi(V, points, seed, tol)
+    xi = batch_well_conditioned_xi(V, points, seed)
     C = (V @ xi[:, None, :, None])[..., 0].swapaxes(1, 2)
     prods = V[:, :, None] @ V[:, None]
     R = (prods @ xi[:, None, None, :, None]).reshape(B, n * n, n)
@@ -433,7 +430,7 @@ def _form(a, covector, points):
 
 
 def point_data(V, points, covector=None, seed: int = 0,
-               tol: float = DEFAULT_TOL, dV=None) -> FrobeniusPointData:
+               dV=None) -> FrobeniusPointData:
     """The Frobenius data of the basis values V[b, i] = K_i at points[b]
     (a (B, n, n, n) stack) over the whole batch.
 
@@ -445,14 +442,15 @@ def point_data(V, points, covector=None, seed: int = 0,
     through the decomposition in K.  With the partials dV[b, i, :, :, m]
     come, from the same solve, the tangents d/du^m of the structure
     constants, or with a covector those of the dual basis.  Raises
-    GenericityError or SingularMatrixError at the first failing point.
+    GenericityError or SingularMatrixError at the first failing point, by
+    the fixed thresholds ``numkit.RANK_TOL`` and ``numkit.SINGULAR_TOL``.
     """
-    return on_distinct_rows(_point_data, (V, dV), points, covector, seed, tol)
+    return on_distinct_rows(_point_data, (V, dV), points, covector, seed)
 
 
-def _point_data(V, dV, points, covector, seed, tol):
+def _point_data(V, dV, points, covector, seed):
     B, n = V.shape[:2]
-    xi, C, recon, X, Cinv = _solve_structure(V, points, seed, tol)
+    xi, C, recon, X, Cinv = _solve_structure(V, points, seed)
     a = X.reshape(B, n, n, n).transpose(0, 2, 3, 1)
     for s in range(n):     # K_i K_j - a_{ij}^s K_s, in place
         recon -= X[:, s].reshape(B, n, n, 1, 1) * V[:, None, None, s]
@@ -592,26 +590,25 @@ class OperatorBasis:
         report.checks = _validation_checks(*self.values(points), tol)
         return report
 
-    def point_data(self, points, covector=None, tol: float = DEFAULT_TOL,
-                   seed: int = 0) -> FrobeniusPointData:
+    def point_data(self, points, covector=None, seed=0) -> FrobeniusPointData:
         P, V = self.values(points)
-        return point_data(V, P, covector, seed, tol)
+        return point_data(V, P, covector, seed)
 
 
-def _commutators_and_ranks(V, P, tol):
+def _commutators_and_ranks(V, P):
     B, n = V.shape[:2]
     norms = np.max(np.abs(V), axis=(-2, -1), initial=0.0)
     i, j = np.triu_indices(n, 1)
     comm = np.max(commutator_norms(V, i, j)
                   / (1.0 + norms[:, i] * norms[:, j]), axis=1, initial=0.0)
-    return comm, mat_rank(V.reshape(B, n, n * n), tol=tol)
+    return comm, mat_rank(V.reshape(B, n, n * n))
 
 
 def _validation_checks(P, V, tol):
     """Pairwise commutativity (each commutator scaled by 1 + the product of
     the two fields' largest entries) and linear independence."""
     B, n = V.shape[:2]
-    comm, rank = on_distinct_rows(_commutators_and_ranks, (V,), P, tol)
+    comm, rank = on_distinct_rows(_commutators_and_ranks, (V,), P)
     min_rank = int(np.min(rank, initial=n))
     return [reduce_check("pairwise_commutativity", comm, P, tol),
             CheckResult(name="linear_independence",
@@ -636,12 +633,12 @@ def algebra_report(
     report = VerificationReport(title="verify-algebra", seed=seed)
     P, V = basis.values(points)
     report.checks = _validation_checks(P, V, tol)
-    generic, detail = genericity_residuals(V, P, seed, tol)
+    generic, detail = genericity_residuals(V, P, seed)
     report.add(reduce_check("genericity_A1_A2", generic, P, 0.0, seed=seed,
                             detail=detail))
     # the checks below count only the points where (A1) and (A2) hold
     P, V = P[generic == 0], V[generic == 0]
-    data = point_data(V, P, None, seed, tol)
+    data = point_data(V, P, None, seed)
     form_detail = ""
     if covector is not None:    # a degenerate form keeps the structure data
         try:

@@ -364,12 +364,8 @@ def taylor_flow(fields, initial_curve, order, x0: float = 0.0) -> JetSolution:
     if len(u) != n:
         raise OpfrobError(f"initial curve needs {n} components, got {len(u)}")
 
-    u0_val = [sum(c * x0 ** k for k, c in enumerate(map(float, comp)))
-              for comp in initial_curve]
-    du0 = [sum(k * c * x0 ** (k - 1) for k, c in enumerate(map(float, comp))
-               if k > 0) for comp in initial_curve]
-    cols = np.column_stack(
-        [f.eval(u0_val) @ np.asarray(du0, dtype=float) for f in fields])
+    # u0(x0) and u0'(x0) are the coefficients of 1 and x
+    cols = np.column_stack([f.eval(U[:, 0]) @ U[:, 1] for f in fields])
     warning = mat_rank(cols) < m
 
     # order-by-order fill, routed by the minimal flow index: the monomial

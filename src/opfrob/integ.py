@@ -46,7 +46,8 @@ from .opfields import (
     bracket_residuals,
     conservation_law_residuals,
 )
-from .report import CheckResult, VerificationReport, failed_check, reduce_check
+from .report import (DEFAULT_TOL, CheckResult, VerificationReport,
+                     failed_check, reduce_check)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -60,7 +61,6 @@ __all__ = [
     "ReconstructedFamily",
 ]
 
-DEFAULT_TOL = 1e-9
 MOMENTUM_DRAWS, MOMENTUM_THRESHOLD = 50, 1e-9   # see _momentum_nondegeneracy
 
 
@@ -216,19 +216,18 @@ class IntegrableSystem:
     the batch that ``generate_system`` certified, for ``hj_consistency``."""
 
     def __init__(self, basis: OperatorBasis, alpha: OneFormField, chart,
-                 tol: float = DEFAULT_TOL, seed: int = 0):
+                 seed: int = 0):
         self.basis = basis
         self.alpha = alpha
         self.chart = list(chart)
         self.dimension = basis.dimension
-        self.tol = tol
         self.seed = seed
         self.is_constant = basis.is_constant and alpha.is_constant
         self.hamiltonians = self._constant = self.sample = None
         if self.is_constant:    # its one row at the origin serves any point
             origin = np.zeros((1, self.dimension))
             self._constant = point_data(basis.values(origin)[1], origin,
-                                        seed=seed, tol=tol)
+                                        seed=seed)
             # the grids are symmetric only up to rounding in a general frame
             grids = self.coefficient_grids(origin)[0]
             if not np.isfinite(grids).all():    # the products overflow
@@ -247,7 +246,7 @@ class IntegrableSystem:
         if not tangents and self._constant is not None:
             return None, take_rows(self._constant, np.zeros(len(P), int))
         V, dV = self.basis.batch_jet_arrays(P, tangents)
-        return V, point_data(V, P, seed=self.seed, tol=self.tol, dV=dV)
+        return V, point_data(V, P, seed=self.seed, dV=dV)
 
     def coefficient_grids(self, points) -> np.ndarray:
         """G[b, s, i, j] = a^{ij}_s, the grid of F_s, at points[b]."""
@@ -343,7 +342,7 @@ def generate_system(
     pullbacks = _pullback_rows(a, V)
     del da      # not held through the Poisson and momentum checks
     min_rank = int(np.min(on_distinct_rows(
-        lambda A, _: mat_rank(A, tol=tol), (pullbacks,), P), initial=n))
+        lambda A, _: mat_rank(A), (pullbacks,), P), initial=n))
     report.add(CheckResult(
         name="pullback_independence",
         passed=len(P) > 0 and min_rank == n,
@@ -372,8 +371,8 @@ def generate_system(
     report.add(reduce_check("chart_validation", batch_max_abs(
         grads - pullbacks) / (1.0 + batch_max_abs(pullbacks)), P, tol))
 
-    system = IntegrableSystem(basis, alpha, chart, tol=tol, seed=seed)
-    data = point_data(V, P, seed=seed, tol=tol, dV=dV) if tangents \
+    system = IntegrableSystem(basis, alpha, chart, seed=seed)
+    data = point_data(V, P, seed=seed, dV=dV) if tangents \
         else system.batch_data(P)[1]
     system.sample = (P, V, a, data)
     report.add(reduce_check("span_closure", data.closure_residual, P, tol))
@@ -478,11 +477,10 @@ class ReconstructedFamily(DualFamilyBase):
     batch from the tangent pipeline: h grids -> Killing tensors -> structure
     constants -> form inverse; one bracket table certifies them."""
 
-    def __init__(self, hams, covector, tol: float = DEFAULT_TOL, seed: int = 0):
+    def __init__(self, hams, covector, seed: int = 0):
         self.hams = list(hams)
         self.covector = np.asarray(covector, dtype=float)
         self.dimension = self.hams[0].dimension
-        self.tol = tol
         self.seed = seed
 
     def _killing(self, points, jets=None):
@@ -497,7 +495,7 @@ class ReconstructedFamily(DualFamilyBase):
         if data is None:
             P = _batch(points, self.dimension)
             K, dK, _ = self._killing(P)
-            data = point_data(K, P, self.covector, self.seed, self.tol, dV=dK)
+            data = point_data(K, P, self.covector, self.seed, dV=dK)
         return data.dual, data.dual_tangent
 
 
@@ -534,7 +532,7 @@ def _hypothesis_checks(family, P, p_draws, tol):
         K, dK, h1_inv = family._killing(
             P[:stop], [(A[:stop], dA[:stop]) for A, dA in jets])
     del jets    # free the coefficient jets before the Frobenius data
-    xi, a_cov = batch_generic_search(K, family.seed, DEFAULT_TOL)
+    xi, a_cov = batch_generic_search(K, family.seed)
     missed = np.flatnonzero(np.isnan(xi[:, 0]))
     if len(missed):
         stop = missed[0]
@@ -543,7 +541,7 @@ def _hypothesis_checks(family, P, p_draws, tol):
     while True:
         try:
             data = point_data(K[:stop], P[:stop], family.covector,
-                              family.seed, family.tol, dV=dK[:stop])
+                              family.seed, dV=dK[:stop])
             break
         except (GenericityError, SingularMatrixError) as exc:
             stop, fail_detail = exc.index, str(exc)
@@ -590,7 +588,7 @@ def inverse_verify(
     report = VerificationReport(title="inverse_verify", seed=seed)
     rng = np.random.default_rng(seed + 1)
     p_draws = rng.uniform(-1.0, 1.0, (len(P), n))
-    family = ReconstructedFamily(hams, covector, tol=DEFAULT_TOL, seed=seed)
+    family = ReconstructedFamily(hams, covector, seed=seed)
     checks, data = _hypothesis_checks(family, P, p_draws, tol)
     report.checks.extend(checks)
     if not report.passed:

@@ -37,6 +37,10 @@ __all__ = [
     "hadamard_ratio",
 ]
 
+# The engine's thresholds, read at call time by mat_rank, first_singular
+# and sqrt_near_identity (Golub & Van Loan, Matrix Computations, 5.4).
+RANK_TOL, SINGULAR_TOL, SQRT_TOL = 1e-9, 1e-12, 1e-10
+
 
 def _is_plain(x) -> bool:
     """Numbers and float arrays combine with jets directly; object arrays
@@ -188,15 +192,14 @@ def hadamard_ratio(D) -> np.ndarray:
     return np.where((bound != 0.0) & ~np.isnan(ratio), ratio, 0.0)
 
 
-def first_singular(A, tol: float = 1e-12):
+def first_singular(A):
     """(k, why) for the first matrix A[k] of the (K, m, m) stack that is not
-    finite or whose smallest singular value is at or below ``tol`` times
-    its largest entry magnitude, or (None, "") when every one is regular."""
+    finite or whose smallest singular value is at or below SINGULAR_TOL
+    times its largest entry, or (None, "") when every one is regular."""
     finite = np.isfinite(A).all(axis=(-2, -1))
     smin = np.linalg.svd(np.where(finite[:, None, None], A, 0.0),
                          compute_uv=False)[:, -1]
-    limit = tol * np.maximum(np.max(np.abs(A), axis=(-2, -1), initial=0.0),
-                             1e-300)
+    limit = SINGULAR_TOL * np.maximum(batch_max_abs(A), 1e-300)
     bad = np.flatnonzero(~(finite & (smin > limit)))
     if not len(bad):
         return None, ""
@@ -205,21 +208,21 @@ def first_singular(A, tol: float = 1e-12):
                f"{limit[k]:.3e}" if finite[k] else "entries not finite")
 
 
-def mat_solve(A, B, tol: float = 1e-12) -> np.ndarray:
+def mat_solve(A, B) -> np.ndarray:
     """X with A X = B for one float matrix A and a vector or matrix B, by
     ``batch_solve``, or SingularMatrixError if ``first_singular`` rejects A."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    why = first_singular(A[None], tol)[1]
+    why = first_singular(A[None])[1]
     if why:
         raise SingularMatrixError(why)
     X = batch_solve(A[None], (B[:, None] if B.ndim == 1 else B)[None])[0]
     return X.reshape(B.shape)
 
 
-def mat_inv(A, tol: float = 1e-12) -> np.ndarray:
-    return mat_solve(A, np.eye(len(A)), tol)
+def mat_inv(A) -> np.ndarray:
+    return mat_solve(A, np.eye(len(A)))
 
 
 def batch_solve(A, B) -> np.ndarray:
@@ -248,9 +251,9 @@ def batch_solve(A, B) -> np.ndarray:
     return X
 
 
-def mat_rank(A, tol: float = 1e-9):
-    """Numerical rank by row reduction with pivot threshold relative to the
-    largest entry magnitude.
+def mat_rank(A, tol: float | None = None):
+    """Numerical rank by row reduction with pivot threshold ``tol`` (RANK_TOL
+    if None, as in the engine) relative to the largest entry magnitude.
 
     ``A`` is one (r, c) matrix, giving an int, or a stack (..., r, c),
     giving an int array of shape (...).  Every matrix of a stack runs the
@@ -264,7 +267,7 @@ def mat_rank(A, tol: float = 1e-9):
     A = A.reshape((math.prod(batch), r, c))
     rank = np.zeros(len(A), dtype=int)     # also each matrix's pivot row
     scale = np.max(np.abs(A), axis=(1, 2), initial=0.0)
-    threshold = tol * scale
+    threshold = (RANK_TOL if tol is None else tol) * scale
     live = scale != 0.0
     lanes, rows = np.arange(len(A)), np.arange(r)
     # rows above the pivot and skipping lanes are computed and discarded,
@@ -341,9 +344,10 @@ def take_rows(out, rows):
                         for k, v in vars(out).items()})
 
 
-def sqrt_near_identity(S, tol: float = 1e-10) -> np.ndarray:
+def sqrt_near_identity(S) -> np.ndarray:
     """Principal matrix square root by the coupled (Denman-Beavers) Newton
-    iteration Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2.
+    iteration Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2, each matrix stopping
+    once max |Y^2 - S| is at most SQRT_TOL max(1, max |S|).
 
     Converges for spectra in the open right half-plane, including
     non-diagonalisable S, with R -> Id as S -> Id.  Raises
@@ -358,7 +362,7 @@ def sqrt_near_identity(S, tol: float = 1e-10) -> np.ndarray:
     if S.ndim < 2 or S.shape[-2] != n:
         raise ValueError("matrix must be square")
     T = S.reshape(-1, n, n)
-    limit = tol * np.maximum(batch_max_abs(T), 1.0)
+    limit = SQRT_TOL * np.maximum(batch_max_abs(T), 1.0)
     roots, lane = np.empty_like(T), np.arange(len(T))
     Y, Z = T.copy(), np.broadcast_to(np.eye(n), T.shape)
     steps = 60
@@ -383,7 +387,7 @@ def sqrt_near_identity(S, tol: float = 1e-10) -> np.ndarray:
         raise SqrtConvergenceError(why)
     for k, M in enumerate(T):
         try:
-            sqrt_near_identity(M, tol)
+            sqrt_near_identity(M)
         except SqrtConvergenceError as exc:
             exc.index = k
             raise

@@ -45,7 +45,8 @@ from .frobalg import (
     well_conditioned_xi,
 )
 from .numkit import batch_max_abs, on_distinct_rows
-from .report import CheckResult, VerificationReport, failed_check, reduce_check
+from .report import (DEFAULT_TOL, CheckResult, VerificationReport,
+                     failed_check, reduce_check)
 
 __all__ = [
     "bracket",
@@ -60,9 +61,6 @@ __all__ = [
     "dualize_family",
     "symmetry_coefficient_check",
 ]
-
-DEFAULT_TOL = 1e-9
-
 
 def bracket_from_jets(Lval, Lder, Mval, Mder) -> np.ndarray:
     """Coordinate components T^i_jk of <L, M> from values and partials, at
@@ -252,19 +250,17 @@ class DualFamily(DualFamilyBase):
     """Pointwise dual family M^1..M^n of an operator basis; ``eval_generic``
     runs the pointwise pipeline at a point of truncated series."""
 
-    def __init__(self, basis: OperatorBasis, covector, tol: float = DEFAULT_TOL,
-                 seed: int = 0):
+    def __init__(self, basis: OperatorBasis, covector, seed: int = 0):
         self.basis = basis
         self.covector = np.asarray(covector, dtype=float)
         self.dimension = basis.dimension
-        self.tol = tol
         self.seed = seed
 
     def jet_data(self, points, jets=None):
         """Stacked dual jets over a batch, from its basis jets if given."""
         P = np.asarray(points, dtype=float)
         V, dV = jets or self.basis.batch_jet_arrays(P)
-        data = point_data(V, P, self.covector, self.seed, self.tol, dV=dV)
+        data = point_data(V, P, self.covector, self.seed, dV=dV)
         return data.dual, data.dual_tangent
 
     def eval_generic(self, point):
@@ -273,7 +269,7 @@ class DualFamily(DualFamilyBase):
         constant terms; the errors are the float pipeline's there."""
         lay, n = point[0].layout, self.dimension
         K = point[0].dense(self.basis.eval_generic(point))
-        xi = well_conditioned_xi(K[..., 0], self.seed, self.tol)
+        xi = well_conditioned_xi(K[..., 0], self.seed)
         C = np.einsum("jrcp,c->rjp", K, xi)      # [K_1 xi | .. | K_n xi]
         R = lay.matmul(K, C)                     # R[i, r, j] = K_i K_j xi
         X = lay.matmul(lay.inv(C), R.swapaxes(0, 1).reshape(n, n * n, -1))
@@ -302,7 +298,7 @@ def dualize_family(
     n = basis.dimension
     P = np.asarray(points, dtype=float).reshape(-1, n)
     pairs = list(combinations(range(n), 2))
-    family = DualFamily(basis, covector, tol=tol, seed=seed)
+    family = DualFamily(basis, covector, seed=seed)
 
     def symmetries(name, jets):
         try:
@@ -315,7 +311,7 @@ def dualize_family(
     if check_inputs:
         report.add(symmetries("input_mutual_symmetries", lambda: stack[0]))
         # stops at the first point without a generic vector and covector
-        generic, detail = genericity_residuals(stack[0][0], P, seed, tol)
+        generic, detail = genericity_residuals(stack[0][0], P, seed)
         bad = np.flatnonzero(generic)
         reached = bad[0] + 1 if len(bad) else len(P)
         report.add(reduce_check("genericity_A1_A2", generic[:reached],
@@ -343,7 +339,7 @@ def symmetry_coefficient_check(
         raise ValueError(f"need {n} coefficient functions, got {len(h)}")
     hform = OneFormField(h)  # reuse component-wise jet evaluation
     P, V = basis.values(points)
-    a = point_data(V, P, seed=seed, tol=tol).structure
+    a = point_data(V, P, seed=seed).structure
     dh = hform.batch_jet_arrays(P)[1]     # dh[b, j, m] = d h^j / du^m
     # row j of dh @ K_i is (K_i^* dh^j)_m
     diffs = dh[:, None] @ V - np.einsum("bisj,bsm->bijm", a, dh)

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the residual tolerance of a check where its command sets none
+DEFAULT_TOL = 1e-9
 CERTIFICATE_NOTE = (
     "all passes are numerical certificates at the sampled points, "
     "not symbolic proofs"

@@ -23,6 +23,7 @@ from .errors import OpfrobError
 from .exprs import Const, linear_form, literal
 from .fields import OperatorField, expression_add, expression_matmul
 from .frobalg import (
+    GENERIC_DRAWS,
     OperatorBasis,
     commutator_norms,
     find_generic_covector,
@@ -32,7 +33,7 @@ from .frobalg import (
 )
 from .numkit import batch_max_abs, batch_solve, max_abs
 from .opfields import bracket_residuals
-from .report import VerificationReport, failed_check, reduce_check
+from .report import DEFAULT_TOL, VerificationReport, failed_check, reduce_check
 
 __all__ = [
     "FlatBasis",
@@ -41,19 +42,17 @@ __all__ = [
     "sym_membership",
 ]
 
-DEFAULT_TOL = 1e-9
-
-
 class FlatBasis:
     """Constant matrices M^1..M^n with a designated generic vector xi
     normalized to M^i xi = e_i.
 
-    Validation checks pairwise commutation, the normalization, that the
-    combination xi^i M^i reproduces the identity (so Id lies in the span
-    with constant coefficients) and that a generic covector exists.
+    Validation checks, to DEFAULT_TOL, pairwise commutation, the
+    normalization and that xi^i M^i reproduces the identity (so Id lies in
+    the span with constant coefficients), and that a generic covector exists.
     """
 
-    def __init__(self, matrices, xi, tol: float = DEFAULT_TOL):
+    def __init__(self, matrices, xi):
+        tol = DEFAULT_TOL
         self.matrices = [np.asarray(M, dtype=float) for M in matrices]
         self.xi = np.asarray(xi, dtype=float)
         n = self.matrices[0].shape[0]
@@ -67,8 +66,7 @@ class FlatBasis:
                 raise OpfrobError(
                     f"basis is not in normalized flat form: M^{i + 1} xi != "
                     f"e_{i + 1}; supply the basis in the coordinates with "
-                    "d/du^i = M^i xi"
-                )
+                    "d/du^i = M^i xi")
         i, j = np.triu_indices(n, 1)
         fails = commutator_norms(np.stack(self.matrices)[None], i, j)[0] > tol
         if fails.any():
@@ -77,8 +75,8 @@ class FlatBasis:
         combo = sum(self.xi[i] * self.matrices[i] for i in range(n))
         if max_abs(combo - eye) > tol:
             raise OpfrobError("xi^i M^i does not reproduce the identity")
-        if find_generic_covector(self.matrices, 32,
-                                 np.random.default_rng(0), tol) is None:
+        if find_generic_covector(self.matrices, GENERIC_DRAWS,
+                                 np.random.default_rng(0)) is None:
             raise OpfrobError("no generic covector found for the flat basis")
 
         # [M^1 xi | .. | M^n xi] is Id to within tol: no SVD regularity test
@@ -86,9 +84,8 @@ class FlatBasis:
             self.matrices, self.xi,
             solve=lambda A, R: batch_solve(A[None], R[None])[0])
         if not closure <= tol:
-            raise OpfrobError(
-                f"flat span is not multiplicatively closed (residual {closure:.3e})"
-            )
+            raise OpfrobError(f"flat span is not multiplicatively closed "
+                              f"(residual {closure:.3e})")
 
     def operator_basis(self, name: str = "flat") -> OperatorBasis:
         return OperatorBasis.from_matrices(self.matrices, name=name)
@@ -143,7 +140,7 @@ def sym_membership(
     P = np.asarray(points, dtype=float).reshape(-1, basis.dimension)
     V, dV = stacked_jets([candidate, *basis.fields], P)
     cand = V[:, 0]
-    data = point_data(V[:, 1:], P, seed=seed, tol=tol)
+    data = point_data(V[:, 1:], P, seed=seed)
     with np.errstate(all="ignore"):     # an overflow fails the check
         g = (data.columns_inv @ (cand @ data.xi[:, :, None]))[..., 0]
         recon = np.einsum("bi,birc->brc", g, V[:, 1:])

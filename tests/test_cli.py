@@ -347,6 +347,88 @@ def test_overflowing_constant_structure_constants_are_one_line(
             "a^{ij}_s are not finite\n")
 
 
+# (owner in the message, where the text goes) of an entry that reads no
+# coordinate in a grid of the analytic example52 file that reads some
+MIXED_GRID_ENTRIES = [("field 'M2'", ("fields", "M2", 0, 1)),
+                      ("hamiltonians", ("hamiltonians", 1, 0, 0))]
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "poisson-check",
+                                     "inverse"])
+@pytest.mark.parametrize("text", ["1/0", "10^400", "1e400"])
+@pytest.mark.parametrize("owner,where", MIXED_GRID_ENTRIES,
+                         ids=[w[0] for _, w in MIXED_GRID_ENTRIES])
+def test_a_constant_entry_beside_coordinates_is_an_input_error(
+        command, text, owner, where, tmp_path, capsys):
+    """As in an all-constant grid: before, such an entry gave a
+    verification error, FAILs or a pass, by command."""
+    path = tmp_path / "a52.json"
+    run_cli(["builtin", "example52", "--variant", "analytic", "--emit",
+             str(path)], capsys)
+    doc = json.loads(path.read_text())
+    grid = doc
+    for k in where[:-1]:
+        grid = grid[k]
+    grid[where[-1]] = text
+    path.write_text(json.dumps(doc))
+    message = EVAL_ERRORS.get(text, "entry inf is inf, not a finite number")
+    assert run_cli([command, str(path)], capsys) \
+        == (2, "", f"input error: {path}: {owner}: {message}\n")
+
+
+RANK_CHECKS = {"linear_independence", "genericity_A1_A2",
+               "pullback_independence"}
+
+
+@pytest.mark.parametrize("tol", ["0.1", "0.5"])
+@pytest.mark.parametrize("argv", [["verify-algebra"], ["dualize"],
+                                  ["generate"],
+                                  ["hj", "--c", "1,0.1,0.1,0.1"]],
+                         ids=lambda argv: argv[0])
+def test_a_loose_tol_judges_residuals_and_not_ranks(argv, tol, tmp_path,
+                                                    capsys):
+    """The rank tests and the xi and (A1)/(A2) searches run at fixed
+    thresholds: at a loose --tol every check of the analytic example52 file
+    passes with its residual at the default.  Before, --tol 0.1 also
+    loosened the rank threshold, so linear_independence and the genericity
+    checks failed, and generate and hj found no generic vector."""
+    path = tmp_path / "a52.json"
+    run_cli(["builtin", "example52", "--variant", "analytic", "--emit",
+             str(path)], capsys)
+    reports = []
+    for extra in ([], ["--tol", tol]):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:], *extra,
+                                  "--json"], capsys)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["checks"])
+    default, loose = reports
+    assert [c["name"] for c in loose] == [c["name"] for c in default]
+    assert RANK_CHECKS & {c["name"] for c in loose}
+    for d, c in zip(default, loose):
+        assert c["passed"] and c["max_residual"] == d["max_residual"]
+        if c["name"] in RANK_CHECKS:
+            assert c["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("quadratic", [1, 1e308])
+def test_a_non_generic_initial_curve_is_reported_at_any_size(quadratic,
+                                                             tmp_path,
+                                                             capsys):
+    """u0 and u0' come from the curve's own expansion: the quadratic
+    coefficient does not enter them, and before, a 1e308 one made them
+    NaN, so the dependent K_i(u0) u0' went unreported."""
+    path = tmp_path / "pair.json"
+    run_cli(["builtin", "nonsymmetric-pair", "--emit", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    doc["initial_curve"] = [[1, 1, quadratic], [1, 1]]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["flow", str(path), "--json"], capsys)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert set(checks) == {"flow_compatibility_1_2", "generic_initial_curve"}
+    assert not checks["generic_initial_curve"]["passed"]
+
+
 @pytest.mark.parametrize("name", ["example52", "nonsymmetric-pair"])
 def test_flow_order_1_is_rejected_before_the_fill(name, tmp_path, capsys,
                                                   monkeypatch):

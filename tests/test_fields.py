@@ -5,6 +5,7 @@ and broadcast after that, bit for bit what its Program gives over jets."""
 import numpy as np
 import pytest
 
+from opfrob.errors import ExprEvalError
 from opfrob.fields import (ExpressionGrid, OneFormField, OperatorField,
                            grid_floats, grid_jets)
 from opfrob.fixtures import _builtin, builtin_names, emit_builtin
@@ -148,11 +149,20 @@ def test_a_non_finite_constant_grid_raises_where_it_is_built(make, message):
     assert str(err.value) == message
 
 
-def test_a_grid_that_reads_a_coordinate_is_not_evaluated_when_built():
-    grid = OneFormField.parse(["1e400", "u1"], 2)
-    assert not grid.is_constant
-    vals, _ = grid.batch_jet_arrays([[0.5, 0.5]])
-    assert vals.tolist() == [[np.inf, 0.5]]
+@pytest.mark.parametrize("text,message", [
+    ("1e400", "component inf is inf, not a finite number"),
+    ("1/0", "division by zero evaluating 0"),
+    ("10^400", "overflow evaluating 10^400"),
+    ("1" + "0" * 400, "overflow evaluating 1" + "0" * 400),
+], ids=["1e400", "1/0", "10^400", "400-digit-int"])
+def test_a_constant_entry_is_evaluated_when_its_grid_is_built(text, message):
+    # beside an entry that reads a coordinate as beside a constant one
+    for other in ("u1", "1"):
+        with pytest.raises((ValueError, ExprEvalError)) as err:
+            OneFormField.parse([text, other], 2)
+        assert str(err.value) == message
+    grid = OneFormField.parse(["2*3", "1/u1"], 2)
+    assert grid.eval([4.0, 1.0]).tolist() == [6.0, 0.25]
 
 
 @pytest.mark.parametrize("cls,texts,message", [

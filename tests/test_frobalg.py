@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opfrob import frobalg
+from opfrob import frobalg, numkit
 from opfrob.cli import main
 from opfrob.errors import GenericityError, SingularMatrixError
 from opfrob.fields import OperatorField
@@ -52,12 +52,12 @@ from oracles import (
 ORIGIN4 = np.zeros(4)
 
 
-def search_at(basis, point, samples=32, seed=0):
+def search_at(basis, point, seed=0):
     """The batched (A1)/(A2) search at one point: (xi, covector), each None
     where the search found nothing."""
     _, V = basis.values([point])
     return tuple(None if np.isnan(v[0]).any() else v[0]
-                 for v in batch_generic_search(V, seed, samples=samples))
+                 for v in batch_generic_search(V, seed))
 
 
 def nilpotent_pair_basis():
@@ -92,11 +92,12 @@ class TestGenericity:
         b = search_at(basis, ORIGIN4, seed=9)[0]
         assert np.array_equal(a, b)
 
-    def test_search_failure_returns_none(self):
+    def test_search_failure_returns_none(self, monkeypatch):
         # fields that annihilate every vector direction needed for rank n
         Z = np.zeros((2, 2)); Z[0, 0] = 1.0
         basis = OperatorBasis.from_matrices([np.eye(2) * 0 + Z, 2 * Z + 0])
-        assert search_at(basis, [0.0, 0.0], samples=8)[0] is None
+        monkeypatch.setattr(frobalg, "GENERIC_DRAWS", 8)
+        assert search_at(basis, [0.0, 0.0])[0] is None
 
 
 class TestStructureConstants:
@@ -410,6 +411,7 @@ class TestBatchedSearchAndSolve:
             return mat_rank(A, tol=tol)
 
         monkeypatch.setattr(frobalg, "mat_rank", counted)
+        monkeypatch.setattr(numkit, "RANK_TOL", tol)    # batched searches
         seen = set()
         for n in (1, 2, 3, 4):
             for seed in range(2):
@@ -434,7 +436,7 @@ class TestBatchedSearchAndSolve:
                 ok = [b for b, w in enumerate(want) if w is not None]
                 ranked.clear()
                 with np.errstate(all="ignore"):
-                    xi = batch_well_conditioned_xi(V[ok], P[ok], seed, tol)
+                    xi = batch_well_conditioned_xi(V[ok], P[ok], seed)
                 assert xi.tobytes() == np.array([want[b]
                                                  for b in ok]).tobytes()
                 assert sum(ranked) == sum(need[b] for b in ok)
@@ -442,7 +444,7 @@ class TestBatchedSearchAndSolve:
                 miss = min(set(range(len(V))) - set(ok))
                 with pytest.raises(GenericityError) as exc, \
                         np.errstate(all="ignore"):
-                    batch_well_conditioned_xi(V, P, seed, tol)
+                    batch_well_conditioned_xi(V, P, seed)
                 assert exc.value.index == miss
         # no finite draw; the best draw of full rank; all draws ranked,
         # with a full-rank one among them (at the coarse tolerances) or none

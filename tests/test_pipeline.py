@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from opfrob import frobalg, integ, opfields
+from opfrob import frobalg, integ, numkit, opfields
 from opfrob.cli import main
 from opfrob.errors import (NonCommutingError, OpfrobError, SingularMatrixError,
                            SqrtConvergenceError)
@@ -130,17 +130,18 @@ def test_batch_solve_is_the_lone_elimination():
                 assert inv[k].tobytes() == loop_inv(A[k]).tobytes()
 
 
-def test_batched_search_is_the_vector_then_covector_loop():
+def test_batched_search_is_the_vector_then_covector_loop(monkeypatch):
     # at the coarse tolerance [Id, N] misses the draws whose first (vector)
     # or second (covector) component is small against the other; [Id, 2 Id]
     # misses every draw, [E11, E12] every vector and [E11, E21] every
     # covector
+    monkeypatch.setattr(numkit, "RANK_TOL", 0.9)
     N, E11 = np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, 0.0])
     V = np.array([[np.eye(2), N], [np.eye(2), 2.0 * np.eye(2)],
                   [E11, N.T], [E11, N], [np.eye(2), N]])
     seen = set()
     for seed in range(40):
-        xi, a = batch_generic_search(V, seed, tol=0.9)
+        xi, a = batch_generic_search(V, seed)
         draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (64, 2))
         for b, mats in enumerate(V):
             rng = np.random.default_rng(seed)
@@ -377,8 +378,7 @@ class TestDistinctStages:
         basis = demo4_constant_basis()
         system = generate_system(basis, demo4_one_form(), P, seed=SEED)[0]
         got = system.batch_data(P)[1]
-        want = frobalg._point_data(basis.values(P)[1], None, P, None, SEED,
-                                   frobalg.DEFAULT_TOL)
+        want = frobalg._point_data(basis.values(P)[1], None, P, None, SEED)
         for name, value in vars(want).items():
             assert (value is None) == (getattr(got, name) is None), name
             if value is not None:

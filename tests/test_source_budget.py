@@ -22,15 +22,22 @@ The LAPACK routines that ``src/`` takes from ``numpy.linalg`` stay within
 raise).  Each further routine maps its own LAPACK code pages when first
 called, and those count in ``peak_rss_mb``: a ξ-search screen through ``eigvalsh`` added
 about 200 KiB of ``RssFile`` (``/proc/self/status``) on analytic52.
+
+Each numerical threshold of the engine (rank, regularity, the square root's
+stop, the genericity draw count, the residual default) is assigned once, and
+the entry points that make rank or regularity decisions take no ``tol`` or
+``samples``: a check's ``tol`` judges its residuals only.
 """
 
 import ast
+import inspect
 import tokenize
 from pathlib import Path
 
 import pytest
 
 import opfrob
+from opfrob import frobalg, integ, numkit, opfields, symalg
 
 MODULES = sorted(Path(opfrob.__file__).parent.glob("*.py"))
 LIMITS = {"cli.py": 4096, "hydroflow.py": 4096}
@@ -106,3 +113,62 @@ def linalg_names(path):
 def test_src_takes_only_the_known_linalg_routines():
     used = set().union(*map(linalg_names, MODULES))
     assert "cond" in used and used <= LINALG
+
+
+# The engine's numerical thresholds, by module: each is assigned once in
+# src/, and a check's ``tol`` judges its residuals without reaching them.
+THRESHOLDS = {("numkit.py", "RANK_TOL"): 1e-9,
+              ("numkit.py", "SINGULAR_TOL"): 1e-12,
+              ("numkit.py", "SQRT_TOL"): 1e-10,
+              ("frobalg.py", "GENERIC_DRAWS"): 32,
+              ("report.py", "DEFAULT_TOL"): 1e-9}
+# the modules that may write these values as literals: the builtins' own
+# residual tolerances, and the cut below which an emitted coefficient is 0
+LITERALS_ALLOWED = {"fixtures.py", "cli.py"}
+# entry points that judge no residual, so take no tolerance or draw count
+NO_KNOBS = [
+    frobalg.point_data, frobalg.OperatorBasis.point_data,
+    frobalg.batch_well_conditioned_xi, frobalg.well_conditioned_xi,
+    frobalg.batch_generic_search, frobalg.genericity_residuals,
+    opfields.DualFamily, integ.ReconstructedFamily, integ.IntegrableSystem,
+    symalg.FlatBasis, numkit.first_singular, numkit.mat_solve,
+    numkit.mat_inv, frobalg.checked_solve, frobalg.checked_inv,
+    numkit.sqrt_near_identity,
+]
+
+
+@pytest.mark.parametrize("fn", NO_KNOBS, ids=lambda fn: fn.__qualname__)
+def test_an_engine_entry_point_takes_no_threshold(fn):
+    assert not {"tol", "samples"} & set(inspect.signature(fn).parameters)
+
+
+def numbers(path):
+    """(line, value, the names it is assigned to at module level, or None)
+    of each number literal of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       (ast.Name, ast.Tuple)):
+            target, value = node.targets[0], node.value
+            pairs = zip(target.elts, value.elts) \
+                if isinstance(target, ast.Tuple) else [(target, value)]
+            bound.update((id(v), t.id) for t, v in pairs)
+    return [(node.lineno, node.value, bound.get(id(node)))
+            for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)]
+
+
+def test_each_threshold_is_assigned_once():
+    names, values = {name for _, name in THRESHOLDS}, set(THRESHOLDS.values())
+    found, loose = {}, []
+    for path in MODULES:
+        for line, value, name in numbers(path):
+            if name in names:
+                found[path.name, name] = found.get((path.name, name), ()) \
+                    + (value,)
+            elif value in values and name is None \
+                    and path.name not in LITERALS_ALLOWED:
+                loose.append((path.name, line, value))
+    assert found == {key: (value,) for key, value in THRESHOLDS.items()}
+    assert loose == []
