@@ -22,14 +22,15 @@ from .frobalg import algebra_report
 from .hydroflow import flow_compatibility_residual, taylor_flow
 from .integ import generate_system, inverse_verify, verify_commuting_family
 from .opfields import dualize_family
-from .report import DEFAULT_TOL, CheckResult, VerificationReport, reduce_check
+from .report import (DEFAULT_TOL, LOOSE_TOL, CheckResult, VerificationReport,
+                     reduce_check)
 from .sampling import sample_points
 from .symalg import FlatBasis, analytic_symmetry, sym_membership
 from .sysfile import load_system_file, options_config
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 # the residual tolerance of a file command without --tol, DEFAULT_TOL if none
-TOLS = {"poisson-check": 1e-8, "inverse": 1e-8, "flow": 1e-8}
+TOLS = {"poisson-check": LOOSE_TOL, "inverse": LOOSE_TOL, "flow": LOOSE_TOL}
 # what a system file must hold for a command that needs the key
 NEEDS = {"covector": "a covector", "one_form": "a one_form",
          "hamiltonians": "hamiltonians", "initial_curve": "an initial_curve"}
@@ -189,7 +190,7 @@ def cmd_hj(args) -> VerificationReport:
     report.extend(gen_report)
     hj_points, _, residuals = system.hj_consistency(args.hj_points, args.c)
     report.add(reduce_check("hamilton_jacobi_consistency", residuals,
-                            hj_points, 1e-8,
+                            hj_points, LOOSE_TOL,
                             detail=f"F_s(u, dW(u,c)) = c_s for c={args.c}"))
     return report
 

@@ -46,8 +46,8 @@ from .opfields import (
     bracket_residuals,
     conservation_law_residuals,
 )
-from .report import (DEFAULT_TOL, CheckResult, VerificationReport,
-                     failed_check, reduce_check)
+from .report import (DEFAULT_TOL, LOOSE_TOL, CheckResult,
+                     VerificationReport, failed_check, reduce_check)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -122,7 +122,7 @@ def verify_commuting_family(
     hams,
     u_points,
     p_points,
-    tol: float = 1e-8,
+    tol: float = LOOSE_TOL,
     name: str = "pairwise_poisson_brackets",
     jets=None,
 ) -> CheckResult:
@@ -142,23 +142,30 @@ def verify_commuting_family(
         len(residuals), len(P))), axis=0, initial=0.0), np.hstack([P, p]), tol)
 
 
+def _best_ratios(G, _, p):
+    """Each point's largest Hadamard ratio over the momenta p, in chunks of
+    points no larger than G."""
+    B, n, draws = len(G), G.shape[-1], len(p)
+    c = max(1, B * n // (2 * draws))
+    best = np.empty(B)
+    for s in range(0, B, c):
+        # D[b, d] stacks the rows 2 A_s p_d, one product (2 A) @ p^T a point
+        D = ((2.0 * G[s:s + c]).reshape(-1, n * n, n) @ p.T).reshape(
+            -1, n, n, draws).transpose(0, 3, 1, 2)
+        best[s:s + c] = np.max(hadamard_ratio(D), axis=1)
+    return best
+
+
 def _momentum_nondegeneracy(G, points, seed) -> CheckResult:
     """det(dF/dp) != 0 at generic p: at every base point some seeded draw
     must give a relative determinant above MOMENTUM_THRESHOLD (relative to
     the Hadamard bound of the matrix 2 a^{ij}_s p_i).  G[b, s] is the grid
-    of F_s at points[b]; the draws for points[b] are rows b*draws.. of one
-    (B*draws, n) draw, taken in chunks of points no larger than G."""
-    B, n, draws = len(points), G.shape[-1], MOMENTUM_DRAWS
-    rng = np.random.default_rng(seed)
-    c = max(1, B * n // (2 * draws))
-    best = np.empty(B)
-    for s in range(0, B, c):
-        G2 = (2.0 * G[s:s + c]).reshape(-1, n * n, n)
-        p = rng.uniform(-1.0, 1.0, (len(G2), draws, n))
-        # D[b, d] stacks the rows 2 A_s p_d, one product (2 A) @ p^T a point
-        D = (G2 @ p.swapaxes(1, 2)).reshape(-1, n, n, draws).transpose(
-            0, 3, 1, 2)
-        best[s:s + c] = np.max(hadamard_ratio(D), axis=1)
+    of F_s at points[b]; every point is judged at the same (draws, n)
+    block of momenta, so each distinct row of G is judged once."""
+    B = len(points)
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                            (MOMENTUM_DRAWS, G.shape[-1]))
+    best = on_distinct_rows(_best_ratios, (G,), points, p)
     k = int(np.argmin(best)) if B else None
     return CheckResult(
         name="momentum_nondegeneracy",
@@ -569,7 +576,7 @@ def inverse_verify(
     hams,
     covector,
     points,
-    tol: float = 1e-8,
+    tol: float = LOOSE_TOL,
     seed: int = 0,
 ):
     """Verify that user-supplied quadratic Hamiltonians arise from the

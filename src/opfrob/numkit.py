@@ -40,6 +40,8 @@ __all__ = [
 # The engine's thresholds, read at call time by mat_rank, first_singular
 # and sqrt_near_identity (Golub & Van Loan, Matrix Computations, 5.4).
 RANK_TOL, SINGULAR_TOL, SQRT_TOL = 1e-9, 1e-12, 1e-10
+# the odd number whose powers weigh a row's words in distinct_rows's hash
+ROW_HASH_BASE = 0x9E3779B97F4A7C15
 
 
 def _is_plain(x) -> bool:
@@ -292,22 +294,33 @@ def mat_rank(A, tol: float | None = None):
     return int(rank[0]) if not batch else rank.reshape(batch)
 
 
+def _row_words(S, B):
+    """The rows of a (B, ...) stack as unsigned words of their bytes, 8 bytes
+    a word where the row width allows (no copy for a contiguous stack)."""
+    R = np.ascontiguousarray(S.reshape(B, math.prod(S.shape[1:])))
+    return R.view(np.uint64 if R.shape[1] * R.itemsize % 8 == 0
+                  else np.uint8)
+
+
 def distinct_rows(*stacks):
     """(first, which) for (B, ...) stacks keyed together row by row by their
     bytes (so -0.0 and 0.0 differ): first[k] is where the k-th distinct row
     first occurs, in first-occurrence order, and which[b] the k of row b.
-    Stacks of equal rows are settled by one comparison with row 0, and
-    the later stacks are keyed only where the first one repeats."""
+    Stacks of equal rows are settled by their columns' least and greatest
+    words, and a first stack whose rows all hash apart (the sum of a row's
+    words times the powers of ROW_HASH_BASE, mod 2^64) without keys; only
+    then is a key of bytes made per row, the later stacks' keys only where
+    the first one repeats."""
     B = len(stacks[0])
-    rows = [np.ascontiguousarray(S.reshape(B, math.prod(S.shape[1:]))).view(
-        np.uint8) for S in stacks]
-    if B and all((R == R[0]).all() for R in rows):
+    rows = [_row_words(S, B) for S in stacks]
+    if B and all((R.min(axis=0) == R.max(axis=0)).all() for R in rows):
         return np.zeros(1, dtype=int), np.zeros(B, dtype=int)
-    keys = (R.view(f"V{R.shape[1]}")[:, 0].tolist() for R in rows)
-    head = next(keys)
-    if len(set(head)) == B:
+    head = rows[0]
+    powers = np.cumprod(np.full(head.shape[1], ROW_HASH_BASE, np.uint64))
+    if len(set((head @ powers).tolist())) == B:
         return np.arange(B), np.arange(B)
-    keys = list(zip(head, *keys))
+    keys = list(zip(*(R.view(f"V{R.shape[1] * R.itemsize}")[:, 0].tolist()
+                      for R in rows)))
     firsts = {key: b for b, key in reversed(list(enumerate(keys)))}
     first = np.array(sorted(firsts.values()), dtype=int)
     return first, np.searchsorted(first, [firsts[key] for key in keys])

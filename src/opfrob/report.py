@@ -8,6 +8,9 @@ import numpy as np
 
 # the residual tolerance of a check where its command sets none
 DEFAULT_TOL = 1e-9
+# the residual tolerance where poisson-check, inverse and flow set none,
+# and the fixed one of hj's Hamilton-Jacobi consistency
+LOOSE_TOL = 1e-8
 CERTIFICATE_NOTE = (
     "all passes are numerical certificates at the sampled points, "
     "not symbolic proofs"

@@ -229,15 +229,15 @@ def pairwise_structure_constants(mats, xi, solve):
 def loop_momentum_nondegeneracy(grids_at, points, n, seed, draws=50,
                                 per_draw=False):
     """(worst over points of the best relative determinant over draws,
-    the point attaining it), one point and one momentum draw at a time.
-    Each point's matrices D_d, whose rows are 2 A_s p_d, come from one
-    product (2A) @ [p_1 .. p_draws] of its grids; ``per_draw`` forms
-    each row as 2 A_s @ p_d instead, the same values up to rounding."""
+    the point attaining it), one point and one momentum draw at a time,
+    every point at the same seeded draws p_1 .. p_draws.  Each point's
+    matrices D_d, whose rows are 2 A_s p_d, come from one product
+    (2A) @ [p_1 .. p_draws] of its grids; ``per_draw`` forms each row as
+    2 A_s @ p_d instead, the same values up to rounding."""
     worst, worst_pt = np.inf, None
-    rng = np.random.default_rng(seed)
+    ps = np.random.default_rng(seed).uniform(-1.0, 1.0, (draws, n))
     for u in points:
         grids = np.array(grids_at(u), dtype=float)
-        ps = rng.uniform(-1.0, 1.0, (draws, n))
         prods = (2.0 * grids).reshape(n * n, n) @ ps.T
         best = 0.0
         for d, p in enumerate(ps):

@@ -20,6 +20,7 @@ from opfrob.fixtures import (
     emit_builtin,
 )
 from opfrob import integ
+from opfrob.cli import main
 from opfrob.frobalg import OperatorBasis, checked_inv
 from opfrob.integ import (
     QuadraticHamiltonian,
@@ -31,6 +32,7 @@ from opfrob.integ import (
     poisson_bracket,
     verify_commuting_family,
 )
+from opfrob.numkit import hadamard_ratio
 from opfrob.sampling import SampleConfig, sample_points
 from opfrob.sysfile import SystemFile
 
@@ -337,6 +339,50 @@ class TestMomentumNondegeneracy:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * G.nbytes
+
+    def test_a_point_is_judged_apart_from_its_batch(self):
+        """Every point meets the same draws, so a shuffled or truncated
+        batch gives the permuted or prefix per-point ratios."""
+        P = sample_points(4, SampleConfig(seed=3, count=60,
+                                          guards=demo4_rational_guards()))
+        G = np.stack([H.coeff_jets(P)[0]
+                      for H in demo4_rational_hamiltonians()], axis=1)
+        p = np.random.default_rng(5).uniform(-1.0, 1.0,
+                                             (integ.MOMENTUM_DRAWS, 4))
+        best = integ._best_ratios(G, P, p)
+        assert len(np.unique(best)) == len(P)
+        order = np.random.default_rng(0).permutation(len(P))
+        assert integ._best_ratios(G[order], P[order], p).tobytes() == \
+            best[order].tobytes()
+        for stop in (1, 7, 33):
+            assert integ._best_ratios(G[:stop], P[:stop], p).tobytes() == \
+                best[:stop].tobytes()
+        check = _momentum_nondegeneracy(G[order], P[order], seed=5)
+        assert check.residual == best.min()
+        assert check.worst_point == list(P[np.argmin(best)])
+
+    @pytest.mark.parametrize("variant, rows", [("constant", 1),
+                                               ("analytic", 40)])
+    def test_a_constant_system_is_judged_at_one_row(self, variant, rows,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        """``generate`` and ``inverse`` on the constant example52 file take
+        the Hadamard ratios of one row of grids, and on the analytic one,
+        whose rows all differ, of one row per point."""
+        seen = []
+
+        def spy(D):
+            seen.append(len(D))
+            return hadamard_ratio(D)
+
+        monkeypatch.setattr(integ, "hadamard_ratio", spy)
+        path = str(tmp_path / "e52.json")
+        main(["builtin", "example52", "--variant", variant, "--emit", path])
+        for command in ("generate", "inverse"):
+            seen.clear()
+            assert main([command, path, "--samples", "40"]) == 0
+            assert sum(seen) == rows, command
+        capsys.readouterr()
 
 
 class TestHamiltonJacobi:

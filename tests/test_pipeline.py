@@ -287,6 +287,13 @@ def nans(*payloads):
     return bits.view(float).reshape(-1, 1)
 
 
+def colliding_rows():
+    """Two distinct rows of words (x, y) and (x + c, y - 1), whose hashes
+    c x + c^2 y (mod 2^64) in ``distinct_rows`` agree."""
+    c = numkit.ROW_HASH_BASE
+    return np.array([[1, 5], [1 + c, 4]], dtype=np.uint64).view(float)
+
+
 # (B, ...) stacks with their rows in every relation the keys must tell apart
 STACKS = {
     "all-equal": lambda: (np.broadcast_to(np.arange(6.0).reshape(2, 3),
@@ -307,6 +314,9 @@ STACKS = {
         np.array([[0.0], [0.0], [5.0], [0.0]])),
     "values-differ-partials-equal": lambda: (
         np.arange(4.0).reshape(4, 1), np.zeros((4, 3))),
+    "hash-collision": lambda: (colliding_rows(),),
+    "odd-row-width": lambda: (np.arange(12, dtype=np.float32).reshape(4, 3)[
+        [0, 1, 0, 3]],),
 }
 
 

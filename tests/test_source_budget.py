@@ -121,7 +121,10 @@ THRESHOLDS = {("numkit.py", "RANK_TOL"): 1e-9,
               ("numkit.py", "SINGULAR_TOL"): 1e-12,
               ("numkit.py", "SQRT_TOL"): 1e-10,
               ("frobalg.py", "GENERIC_DRAWS"): 32,
-              ("report.py", "DEFAULT_TOL"): 1e-9}
+              ("integ.py", "MOMENTUM_DRAWS"): 50,
+              ("integ.py", "MOMENTUM_THRESHOLD"): 1e-9,
+              ("report.py", "DEFAULT_TOL"): 1e-9,
+              ("report.py", "LOOSE_TOL"): 1e-8}
 # the modules that may write these values as literals: the builtins' own
 # residual tolerances, and the cut below which an emitted coefficient is 0
 LITERALS_ALLOWED = {"fixtures.py", "cli.py"}
